@@ -47,12 +47,15 @@ from .unitgroup import (
     ENUMERATION_BOUND,
     CyclicDecomposition,
     KUnitStats,
+    LambdaSegment,
+    carmichael_lambda,
     du_k_cyclic,
     du_k_product,
     du_k_two_power,
     enumerate_k_units,
     is_rdu_one_product,
     k_unit_stats,
+    lambda_range,
     reduce_exponent,
     unit_group_structure,
 )
@@ -77,6 +80,9 @@ __all__ = [
     "CyclicDecomposition",
     "KUnitStats",
     "unit_group_structure",
+    "carmichael_lambda",
+    "LambdaSegment",
+    "lambda_range",
     "du_k_cyclic",
     "du_k_product",
     "du_k_two_power",

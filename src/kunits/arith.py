@@ -234,8 +234,13 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     return Factorization(original, tuple(sorted(counts.items())))
 
 
-def _as_factorization(f: Factorization | int) -> Factorization:
-    return factorize(f) if isinstance(f, int) else f
+def _as_factorization(f: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
+    return factorize(f, bound=bound) if isinstance(f, int) else f
+
+
+def _value(f: Factorization | int) -> int:
+    """The integer n of an int or a Factorization, without factoring it."""
+    return f.n if isinstance(f, Factorization) else f
 
 
 def euler_phi(f: Factorization | int) -> int:

@@ -69,7 +69,13 @@ class BFile:
 
     @classmethod
     def parse_path(cls, path: str | Path) -> BFile:
-        return cls.parse_text(Path(path).read_text(encoding="utf-8"), str(path))
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_number = data.count(b"\n", 0, exc.start) + 1
+            raise BFileParseError(line_number, f"not UTF-8 text: {exc.reason}") from None
+        return cls.parse_text(text, str(path))
 
 
 @dataclass(frozen=True)

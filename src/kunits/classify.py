@@ -4,6 +4,10 @@ Fermat-liar counting, Carmichael numbers via the Korselt criterion,
 i-Knodel sets, the generalized Carmichael sets C_k, and sweep tooling for
 exponent rules that depend on n (n-i, n+i, a*n+b, arbitrary integer
 polynomials).
+
+The point classifiers factor one n; ``sweep`` instead reads lambda(n) for
+a whole range from one sieve (``lambda_range``), since rdu_k(n) = 1
+exactly when lambda(n) divides k.
 """
 
 from __future__ import annotations
@@ -12,9 +16,12 @@ import re
 from dataclasses import dataclass, field
 from math import gcd, prod
 
-from .arith import SUPPORTED_BOUND, Factorization, factorize
+import numpy as np
+
+from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _value, factorize
 from .errors import CapabilityError, DomainError
 from .solver import is_rdu_one
+from .unitgroup import lambda_range
 
 __all__ = [
     "BRUTE_FORCE_BOUND",
@@ -35,33 +42,36 @@ __all__ = [
 BRUTE_FORCE_BOUND = 10**7
 
 
-def count_fermat_liars(n: int, *, bound: int = SUPPORTED_BOUND) -> int:
+def count_fermat_liars(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:
     """Number of units a modulo odd n with a^(n-1) = 1: prod of gcd(n-1, p-1).
 
     For prime n this is n - 1 (every unit); for composite n it counts the
-    bases for which n is a Fermat probable prime.
+    bases for which n is a Fermat probable prime.  Accepts an int or a
+    Factorization.
     """
-    if n < 3 or n % 2 == 0:
-        raise DomainError(f"count_fermat_liars requires odd n >= 3, got {n}")
-    f = factorize(n, bound=bound)
-    return prod(gcd(n - 1, p - 1) for p, _ in f.factors)
+    m = _value(n)
+    if m < 3 or m % 2 == 0:
+        raise DomainError(f"count_fermat_liars requires odd n >= 3, got {m}")
+    f = _as_factorization(n, bound=bound)
+    return prod(gcd(m - 1, p - 1) for p, _ in f.factors)
 
 
-def korselt_failure(n: int, *, bound: int = SUPPORTED_BOUND) -> str | None:
+def korselt_failure(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> str | None:
     """Why n fails to be a Carmichael number, or None when it is one."""
-    if n < 2:
-        return f"{n} is not composite"
-    if n % 2 == 0:
-        return f"{n} is even"
-    f = factorize(n, bound=bound)
+    m = _value(n)
+    if m < 2:
+        return f"{m} is not composite"
+    if m % 2 == 0:
+        return f"{m} is even"
+    f = _as_factorization(n, bound=bound)
     if not f.is_composite:
-        return f"{n} is prime"
+        return f"{m} is prime"
     for p, e in f.factors:
         if e > 1:
-            return f"not squarefree: {p}^{e} divides {n}"
+            return f"not squarefree: {p}^{e} divides {m}"
     for p, _ in f.factors:
-        if (n - 1) % (p - 1):
-            return f"{p} - 1 does not divide {n} - 1"
+        if (m - 1) % (p - 1):
+            return f"{p} - 1 does not divide {m} - 1"
     return None
 
 
@@ -72,19 +82,19 @@ def is_carmichael(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     return korselt_failure(n, bound=bound) is None
 
 
-def is_knodel(n: int, i: int, *, bound: int = SUPPORTED_BOUND) -> bool:
+def is_knodel(n: Factorization | int, i: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Membership of n in the i-Knodel set: composite n > i whose every unit
-    satisfies a^(n-i) = 1.  The 1-Knodel numbers are the Carmichael numbers."""
+    satisfies a^(n-i) = 1.  The 1-Knodel numbers are the Carmichael numbers.
+    Accepts an int or a Factorization."""
+    m = _value(n)
     if i < 1:
         raise DomainError(f"is_knodel requires i >= 1, got {i}")
-    if n < 1:
-        raise DomainError(f"is_knodel requires n >= 1, got {n}")
-    if n <= i:
+    if m < 1:
+        raise DomainError(f"is_knodel requires n >= 1, got {m}")
+    if m <= i:
         return False
-    f = factorize(n, bound=bound)
-    if not f.is_composite:
-        return False
-    return is_rdu_one(n, n - i, bound=bound)
+    f = _as_factorization(n, bound=bound)
+    return f.is_composite and is_rdu_one(f, m - i)
 
 
 def is_generalized_carmichael(n: int, k: int, *, bound: int = BRUTE_FORCE_BOUND) -> bool:
@@ -125,6 +135,17 @@ class ExponentRule:
         for c in reversed(self.coeffs):
             value = value * n + c
         return value
+
+    def over(self, n: np.ndarray) -> np.ndarray:
+        """The exponents of the ascending array n, by Horner's rule.
+
+        Evaluated in int64 when sum(|c_j| * max(n)^j), a bound on every
+        Horner step, stays below 2**63; otherwise on Python ints.
+        """
+        top = int(n[-1])
+        if sum(abs(c) * top**j for j, c in enumerate(self.coeffs)) >= 1 << 63:
+            n = n.astype(object)
+        return self(n)
 
     @property
     def text(self) -> str:
@@ -209,23 +230,23 @@ def sweep(
 ) -> SweepResult:
     """Scan the range for n with rdu_f(n)(n) = 1, in ascending order.
 
-    Filters narrow the candidate set before the exponent is evaluated; an
-    n that survives the filters but has exponent f(n) < 1 is recorded as
-    skipped rather than silently dropped.
+    rdu_k(n) = 1 exactly when lambda(n) divides k, so the range is sieved
+    once by ``lambda_range`` rather than factored n by n.  Filters narrow
+    the candidate set before the exponent is looked at; an n that
+    survives the filters but has exponent f(n) < 1 is recorded as skipped
+    rather than silently dropped.
     """
     hits: list[int] = []
     skipped: list[int] = []
-    for n in range(spec.lo, spec.hi + 1):
-        if odd_only and n % 2 == 0:
-            continue
-        if composite_only and not factorize(n, bound=bound).is_composite:
-            continue
-        e = spec.rule(n)
-        if e < 1:
-            skipped.append(n)
-            continue
-        if is_rdu_one(n, e, bound=bound):
-            hits.append(n)
+    for segment in lambda_range(spec.lo, spec.hi, bound=bound):
+        n = segment.n
+        keep = segment.composite if composite_only else np.ones(len(n), dtype=bool)
+        if odd_only:
+            keep = keep & (n % 2 == 1)
+        e = spec.rule.over(n)
+        low = e < 1
+        skipped += n[keep & low].tolist()
+        hits += n[keep & ~low & (e % segment.lam == 0)].tolist()
     return SweepResult(spec=spec, hits=tuple(hits), skipped=tuple(skipped))
 
 
@@ -256,16 +277,14 @@ def classify(
     if n < 1:
         raise DomainError(f"classify requires n >= 1, got {n}")
     f = factorize(n, bound=bound)
-    liar_count = None
-    if liars and n % 2 and n >= 3:
-        liar_count = prod(gcd(n - 1, p - 1) for p, _ in f.factors)
-    reason = korselt_failure(n, bound=bound)
+    liar_count = count_fermat_liars(f) if liars and n % 2 and n >= 3 else None
+    reason = korselt_failure(f)
     return ClassificationReport(
         n=n,
         is_composite=f.is_composite,
         fermat_liar_count=liar_count,
         carmichael=reason is None,
-        knodel_for=tuple((i, is_knodel(n, i, bound=bound)) for i in knodel_indices),
+        knodel_for=tuple((i, is_knodel(f, i)) for i in knodel_indices),
         gen_carmichael_for=tuple(
             (k, is_generalized_carmichael(n, k, bound=brute_bound)) for k in gen_carmichael_ks
         ),

@@ -15,27 +15,21 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .arith import SUPPORTED_BOUND
 from .bfile import BFile, compare_bfile
 from .classify import (
     BRUTE_FORCE_BOUND,
+    ExponentRule,
     SweepSpec,
     classify,
-    is_carmichael,
     is_generalized_carmichael,
-    is_knodel,
     parse_rule,
     sweep,
 )
 from .errors import CapabilityError, DomainError
-from .solver import (
-    SOLUTION_CAP,
-    enumerate_rdu_one_solutions,
-    is_rdu_one,
-    solve_rdu_one,
-)
+from .solver import SOLUTION_CAP, enumerate_rdu_one_solutions, solve_rdu_one
 from .unitgroup import ENUMERATION_BOUND, enumerate_k_units, k_unit_stats
 
 __all__ = ["main"]
@@ -259,22 +253,38 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 _PREDICATE_HELP = "carmichael | knodel:I | gen-carmichael:K | rdu-one:K"
 
 
-def _predicate(name: str, brute_bound: int):
+def _sieved(lo: int, top: int, rule: ExponentRule, **filters: bool) -> Callable[[int], bool]:
+    """Membership in the sweep hits over [lo, top], from one sieve of the range."""
+    if top < lo:
+        return frozenset().__contains__
+    return frozenset(sweep(SweepSpec(lo, top, rule), **filters).hits).__contains__
+
+
+def _predicate(name: str, brute_bound: int, top: int) -> Callable[[int], bool]:
+    """The predicate on [1, top]: carmichael, knodel:I and rdu-one:K read
+    lambda(n) | exponent off one sieve; gen-carmichael:K checks n by n."""
     base, _, raw = name.partition(":")
     if base == "carmichael":
         if raw:
             raise DomainError("the carmichael predicate takes no parameter")
-        return is_carmichael
+        # Korselt: odd composite n with lambda(n) | n - 1
+        return _sieved(1, top, ExponentRule("shift", (-1, 1)), composite_only=True, odd_only=True)
     try:
         parameter = int(raw)
     except ValueError:
         raise DomainError(f"predicate {name!r} needs an integer parameter") from None
     if base == "knodel":
-        return lambda n: is_knodel(n, parameter)
+        if parameter < 1:
+            raise DomainError(f"the knodel predicate requires I >= 1, got {parameter}")
+        # composite n > I with lambda(n) | n - I
+        rule = ExponentRule("shift", (-parameter, 1))
+        return _sieved(parameter + 1, top, rule, composite_only=True)
     if base == "gen-carmichael":
         return lambda n: is_generalized_carmichael(n, parameter, bound=brute_bound)
     if base == "rdu-one":
-        return lambda n: is_rdu_one(n, parameter)
+        if parameter < 1:
+            raise DomainError(f"the rdu-one predicate requires K >= 1, got {parameter}")
+        return _sieved(1, top, ExponentRule("const", (parameter,)))
     raise DomainError(f"unknown predicate {name!r}; expected {_PREDICATE_HELP}")
 
 
@@ -282,7 +292,10 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     _reject_csv(args)
     brute = args.bound or BRUTE_FORCE_BOUND
     bfile = BFile.parse_path(args.bfile)
-    predicate = _predicate(args.predicate, brute)
+    # compare_bfile asks about every n up to the limit, or up to the file's
+    # largest value; an empty file is never asked about.
+    top = args.limit if args.limit is not None else max(bfile.values, default=0)
+    predicate = _predicate(args.predicate, brute, top if bfile.entries else 0)
     report = compare_bfile(bfile, args.predicate, predicate, args.limit)
     if args.json:
         _emit_json(
@@ -404,7 +417,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,8 +19,17 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterator
 
-from .arith import SUPPORTED_BOUND, Factorization, divisors, factorize, is_prime, nu
+from .arith import (
+    SUPPORTED_BOUND,
+    Factorization,
+    _value,
+    divisors,
+    factorize,
+    is_prime,
+    nu,
+)
 from .errors import CapabilityError, DomainError
+from .unitgroup import is_rdu_one_product, unit_group_structure
 
 __all__ = [
     "SOLUTION_CAP",
@@ -155,27 +164,15 @@ def enumerate_rdu_one_solutions(
     return out
 
 
-def is_rdu_one(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:
-    """Fast membership test for rdu_k(n) = 1, without touching the k-units.
+def is_rdu_one(n: Factorization | int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:
+    """Fast membership test for rdu_k(n) = 1, without touching the k-units:
+    every cyclic factor order of U(Z_n) must divide k, i.e. lambda(n) | k.
 
-    Writing n = 2^alpha * m (m odd): every odd prime power p^e of m must
-    have phi(p^e) | k, and alpha must satisfy alpha <= 1, or alpha == 2
-    with k even, or 3 <= alpha <= nu_2(k) + 2.
+    Accepts an int or a Factorization.
     """
-    if n < 1 or k < 1:
-        raise DomainError(f"is_rdu_one requires n >= 1 and k >= 1, got n={n}, k={k}")
-    f = factorize(n, bound=bound)
-    alpha = 0
-    for p, e in f.factors:
-        if p == 2:
-            alpha = e
-        elif k % ((p - 1) * p ** (e - 1)):
-            return False
-    if alpha <= 1:
-        return True
-    if alpha == 2:
-        return k % 2 == 0
-    return alpha <= _nu2(k) + 2
+    if _value(n) < 1 or k < 1:
+        raise DomainError(f"is_rdu_one requires n >= 1 and k >= 1, got n={_value(n)}, k={k}")
+    return is_rdu_one_product(k, unit_group_structure(n, bound=bound))
 
 
 def check_korselt_general(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:

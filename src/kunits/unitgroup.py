@@ -7,26 +7,44 @@ group U(Z_n) itself decomposes per prime power: trivial for 2^0 and 2^1,
 C_2 for 4, C_2 x C_{2^(a-2)} for 2^a with a >= 3, and cyclic of order
 phi(p^a) for odd p.
 
+The exponent of U(Z_n), the lcm of its cyclic factor orders, is
+Carmichael's lambda(n); every unit is a k-unit exactly when lambda(n)
+divides k.  ``lambda_range`` sieves lambda over a whole range, segment by
+segment, for the range tooling in ``classify``.
+
 ``enumerate_k_units`` is the brute-force oracle every closed form is
 tested against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, lcm, prod
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import SUPPORTED_BOUND, euler_phi, factorize
+from .arith import (
+    _TRIAL_LIMIT,
+    SUPPORTED_BOUND,
+    Factorization,
+    _as_factorization,
+    _small_primes,
+    euler_phi,
+    factorize,
+)
 from .errors import CapabilityError, DomainError
 
 __all__ = [
     "ENUMERATION_BOUND",
     "CyclicDecomposition",
     "KUnitStats",
+    "LambdaSegment",
     "unit_group_structure",
+    "carmichael_lambda",
+    "lambda_range",
     "du_k_cyclic",
     "du_k_product",
     "du_k_two_power",
@@ -85,25 +103,35 @@ class KUnitStats:
         return self.du * self.rdu
 
 
-def unit_group_structure(n: int, *, bound: int = SUPPORTED_BOUND) -> CyclicDecomposition:
+def _prime_power_orders(p: int, e: int) -> tuple[int, ...]:
+    """Cyclic factor orders of U(Z_{p^e}) for a prime p and e >= 1."""
+    if p == 2:
+        return () if e == 1 else (2,) if e == 2 else (2, 1 << (e - 2))
+    return ((p - 1) * p ** (e - 1),)
+
+
+def _prime_power_lambda(p: int, e: int) -> int:
+    """The exponent lambda(p^e) of U(Z_{p^e}): its largest cyclic factor order."""
+    return max(_prime_power_orders(p, e), default=1)
+
+
+def unit_group_structure(
+    n: Factorization | int, *, bound: int = SUPPORTED_BOUND
+) -> CyclicDecomposition:
     """Cyclic decomposition of U(Z_n), prime power by prime power.
 
     Factors appear in ascending order of the underlying prime, with the
     2-power contributing [2, 2^(a-2)] in that order; n = 1 and n = 2 give
-    the empty (trivial) decomposition.
+    the empty (trivial) decomposition.  Accepts an int or a Factorization.
     """
-    f = factorize(n, bound=bound)
-    orders: list[int] = []
-    for p, e in f.factors:
-        if p == 2:
-            if e == 2:
-                orders.append(2)
-            elif e >= 3:
-                orders.append(2)
-                orders.append(1 << (e - 2))
-        else:
-            orders.append((p - 1) * p ** (e - 1))
-    return CyclicDecomposition(tuple(orders), modulus=n)
+    f = _as_factorization(n, bound=bound)
+    orders = tuple(r for p, e in f.factors for r in _prime_power_orders(p, e))
+    return CyclicDecomposition(orders, modulus=f.n)
+
+
+def carmichael_lambda(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:
+    """Carmichael's lambda(n): the lcm of the cyclic factor orders of U(Z_n)."""
+    return lcm(*unit_group_structure(n, bound=bound).orders)
 
 
 def du_k_cyclic(k: int, r: int) -> int:
@@ -215,3 +243,84 @@ def is_rdu_one_product(k: int, decomposition: CyclicDecomposition) -> bool:
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     return all(k % r == 0 for r in decomposition.orders)
+
+
+# Values per segment of lambda_range; its memory is O(segment), not O(hi).
+_SEGMENT = 1 << 14
+_INT64_MAX = (1 << 63) - 1
+
+
+class LambdaSegment(NamedTuple):
+    """One segment of lambda_range: consecutive n with lambda(n) and two flags.
+
+    n and lam are int64 arrays while every n of the segment fits, else
+    object arrays of Python ints; squarefree and composite are bool.
+    """
+
+    n: np.ndarray
+    lam: np.ndarray
+    squarefree: np.ndarray
+    composite: np.ndarray
+
+
+def lambda_range(lo: int, hi: int, *, bound: int = SUPPORTED_BOUND) -> Iterator[LambdaSegment]:
+    """Carmichael's lambda over [lo, hi] by a segmented sieve, ascending.
+
+    Each segment takes out the primes up to min(isqrt(hi), 2**16) with
+    their multiplicities and checks that the prime powers taken out times
+    the cofactor left give back n.  A cofactor below 2**32 is then 1 or a
+    prime; a larger one is factored by ``factorize``, which certifies its
+    primes or raises CapabilityError.
+    """
+    if lo < 1 or hi < lo:
+        raise DomainError(f"lambda_range requires 1 <= lo <= hi, got [{lo}, {hi}]")
+    primes = _small_primes()
+    primes = primes[: bisect_right(primes, isqrt(hi))]
+    return (
+        _lambda_segment(a, min(a + _SEGMENT, hi + 1), primes, bound)
+        for a in range(lo, hi + 1, _SEGMENT)
+    )
+
+
+def _lambda_segment(a: int, b: int, primes: tuple[int, ...], bound: int) -> LambdaSegment:
+    """lambda(n) and the flags for n in [a, b)."""
+    size = b - a
+    if b - 1 <= _INT64_MAX:
+        n = np.arange(a, b, dtype=np.int64)
+    else:
+        n = np.array(range(a, b), dtype=object)
+    taken = np.ones(size, dtype=n.dtype)  # product of the prime powers taken out
+    lam = np.ones(size, dtype=n.dtype)
+    squarefree = np.ones(size, dtype=bool)
+    prime = np.zeros(size, dtype=bool)
+    for p in primes:
+        if a <= p < b:
+            prime[p - a] = True
+        q, e = p, 1
+        while q < b and (first := -a % q) < size:
+            view = taken[first::q]
+            view *= p
+            order = _prime_power_lambda(p, e)
+            if order > 1:
+                view = lam[first::q]
+                np.lcm(view, order, out=view)
+            if e == 2:
+                squarefree[first::q] = False
+            q *= p
+            e += 1
+    rem = n // taken
+    if not np.array_equal(taken * rem, n):
+        raise ArithmeticError(f"sieve factors do not multiply back on [{a}, {b})")
+    # The cofactor is 1, a prime, or (from 2**32 on) a number to factor.
+    for i in np.flatnonzero(rem >= _TRIAL_LIMIT * _TRIAL_LIMIT):
+        f = factorize(int(rem[i]), bound=bound)
+        for p, e in f.factors:
+            lam[i] = lcm(int(lam[i]), _prime_power_lambda(p, e))
+        squarefree[i] &= f.is_squarefree
+        prime[i] = f.is_prime and taken[i] == 1
+        rem[i] = 1
+    cofactor = rem > 1
+    prime |= cofactor & (taken == 1)
+    rem -= 1
+    np.lcm(lam, rem, out=lam, where=cofactor)
+    return LambdaSegment(n, lam, squarefree, (n > 1) & ~prime)

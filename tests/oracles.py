@@ -5,7 +5,7 @@ iterated multiplication.  The expected values frozen into the tests were
 computed with these, never with the closed forms under test.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 
 def brute_is_prime(n: int) -> bool:
@@ -68,6 +68,20 @@ def brute_rdu_is_one(n: int, k: int) -> bool:
     if n == 1:
         return True
     return all(pow(a, k, n) == 1 for a in range(1, n) if gcd(a, n) == 1)
+
+
+def brute_unit_exponent(n: int) -> int:
+    """lcm of the multiplicative orders of the units mod n, by iterated multiplication."""
+    exponent = 1
+    for a in range(1, n):
+        if gcd(a, n) != 1:
+            continue
+        order, x = 1, a
+        while x != 1:
+            x = x * a % n
+            order += 1
+        exponent = lcm(exponent, order)
+    return exponent
 
 
 def brute_liar_count(n: int) -> int:

@@ -254,3 +254,39 @@ class TestClassifyReport:
         report = classify(1806, gen_carmichael_ks=(1, 2))
         assert report.gen_carmichael_for == ((1, True), (2, False))
         assert not report.carmichael  # even, so never Carmichael
+
+    def test_factors_n_once(self, monkeypatch):
+        from importlib import import_module
+
+        calls = []
+        real = factorize
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return real(n, **kwargs)
+
+        for name in ("arith", "classify", "solver", "unitgroup"):
+            monkeypatch.setattr(import_module(f"kunits.{name}"), "factorize", counting)
+        report = classify(561, liars=True, knodel_indices=(1, 2))
+        assert calls == [561]
+        assert report.knodel_for == ((1, True), (2, False))
+
+
+class TestFactorizationArguments:
+    def test_point_classifiers_accept_a_factorization(self):
+        for n in (9, 15, 561, 1105, 2821, 4, 13):
+            f = factorize(n)
+            assert korselt_failure(f) == korselt_failure(n)
+            assert is_knodel(f, 1) == is_knodel(n, 1)
+            assert is_knodel(f, 2) == is_knodel(n, 2)
+            assert is_rdu_one(f, n - 1) == is_rdu_one(n, n - 1)
+            if n % 2:
+                assert count_fermat_liars(f) == count_fermat_liars(n)
+
+    def test_domain_checks_see_the_value(self):
+        with pytest.raises(DomainError):
+            count_fermat_liars(factorize(8))
+        with pytest.raises(DomainError):
+            is_knodel(factorize(561), 0)
+        assert "even" in korselt_failure(factorize(10))
+        assert "not composite" in korselt_failure(factorize(1))

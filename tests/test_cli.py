@@ -289,6 +289,46 @@ class TestOeisCheck:
         code, _, _ = run(capsys, "oeis-check", str(tmp_path / "nope.txt"), "--predicate", "carmichael")
         assert code == 2
 
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 561\n# caf\xe9\n2 1105\n")
+        code, out, err = run(capsys, "oeis-check", str(path), "--predicate", "carmichael")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "line 2" in err
+
+    def test_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "oeis-check", str(tmp_path), "--predicate", "carmichael")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("predicate", ["knodel:0", "rdu-one:0", "rdu-one:-4", "carmichael:3"])
+    def test_bad_predicate_parameter_exits_2(self, capsys, tmp_path, predicate):
+        path = tmp_path / "b.txt"
+        path.write_text("1 4\n2 6\n", encoding="utf-8")
+        code, _, err = run(capsys, "oeis-check", str(path), "--predicate", predicate)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_sieved_predicates_agree_with_the_point_path(self, capsys, tmp_path):
+        from kunits import is_carmichael, is_knodel, is_rdu_one
+
+        cases = {
+            "carmichael": is_carmichael,
+            "knodel:1": lambda n: is_knodel(n, 1),
+            "knodel:3": lambda n: is_knodel(n, 3),
+            "rdu-one:24": lambda n: is_rdu_one(n, 24),
+        }
+        for name, predicate in cases.items():
+            values = [n for n in range(1, 3001) if predicate(n)]
+            path = tmp_path / "b.txt"
+            path.write_text("".join(f"{i} {v}\n" for i, v in enumerate(values, 1)), encoding="utf-8")
+            code, obj, _ = run_json(capsys, "oeis-check", str(path), "--predicate", name, "--limit", "3000")
+            assert (code, obj["result"]["matched"]) == (0, True), name
+            assert obj["result"]["compared"] == str(len(values))
+
     def test_unknown_predicate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("1 2\n", encoding="utf-8")
