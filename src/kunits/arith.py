@@ -262,15 +262,29 @@ def nu(p: int, n: int) -> int:
     return e
 
 
+def _smallest_divisors(f: Factorization, stop: int | None = None) -> list[int]:
+    """The ``stop`` smallest divisors of f.n ascending (all when stop is None).
+
+    Prime power by prime power: the divisors so far, d ascending, give the
+    ascending runs of d*p, ..., of d*p^e; ``list.sort`` merges these
+    sorted runs (Timsort), and the list is cut to ``stop``.  A divisor
+    past the cut only has larger multiples, so the cut loses none of the
+    smallest, and the list never holds more than stop * (e + 1) values.
+    """
+    out = [1][:stop]
+    for p, e in f.factors:
+        merged, run = out.copy(), out
+        for _ in range(e):
+            run = [d * p for d in run]
+            merged += run
+        merged.sort()
+        out = merged[:stop]
+    return out
+
+
 def divisors(f: Factorization | int) -> list[int]:
     """All divisors of n in ascending order; accepts an int or Factorization."""
-    f = _as_factorization(f)
-    out = [1]
-    for p, e in f.factors:
-        powers = [p**i for i in range(e + 1)]
-        out = [d * q for d in out for q in powers]
-    out.sort()
-    return out
+    return _smallest_divisors(_as_factorization(f))
 
 
 def pow_mod(a: int, e: int, n: int) -> int:

@@ -9,9 +9,9 @@ offset conventions differ between sequences.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Set
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .errors import DomainError
 
@@ -97,20 +97,24 @@ class ComparisonReport:
 def compare_bfile(
     bfile: BFile,
     predicate_name: str,
-    predicate: Callable[[int], bool],
+    predicate: Callable[[int], bool] | Set[int],
     limit: int | None = None,
 ) -> ComparisonReport:
     """Compare the file's value set against {n in [1, L] : predicate(n)}.
 
-    L is ``limit`` when given, else the largest value in the file; file
-    values above L are ignored.  An empty file compares 0 terms and
-    matches.
+    ``predicate`` is a function of n, asked about every n in [1, L], or
+    the set of its members, of which those in [1, L] are taken.  L is
+    ``limit`` when given, else the largest value in the file; file values
+    above L are ignored.  An empty file compares 0 terms and matches.
     """
     if not bfile.entries:
         return ComparisonReport(bfile.source_path, predicate_name, limit or 0, 0, (), ())
     top = limit if limit is not None else max(bfile.values)
     file_values = {v for v in bfile.values if 1 <= v <= top}
-    computed = {n for n in range(1, top + 1) if predicate(n)}
+    if isinstance(predicate, Set):
+        computed = {n for n in predicate if 1 <= n <= top}
+    else:
+        computed = {n for n in range(1, top + 1) if predicate(n)}
     return ComparisonReport(
         source_path=bfile.source_path,
         predicate=predicate_name,

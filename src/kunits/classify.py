@@ -226,6 +226,7 @@ def sweep(
     *,
     composite_only: bool = False,
     odd_only: bool = False,
+    squarefree_only: bool = False,
     bound: int = SUPPORTED_BOUND,
 ) -> SweepResult:
     """Scan the range for n with rdu_f(n)(n) = 1, in ascending order.
@@ -243,6 +244,8 @@ def sweep(
         keep = segment.composite if composite_only else np.ones(len(n), dtype=bool)
         if odd_only:
             keep = keep & (n % 2 == 1)
+        if squarefree_only:
+            keep = keep & segment.squarefree
         e = spec.rule.over(n)
         low = e < 1
         skipped += n[keep & low].tolist()

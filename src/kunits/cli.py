@@ -2,8 +2,8 @@
 
 Subcommands: stats, units, solve, classify, sweep, oeis-check.  Every
 subcommand accepts --json (one canonical object, keys sorted, integers as
-decimal strings so 64-bit consumers never overflow) and --bound to
-override the command's working bound; sweep also accepts --csv.
+decimal strings so 64-bit consumers never overflow) and --bound N >= 1
+to override the command's working bound; sweep also accepts --csv.
 
 Exit codes: 0 success or match, 1 predicate mismatch (oeis-check, the
 units --oracle self-check), 2 usage or parse errors, 3 capability errors.
@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .arith import SUPPORTED_BOUND
 from .bfile import BFile, compare_bfile
@@ -24,7 +24,6 @@ from .classify import (
     ExponentRule,
     SweepSpec,
     classify,
-    is_generalized_carmichael,
     parse_rule,
     sweep,
 )
@@ -253,16 +252,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 _PREDICATE_HELP = "carmichael | knodel:I | gen-carmichael:K | rdu-one:K"
 
 
-def _sieved(lo: int, top: int, rule: ExponentRule, **filters: bool) -> Callable[[int], bool]:
-    """Membership in the sweep hits over [lo, top], from one sieve of the range."""
+def _sieved(lo: int, top: int, rule: ExponentRule, **filters: bool) -> frozenset[int]:
+    """The sweep hits over [lo, top], from one sieve of the range."""
     if top < lo:
-        return frozenset().__contains__
-    return frozenset(sweep(SweepSpec(lo, top, rule), **filters).hits).__contains__
+        return frozenset()
+    return frozenset(sweep(SweepSpec(lo, top, rule), **filters).hits)
 
 
-def _predicate(name: str, brute_bound: int, top: int) -> Callable[[int], bool]:
-    """The predicate on [1, top]: carmichael, knodel:I and rdu-one:K read
-    lambda(n) | exponent off one sieve; gen-carmichael:K checks n by n."""
+def _predicate(name: str, brute_bound: int, top: int) -> frozenset[int]:
+    """The members of the predicate's set in [1, top], each read off one
+    sieve as lambda(n) | exponent (with filters)."""
     base, _, raw = name.partition(":")
     if base == "carmichael":
         if raw:
@@ -280,7 +279,14 @@ def _predicate(name: str, brute_bound: int, top: int) -> Callable[[int], bool]:
         rule = ExponentRule("shift", (-parameter, 1))
         return _sieved(parameter + 1, top, rule, composite_only=True)
     if base == "gen-carmichael":
-        return lambda n: is_generalized_carmichael(n, parameter, bound=brute_bound)
+        # The point classifier refuses n above the brute-force bound; so does this.
+        first = max(brute_bound + 1, 1)
+        if top >= first:
+            raise CapabilityError(f"n = {first} exceeds the brute-force bound {brute_bound}")
+        # Korselt: for n, n + K >= 2, a^(n+K) = a mod n for every a exactly
+        # when n is squarefree and lambda(n) | n + K - 1
+        rule = ExponentRule("shift", (parameter - 1, 1))
+        return _sieved(max(2, 2 - parameter), top, rule, squarefree_only=True)
     if base == "rdu-one":
         if parameter < 1:
             raise DomainError(f"the rdu-one predicate requires K >= 1, got {parameter}")
@@ -292,11 +298,11 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     _reject_csv(args)
     brute = args.bound or BRUTE_FORCE_BOUND
     bfile = BFile.parse_path(args.bfile)
-    # compare_bfile asks about every n up to the limit, or up to the file's
-    # largest value; an empty file is never asked about.
+    # compare_bfile takes the members up to the limit, or up to the file's
+    # largest value; for an empty file it takes none.
     top = args.limit if args.limit is not None else max(bfile.values, default=0)
-    predicate = _predicate(args.predicate, brute, top if bfile.entries else 0)
-    report = compare_bfile(bfile, args.predicate, predicate, args.limit)
+    members = _predicate(args.predicate, brute, top if bfile.entries else 0)
+    report = compare_bfile(bfile, args.predicate, members, args.limit)
     if args.json:
         _emit_json(
             "oeis-check",
@@ -333,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="override the command's working bound (factorization, enumeration, or brute force)",
+        help="override the command's working bound, N >= 1 (factorization, enumeration, or brute force)",
     )
 
     parser = argparse.ArgumentParser(
@@ -365,11 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", parents=[common], help="classifier verdicts for one n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--carmichael",
-        action="store_true",
-        help="accepted for symmetry; the Carmichael verdict is always reported",
-    )
     p.add_argument("--liars", action="store_true", help="count Fermat liars (odd n only)")
     p.add_argument(
         "--knodel", type=int, action="append", metavar="I", help="test i-Knodel membership"
@@ -410,6 +411,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
+        if args.bound is not None and args.bound < 1:
+            raise DomainError(f"--bound must be >= 1, got {args.bound}")
         return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,14 +14,13 @@ the divisor count of n_max.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterator
 
 from .arith import (
     SUPPORTED_BOUND,
     Factorization,
+    _smallest_divisors,
     _value,
     divisors,
     factorize,
@@ -118,22 +117,6 @@ def count_rdu_one_solutions(k: int, *, bound: int = SUPPORTED_BOUND) -> int:
     return solve_rdu_one(k, bound=bound).count
 
 
-def _ascending_divisors(f: Factorization) -> Iterator[int]:
-    """Divisors of f.n in ascending order, lazily (heap with dedup)."""
-    caps = [(p, p**e) for p, e in f.factors]
-    heap = [1]
-    seen = {1}
-    while heap:
-        d = heapq.heappop(heap)
-        yield d
-        for p, cap in caps:
-            if d % cap:
-                nd = d * p
-                if nd not in seen:
-                    seen.add(nd)
-                    heapq.heappush(heap, nd)
-
-
 def enumerate_rdu_one_solutions(
     k: int,
     limit: int | None = None,
@@ -155,13 +138,7 @@ def enumerate_rdu_one_solutions(
         )
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    stop = sol.count if limit is None else min(limit, sol.count)
-    out: list[int] = []
-    for d in _ascending_divisors(sol.n_max_factorization()):
-        if len(out) >= stop:
-            break
-        out.append(d)
-    return out
+    return _smallest_divisors(sol.n_max_factorization(), limit)
 
 
 def is_rdu_one(n: Factorization | int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:

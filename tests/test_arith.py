@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from kunits import (
     nu,
     pow_mod,
 )
-from kunits.arith import _CERTIFIED_LIMIT
+from kunits.arith import _CERTIFIED_LIMIT, _smallest_divisors
 
 from oracles import brute_divisors, brute_factor_map, brute_is_prime, brute_phi, brute_pow_mod
 
@@ -174,6 +176,26 @@ class TestDivisors:
     @given(st.integers(min_value=1, max_value=5000))
     def test_matches_brute_force(self, n):
         assert divisors(n) == brute_divisors(n)
+
+    def test_matches_brute_force_up_to_3000(self):
+        for n in range(1, 3001):
+            assert divisors(n) == brute_divisors(n), n
+
+    @given(
+        st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 65537]), st.integers(1, 5), max_size=5),
+        st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=150)
+    def test_smallest_divisors_of_small_factorizations(self, powers, stop):
+        factors = tuple(sorted(powers.items()))
+        # every choice of exponents, then one sort: no merging, no cut
+        expected = sorted(
+            prod(p**i for (p, _), i in zip(factors, exponents))
+            for exponents in product(*(range(e + 1) for _, e in factors))
+        )
+        f = Factorization(prod(p**e for p, e in factors), factors)
+        assert _smallest_divisors(f, stop) == expected[:stop]
+        assert _smallest_divisors(f) == divisors(f) == expected
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200)

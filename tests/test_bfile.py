@@ -92,6 +92,15 @@ class TestComparison:
         assert report.matched
         assert report.compared == 0
 
+    def test_member_set_matches_the_predicate(self):
+        bf = BFile.parse_text("1 561\n2 563\n3 1729\n")
+        # members outside [1, limit] are left out, as the predicate never sees them
+        members = frozenset({0, 561, 1105, 1729, 2465, 10**6})
+        for limit in (None, 1000, 2000):
+            report = compare_bfile(bf, "carmichael", members, limit)
+            assert report == compare_bfile(bf, "carmichael", is_carmichael, limit)
+        assert (report.missing, report.extra) == ((1105,), (563,))
+
     def test_rdu_one_predicate(self):
         bf = BFile.parse_text("\n".join(f"{i} {v}" for i, v in enumerate([1, 2, 3, 4, 6, 8, 12, 24])))
         report = compare_bfile(bf, "rdu-one:2", lambda n: is_rdu_one(n, 2), limit=100)

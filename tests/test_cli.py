@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kunits
 from kunits.cli import main
 
 
@@ -154,9 +159,11 @@ class TestSolve:
 
 class TestClassify:
     def test_carmichael(self, capsys):
-        code, out, _ = run(capsys, "classify", "--n", "561", "--carmichael")
+        code, out, _ = run(capsys, "classify", "--n", "561")
         assert code == 0
         assert "carmichael     true" in out
+        # the verdict is always reported, so there is no --carmichael flag
+        assert run(capsys, "classify", "--n", "561", "--carmichael")[0] == 2
 
     def test_liars(self, capsys):
         code, obj, _ = run_json(capsys, "classify", "--n", "561", "--liars")
@@ -312,6 +319,30 @@ class TestOeisCheck:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_gen_carmichael_above_the_brute_force_bound_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "b014117.txt"
+        path.write_text("0 1\n1 2\n2 6\n3 42\n4 1806\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "oeis-check", str(path), "--predicate", "gen-carmichael:1",
+            "--bound", "100", "--limit", "2000",
+        )
+        assert (code, out) == (3, "")
+        assert err == "capability error: n = 101 exceeds the brute-force bound 100\n"
+
+    def test_gen_carmichael_refusal_comes_before_any_work(self, tmp_path):
+        # Checking n by n up to the default bound of 10^7 would take hours.
+        path = tmp_path / "b.txt"
+        path.write_text("1 2\n2 3\n", encoding="utf-8")
+        src = str(Path(kunits.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kunits.cli", "oeis-check", str(path),
+             "--predicate", "gen-carmichael:0", "--limit", "20000000"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "capability error: n = 10000001 exceeds the brute-force bound 10000000\n"
+
     def test_sieved_predicates_agree_with_the_point_path(self, capsys, tmp_path):
         from kunits import is_carmichael, is_knodel, is_rdu_one
 
@@ -351,6 +382,28 @@ class TestOeisCheck:
         path.write_text("".join(f"{i+1} {v}\n" for i, v in enumerate(sols)), encoding="utf-8")
         code, _, _ = run(capsys, "oeis-check", str(path), "--predicate", "rdu-one:10", "--limit", "264")
         assert code == 0
+
+
+class TestBoundFlag:
+    COMMANDS = {
+        "stats": ["stats", "--n", "5", "--k", "2"],
+        "units": ["units", "--n", "5", "--k", "2"],
+        "solve": ["solve", "--k", "2", "--enumerate"],
+        "classify": ["classify", "--n", "561", "--gen-carmichael", "1"],
+        "sweep": ["sweep", "--from", "1", "--to", "30", "--rule", "const:2"],
+        "oeis-check": ["oeis-check", "{bfile}", "--predicate", "gen-carmichael:1", "--limit", "100"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bound_below_1_exits_2(self, capsys, tmp_path, command):
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("1 2\n2 6\n3 42\n", encoding="utf-8")
+        argv = [arg.format(bfile=bfile) for arg in self.COMMANDS[command]]
+        assert run(capsys, *argv)[0] == 0
+        for bound in ("0", "-3"):
+            code, out, err = run(capsys, *argv, "--bound", bound)
+            assert (code, out) == (2, ""), bound
+            assert err == f"error: --bound must be >= 1, got {bound}\n"
 
 
 class TestOutputContracts:

@@ -15,9 +15,11 @@ from kunits import (
     parse_rule,
     sweep,
 )
+from kunits.classify import BRUTE_FORCE_BOUND
+from kunits.cli import _predicate
 from kunits.unitgroup import _SEGMENT
 
-from oracles import brute_rdu_is_one, brute_unit_exponent
+from oracles import brute_gen_carmichael, brute_is_prime, brute_rdu_is_one, brute_unit_exponent
 
 SEMIPRIME_ABOVE_2_32 = 65537 * 65539
 
@@ -175,3 +177,21 @@ class TestSweepOnTheSieve:
         assert len(hits) == 43
         assert hits[:5] == (561, 1105, 1729, 2465, 2821)
         assert hits[-1] == 997633
+
+
+class TestGeneralizedCarmichaelSieve:
+    """oeis-check's C_K: n squarefree with lambda(n) | n + K - 1, by Korselt."""
+
+    @pytest.mark.parametrize("k", range(-5, 6))
+    def test_matches_the_brute_force_oracle(self, k):
+        members = _predicate(f"gen-carmichael:{k}", BRUTE_FORCE_BOUND, 3000)
+        assert members == {n for n in range(1, 3001) if brute_gen_carmichael(n, k)}
+
+    def test_c0_across_a_segment_boundary(self):
+        lo, hi = 15800, 17000
+        assert lo < 2 + _SEGMENT < hi  # the C_0 sieve starts at n = 2
+        members = {n for n in _predicate("gen-carmichael:0", BRUTE_FORCE_BOUND, hi) if n >= lo}
+        primes = {n for n in range(lo, hi + 1) if brute_is_prime(n)}
+        carmichael = {n for n in range(lo, hi + 1) if not brute_is_prime(n) and brute_rdu_is_one(n, n - 1)}
+        assert carmichael == {15841}
+        assert members == primes | carmichael

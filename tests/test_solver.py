@@ -18,7 +18,7 @@ from kunits import (
     solve_rdu_one,
 )
 
-from oracles import brute_rdu_is_one
+from oracles import brute_divisors, brute_rdu_is_one
 
 
 class TestSolveRduOne:
@@ -151,6 +151,20 @@ class TestEnumerateSolutions:
         for k in (2, 4, 6, 12, 24, 100, 252):
             sol = solve_rdu_one(k)
             assert enumerate_rdu_one_solutions(k) == divisors(sol.n_max_factorization())
+
+    def test_matches_brute_force_divisors_of_n_max(self):
+        for k in (2, 4, 6, 10, 12):
+            n_max = solve_rdu_one(k).n_max
+            assert n_max <= 10**5
+            assert enumerate_rdu_one_solutions(k) == brute_divisors(n_max), k
+
+    @pytest.mark.parametrize("k", [2, 10, 252, 720])
+    def test_every_limit_gives_the_prefix_of_the_divisors(self, k):
+        sol = solve_rdu_one(k)
+        everything = divisors(sol.n_max)
+        assert len(everything) == sol.count
+        for limit in (0, 1, 10, sol.count, sol.count + 1):
+            assert enumerate_rdu_one_solutions(k, limit=limit) == everything[:limit], limit
 
     def test_limit_truncates_ascending_prefix(self):
         full = enumerate_rdu_one_solutions(252)
