@@ -38,7 +38,6 @@ from .solver import (
     SOLUTION_CAP,
     RduOneSolution,
     check_korselt_general,
-    count_rdu_one_solutions,
     enumerate_rdu_one_solutions,
     is_rdu_one,
     solve_rdu_one,
@@ -49,14 +48,11 @@ from .unitgroup import (
     KUnitStats,
     LambdaSegment,
     carmichael_lambda,
-    du_k_cyclic,
     du_k_product,
-    du_k_two_power,
     enumerate_k_units,
     is_rdu_one_product,
     k_unit_stats,
     lambda_range,
-    reduce_exponent,
     unit_group_structure,
 )
 
@@ -83,16 +79,12 @@ __all__ = [
     "carmichael_lambda",
     "LambdaSegment",
     "lambda_range",
-    "du_k_cyclic",
     "du_k_product",
-    "du_k_two_power",
     "k_unit_stats",
     "enumerate_k_units",
-    "reduce_exponent",
     "is_rdu_one_product",
     "RduOneSolution",
     "solve_rdu_one",
-    "count_rdu_one_solutions",
     "enumerate_rdu_one_solutions",
     "is_rdu_one",
     "check_korselt_general",

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import gcd, prod
 
 import numpy as np
 
 from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _value, factorize
 from .errors import CapabilityError, DomainError
 from .solver import is_rdu_one
-from .unitgroup import lambda_range
+from .unitgroup import du_k_product, lambda_range, unit_group_structure
 
 __all__ = [
     "BRUTE_FORCE_BOUND",
@@ -43,17 +42,17 @@ BRUTE_FORCE_BOUND = 10**7
 
 
 def count_fermat_liars(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:
-    """Number of units a modulo odd n with a^(n-1) = 1: prod of gcd(n-1, p-1).
+    """Number of units a modulo odd n with a^(n-1) = 1: the (n-1)-units.
 
-    For prime n this is n - 1 (every unit); for composite n it counts the
-    bases for which n is a Fermat probable prime.  Accepts an int or a
-    Factorization.
+    For odd n no prime p | n divides n - 1, so the count is the product
+    of gcd(n-1, p-1).  For prime n this is n - 1 (every unit); for
+    composite n it counts the bases for which n is a Fermat probable
+    prime.  Accepts an int or a Factorization.
     """
     m = _value(n)
     if m < 3 or m % 2 == 0:
         raise DomainError(f"count_fermat_liars requires odd n >= 3, got {m}")
-    f = _as_factorization(n, bound=bound)
-    return prod(gcd(m - 1, p - 1) for p, _ in f.factors)
+    return du_k_product(m - 1, unit_group_structure(n, bound=bound))
 
 
 def korselt_failure(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> str | None:

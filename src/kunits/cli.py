@@ -28,7 +28,7 @@ from .classify import (
     sweep,
 )
 from .errors import CapabilityError, DomainError
-from .solver import SOLUTION_CAP, enumerate_rdu_one_solutions, solve_rdu_one
+from .solver import enumerate_rdu_one_solutions, solve_rdu_one
 from .unitgroup import ENUMERATION_BOUND, enumerate_k_units, k_unit_stats
 
 __all__ = ["main"]
@@ -127,11 +127,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.limit is not None and not args.enumerate:
         raise DomainError("--limit requires --enumerate")
     bound = args.bound or SUPPORTED_BOUND
-    cap = args.bound or SOLUTION_CAP
     sol = solve_rdu_one(args.k, bound=bound)
     solutions: list[int] | None = None
     if args.enumerate:
-        solutions = enumerate_rdu_one_solutions(args.k, limit=args.limit, cap=cap, bound=bound)
+        solutions = enumerate_rdu_one_solutions(args.k, limit=args.limit, bound=bound)
     truncated = solutions is not None and len(solutions) < sol.count
     if args.json:
         result: dict[str, Any] = {

@@ -25,7 +25,6 @@ from .arith import (
     divisors,
     factorize,
     is_prime,
-    nu,
 )
 from .errors import CapabilityError, DomainError
 from .unitgroup import is_rdu_one_product, unit_group_structure
@@ -34,7 +33,6 @@ __all__ = [
     "SOLUTION_CAP",
     "RduOneSolution",
     "solve_rdu_one",
-    "count_rdu_one_solutions",
     "enumerate_rdu_one_solutions",
     "is_rdu_one",
     "check_korselt_general",
@@ -97,7 +95,9 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
             if is_prime(c, bound=max(bound, c)):
                 candidates.add(c)
     set_a = tuple(sorted(p for p in candidates if m % p != 0))
-    set_b = tuple((q, nu(q, m) + 1) for q in sorted(p for p in candidates if m % p == 0))
+    set_b = tuple(
+        (q, fm.exponent_of(q) + 1) for q in sorted(p for p in candidates if m % p == 0)
+    )
     n_max = (1 << (beta + 2)) * prod(set_a) * prod(q**e for q, e in set_b)
     count = (beta + 3) * (1 << len(set_a)) * prod(e + 1 for _, e in set_b)
     return RduOneSolution(
@@ -112,29 +112,23 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     )
 
 
-def count_rdu_one_solutions(k: int, *, bound: int = SUPPORTED_BOUND) -> int:
-    """Number of solutions of rdu_k(n) = 1; equals the divisor count of n_max."""
-    return solve_rdu_one(k, bound=bound).count
-
-
 def enumerate_rdu_one_solutions(
     k: int,
     limit: int | None = None,
     *,
-    cap: int = SOLUTION_CAP,
     bound: int = SUPPORTED_BOUND,
 ) -> list[int]:
     """All solutions of rdu_k(n) = 1 ascending, i.e. the divisors of n_max.
 
     Truncates to the first ``limit`` values when given; otherwise refuses
-    (CapabilityError) when the solution count exceeds ``cap``, since the
-    count grows exponentially in |A|.
+    (CapabilityError) when the solution count exceeds ``SOLUTION_CAP``,
+    since the count grows exponentially in |A|.
     """
     sol = solve_rdu_one(k, bound=bound)
-    if limit is None and sol.count > cap:
+    if limit is None and sol.count > SOLUTION_CAP:
         raise CapabilityError(
             f"rdu_{k}(n) = 1 has {sol.count} solutions, above the enumeration "
-            f"cap {cap}; pass a limit to truncate"
+            f"cap {SOLUTION_CAP}; pass a limit to truncate"
         )
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
@@ -155,9 +149,10 @@ def is_rdu_one(n: Factorization | int, k: int, *, bound: int = SUPPORTED_BOUND) 
 def check_korselt_general(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Squarefree-and-(p-1 | k) test for odd composite n with gcd(k, n) = 1.
 
-    Under those preconditions the verdict coincides with is_rdu_one(n, k);
-    violated preconditions raise DomainError naming the clause rather than
-    silently extending the equivalence.
+    Under those preconditions the verdict is is_rdu_one(n, k): lambda(n) | k
+    already forces n to be squarefree, since p^2 | n puts p in lambda(n)
+    and so in k.  Violated preconditions raise DomainError naming the
+    clause rather than silently extending the equivalence.
     """
     if n < 1 or k < 1:
         raise DomainError(f"check_korselt_general requires n >= 1 and k >= 1, got n={n}, k={k}")
@@ -168,4 +163,4 @@ def check_korselt_general(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> bo
         raise DomainError(f"precondition violated: n = {n} is not composite")
     if gcd(k, n) != 1:
         raise DomainError(f"precondition violated: k = {k} is not relatively prime to n = {n}")
-    return f.is_squarefree and all(k % (p - 1) == 0 for p, _ in f.factors)
+    return is_rdu_one(f, k)

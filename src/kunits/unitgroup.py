@@ -32,7 +32,6 @@ from .arith import (
     Factorization,
     _as_factorization,
     _small_primes,
-    euler_phi,
     factorize,
 )
 from .errors import CapabilityError, DomainError
@@ -45,12 +44,9 @@ __all__ = [
     "unit_group_structure",
     "carmichael_lambda",
     "lambda_range",
-    "du_k_cyclic",
     "du_k_product",
-    "du_k_two_power",
     "k_unit_stats",
     "enumerate_k_units",
-    "reduce_exponent",
     "is_rdu_one_product",
 ]
 
@@ -134,13 +130,6 @@ def carmichael_lambda(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -
     return lcm(*unit_group_structure(n, bound=bound).orders)
 
 
-def du_k_cyclic(k: int, r: int) -> int:
-    """Number of k-units in a cyclic group of order r: gcd(k, r)."""
-    if k < 1 or r < 1:
-        raise DomainError("du_k_cyclic requires k >= 1 and r >= 1")
-    return gcd(k, r)
-
-
 def du_k_product(k: int, decomposition: CyclicDecomposition) -> int:
     """Number of k-units in a product of cyclic groups: prod of gcd(k, r_i)."""
     if k < 1:
@@ -148,40 +137,17 @@ def du_k_product(k: int, decomposition: CyclicDecomposition) -> int:
     return prod(gcd(k, r) for r in decomposition.orders)
 
 
-def du_k_two_power(k: int, alpha: int) -> int:
-    """Number of k-units modulo 2^alpha for alpha >= 3.
-
-    1 for odd k; 2 * gcd(k, 2^(alpha-2)) for even k.  Callers handle
-    alpha <= 2 directly.
-    """
-    if alpha < 3:
-        raise DomainError(f"du_k_two_power requires alpha >= 3, got {alpha}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if k % 2:
-        return 1
-    return 2 * gcd(k, 1 << (alpha - 2))
-
-
 def k_unit_stats(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> KUnitStats:
-    """du, pdu and rdu for (n, k) from the prime factorization of n.
+    """du, pdu and rdu for (n, k) from the cyclic decomposition of U(Z_n).
 
-    Writing n = 2^alpha * m with m odd, du is the product of
-    gcd(k, phi(p^e)) over the odd prime powers p^e of m, times the 2-part
-    contribution: nothing for alpha <= 1 or odd k, a factor 2 for even k
-    with alpha == 2, and 2 * gcd(k, 2^(alpha-2)) for even k with
-    alpha >= 3.
+    du is the product of gcd(k, r_i) over the cyclic factor orders r_i,
+    and phi(n) is the order of the group.
     """
     if n < 1 or k < 1:
         raise DomainError(f"k_unit_stats requires n >= 1 and k >= 1, got n={n}, k={k}")
-    f = factorize(n, bound=bound)
-    alpha = f.exponent_of(2)
-    du = prod(gcd(k, (p - 1) * p ** (e - 1)) for p, e in f.factors if p != 2)
-    if k % 2 == 0 and alpha == 2:
-        du *= 2
-    elif k % 2 == 0 and alpha >= 3:
-        du *= 2 * gcd(k, 1 << (alpha - 2))
-    phi = euler_phi(f)
+    group = unit_group_structure(n, bound=bound)
+    du = du_k_product(k, group)
+    phi = group.group_order
     return KUnitStats(n=n, k=k, du=du, pdu=Fraction(du, phi), rdu=phi // du)
 
 
@@ -228,13 +194,6 @@ def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list
     if n >= _VECTOR_CUTOFF:
         return _scan_k_units(n, k)
     return [a for a in range(1, n) if gcd(a, n) == 1 and pow(a, k, n) == 1]
-
-
-def reduce_exponent(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> int:
-    """The reduced exponent d = gcd(k, phi(n)); the d-units equal the k-units."""
-    if n < 1 or k < 1:
-        raise DomainError(f"reduce_exponent requires n >= 1 and k >= 1, got n={n}, k={k}")
-    return gcd(k, euler_phi(factorize(n, bound=bound)))
 
 
 def is_rdu_one_product(k: int, decomposition: CyclicDecomposition) -> bool:

@@ -152,6 +152,15 @@ class TestSolve:
         assert code == 3
         assert "cap" in err
 
+    def test_bound_is_not_the_enumeration_cap(self, capsys):
+        # --bound is the factorization bound; the solution cap stays SOLUTION_CAP
+        code, obj, _ = run_json(capsys, "solve", "--k", "252", "--enumerate", "--bound", "100")
+        assert code == 0
+        solutions = [int(n) for n in obj["result"]["solutions"]]
+        assert len(solutions) == 7680
+        assert solutions[0] == 1 and solutions[-1] == 153185861359440
+        assert obj["result"]["truncated"] is False
+
     def test_limit_without_enumerate_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "--k", "2", "--limit", "3")
         assert code == 2

@@ -6,7 +6,6 @@ from kunits import (
     CapabilityError,
     DomainError,
     check_korselt_general,
-    count_rdu_one_solutions,
     divisors,
     enumerate_k_units,
     enumerate_rdu_one_solutions,
@@ -119,10 +118,10 @@ class TestSolveRduOne:
 
 class TestCountSolutions:
     def test_examples(self):
-        assert count_rdu_one_solutions(2) == 8
-        assert count_rdu_one_solutions(252) == 7680
+        assert solve_rdu_one(2).count == 8
+        assert solve_rdu_one(252).count == 7680
         for k in (1, 3, 5, 77):
-            assert count_rdu_one_solutions(k) == 2
+            assert solve_rdu_one(k).count == 2
 
     def test_count_is_divisor_count_of_n_max_up_to_5000(self):
         # independent route: factor n_max from scratch and multiply (e+1)
@@ -236,7 +235,9 @@ class TestCheckKorseltGeneral:
             for k in (2, 4, 8, 16, 80, 560):
                 if gcd(k, n) != 1:
                     continue
-                assert check_korselt_general(n, k) == is_rdu_one(n, k), (n, k)
+                verdict = check_korselt_general(n, k)
+                assert verdict == is_rdu_one(n, k), (n, k)
+                assert verdict == brute_rdu_is_one(n, k), (n, k)
                 checked += 1
         assert checked > 1000
 

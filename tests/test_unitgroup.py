@@ -10,14 +10,11 @@ from kunits import (
     CapabilityError,
     CyclicDecomposition,
     DomainError,
-    du_k_cyclic,
     du_k_product,
-    du_k_two_power,
     enumerate_k_units,
     euler_phi,
     is_rdu_one_product,
     k_unit_stats,
-    reduce_exponent,
     unit_group_structure,
 )
 
@@ -58,22 +55,26 @@ class TestUnitGroupStructure:
             CyclicDecomposition((2, 0))
 
 
-class TestDuKCyclic:
+def cyclic(r: int) -> CyclicDecomposition:
+    return CyclicDecomposition((r,))
+
+
+class TestDuKProductOnOneCyclicFactor:
     def test_examples(self):
-        assert du_k_cyclic(2, 4) == 2
-        assert du_k_cyclic(1, 17) == 1
-        assert du_k_cyclic(6, 4) == 2
+        assert du_k_product(2, cyclic(4)) == 2
+        assert du_k_product(1, cyclic(17)) == 1
+        assert du_k_product(6, cyclic(4)) == 2
 
     @given(st.integers(1, 300), st.integers(1, 300))
     def test_matches_congruence_count(self, k, r):
         # elements g^i with (g^i)^k = 1, i.e. ki = 0 mod r
-        assert du_k_cyclic(k, r) == sum(1 for i in range(r) if (k * i) % r == 0)
+        assert du_k_product(k, cyclic(r)) == sum(1 for i in range(r) if (k * i) % r == 0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            du_k_cyclic(0, 4)
+            du_k_product(0, cyclic(4))
         with pytest.raises(DomainError):
-            du_k_cyclic(4, 0)
+            cyclic(0)
 
 
 class TestDuKProduct:
@@ -91,20 +92,21 @@ class TestDuKProduct:
         assert du_k_product(k, dec) == brute_cyclic_product_k_units(tuple(orders), k)
 
 
+def du_two_power(k: int, alpha: int) -> int:
+    return du_k_product(k, unit_group_structure(1 << alpha))
+
+
 class TestDuKTwoPower:
     def test_examples(self):
-        assert du_k_two_power(2, 3) == 4
-        assert du_k_two_power(3, 5) == 1
-        assert du_k_two_power(4, 4) == 8  # phi(16)
+        assert du_two_power(2, 3) == 4
+        assert du_two_power(3, 5) == 1
+        assert du_two_power(4, 4) == 8  # phi(16)
 
     def test_matches_enumeration(self):
-        for alpha in range(3, 10):
+        # alpha < 3 included: 1, 2 and 4 have the trivial group and C_2
+        for alpha in range(10):
             for k in range(1, 33):
-                assert du_k_two_power(k, alpha) == len(brute_k_units(1 << alpha, k))
-
-    def test_alpha_below_three_rejected(self):
-        with pytest.raises(DomainError):
-            du_k_two_power(2, 2)
+                assert du_two_power(k, alpha) == len(brute_k_units(1 << alpha, k))
 
 
 class TestKUnitStats:
@@ -139,6 +141,10 @@ class TestKUnitStats:
             dec = unit_group_structure(n)
             for k in range(1, 65):
                 assert k_unit_stats(n, k).du == du_k_product(k, dec), (n, k)
+        # and vs the brute-force count, which shares no code with either
+        for n in range(1, 301):
+            for k in range(1, 65):
+                assert k_unit_stats(n, k).du == len(brute_k_units(n, k)), (n, k)
 
     @given(st.integers(1, 400), st.integers(1, 64))
     @settings(max_examples=150)
@@ -163,6 +169,20 @@ class TestKUnitStats:
             assert c.rdu == a.rdu * b.rdu
             assert c.pdu == a.pdu * b.pdu
             checked += 1
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@given(st.integers(1 << 19, (1 << 40) - 1), st.sampled_from([2, 12, 252, 720720]))
+@settings(max_examples=100, deadline=None)
+def test_k_unit_stats_matches_sympy_totients(sympy, n, k):
+    stats = k_unit_stats(n, k)
+    assert stats.phi == sympy.totient(n)
+    assert (stats.rdu == 1) == (k % sympy.reduced_totient(n) == 0)
+    assert stats.du * stats.rdu == stats.phi
 
 
 class TestEnumerateKUnits:
@@ -215,18 +235,20 @@ class TestEnumerateKUnits:
             enumerate_k_units(5, 0)
 
 
-class TestReduceExponent:
+class TestReducedExponent:
+    """The k-units equal the d-units for d = gcd(k, phi(n))."""
+
     def test_examples(self):
-        assert reduce_exponent(5, 6) == 2
+        assert gcd(6, euler_phi(5)) == 2
         assert enumerate_k_units(5, 6) == enumerate_k_units(5, 2)
-        assert reduce_exponent(5, 7) == 1
-        assert reduce_exponent(24, 10) == 2
+        assert gcd(7, euler_phi(5)) == 1
+        assert gcd(10, euler_phi(24)) == 2
         assert enumerate_k_units(24, 10) == enumerate_k_units(24, 2)
 
     @given(st.integers(1, 500), st.integers(1, 10**4))
     @settings(max_examples=150)
     def test_reduction_preserves_the_set(self, n, k):
-        d = reduce_exponent(n, k)
+        d = gcd(k, euler_phi(n))
         assert d == gcd(k, brute_phi(n))
         assert enumerate_k_units(n, k) == enumerate_k_units(n, d)
 
