@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, inf, isqrt, prod
 
 from .errors import CapabilityError, DomainError
 
@@ -149,23 +149,37 @@ def is_prime(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     return _is_prime_unchecked(n)
 
 
-def _brent_cycle(n: int, c: int) -> int:
-    """One run of Brent's cycle finder on x -> x^2 + c mod n; returns a gcd."""
+def _brent_cycle(n: int, c: int, budget: float) -> tuple[int, int]:
+    """One run of Brent's cycle finder on x -> x^2 + c mod n.
+
+    Returns a gcd and the evaluations of x^2 + c it took.  The budget is
+    checked before each round's run of r steps and after each batch of up
+    to 128; a run that would pass it stops with gcd 1, so it overruns the
+    budget by less than one batch.
+    """
     y, r, q = 2, 1, 1
     g = 1
+    used = 0
     x = ys = y
     while g == 1:
+        if used + r > budget:
+            return 1, used
         x = y
         for _ in range(r):
             y = (y * y + c) % n
+        used += r
         k = 0
         while k < r and g == 1:
             ys = y
-            for _ in range(min(128, r - k)):
+            steps = min(128, r - k)
+            for _ in range(steps):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
             g = gcd(q, n)
             k += 128
+            used += steps
+            if g == 1 and used >= budget:
+                return 1, used
         r <<= 1
     if g == n:
         g = 1
@@ -173,29 +187,37 @@ def _brent_cycle(n: int, c: int) -> int:
         while g == 1:
             y = (y * y + c) % n
             g = gcd(abs(x - y), n)
-    return g
+            used += 1
+    return g, used
 
 
-def _split(n: int) -> int | None:
+def _split(n: int, budget: float) -> tuple[int | None, int]:
     """A nontrivial divisor of the odd composite n, or None when the
-    deterministic schedule of Brent runs is exhausted."""
+    deterministic schedule of Brent runs or the budget of evaluations runs
+    out; and the evaluations used."""
     s = isqrt(n)
     if s * s == n:
-        return s
+        return s, 0
+    used = 0
     for c in range(1, 64):
-        g = _brent_cycle(n, c)
+        g, steps = _brent_cycle(n, c, budget - used)
+        used += steps
         if 1 < g < n:
-            return g
-    return None
+            return g, used
+        if used >= budget:
+            break
+    return None, used
 
 
 def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     """Prime-power decomposition of n >= 1.
 
     Trial division by the primes below 2**16, then Brent's rho with
-    deterministic primality certification of every reported prime.  Inputs
-    with a cofactor the backend cannot split or certify raise
-    CapabilityError; a wrong factorization is never returned.
+    deterministic primality certification of every reported prime.  Rho
+    work on a composite cofactor above ``bound`` is budgeted.  Inputs
+    with a cofactor the backend cannot split (within that budget) or
+    certify raise CapabilityError; a wrong factorization is never
+    returned.
     """
     if n < 1:
         raise DomainError(f"factorization requires n >= 1, got {n}")
@@ -223,11 +245,17 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
                         )
                     counts[m] = counts.get(m, 0) + 1
                     continue
-                d = _split(m)
+                # A composite m <= bound has a prime factor p <= sqrt(bound),
+                # which rho finds in about sqrt(p) <= bound^(1/4) steps.  A
+                # cofactor above the bound gets 16 times that (2**20 steps
+                # for the default bound); at or below it the full schedule runs.
+                budget = 16 * isqrt(isqrt(bound)) if m > bound else inf
+                d, used = _split(m, budget)
                 if d is None:
                     raise CapabilityError(
-                        f"cannot split the composite cofactor {m} of {original}; "
-                        f"the supported factorization bound is {bound}"
+                        f"cannot split the composite cofactor {m} of {original} "
+                        f"after {used} rho iterations; the supported factorization "
+                        f"bound is {bound}"
                     )
                 stack.append(d)
                 stack.append(m // d)

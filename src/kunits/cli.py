@@ -45,6 +45,8 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if all(type(v) is int for v in value):  # not bool, which subclasses int
+            return [str(v) for v in value]
         return [_jsonable(v) for v in value]
     return value
 
@@ -116,7 +118,7 @@ def _cmd_units(args: argparse.Namespace) -> int:
             result["oracle"] = oracle_report
         _emit_json("units", {"n": args.n, "k": args.k}, result)
     else:
-        print(" ".join(str(a) for a in units))
+        print(" ".join([str(a) for a in units]))
         if oracle_report is not None and oracle_report["matched"]:
             print(f"oracle ok: count {len(units)} matches the closed form")
     return exit_code

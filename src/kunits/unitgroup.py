@@ -13,7 +13,8 @@ divides k.  ``lambda_range`` sieves lambda over a whole range, segment by
 segment, for the range tooling in ``classify``.
 
 ``enumerate_k_units`` is the brute-force oracle every closed form is
-tested against.
+tested against: a residue scan in bounded memory that uses no
+factorization.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 ENUMERATION_BOUND = 10**7
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -154,36 +156,54 @@ def k_unit_stats(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> KUnitStats:
 # Below this the per-call overhead of the vectorized scan exceeds the
 # pure-Python loop.
 _VECTOR_CUTOFF = 128
+# Residues per step of the scan; its memory is O(chunk), not O(n).
+_CHUNK = 1 << 16
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _scan_k_units(n: int, k: int) -> list[int]:
-    """Vectorized residue scan: a^k mod n over [1, n) by square-and-multiply.
+    """Vectorized residue scan: a^k mod n for a in [0, n), chunk by chunk.
 
-    int64 is safe because intermediate products stay below n^2 and the
-    enumeration bound keeps n well under 2**31.5.
+    Residues sharing a wheel prime with n are skipped (they are not
+    units, so a^k != 1); the rest are the spokes coprime to the wheel w,
+    tiled by multiples of w, which divides n.  a^k is taken left to right
+    over the bits of k; 0, scanned when w = 1, gives 0.  int64 holds
+    every product below n^2, so n with (n - 1)^2 > 2**63 - 1 is refused.
     """
-    residues = np.arange(1, n, dtype=np.int64)
-    acc = np.ones(n - 1, dtype=np.int64)
-    base = residues.copy()
-    e = k
-    while e:
-        if e & 1:
-            acc *= base
+    if (n - 1) ** 2 > _INT64_MAX:
+        raise CapabilityError(
+            f"n = {n} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
+        )
+    wheel = [p for p in _WHEEL_PRIMES if n % p == 0]
+    w = prod(wheel)
+    spokes = np.arange(w, dtype=np.int64)
+    for p in wheel:
+        spokes = spokes[spokes % p != 0]
+    turns = min(max(1, _CHUNK // len(spokes)), n // w)
+    block = (np.arange(0, turns * w, w, dtype=np.int64)[:, None] + spokes).ravel()
+    bits = bin(k)[3:]
+    units: list[int] = []
+    for start in range(0, n, turns * w):
+        a = block[: (n - start) // w * len(spokes)] + start
+        acc = a.copy()
+        for bit in bits:
+            acc *= acc
             acc %= n
-        e >>= 1
-        if e:
-            base *= base
-            base %= n
-    return residues[acc == 1].tolist()
+            if bit == "1":
+                acc *= a
+                acc %= n
+        units += a[acc == 1].tolist()
+    return units
 
 
 def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list[int]:
     """Brute-force list of the k-units modulo n, ascending.
 
-    Scans every residue and keeps those with a^k = 1 (such a is a unit
+    Scans the residues and keeps those with a^k = 1 (such a is a unit
     automatically: a * a^(k-1) = 1); n = 1 returns [0], the single trivial
     unit of Z_1.  Independent of the closed forms above, which makes it
-    the oracle they are tested against.
+    the oracle they are tested against.  The vectorized scan refuses n
+    with (n - 1)^2 > 2**63 - 1 (n > 3037000500) with CapabilityError.
     """
     if n < 1 or k < 1:
         raise DomainError(f"enumerate_k_units requires n >= 1 and k >= 1, got n={n}, k={k}")
@@ -206,7 +226,6 @@ def is_rdu_one_product(k: int, decomposition: CyclicDecomposition) -> bool:
 
 # Values per segment of lambda_range; its memory is O(segment), not O(hi).
 _SEGMENT = 1 << 14
-_INT64_MAX = (1 << 63) - 1
 
 
 class LambdaSegment(NamedTuple):

@@ -5,7 +5,9 @@ iterated multiplication.  The expected values frozen into the tests were
 computed with these, never with the closed forms under test.
 """
 
-from math import gcd, lcm
+from collections import Counter
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 
 def brute_is_prime(n: int) -> bool:
@@ -102,3 +104,41 @@ def brute_cyclic_product_k_units(orders: tuple[int, ...], k: int) -> int:
     for r in orders:
         count *= sum(1 for i in range(r) if (k * i) % r == 0)
     return count
+
+
+def brute_unit_orders(n: int) -> dict[int, int]:
+    """Each unit mod n >= 2 mapped to its multiplicative order, by iterated
+    multiplication.  Walking a, a^2, ..., a^m = 1 gives ord(a) = m and, on
+    the way, ord(a^j) = m / gcd(j, m) for every power on the walk."""
+    order: dict[int, int] = {}
+    for a in range(1, n):
+        if gcd(a, n) != 1 or a in order:
+            continue
+        powers = [a]
+        while powers[-1] != 1:
+            powers.append(powers[-1] * a % n)
+        m = len(powers)
+        for j, x in enumerate(powers, start=1):
+            order.setdefault(x, m // gcd(j, m))
+    return order
+
+
+def brute_k_units_by_order(n: int, ks: tuple[int, ...]) -> list[list[int]]:
+    """For each k in ks, the k-units modulo n: the units whose order
+    divides k (n = 1 gives [0])."""
+    units = sorted(brute_unit_orders(n).items()) if n > 1 else [(0, 1)]
+    return [[a for a, m in units if k % m == 0] for k in ks]
+
+
+@lru_cache(maxsize=None)
+def _prime_power_k_unit_counts(q: int, ks: range) -> tuple[int, ...]:
+    orders = Counter(brute_unit_orders(q).values())
+    return tuple(sum(c for m, c in orders.items() if k % m == 0) for k in ks)
+
+
+def brute_du_crt(n: int, ks: range) -> list[int]:
+    """The k-unit count mod n for each k in ks, by the CRT: the product
+    over the prime powers q of brute_factor_map(n) of the units mod q
+    whose order divides k."""
+    tables = [_prime_power_k_unit_counts(p**e, ks) for p, e in brute_factor_map(n).items()]
+    return list(map(prod, zip(*tables))) if tables else [1] * len(ks)

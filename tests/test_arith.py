@@ -104,6 +104,14 @@ class TestFactorize:
         with pytest.raises(CapabilityError):
             factorize(2**89 - 1)
 
+    def test_rho_budget_above_the_bound(self):
+        # rho splits 1000003 * 1000033 after about 1000 steps: inside the
+        # budget 16 * bound^(1/4) for bound = 2**32, past it for 2**20
+        n = 1000003 * 1000033
+        assert factorize(n, bound=2**32).factors == ((1000003, 1), (1000033, 1))
+        with pytest.raises(CapabilityError, match="after 512 rho iterations"):
+            factorize(n, bound=2**20)
+
     def test_smooth_numbers_above_the_bound_still_factor(self):
         f = factorize(2**100 * 3**5)
         assert f.factors == ((2, 100), (3, 5))

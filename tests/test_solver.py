@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kunits
 from kunits import (
     CapabilityError,
     DomainError,
@@ -107,6 +113,26 @@ class TestSolveRduOne:
             sol = solve_rdu_one(k)
             assert 2 not in sol.set_a
             assert all(q != 2 for q, _ in sol.set_b)
+
+    def test_hard_cofactor_above_the_bound_is_refused(self):
+        # c and 2c + 1 are primes just above 2**64: rho would need about
+        # 2**32 steps on c * (2c + 1); its budget refuses it within seconds
+        c = 18446744073709552109
+        src = str(Path(kunits.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = (
+            "from kunits import CapabilityError, solve_rdu_one\n"
+            "try:\n"
+            f"    solve_rdu_one({2 * c * (2 * c + 1)})\n"
+            "except CapabilityError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"cofactor {c * (2 * c + 1)} " in proc.stdout
+        assert "rho iterations" in proc.stdout
 
     def test_n_max_factorization_helper(self):
         for k in (1, 2, 10, 24, 252):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, prod
 
@@ -16,9 +17,16 @@ from kunits import (
     is_rdu_one_product,
     k_unit_stats,
     unit_group_structure,
+    unitgroup,
 )
 
-from oracles import brute_cyclic_product_k_units, brute_k_units, brute_phi
+from oracles import (
+    brute_cyclic_product_k_units,
+    brute_du_crt,
+    brute_k_units,
+    brute_k_units_by_order,
+    brute_phi,
+)
 
 
 class TestUnitGroupStructure:
@@ -136,11 +144,11 @@ class TestKUnitStats:
             k_unit_stats(5, 0)
 
     def test_agrees_with_product_formula_full_grid(self):
-        # closed form vs gcd product over the cyclic decomposition
+        # closed form vs unit orders from iterated multiplication, per prime power
+        ks = range(1, 65)
         for n in range(1, 2001):
-            dec = unit_group_structure(n)
-            for k in range(1, 65):
-                assert k_unit_stats(n, k).du == du_k_product(k, dec), (n, k)
+            for k, du in zip(ks, brute_du_crt(n, ks)):
+                assert k_unit_stats(n, k).du == du, (n, k)
         # and vs the brute-force count, which shares no code with either
         for n in range(1, 301):
             for k in range(1, 65):
@@ -204,6 +212,63 @@ class TestEnumerateKUnits:
         for n in range(max(2, _VECTOR_CUTOFF - 8), _VECTOR_CUTOFF + 8):
             for k in (1, 2, 6, 63):
                 assert enumerate_k_units(n, k) == brute_k_units(n, k)
+
+    def test_matches_unit_orders_grid(self):
+        ks = (1, 2, 3, 6, 12, 720)
+        for n in range(1, 2001):
+            for k, units in zip(ks, brute_k_units_by_order(n, ks)):
+                assert enumerate_k_units(n, k) == units, (n, k)
+
+    @pytest.mark.parametrize("n", [30030, 60060, 2 * 30030 + 1])
+    def test_every_wheel_prime(self, n):
+        # 30030 = 2*3*5*7*11*13 and 60060 skip residues of every wheel
+        # prime; 60061 = 17 * 3533 none
+        ks = (1, 2, 720)
+        for k, units in zip(ks, brute_k_units_by_order(n, ks)):
+            assert enumerate_k_units(n, k) == units, (n, k)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        # the scan steps by the chunk for n coprime to 30030 and by twice
+        # the chunk for n = 2 * odd coprime to 15015; a small chunk puts
+        # such edges within reach of the brute-force oracle
+        monkeypatch.setattr(unitgroup, "_CHUNK", chunk)
+        for step in (chunk, 2 * chunk):
+            edge = max(2, unitgroup._VECTOR_CUTOFF // step + 1) * step
+            for n in range(edge - 2, edge + 3):
+                for k in (1, 2, 720):
+                    assert enumerate_k_units(n, k) == brute_k_units(n, k), (chunk, n, k)
+
+    @pytest.mark.parametrize("n", [unitgroup._CHUNK + 1, 2 * unitgroup._CHUNK - 1])
+    def test_full_size_chunk_boundary(self, n):
+        # n coprime to the wheel, one residue past or short of a chunk edge
+        for k in (1, 2, 720):
+            units = enumerate_k_units(n, k)
+            assert len(units) == len(set(units)) == k_unit_stats(n, k).du
+            assert units == sorted(units)
+            assert all(pow(a, k, n) == 1 for a in units)
+            if k < 3:
+                assert units == brute_k_units(n, k)
+
+    def test_int64_overflow_is_refused(self):
+        # (n - 1)^2 wraps in int64 past n = 3037000500; the scan refuses
+        # before it allocates anything
+        with pytest.raises(CapabilityError, match="int64"):
+            enumerate_k_units(4 * 10**9 + 7, 2, bound=5 * 10**9)
+        with pytest.raises(CapabilityError, match="int64"):
+            enumerate_k_units(3037000501, 1, bound=10**10)
+
+    def test_scan_memory_is_bounded_by_the_chunk(self):
+        # numpy reports its buffers to tracemalloc; a scan holding arrays of
+        # n values would peak near 240 MB here
+        tracemalloc.start()
+        try:
+            units = enumerate_k_units(9999991, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert units == [1, 9999990]
+        assert peak < 32 * 2**20
 
     @given(st.integers(2, 300), st.integers(1, 32))
     @settings(max_examples=100)
