@@ -278,8 +278,12 @@ def euler_phi(f: Factorization | int) -> int:
 
 
 def nu(p: int, n: int) -> int:
-    """Exponent of the greatest power of the prime p dividing n >= 1."""
-    if not is_prime(p):
+    """Exponent of the greatest power of the prime p dividing n >= 1.
+
+    p is certified prime up to the Miller-Rabin limit, as in factorize;
+    a larger p raises CapabilityError.
+    """
+    if not is_prime(p, bound=_CERTIFIED_LIMIT):
         raise DomainError(f"nu requires a prime first argument, got {p}")
     if n < 1:
         raise DomainError(f"nu requires n >= 1, got {n}")

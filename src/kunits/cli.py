@@ -4,6 +4,8 @@ Subcommands: stats, units, solve, classify, sweep, oeis-check.  Every
 subcommand accepts --json (one canonical object, keys sorted, integers as
 decimal strings so 64-bit consumers never overflow) and --bound N >= 1
 to override the command's working bound; sweep also accepts --csv.
+units and solve --enumerate write their long list as they go, in the
+same bytes as the whole object or line would be.
 
 Exit codes: 0 success or match, 1 predicate mismatch (oeis-check, the
 units --oracle self-check), 2 usage or parse errors, 3 capability errors.
@@ -15,7 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .arith import SUPPORTED_BOUND
 from .bfile import BFile, compare_bfile
@@ -29,7 +31,7 @@ from .classify import (
 )
 from .errors import CapabilityError, DomainError
 from .solver import enumerate_rdu_one_solutions, solve_rdu_one
-from .unitgroup import ENUMERATION_BOUND, enumerate_k_units, k_unit_stats
+from .unitgroup import ENUMERATION_BOUND, _k_unit_chunks, k_unit_stats
 
 __all__ = ["main"]
 
@@ -51,9 +53,48 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _emit_json(command: str, inputs: dict, result: dict) -> None:
+# Stands in for the streamed list in the JSON envelope; no other value of
+# units or solve holds it.
+_PLACEHOLDER = "\0"
+# Values per write of a streamed list that is already in memory.
+_SLICE = 1 << 14
+
+
+def _emit_json(
+    command: str,
+    inputs: dict,
+    result: dict,
+    streamed: tuple[str, Iterable[list[int]]] | None = None,
+) -> None:
+    """Print ``json.dumps(obj, sort_keys=True)`` of the command's object.
+
+    ``streamed`` names one more list of ints in ``result`` and gives it as
+    chunks, which are written one by one between the list's brackets.
+    """
     obj = {"command": command, "input": _jsonable(inputs), "result": _jsonable(result)}
-    print(json.dumps(obj, sort_keys=True))
+    if streamed is None:
+        print(json.dumps(obj, sort_keys=True))
+        return
+    key, chunks = streamed
+    obj["result"][key] = _PLACEHOLDER
+    head, tail = json.dumps(obj, sort_keys=True).split(json.dumps(_PLACEHOLDER))
+    sys.stdout.write(head + "[")
+    _write_ints(chunks, '"', ", ")
+    sys.stdout.write("]" + tail + "\n")
+
+
+def _write_ints(chunks: Iterable[list[int]], quote: str, sep: str) -> None:
+    """Write the ints of the chunks in decimal, each in quotes, separated by sep."""
+    inner = quote + sep + quote
+    lead = quote
+    for chunk in chunks:
+        if chunk:
+            sys.stdout.write(lead + inner.join(map(str, chunk)) + quote)
+            lead = sep + quote
+
+
+def _slices(values: list[int]) -> Iterator[list[int]]:
+    return (values[i : i + _SLICE] for i in range(0, len(values), _SLICE))
 
 
 def _emit_table(rows: list[tuple[str, str]]) -> None:
@@ -98,29 +139,34 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_units(args: argparse.Namespace) -> int:
     _reject_csv(args)
     bound = args.bound or ENUMERATION_BOUND
-    units = enumerate_k_units(args.n, args.k, bound=bound)
+    # int64 chunks, 8 bytes a residue: the count and the oracle's verdict
+    # are known before the first residue is written.
+    chunks = list(_k_unit_chunks(args.n, args.k, bound))
+    count = sum(len(c) for c in chunks)
     oracle_report: dict | None = None
     exit_code = 0
     if args.oracle:
         expected = k_unit_stats(args.n, args.k).du
-        matched = expected == len(units)
+        matched = expected == count
         oracle_report = {"expected_count": expected, "matched": matched}
         if not matched:
             print(
                 f"oracle mismatch: closed form expects {expected} k-units, "
-                f"enumeration found {len(units)}",
+                f"enumeration found {count}",
                 file=sys.stderr,
             )
             exit_code = 1
+    residues = (c.tolist() for c in chunks)
     if args.json:
-        result: dict[str, Any] = {"count": len(units), "residues": units}
+        result: dict[str, Any] = {"count": count}
         if oracle_report is not None:
             result["oracle"] = oracle_report
-        _emit_json("units", {"n": args.n, "k": args.k}, result)
+        _emit_json("units", {"n": args.n, "k": args.k}, result, ("residues", residues))
     else:
-        print(" ".join([str(a) for a in units]))
+        _write_ints(residues, "", " ")
+        print()
         if oracle_report is not None and oracle_report["matched"]:
-            print(f"oracle ok: count {len(units)} matches the closed form")
+            print(f"oracle ok: count {count} matches the closed form")
     return exit_code
 
 
@@ -144,10 +190,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "n_max": sol.n_max,
             "count": sol.count,
         }
-        if solutions is not None:
-            result["solutions"] = solutions
+        if solutions is None:
+            _emit_json("solve", {"k": args.k}, result)
+        else:
             result["truncated"] = truncated
-        _emit_json("solve", {"k": args.k}, result)
+            _emit_json("solve", {"k": args.k}, result, ("solutions", _slices(solutions)))
     else:
         rows = [
             ("k", str(sol.k)),
@@ -161,7 +208,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ]
         _emit_table(rows)
         if solutions is not None:
-            print("solutions  " + " ".join(str(d) for d in solutions))
+            sys.stdout.write("solutions  ")
+            _write_ints(_slices(solutions), "", " ")
+            print()
             if truncated:
                 print(f"... truncated to {len(solutions)} of {sol.count}")
     return 0

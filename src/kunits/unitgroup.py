@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterator, NamedTuple
 
@@ -161,19 +162,16 @@ _CHUNK = 1 << 16
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def _scan_k_units(n: int, k: int) -> list[int]:
+def _scan_k_units(n: int, k: int) -> Iterator[np.ndarray]:
     """Vectorized residue scan: a^k mod n for a in [0, n), chunk by chunk.
 
-    Residues sharing a wheel prime with n are skipped (they are not
-    units, so a^k != 1); the rest are the spokes coprime to the wheel w,
-    tiled by multiples of w, which divides n.  a^k is taken left to right
-    over the bits of k; 0, scanned when w = 1, gives 0.  int64 holds
-    every product below n^2, so n with (n - 1)^2 > 2**63 - 1 is refused.
+    Yields, per chunk, the ascending int64 array of its residues with
+    a^k = 1.  Residues sharing a wheel prime with n are skipped (they are
+    not units, so a^k != 1); the rest are the spokes coprime to the wheel
+    w, tiled by multiples of w, which divides n.  a^k is taken left to
+    right over the bits of k; 0, scanned when w = 1, gives 0.  int64 holds
+    every product below n^2, which the caller has checked.
     """
-    if (n - 1) ** 2 > _INT64_MAX:
-        raise CapabilityError(
-            f"n = {n} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
-        )
     wheel = [p for p in _WHEEL_PRIMES if n % p == 0]
     w = prod(wheel)
     spokes = np.arange(w, dtype=np.int64)
@@ -182,7 +180,6 @@ def _scan_k_units(n: int, k: int) -> list[int]:
     turns = min(max(1, _CHUNK // len(spokes)), n // w)
     block = (np.arange(0, turns * w, w, dtype=np.int64)[:, None] + spokes).ravel()
     bits = bin(k)[3:]
-    units: list[int] = []
     for start in range(0, n, turns * w):
         a = block[: (n - start) // w * len(spokes)] + start
         acc = a.copy()
@@ -192,8 +189,29 @@ def _scan_k_units(n: int, k: int) -> list[int]:
             if bit == "1":
                 acc *= a
                 acc %= n
-        units += a[acc == 1].tolist()
-    return units
+        yield a[acc == 1]
+
+
+def _k_unit_chunks(n: int, k: int, bound: int) -> Iterator[np.ndarray]:
+    """The k-units modulo n, ascending, as int64 chunks of the scan.
+
+    Checks the arguments before it returns, so a refusal comes before any
+    chunk; held chunks cost 8 bytes a k-unit.  n < 128 gives one chunk.
+    """
+    if n < 1 or k < 1:
+        raise DomainError(f"enumerate_k_units requires n >= 1 and k >= 1, got n={n}, k={k}")
+    if n > bound:
+        raise CapabilityError(f"n = {n} exceeds the enumeration bound {bound}")
+    if n == 1:
+        return iter([np.zeros(1, dtype=np.int64)])
+    if n < _VECTOR_CUTOFF:
+        units = [a for a in range(1, n) if gcd(a, n) == 1 and pow(a, k, n) == 1]
+        return iter([np.array(units, dtype=np.int64)])
+    if (n - 1) ** 2 > _INT64_MAX:
+        raise CapabilityError(
+            f"n = {n} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
+        )
+    return _scan_k_units(n, k)
 
 
 def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list[int]:
@@ -205,15 +223,7 @@ def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list
     the oracle they are tested against.  The vectorized scan refuses n
     with (n - 1)^2 > 2**63 - 1 (n > 3037000500) with CapabilityError.
     """
-    if n < 1 or k < 1:
-        raise DomainError(f"enumerate_k_units requires n >= 1 and k >= 1, got n={n}, k={k}")
-    if n > bound:
-        raise CapabilityError(f"n = {n} exceeds the enumeration bound {bound}")
-    if n == 1:
-        return [0]
-    if n >= _VECTOR_CUTOFF:
-        return _scan_k_units(n, k)
-    return [a for a in range(1, n) if gcd(a, n) == 1 and pow(a, k, n) == 1]
+    return list(chain.from_iterable(c.tolist() for c in _k_unit_chunks(n, k, bound)))
 
 
 def is_rdu_one_product(k: int, decomposition: CyclicDecomposition) -> bool:

@@ -174,6 +174,20 @@ class TestNu:
         with pytest.raises(DomainError):
             nu(2, 0)
 
+    def test_prime_above_64_bits_is_certified(self):
+        # factorize certifies this q up to the Miller-Rabin limit; so does nu
+        q = 9118249094292696600751
+        assert q > 2**64 and factorize(q, bound=_CERTIFIED_LIMIT).is_prime
+        assert nu(q, 3 * q) == 1
+        assert nu(q, 5 * q**3) == 3
+        assert nu(q, q + 1) == 0
+        with pytest.raises(DomainError):
+            nu(q * 3, 9 * q)
+
+    def test_p_beyond_the_certified_limit_is_refused(self):
+        with pytest.raises(CapabilityError):
+            nu(_CERTIFIED_LIMIT + 2, 7)
+
 
 class TestDivisors:
     def test_examples(self):

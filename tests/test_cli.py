@@ -1,7 +1,12 @@
+import contextlib
+import functools
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -443,3 +448,143 @@ class TestOutputContracts:
         capsys.readouterr()
         assert main(["solve", "--help"]) == 0
         capsys.readouterr()
+
+
+@functools.lru_cache(maxsize=None)
+def _units_and_du(n, k):
+    return kunits.enumerate_k_units(n, k), kunits.k_unit_stats(n, k).du
+
+
+def _units_reference(n, k, oracle, as_json):
+    """units output as the whole-list construction writes it."""
+    units, du = _units_and_du(n, k)
+    if as_json:
+        result = {"count": str(len(units)), "residues": [str(a) for a in units]}
+        if oracle:
+            result["oracle"] = {"expected_count": str(du), "matched": du == len(units)}
+        obj = {"command": "units", "input": {"n": str(n), "k": str(k)}, "result": result}
+        return json.dumps(obj, sort_keys=True) + "\n"
+    text = " ".join([str(a) for a in units]) + "\n"
+    if oracle:
+        text += f"oracle ok: count {len(units)} matches the closed form\n"
+    return text
+
+
+def _solve_reference(capsys, k, limit, as_json):
+    """solve --enumerate output as the whole-list construction writes it."""
+    sol = kunits.solve_rdu_one(k)
+    solutions = kunits.enumerate_rdu_one_solutions(k, limit=limit)
+    truncated = len(solutions) < sol.count
+    if as_json:
+        result = {
+            "parity": sol.k_parity,
+            "beta": str(sol.beta),
+            "m": str(sol.m),
+            "set_a": [str(p) for p in sol.set_a],
+            "set_b": [[str(q), str(e)] for q, e in sol.set_b],
+            "n_max": str(sol.n_max),
+            "count": str(sol.count),
+            "solutions": [str(d) for d in solutions],
+            "truncated": truncated,
+        }
+        obj = {"command": "solve", "input": {"k": str(k)}, "result": result}
+        return json.dumps(obj, sort_keys=True) + "\n"
+    # the table is written before the solutions, as without --enumerate
+    code, table, _ = run(capsys, "solve", "--k", str(k))
+    assert code == 0
+    text = table + "solutions  " + " ".join(str(d) for d in solutions) + "\n"
+    if truncated:
+        text += f"... truncated to {len(solutions)} of {sol.count}\n"
+    return text
+
+
+def _seeded_wheel_moduli():
+    # n <= 10^5 divisible by wheel primes, so the scan tiles by w > 1
+    rng = random.Random(6)
+    wheels = (2, 6, 10, 30, 210, 2310, 30030, 13, 26, 77)
+    return sorted({w * rng.randrange(1, 10**5 // w + 1) for w in wheels})
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("n", [1, 2, 5, 24, 127, 128, 129, 9999991, *_seeded_wheel_moduli()])
+    def test_units_matches_the_whole_list_output(self, capsys, n):
+        for k in (1, 2, 12, 720):
+            for oracle, as_json in product((False, True), repeat=2):
+                argv = ["units", "--n", str(n), "--k", str(k)]
+                argv += ["--oracle"] * oracle + ["--json"] * as_json
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+                assert out == _units_reference(n, k, oracle, as_json), argv
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 252, 720])
+    def test_solve_matches_the_whole_list_output(self, capsys, k):
+        for limit, as_json in product((None, 0, 5), (False, True)):
+            argv = ["solve", "--k", str(k), "--enumerate"]
+            argv += ["--limit", str(limit)] * (limit is not None) + ["--json"] * as_json
+            expected = _solve_reference(capsys, k, limit, as_json)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out == expected, argv
+
+    def test_oracle_mismatch_still_writes_the_residues(self, capsys, monkeypatch):
+        import kunits.cli as cli_module
+
+        real = cli_module.k_unit_stats
+
+        def lying_stats(n, k, **kw):
+            stats = real(n, k, **kw)
+            object.__setattr__(stats, "du", stats.du + 1)
+            return stats
+
+        monkeypatch.setattr(cli_module, "k_unit_stats", lying_stats)
+        code, obj, err = run_json(capsys, "units", "--n", "24", "--k", "2", "--oracle")
+        assert code == 1
+        assert err == "oracle mismatch: closed form expects 9 k-units, enumeration found 8\n"
+        assert obj["result"]["residues"] == ["1", "5", "7", "11", "13", "17", "19", "23"]
+        assert obj["result"]["oracle"] == {"expected_count": "9", "matched": False}
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["units", "--n", "10000001", "--k", "2"], 3),
+            (["units", "--n", "4000000000", "--k", "2", "--bound", "5000000000"], 3),
+            (["units", "--n", "10000001", "--k", "2", "--json", "--oracle"], 3),
+            (["solve", "--k", "30030", "--enumerate"], 3),
+            (["solve", "--k", "30030", "--enumerate", "--json"], 3),
+            (["units", "--n", "0", "--k", "2"], 2),
+            (["units", "--n", "5", "--k", "0", "--json"], 2),
+            (["units", "--n", "5", "--k", "2", "--csv"], 2),
+            (["solve", "--k", "2", "--limit", "3"], 2),
+            (["solve", "--k", "2", "--enumerate", "--limit", "-1", "--json"], 2),
+        ],
+    )
+    def test_refusals_write_nothing(self, capsys, argv, code):
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith("capability error: " if code == 3 else "error: ")
+
+    @pytest.mark.parametrize(
+        "argv, limit_mb",
+        [
+            # the whole-list output peaked at 225 MB and 47 MB
+            (["units", "--n", "9999990", "--k", "720", "--json", "--oracle"], 40),
+            (["solve", "--k", "720", "--enumerate", "--json"], 30),
+        ],
+    )
+    def test_peak_memory_is_bounded(self, tmp_path, argv, limit_mb):
+        # stdout goes to a file so that the written text is not counted;
+        # numpy reports its buffers to tracemalloc
+        path = tmp_path / "out.json"
+        with open(path, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        values = obj["result"].get("residues", obj["result"].get("solutions"))
+        assert obj["result"]["count"] == str(len(values))
+        assert peak < limit_mb * 2**20
