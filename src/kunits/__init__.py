@@ -5,103 +5,30 @@ k-unit census (du, pdu, rdu) in closed form from the cyclic decomposition
 of U(Z_n), solves rdu_k(n) = 1 completely for any fixed k, classifies
 integers as Carmichael / i-Knodel / generalized-Carmichael numbers, and
 ships the brute-force oracles every closed form is verified against.
+
+The public names are those each layer lists in its own ``__all__``.
 """
 
-from .arith import (
-    SUPPORTED_BOUND,
-    Factorization,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-    nu,
-    pow_mod,
-)
-from .bfile import BFile, BFileParseError, ComparisonReport, compare_bfile
-from .classify import (
-    BRUTE_FORCE_BOUND,
-    ClassificationReport,
-    ExponentRule,
-    SweepResult,
-    SweepSpec,
-    classify,
-    count_fermat_liars,
-    is_carmichael,
-    is_generalized_carmichael,
-    is_knodel,
-    korselt_failure,
-    parse_rule,
-    sweep,
-)
+from . import arith, bfile, classify, solver, unitgroup
 from .errors import CapabilityError, DomainError
-from .solver import (
-    SOLUTION_CAP,
-    RduOneSolution,
-    check_korselt_general,
-    enumerate_rdu_one_solutions,
-    is_rdu_one,
-    solve_rdu_one,
-)
-from .unitgroup import (
-    ENUMERATION_BOUND,
-    CyclicDecomposition,
-    KUnitStats,
-    LambdaSegment,
-    carmichael_lambda,
-    du_k_product,
-    enumerate_k_units,
-    is_rdu_one_product,
-    k_unit_stats,
-    lambda_range,
-    unit_group_structure,
-)
 
 __version__ = "0.1.0"
 
+# Read before the star imports: ``from .classify import *`` rebinds
+# ``kunits.classify`` from the module to the function.
 __all__ = [
     "__version__",
-    "SUPPORTED_BOUND",
-    "ENUMERATION_BOUND",
-    "SOLUTION_CAP",
-    "BRUTE_FORCE_BOUND",
     "DomainError",
     "CapabilityError",
-    "Factorization",
-    "is_prime",
-    "factorize",
-    "euler_phi",
-    "nu",
-    "divisors",
-    "pow_mod",
-    "CyclicDecomposition",
-    "KUnitStats",
-    "unit_group_structure",
-    "carmichael_lambda",
-    "LambdaSegment",
-    "lambda_range",
-    "du_k_product",
-    "k_unit_stats",
-    "enumerate_k_units",
-    "is_rdu_one_product",
-    "RduOneSolution",
-    "solve_rdu_one",
-    "enumerate_rdu_one_solutions",
-    "is_rdu_one",
-    "check_korselt_general",
-    "ClassificationReport",
-    "ExponentRule",
-    "SweepSpec",
-    "SweepResult",
-    "count_fermat_liars",
-    "is_carmichael",
-    "korselt_failure",
-    "is_knodel",
-    "is_generalized_carmichael",
-    "classify",
-    "parse_rule",
-    "sweep",
-    "BFile",
-    "BFileParseError",
-    "ComparisonReport",
-    "compare_bfile",
+    *arith.__all__,
+    *unitgroup.__all__,
+    *solver.__all__,
+    *classify.__all__,
+    *bfile.__all__,
 ]
+
+from .arith import *  # noqa: E402,F403
+from .bfile import *  # noqa: E402,F403
+from .classify import *  # noqa: E402,F403
+from .solver import *  # noqa: E402,F403
+from .unitgroup import *  # noqa: E402,F403

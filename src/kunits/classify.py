@@ -202,13 +202,10 @@ class SweepSpec:
     lo: int
     hi: int
     rule: ExponentRule
-    predicate: str = "rdu_exponent_equals_one"
 
     def __post_init__(self) -> None:
         if self.lo < 1 or self.hi < self.lo:
             raise DomainError(f"invalid sweep range [{self.lo}, {self.hi}]")
-        if self.predicate != "rdu_exponent_equals_one":
-            raise DomainError(f"unknown sweep predicate {self.predicate!r}")
 
 
 @dataclass(frozen=True)

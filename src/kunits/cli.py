@@ -107,13 +107,7 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _reject_csv(args: argparse.Namespace) -> None:
-    if args.csv:
-        raise DomainError("--csv is only supported for the sweep subcommand")
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
-    _reject_csv(args)
     bound = args.bound or SUPPORTED_BOUND
     stats = k_unit_stats(args.n, args.k, bound=bound)
     if args.json:
@@ -137,7 +131,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_units(args: argparse.Namespace) -> int:
-    _reject_csv(args)
     bound = args.bound or ENUMERATION_BOUND
     # int64 chunks, 8 bytes a residue: the count and the oracle's verdict
     # are known before the first residue is written.
@@ -171,7 +164,6 @@ def _cmd_units(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    _reject_csv(args)
     if args.limit is not None and not args.enumerate:
         raise DomainError("--limit requires --enumerate")
     bound = args.bound or SUPPORTED_BOUND
@@ -217,7 +209,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    _reject_csv(args)
     bound = args.bound or SUPPORTED_BOUND
     brute = args.bound or BRUTE_FORCE_BOUND
     if args.liars and (args.n < 3 or args.n % 2 == 0):
@@ -345,7 +336,6 @@ def _predicate(name: str, brute_bound: int, top: int) -> frozenset[int]:
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
-    _reject_csv(args)
     brute = args.bound or BRUTE_FORCE_BOUND
     bfile = BFile.parse_path(args.bfile)
     # compare_bfile takes the members up to the limit, or up to the file's
@@ -383,7 +373,6 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one canonical JSON object")
-    common.add_argument("--csv", action="store_true", help="CSV output (sweep only)")
     common.add_argument(
         "--bound",
         type=int,
@@ -442,6 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--composite-only", action="store_true")
     p.add_argument("--odd-only", action="store_true")
+    p.add_argument("--csv", action="store_true", help="CSV output: n,exponent per hit")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser(

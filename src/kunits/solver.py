@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .arith import (
+    _CERTIFIED_LIMIT,
     SUPPORTED_BOUND,
     Factorization,
     _smallest_divisors,
@@ -27,7 +28,7 @@ from .arith import (
     is_prime,
 )
 from .errors import CapabilityError, DomainError
-from .unitgroup import is_rdu_one_product, unit_group_structure
+from .unitgroup import carmichael_lambda
 
 __all__ = [
     "SOLUTION_CAP",
@@ -77,7 +78,8 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
 
     Candidates 2^l * d + 1 are scanned over the divisors d of the odd part
     of k (ascending) and l = 1..beta, kept when prime, deduplicated, and
-    partitioned into A and B by divisibility of the odd part.
+    partitioned into A and B by divisibility of the odd part.  A candidate
+    above the certified Miller-Rabin limit raises CapabilityError.
     """
     if k < 1:
         raise DomainError(f"solve_rdu_one requires k >= 1, got {k}")
@@ -92,7 +94,7 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     for d in divisors(fm):
         for l in range(1, beta + 1):
             c = (1 << l) * d + 1
-            if is_prime(c, bound=max(bound, c)):
+            if is_prime(c, bound=_CERTIFIED_LIMIT):
                 candidates.add(c)
     set_a = tuple(sorted(p for p in candidates if m % p != 0))
     set_b = tuple(
@@ -137,13 +139,13 @@ def enumerate_rdu_one_solutions(
 
 def is_rdu_one(n: Factorization | int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Fast membership test for rdu_k(n) = 1, without touching the k-units:
-    every cyclic factor order of U(Z_n) must divide k, i.e. lambda(n) | k.
+    every unit is a k-unit exactly when lambda(n) | k.
 
     Accepts an int or a Factorization.
     """
     if _value(n) < 1 or k < 1:
         raise DomainError(f"is_rdu_one requires n >= 1 and k >= 1, got n={_value(n)}, k={k}")
-    return is_rdu_one_product(k, unit_group_structure(n, bound=bound))
+    return k % carmichael_lambda(n, bound=bound) == 0
 
 
 def check_korselt_general(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:

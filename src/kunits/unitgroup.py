@@ -49,7 +49,6 @@ __all__ = [
     "du_k_product",
     "k_unit_stats",
     "enumerate_k_units",
-    "is_rdu_one_product",
 ]
 
 ENUMERATION_BOUND = 10**7
@@ -58,25 +57,14 @@ _INT64_MAX = (1 << 63) - 1
 
 @dataclass(frozen=True)
 class CyclicDecomposition:
-    """An abelian unit group given as an ordered product of cyclic factors.
-
-    ``orders`` lists the cyclic factor orders; ``modulus`` is the n whose
-    unit group this is, or None for an abstract product.
-    """
+    """An abelian unit group given as an ordered product of cyclic factors."""
 
     orders: tuple[int, ...]
-    modulus: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "orders", tuple(self.orders))
         if any(r < 1 for r in self.orders):
             raise DomainError("cyclic factor orders must be >= 1")
-        if self.modulus is not None and self.modulus < 1:
-            raise DomainError("modulus must be >= 1")
-
-    @property
-    def origin(self) -> str:
-        return "abstract" if self.modulus is None else f"Z_{self.modulus}"
 
     @property
     def group_order(self) -> int:
@@ -125,12 +113,13 @@ def unit_group_structure(
     """
     f = _as_factorization(n, bound=bound)
     orders = tuple(r for p, e in f.factors for r in _prime_power_orders(p, e))
-    return CyclicDecomposition(orders, modulus=f.n)
+    return CyclicDecomposition(orders)
 
 
 def carmichael_lambda(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:
-    """Carmichael's lambda(n): the lcm of the cyclic factor orders of U(Z_n)."""
-    return lcm(*unit_group_structure(n, bound=bound).orders)
+    """Carmichael's lambda(n), the exponent of U(Z_n): the lcm of lambda(p^e)."""
+    f = _as_factorization(n, bound=bound)
+    return lcm(*(_prime_power_lambda(p, e) for p, e in f.factors))
 
 
 def du_k_product(k: int, decomposition: CyclicDecomposition) -> int:
@@ -154,9 +143,6 @@ def k_unit_stats(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> KUnitStats:
     return KUnitStats(n=n, k=k, du=du, pdu=Fraction(du, phi), rdu=phi // du)
 
 
-# Below this the per-call overhead of the vectorized scan exceeds the
-# pure-Python loop.
-_VECTOR_CUTOFF = 128
 # Residues per step of the scan; its memory is O(chunk), not O(n).
 _CHUNK = 1 << 16
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -169,8 +155,9 @@ def _scan_k_units(n: int, k: int) -> Iterator[np.ndarray]:
     a^k = 1.  Residues sharing a wheel prime with n are skipped (they are
     not units, so a^k != 1); the rest are the spokes coprime to the wheel
     w, tiled by multiples of w, which divides n.  a^k is taken left to
-    right over the bits of k; 0, scanned when w = 1, gives 0.  int64 holds
-    every product below n^2, which the caller has checked.
+    right over the bits of k; 0, scanned when w = 1, gives 0, which is
+    1 mod n only for n = 1.  int64 holds every product below n^2, which
+    the caller has checked.
     """
     wheel = [p for p in _WHEEL_PRIMES if n % p == 0]
     w = prod(wheel)
@@ -189,24 +176,19 @@ def _scan_k_units(n: int, k: int) -> Iterator[np.ndarray]:
             if bit == "1":
                 acc *= a
                 acc %= n
-        yield a[acc == 1]
+        yield a[acc == 1 % n]
 
 
 def _k_unit_chunks(n: int, k: int, bound: int) -> Iterator[np.ndarray]:
     """The k-units modulo n, ascending, as int64 chunks of the scan.
 
     Checks the arguments before it returns, so a refusal comes before any
-    chunk; held chunks cost 8 bytes a k-unit.  n < 128 gives one chunk.
+    chunk; held chunks cost 8 bytes a k-unit.
     """
     if n < 1 or k < 1:
         raise DomainError(f"enumerate_k_units requires n >= 1 and k >= 1, got n={n}, k={k}")
     if n > bound:
         raise CapabilityError(f"n = {n} exceeds the enumeration bound {bound}")
-    if n == 1:
-        return iter([np.zeros(1, dtype=np.int64)])
-    if n < _VECTOR_CUTOFF:
-        units = [a for a in range(1, n) if gcd(a, n) == 1 and pow(a, k, n) == 1]
-        return iter([np.array(units, dtype=np.int64)])
     if (n - 1) ** 2 > _INT64_MAX:
         raise CapabilityError(
             f"n = {n} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
@@ -224,14 +206,6 @@ def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list
     with (n - 1)^2 > 2**63 - 1 (n > 3037000500) with CapabilityError.
     """
     return list(chain.from_iterable(c.tolist() for c in _k_unit_chunks(n, k, bound)))
-
-
-def is_rdu_one_product(k: int, decomposition: CyclicDecomposition) -> bool:
-    """True iff every unit of the decomposed group is a k-unit: each factor
-    order must divide k."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    return all(k % r == 0 for r in decomposition.orders)
 
 
 # Values per segment of lambda_range; its memory is O(segment), not O(hi).

@@ -225,7 +225,8 @@ class TestSweep:
             SweepSpec(0, 5, parse_rule("n"))
 
     def test_unknown_predicate_rejected(self):
-        with pytest.raises(DomainError):
+        # a sweep tests one predicate, so SweepSpec takes no predicate field
+        with pytest.raises(TypeError, match="predicate"):
             SweepSpec(1, 5, parse_rule("n"), predicate="something_else")
 
 

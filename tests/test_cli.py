@@ -258,9 +258,19 @@ class TestSweep:
         assert lines[1] == "1,2"
         assert "hits=" in err
 
-    def test_csv_rejected_elsewhere(self, capsys):
-        code, _, _ = run(capsys, "stats", "--n", "5", "--k", "2", "--csv")
-        assert code == 2
+    def test_csv_rejected_elsewhere(self, capsys, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("1 561\n")
+        for argv in (
+            ["stats", "--n", "5", "--k", "2"],
+            ["units", "--n", "5", "--k", "2"],
+            ["solve", "--k", "2"],
+            ["classify", "--n", "561"],
+            ["oeis-check", str(path), "--predicate", "carmichael"],
+        ):
+            code, out, err = run(capsys, *argv, "--csv")
+            assert (code, out) == (2, ""), argv
+            assert err.endswith("kunits: error: unrecognized arguments: --csv\n"), argv
 
     def test_malformed_rule_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--from", "1", "--to", "10", "--rule", "bogus")
@@ -561,7 +571,10 @@ class TestStreamedOutput:
     def test_refusals_write_nothing(self, capsys, argv, code):
         got, out, err = run(capsys, *argv)
         assert (got, out) == (code, "")
-        assert err.startswith("capability error: " if code == 3 else "error: ")
+        if "--csv" in argv:  # argparse's refusal: its usage, then this line
+            assert err.splitlines()[-1] == "kunits: error: unrecognized arguments: --csv"
+        else:
+            assert err.startswith("capability error: " if code == 3 else "error: ")
 
     @pytest.mark.parametrize(
         "argv, limit_mb",

@@ -21,3 +21,20 @@ def test_layer_names_resolve_and_are_reexported(layer):
             continue  # the console entry point, not library API
         assert name in kunits.__all__, f"kunits.{layer}.{name} is not re-exported"
         assert getattr(kunits, name) is obj, name
+
+
+def test_package_names_are_listed_once():
+    assert len(kunits.__all__) == len(set(kunits.__all__))
+
+
+def test_every_library_name_has_exactly_one_layer():
+    own = {"__version__", "DomainError", "CapabilityError"}
+    layers = [importlib.import_module(f"kunits.{layer}") for layer in LAYERS if layer != "cli"]
+    for name in set(kunits.__all__) - own:
+        homes = [m.__name__ for m in layers if name in m.__all__]
+        assert len(homes) == 1, (name, homes)
+
+
+def test_classify_names_the_function():
+    # the star import rebinds the submodule's name to its function
+    assert kunits.classify is importlib.import_module("kunits.classify").classify

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 import kunits
 from kunits import (
     CapabilityError,
+    CyclicDecomposition,
     DomainError,
     check_korselt_general,
     divisors,
+    du_k_product,
     enumerate_k_units,
     enumerate_rdu_one_solutions,
     euler_phi,
@@ -134,6 +137,12 @@ class TestSolveRduOne:
         assert f"cofactor {c * (2 * c + 1)} " in proc.stdout
         assert "rho iterations" in proc.stdout
 
+    def test_candidate_above_the_certified_limit_is_refused(self):
+        # 3 * 2**80 + 1 lies above the Miller-Rabin limit, whatever the bound
+        for bound in (kunits.SUPPORTED_BOUND, 10**30):
+            with pytest.raises(CapabilityError, match="3317044064679887385961981"):
+                solve_rdu_one(3 * 2**80, bound=bound)
+
     def test_n_max_factorization_helper(self):
         for k in (1, 2, 10, 24, 252):
             sol = solve_rdu_one(k)
@@ -217,6 +226,18 @@ class TestIsRduOne:
         assert not is_rdu_one(16, 2)
         assert is_rdu_one(2, 3)
         assert is_rdu_one(1, 17)
+
+    def test_two_factor_group(self):
+        # U(Z_15) = C2 x C4, so lambda(15) = 4; U(Z_2) is trivial
+        assert is_rdu_one(15, 4)
+        assert not is_rdu_one(15, 2)
+        assert is_rdu_one(2, 17)
+
+    @given(st.integers(1, 64), st.lists(st.integers(1, 12), max_size=4))
+    def test_exponent_test_equals_full_product(self, k, orders):
+        # every unit is a k-unit exactly when the exponent lcm(r_i) divides k
+        dec = CyclicDecomposition(tuple(orders))
+        assert (k % lcm(*orders) == 0) == (du_k_product(k, dec) == prod(orders))
 
     def test_agrees_with_stats_full_grid(self):
         for n in range(1, 2001):
