@@ -1,14 +1,18 @@
 """Exact integer primitives: primality, factorization, totient, divisors.
 
-Everything here is arbitrary precision and deterministic.  Primality uses
-the fixed Miller-Rabin base set that is a proof for every modulus below
-``3.3e24`` (Sorenson & Webster), so there are no probabilistic false
-positives anywhere in the toolkit; inputs the backend cannot certify raise
+Everything here is arbitrary precision and deterministic.  Primality is
+Miller-Rabin on the first t prime bases, t chosen by the size of n: the
+smallest t with n below psi_t, the least odd composite that passes all of
+the first t (OEIS A014233).  The 13 bases 2..41 are a proof for every n
+below psi_13 = 3317044064679887385961981, about 3.3e24 (Sorenson &
+Webster), so there are no probabilistic false positives anywhere in the
+toolkit; inputs the backend cannot certify raise
 :class:`~kunits.errors.CapabilityError` rather than guessing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, inf, isqrt, prod
@@ -30,12 +34,34 @@ __all__ = [
 # raise it per call up to the certified Miller-Rabin limit below.
 SUPPORTED_BOUND = 2**64 - 1
 
-# Smallest composite that fools the 12-base set below; every verdict for
-# moduli under this limit is a proof, not a probable-prime answer.
-_CERTIFIED_LIMIT = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_t (OEIS A014233): the least odd composite that is a strong probable
+# prime to each of the first t bases above, so for n < psi_t those t bases
+# decide primality.  The tiers: 4 bases below 3.2e9, 9 below 3.8e18, 12
+# below 3.2e23 and all 13 below psi_13.
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+# Every verdict for n below psi_13 is a proof, not a probable-prime answer;
+# from psi_13 on, primality is refused.
+_CERTIFIED_LIMIT = _MR_PSI[-1]
 
 _TRIAL_LIMIT = 1 << 16
+# Primes per block of trial division; one gcd with the block's product
+# rules out all of them.
+_BLOCK = 64
 
 
 @lru_cache(maxsize=1)
@@ -48,6 +74,14 @@ def _small_primes() -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
     return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+@lru_cache(maxsize=1)
+def _prime_blocks() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """_small_primes() in consecutive runs of _BLOCK, as (first prime, product, primes)."""
+    primes = _small_primes()
+    runs = (primes[i : i + _BLOCK] for i in range(0, len(primes), _BLOCK))
+    return tuple((run[0], prod(run), run) for run in runs)
 
 
 @dataclass(frozen=True)
@@ -105,11 +139,12 @@ class Factorization:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Miller-Rabin on the fixed base set; a proof only below _CERTIFIED_LIMIT."""
+    """Miller-Rabin for odd n > 41 on the first t bases, for the least t with
+    n < psi_t (all 13 from psi_13 on); a proof only below _CERTIFIED_LIMIT."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -126,7 +161,7 @@ def _is_prime_unchecked(n: int) -> bool:
     """Primality without the bound gate; 'composite' verdicts are always certain."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     return _miller_rabin(n)
@@ -135,9 +170,8 @@ def _is_prime_unchecked(n: int) -> bool:
 def is_prime(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Deterministic primality test for 0 <= n <= bound.
 
-    Raises CapabilityError above the bound (or above the certified
-    Miller-Rabin limit, whichever is smaller) instead of answering
-    probabilistically.
+    Raises CapabilityError above the bound, or at or above the certified
+    Miller-Rabin limit psi_13, instead of answering probabilistically.
     """
     if n < 0:
         raise DomainError(f"primality is defined for n >= 0, got {n}")
@@ -145,6 +179,11 @@ def is_prime(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     if n > limit:
         raise CapabilityError(
             f"cannot certify primality of {n}: exceeds the supported bound {limit}"
+        )
+    if n == _CERTIFIED_LIMIT:
+        raise CapabilityError(
+            f"cannot certify primality of {n}: the Miller-Rabin bases are a proof "
+            f"only below it"
         )
     return _is_prime_unchecked(n)
 
@@ -212,8 +251,10 @@ def _split(n: int, budget: float) -> tuple[int | None, int]:
 def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     """Prime-power decomposition of n >= 1.
 
-    Trial division by the primes below 2**16, then Brent's rho with
-    deterministic primality certification of every reported prime.  Rho
+    Trial division by the primes below 2**16, a block of them at a time
+    (a block whose product is coprime to n is ruled out by one gcd), then
+    Brent's rho with deterministic primality certification of every
+    reported prime.  Rho
     work on a composite cofactor above ``bound`` is budgeted.  Inputs
     with a cofactor the backend cannot split (within that budget) or
     certify raise CapabilityError; a wrong factorization is never
@@ -223,12 +264,19 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
         raise DomainError(f"factorization requires n >= 1, got {n}")
     original = n
     counts: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
+    # Every prime p with p * p <= n is tried, so a cofactor left below
+    # 2**32 has no prime factor below its square root.
+    for first, product, block in _prime_blocks():
+        if first * first > n:
             break
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
+        if gcd(n, product) == 1:
+            continue
+        for p in block:
+            if p * p > n:
+                break
+            while n % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                n //= p
     if n > 1:
         if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
             # no prime factor below sqrt(n), so n itself is prime
@@ -238,7 +286,7 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
             while stack:
                 m = stack.pop()
                 if _is_prime_unchecked(m):
-                    if m > _CERTIFIED_LIMIT:
+                    if m >= _CERTIFIED_LIMIT:
                         raise CapabilityError(
                             f"cofactor {m} of {original} is a probable prime but lies "
                             f"beyond the certified bound {_CERTIFIED_LIMIT}"
@@ -280,8 +328,8 @@ def euler_phi(f: Factorization | int) -> int:
 def nu(p: int, n: int) -> int:
     """Exponent of the greatest power of the prime p dividing n >= 1.
 
-    p is certified prime up to the Miller-Rabin limit, as in factorize;
-    a larger p raises CapabilityError.
+    p is certified prime below the Miller-Rabin limit, as in factorize;
+    a p at or above it raises CapabilityError.
     """
     if not is_prime(p, bound=_CERTIFIED_LIMIT):
         raise DomainError(f"nu requires a prime first argument, got {p}")
@@ -302,15 +350,17 @@ def _smallest_divisors(f: Factorization, stop: int | None = None) -> list[int]:
     sorted runs (Timsort), and the list is cut to ``stop``.  A divisor
     past the cut only has larger multiples, so the cut loses none of the
     smallest, and the list never holds more than stop * (e + 1) values.
+    The runs are appended to the one list in place, with no copy of it.
     """
     out = [1][:stop]
     for p, e in f.factors:
-        merged, run = out.copy(), out
+        run = out
         for _ in range(e):
             run = [d * p for d in run]
-            merged += run
-        merged.sort()
-        out = merged[:stop]
+            out += run
+        out.sort()
+        if stop is not None:
+            del out[stop:]
     return out
 
 

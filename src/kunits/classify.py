@@ -19,8 +19,7 @@ import numpy as np
 
 from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _value, factorize
 from .errors import CapabilityError, DomainError
-from .solver import is_rdu_one
-from .unitgroup import du_k_product, lambda_range, unit_group_structure
+from .unitgroup import carmichael_lambda, du_k_product, lambda_range, unit_group_structure
 
 __all__ = [
     "BRUTE_FORCE_BOUND",
@@ -81,6 +80,12 @@ def is_carmichael(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     return korselt_failure(n, bound=bound) is None
 
 
+def _is_knodel_given(f: Factorization, i: int, lam: int) -> bool:
+    """The i-Knodel test for i >= 1 with lam = lambda(f.n) given: every unit
+    is an (n-i)-unit exactly when lambda(n) divides n - i."""
+    return f.is_composite and f.n > i and (f.n - i) % lam == 0
+
+
 def is_knodel(n: Factorization | int, i: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Membership of n in the i-Knodel set: composite n > i whose every unit
     satisfies a^(n-i) = 1.  The 1-Knodel numbers are the Carmichael numbers.
@@ -93,7 +98,7 @@ def is_knodel(n: Factorization | int, i: int, *, bound: int = SUPPORTED_BOUND) -
     if m <= i:
         return False
     f = _as_factorization(n, bound=bound)
-    return f.is_composite and is_rdu_one(f, m - i)
+    return _is_knodel_given(f, i, carmichael_lambda(f))
 
 
 def is_generalized_carmichael(n: int, k: int, *, bound: int = BRUTE_FORCE_BOUND) -> bool:
@@ -275,15 +280,19 @@ def classify(
     """Assemble the requested classifier verdicts for n into one report."""
     if n < 1:
         raise DomainError(f"classify requires n >= 1, got {n}")
+    for i in knodel_indices:
+        if i < 1:
+            raise DomainError(f"is_knodel requires i >= 1, got {i}")
     f = factorize(n, bound=bound)
     liar_count = count_fermat_liars(f) if liars and n % 2 and n >= 3 else None
     reason = korselt_failure(f)
+    lam = carmichael_lambda(f) if knodel_indices else 1
     return ClassificationReport(
         n=n,
         is_composite=f.is_composite,
         fermat_liar_count=liar_count,
         carmichael=reason is None,
-        knodel_for=tuple((i, is_knodel(f, i)) for i in knodel_indices),
+        knodel_for=tuple((i, _is_knodel_given(f, i, lam)) for i in knodel_indices),
         gen_carmichael_for=tuple(
             (k, is_generalized_carmichael(n, k, bound=brute_bound)) for k in gen_carmichael_ks
         ),

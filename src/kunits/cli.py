@@ -31,7 +31,7 @@ from .classify import (
 )
 from .errors import CapabilityError, DomainError
 from .solver import enumerate_rdu_one_solutions, solve_rdu_one
-from .unitgroup import ENUMERATION_BOUND, _k_unit_chunks, k_unit_stats
+from .unitgroup import ENUMERATION_BOUND, _gather, _k_unit_chunks, k_unit_stats
 
 __all__ = ["main"]
 
@@ -93,7 +93,7 @@ def _write_ints(chunks: Iterable[list[int]], quote: str, sep: str) -> None:
             lead = sep + quote
 
 
-def _slices(values: list[int]) -> Iterator[list[int]]:
+def _slices(values: Sequence[int]) -> Iterator[Sequence[int]]:
     return (values[i : i + _SLICE] for i in range(0, len(values), _SLICE))
 
 
@@ -132,14 +132,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_units(args: argparse.Namespace) -> int:
     bound = args.bound or ENUMERATION_BOUND
-    # int64 chunks, 8 bytes a residue: the count and the oracle's verdict
-    # are known before the first residue is written.
-    chunks = list(_k_unit_chunks(args.n, args.k, bound))
-    count = sum(len(c) for c in chunks)
+    chunks = _k_unit_chunks(args.n, args.k, bound)  # refuses before any work
+    expected = k_unit_stats(args.n, args.k).du
+    # All of them, 8 bytes a residue, in memory sized by the closed form:
+    # the count and the oracle's verdict are known before the first
+    # residue is written.
+    units = _gather(chunks, expected)
+    count = len(units)
     oracle_report: dict | None = None
     exit_code = 0
     if args.oracle:
-        expected = k_unit_stats(args.n, args.k).du
         matched = expected == count
         oracle_report = {"expected_count": expected, "matched": matched}
         if not matched:
@@ -149,7 +151,7 @@ def _cmd_units(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             exit_code = 1
-    residues = (c.tolist() for c in chunks)
+    residues = (part.tolist() for part in _slices(units))
     if args.json:
         result: dict[str, Any] = {"count": count}
         if oracle_report is not None:

@@ -19,6 +19,7 @@ factorization.
 
 from __future__ import annotations
 
+import mmap
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,14 @@ class CyclicDecomposition:
         if any(r < 1 for r in self.orders):
             raise DomainError("cyclic factor orders must be >= 1")
 
+    @classmethod
+    def _from_valid(cls, orders: tuple[int, ...]) -> CyclicDecomposition:
+        """An instance from a tuple of orders already known to be >= 1,
+        without the check of ``__post_init__``."""
+        group = object.__new__(cls)
+        object.__setattr__(group, "orders", orders)
+        return group
+
     @property
     def group_order(self) -> int:
         return prod(self.orders)
@@ -112,8 +121,11 @@ def unit_group_structure(
     the empty (trivial) decomposition.  Accepts an int or a Factorization.
     """
     f = _as_factorization(n, bound=bound)
-    orders = tuple(r for p, e in f.factors for r in _prime_power_orders(p, e))
-    return CyclicDecomposition(orders)
+    orders: tuple[int, ...] = ()
+    for p, e in f.factors:
+        orders += _prime_power_orders(p, e)
+    # each order is p - 1 >= 1 times a prime power, or a power of 2
+    return CyclicDecomposition._from_valid(orders)
 
 
 def carmichael_lambda(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:
@@ -194,6 +206,28 @@ def _k_unit_chunks(n: int, k: int, bound: int) -> Iterator[np.ndarray]:
             f"n = {n} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
         )
     return _scan_k_units(n, k)
+
+
+def _gather(chunks: Iterator[np.ndarray], capacity: int) -> np.ndarray:
+    """The int64 chunks end to end in one array, backed by an anonymous
+    memory map of ``capacity`` values (and copied out of it when the
+    chunks hold more).
+
+    Chunks kept in a list lie on the allocator's heap among the scan's
+    freed temporaries, and whether their memory goes back to the system
+    once they are freed depends on what else the process allocated in
+    the meantime.  The map is unmapped when the last view of it is freed.
+    """
+    held = np.frombuffer(mmap.mmap(-1, 8 * max(capacity, 1)), dtype=np.int64)
+    end = 0
+    overflow = []
+    for chunk in chunks:
+        take = min(len(chunk), capacity - end)
+        held[end : end + take] = chunk[:take]
+        end += take
+        if take < len(chunk):
+            overflow.append(chunk[take:])
+    return np.concatenate([held[:end], *overflow]) if overflow else held[:end]
 
 
 def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list[int]:

@@ -17,7 +17,14 @@ from kunits import (
     nu,
     pow_mod,
 )
-from kunits.arith import _CERTIFIED_LIMIT, _smallest_divisors
+from kunits.arith import (
+    _BLOCK,
+    _CERTIFIED_LIMIT,
+    _MR_PSI,
+    _prime_blocks,
+    _small_primes,
+    _smallest_divisors,
+)
 
 from oracles import brute_divisors, brute_factor_map, brute_is_prime, brute_phi, brute_pow_mod
 
@@ -55,6 +62,37 @@ class TestIsPrime:
         with pytest.raises(CapabilityError) as err:
             is_prime(2**89 - 1, bound=2**100)
         assert str(_CERTIFIED_LIMIT) in str(err.value)
+
+    def test_psi12_is_composite(self):
+        # psi_12 passes all of the bases 2..37; base 41 catches it
+        psi12 = 318665857834031151167461
+        assert _MR_PSI[11] == psi12
+        assert not is_prime(psi12, bound=10**25)
+        assert not is_prime(psi12 + 2, bound=10**25)  # divisible by 3
+
+    def test_psi13_itself_is_refused(self):
+        assert _MR_PSI[12] == _CERTIFIED_LIMIT
+        with pytest.raises(CapabilityError) as err:
+            is_prime(_CERTIFIED_LIMIT, bound=10**25)
+        assert str(_CERTIFIED_LIMIT) in str(err.value)
+        assert not is_prime(_CERTIFIED_LIMIT - 1, bound=10**25)
+
+    def test_agrees_with_sympy_around_every_psi(self):
+        sympy = pytest.importorskip("sympy")
+        for psi in sorted(set(_MR_PSI)):
+            for n in range(max(0, psi - 200), psi + 201):
+                if n >= _CERTIFIED_LIMIT:
+                    with pytest.raises(CapabilityError):
+                        is_prime(n, bound=10**25)
+                else:
+                    assert is_prime(n, bound=_CERTIFIED_LIMIT) == sympy.isprime(n), n
+
+    @given(st.integers(8, 81).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+    @settings(max_examples=300)
+    def test_agrees_with_sympy_on_odd_n_of_8_to_81_bits(self, n):
+        sympy = pytest.importorskip("sympy")
+        n |= 1
+        assert is_prime(n, bound=_CERTIFIED_LIMIT) == sympy.isprime(n)
 
 
 class TestFactorize:
@@ -99,6 +137,48 @@ class TestFactorize:
             (65537, 1),
             (6700417, 1),
         )
+
+    def test_psi12_splits(self):
+        # a strong pseudoprime to the bases 2..37, so once taken for a prime
+        f = factorize(318665857834031151167461)
+        assert f.factors == ((399165290221, 1), (798330580441, 1))
+
+    def test_cofactor_psi13_is_refused(self):
+        with pytest.raises(CapabilityError, match="3317044064679887385961981"):
+            factorize(2 * _CERTIFIED_LIMIT, bound=10**25)
+
+    def test_prime_blocks_partition_the_small_primes(self):
+        blocks = _prime_blocks()
+        assert sum((block for _, _, block in blocks), ()) == _small_primes()
+        assert all(len(block) == _BLOCK for _, _, block in blocks[:-1])
+        for first, product, block in blocks:
+            assert first == block[0]
+            assert product == prod(block)
+
+    def test_block_edges(self):
+        # 65521 is the largest prime below 2**16 and 4294967291 the
+        # largest below 2**32; the 40-bit prime pairs with primes on
+        # either side of every block boundary
+        q40 = 1099511627689
+        assert is_prime(q40) and q40.bit_length() == 40
+        cases = [(65521, 65521), (65519, 65521), (65521, 4294967291)]
+        blocks = _prime_blocks()
+        for _, _, block in blocks:
+            cases.append((block[0], block[-1]))
+        for (_, _, left), (_, _, right) in zip(blocks, blocks[1:]):
+            cases += [(left[-1], q40), (right[0], q40)]
+        for p, q in cases:
+            expected = ((p, 2),) if p == q else ((p, 1), (q, 1))
+            assert factorize(p * q).factors == expected, (p, q)
+        assert factorize(2).factors == ((2, 1),)
+        assert factorize(65521).factors == ((65521, 1),)
+        assert factorize(65537**2).factors == ((65537, 2),)
+
+    @given(st.integers(16, 80).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_sympy_factorint_16_to_80_bits(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert dict(factorize(n, bound=1 << 80).factors) == sympy.factorint(n)
 
     def test_uncertifiable_prime_is_capability_error(self):
         with pytest.raises(CapabilityError):
@@ -187,6 +267,13 @@ class TestNu:
     def test_p_beyond_the_certified_limit_is_refused(self):
         with pytest.raises(CapabilityError):
             nu(_CERTIFIED_LIMIT + 2, 7)
+        with pytest.raises(CapabilityError):
+            nu(_CERTIFIED_LIMIT, 7)
+
+    def test_psi12_is_not_a_prime_argument(self):
+        psi12 = 318665857834031151167461
+        with pytest.raises(DomainError):
+            nu(psi12, psi12**2)
 
 
 class TestDivisors:

@@ -6,6 +6,7 @@ from kunits import (
     CapabilityError,
     DomainError,
     SweepSpec,
+    carmichael_lambda,
     classify,
     count_fermat_liars,
     factorize,
@@ -271,6 +272,31 @@ class TestClassifyReport:
         report = classify(561, liars=True, knodel_indices=(1, 2))
         assert calls == [561]
         assert report.knodel_for == ((1, True), (2, False))
+
+    def test_takes_lambda_once(self, monkeypatch):
+        from importlib import import_module
+
+        calls = []
+        real = carmichael_lambda
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return real(n, **kwargs)
+
+        for name in ("classify", "solver", "unitgroup"):
+            monkeypatch.setattr(import_module(f"kunits.{name}"), "carmichael_lambda", counting)
+        for n in (561, 1105, 15, 13, 4):
+            calls.clear()
+            report = classify(n, liars=True, knodel_indices=(1, 2))
+            assert len(calls) == 1, n
+            expected = tuple(
+                (i, report.is_composite and brute_rdu_is_one(n, n - i)) for i in (1, 2)
+            )
+            assert report.knodel_for == expected
+
+    def test_bad_knodel_index_is_domain_error(self):
+        with pytest.raises(DomainError, match="i >= 1"):
+            classify(561, knodel_indices=(1, 0))
 
 
 class TestFactorizationArguments:

@@ -1,3 +1,4 @@
+import mmap
 import random
 import tracemalloc
 from fractions import Fraction
@@ -55,6 +56,13 @@ class TestUnitGroupStructure:
     def test_bad_orders_rejected(self):
         with pytest.raises(DomainError):
             CyclicDecomposition((2, 0))
+        with pytest.raises(DomainError):
+            CyclicDecomposition((0,))
+
+    def test_equals_the_checked_decomposition(self):
+        group = unit_group_structure(560)
+        assert group == CyclicDecomposition((2, 4, 4, 6))
+        assert hash(group) == hash(CyclicDecomposition((2, 4, 4, 6)))
 
 
 def cyclic(r: int) -> CyclicDecomposition:
@@ -262,6 +270,29 @@ class TestEnumerateKUnits:
             tracemalloc.stop()
         assert units == [1, 9999990]
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("n, k", [(1, 7), (24, 2), (561, 80), (9999990, 720)])
+    def test_gather_holds_every_chunk_in_a_map_of_its_own(self, n, k):
+        # sized by the closed form, the residues sit in one anonymous map,
+        # which is unmapped with them
+        units = unitgroup._gather(unitgroup._k_unit_chunks(n, k, 10**7), k_unit_stats(n, k).du)
+        owner = units
+        while hasattr(owner, "base"):
+            owner = owner.base
+        assert isinstance(owner.obj, mmap.mmap)  # numpy holds it by a memoryview
+        if n < 10**3:
+            assert units.tolist() == brute_k_units(n, k)
+        else:
+            assert len(units) == k_unit_stats(n, k).du
+            assert units.tolist() == sorted(set(units.tolist()))
+
+    @pytest.mark.parametrize("capacity", [0, 1, 100, 101, 5000])
+    def test_gather_keeps_chunks_past_its_capacity(self, monkeypatch, capacity):
+        # a capacity below the count (a closed form that undercounts) costs
+        # a copy, not residues
+        monkeypatch.setattr(unitgroup, "_CHUNK", 64)
+        units = unitgroup._gather(unitgroup._k_unit_chunks(1001, 720, 10**7), capacity)
+        assert units.tolist() == brute_k_units(1001, 720)
 
     @given(st.integers(2, 300), st.integers(1, 32))
     @settings(max_examples=100)
