@@ -277,37 +277,41 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
             while n % p == 0:
                 counts[p] = counts.get(p, 0) + 1
                 n //= p
-    if n > 1:
-        if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
-            # no prime factor below sqrt(n), so n itself is prime
-            counts[n] = counts.get(n, 0) + 1
-        else:
-            stack = [n]
-            while stack:
-                m = stack.pop()
-                if _is_prime_unchecked(m):
-                    if m >= _CERTIFIED_LIMIT:
-                        raise CapabilityError(
-                            f"cofactor {m} of {original} is a probable prime but lies "
-                            f"beyond the certified bound {_CERTIFIED_LIMIT}"
-                        )
-                    counts[m] = counts.get(m, 0) + 1
-                    continue
-                # A composite m <= bound has a prime factor p <= sqrt(bound),
-                # which rho finds in about sqrt(p) <= bound^(1/4) steps.  A
-                # cofactor above the bound gets 16 times that (2**20 steps
-                # for the default bound); at or below it the full schedule runs.
-                budget = 16 * isqrt(isqrt(bound)) if m > bound else inf
-                d, used = _split(m, budget)
-                if d is None:
-                    raise CapabilityError(
-                        f"cannot split the composite cofactor {m} of {original} "
-                        f"after {used} rho iterations; the supported factorization "
-                        f"bound is {bound}"
-                    )
-                stack.append(d)
-                stack.append(m // d)
+    if n >= _TRIAL_LIMIT * _TRIAL_LIMIT:
+        counts.update(_cofactor_primes(n, original, bound))
+    elif n > 1:
+        # no prime factor below sqrt(n), so n itself is prime
+        counts[n] = counts.get(n, 0) + 1
     return Factorization(original, tuple(sorted(counts.items())))
+
+
+def _cofactor_primes(n: int, original: int, bound: int) -> dict[int, int]:
+    """The prime multiplicities of a cofactor n >= 2**32 left by trial division."""
+    counts: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if _is_prime_unchecked(m):
+            if m >= _CERTIFIED_LIMIT:
+                raise CapabilityError(
+                    f"cofactor {m} of {original} is a probable prime but lies "
+                    f"beyond the certified bound {_CERTIFIED_LIMIT}"
+                )
+            counts[m] = counts.get(m, 0) + 1
+            continue
+        # A composite m <= bound has a prime factor p <= sqrt(bound), which rho finds in
+        # about sqrt(p) <= bound^(1/4) steps.  A cofactor above the bound gets 16 times that
+        # (2**20 steps for the default bound); at or below it the full schedule runs.
+        budget = 16 * isqrt(isqrt(bound)) if m > bound else inf
+        d, used = _split(m, budget)
+        if d is None:
+            raise CapabilityError(
+                f"cannot split the composite cofactor {m} of {original} "
+                f"after {used} rho iterations; the supported factorization "
+                f"bound is {bound}"
+            )
+        stack += [d, m // d]
+    return counts
 
 
 def _as_factorization(f: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> Factorization:

@@ -7,13 +7,15 @@ polynomials).
 
 The point classifiers factor one n; ``sweep`` instead reads lambda(n) for
 a whole range from one sieve (``lambda_range``), since rdu_k(n) = 1
-exactly when lambda(n) divides k.
+exactly when lambda(n) divides k.  Each set is defined once, in ``_lambda_set``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_BOUND = 10**7
+_PREDICATE_HELP = "carmichael | knodel:I | gen-carmichael:K | rdu-one:K"
 
 
 def count_fermat_liars(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:
@@ -80,12 +83,6 @@ def is_carmichael(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     return korselt_failure(n, bound=bound) is None
 
 
-def _is_knodel_given(f: Factorization, i: int, lam: int) -> bool:
-    """The i-Knodel test for i >= 1 with lam = lambda(f.n) given: every unit
-    is an (n-i)-unit exactly when lambda(n) divides n - i."""
-    return f.is_composite and f.n > i and (f.n - i) % lam == 0
-
-
 def is_knodel(n: Factorization | int, i: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Membership of n in the i-Knodel set: composite n > i whose every unit
     satisfies a^(n-i) = 1.  The 1-Knodel numbers are the Carmichael numbers.
@@ -98,7 +95,7 @@ def is_knodel(n: Factorization | int, i: int, *, bound: int = SUPPORTED_BOUND) -
     if m <= i:
         return False
     f = _as_factorization(n, bound=bound)
-    return _is_knodel_given(f, i, carmichael_lambda(f))
+    return _lambda_set(f"knodel:{i}").holds(f, carmichael_lambda(f))
 
 
 def is_generalized_carmichael(n: int, k: int, *, bound: int = BRUTE_FORCE_BOUND) -> bool:
@@ -254,6 +251,59 @@ def sweep(
     return SweepResult(spec=spec, hits=tuple(hits), skipped=tuple(skipped))
 
 
+class _LambdaSet(NamedTuple):
+    """The n >= least, only composite or squarefree ones if asked, with lambda(n) | e(n)."""
+
+    slope: int  # e(n) = slope * n + offset, which is >= 1 from least on
+    offset: int
+    least: int
+    composite: bool = False
+    squarefree: bool = False
+
+    def holds(self, f: Factorization, lam: int) -> bool:
+        """The verdict for f.n, given lam = lambda(f.n)."""
+        if (self.slope * f.n + self.offset) % lam or f.n < self.least:
+            return False
+        return (f.is_composite or not self.composite) and (f.is_squarefree or not self.squarefree)
+
+
+@lru_cache(maxsize=64)
+def _lambda_set(name: str) -> _LambdaSet:
+    """The set oeis-check calls ``name``; cached, as classify asks for it once per n."""
+    base, _, raw = name.partition(":")
+    if base == "carmichael":
+        if raw:
+            raise DomainError("the carmichael predicate takes no parameter")
+        base, raw = "knodel", "1"  # lambda(n) is even for n >= 3, so only odd n are 1-Knodel
+    try:
+        parameter = int(raw)
+    except ValueError:
+        raise DomainError(f"predicate {name!r} needs an integer parameter") from None
+    if base == "knodel":
+        if parameter < 1:
+            raise DomainError(f"the knodel predicate requires I >= 1, got {parameter}")
+        return _LambdaSet(1, -parameter, parameter + 1, composite=True)
+    if base == "gen-carmichael":
+        # Korselt: for n, n + K >= 2, a^(n+K) = a mod n for every a exactly
+        # when n is squarefree and lambda(n) | n + K - 1
+        return _LambdaSet(1, parameter - 1, max(2, 2 - parameter), squarefree=True)
+    if base == "rdu-one":
+        if parameter < 1:
+            raise DomainError(f"the rdu-one predicate requires K >= 1, got {parameter}")
+        return _LambdaSet(0, parameter, 1)
+    raise DomainError(f"unknown predicate {name!r}; expected {_PREDICATE_HELP}")
+
+
+def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozenset[int]:
+    """The members in [1, top] of the named set, from one sweep after the name is checked."""
+    s = _lambda_set(name)
+    if top < s.least:
+        return frozenset()
+    spec = SweepSpec(s.least, top, ExponentRule("poly", (s.offset, s.slope)))
+    filters = {"composite_only": s.composite, "squarefree_only": s.squarefree}
+    return frozenset(sweep(spec, **filters, bound=bound).hits)
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     """Per-n classifier verdicts with the factorization used as evidence."""
@@ -275,7 +325,6 @@ def classify(
     knodel_indices: tuple[int, ...] = (),
     gen_carmichael_ks: tuple[int, ...] = (),
     bound: int = SUPPORTED_BOUND,
-    brute_bound: int = BRUTE_FORCE_BOUND,
 ) -> ClassificationReport:
     """Assemble the requested classifier verdicts for n into one report."""
     if n < 1:
@@ -286,15 +335,15 @@ def classify(
     f = factorize(n, bound=bound)
     liar_count = count_fermat_liars(f) if liars and n % 2 and n >= 3 else None
     reason = korselt_failure(f)
-    lam = carmichael_lambda(f) if knodel_indices else 1
+    lam = carmichael_lambda(f) if knodel_indices or gen_carmichael_ks else 1
     return ClassificationReport(
         n=n,
         is_composite=f.is_composite,
         fermat_liar_count=liar_count,
         carmichael=reason is None,
-        knodel_for=tuple((i, _is_knodel_given(f, i, lam)) for i in knodel_indices),
+        knodel_for=tuple((i, _lambda_set(f"knodel:{i}").holds(f, lam)) for i in knodel_indices),
         gen_carmichael_for=tuple(
-            (k, is_generalized_carmichael(n, k, bound=brute_bound)) for k in gen_carmichael_ks
+            (k, _lambda_set(f"gen-carmichael:{k}").holds(f, lam)) for k in gen_carmichael_ks
         ),
         evidence=f,
         carmichael_reason=reason,

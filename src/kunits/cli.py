@@ -2,10 +2,10 @@
 
 Subcommands: stats, units, solve, classify, sweep, oeis-check.  Every
 subcommand accepts --json (one canonical object, keys sorted, integers as
-decimal strings so 64-bit consumers never overflow) and --bound N >= 1
-to override the command's working bound; sweep also accepts --csv.
-units and solve --enumerate write their long list as they go, in the
-same bytes as the whole object or line would be.
+decimal strings so 64-bit consumers never overflow) and --bound N >= 1,
+the factorization bound (for units, the enumeration bound); sweep also
+accepts --csv.  units and solve --enumerate write their long list as they
+go, in the same bytes as the whole object or line would be.
 
 Exit codes: 0 success or match, 1 predicate mismatch (oeis-check, the
 units --oracle self-check), 2 usage or parse errors, 3 capability errors.
@@ -21,14 +21,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from .arith import SUPPORTED_BOUND
 from .bfile import BFile, compare_bfile
-from .classify import (
-    BRUTE_FORCE_BOUND,
-    ExponentRule,
-    SweepSpec,
-    classify,
-    parse_rule,
-    sweep,
-)
+from .classify import _PREDICATE_HELP, SweepSpec, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
 from .solver import enumerate_rdu_one_solutions, solve_rdu_one
 from .unitgroup import ENUMERATION_BOUND, _gather, _k_unit_chunks, k_unit_stats
@@ -211,8 +204,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    bound = args.bound or SUPPORTED_BOUND
-    brute = args.bound or BRUTE_FORCE_BOUND
     if args.liars and (args.n < 3 or args.n % 2 == 0):
         raise DomainError(f"--liars requires odd n >= 3, got {args.n}")
     report = classify(
@@ -220,8 +211,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         liars=args.liars,
         knodel_indices=tuple(args.knodel or ()),
         gen_carmichael_ks=tuple(args.gen_carmichael or ()),
-        bound=bound,
-        brute_bound=brute,
+        bound=args.bound or SUPPORTED_BOUND,
     )
     if args.json:
         result: dict[str, Any] = {
@@ -292,58 +282,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_PREDICATE_HELP = "carmichael | knodel:I | gen-carmichael:K | rdu-one:K"
-
-
-def _sieved(lo: int, top: int, rule: ExponentRule, **filters: bool) -> frozenset[int]:
-    """The sweep hits over [lo, top], from one sieve of the range."""
-    if top < lo:
-        return frozenset()
-    return frozenset(sweep(SweepSpec(lo, top, rule), **filters).hits)
-
-
-def _predicate(name: str, brute_bound: int, top: int) -> frozenset[int]:
-    """The members of the predicate's set in [1, top], each read off one
-    sieve as lambda(n) | exponent (with filters)."""
-    base, _, raw = name.partition(":")
-    if base == "carmichael":
-        if raw:
-            raise DomainError("the carmichael predicate takes no parameter")
-        # Korselt: odd composite n with lambda(n) | n - 1
-        return _sieved(1, top, ExponentRule("shift", (-1, 1)), composite_only=True, odd_only=True)
-    try:
-        parameter = int(raw)
-    except ValueError:
-        raise DomainError(f"predicate {name!r} needs an integer parameter") from None
-    if base == "knodel":
-        if parameter < 1:
-            raise DomainError(f"the knodel predicate requires I >= 1, got {parameter}")
-        # composite n > I with lambda(n) | n - I
-        rule = ExponentRule("shift", (-parameter, 1))
-        return _sieved(parameter + 1, top, rule, composite_only=True)
-    if base == "gen-carmichael":
-        # The point classifier refuses n above the brute-force bound; so does this.
-        first = max(brute_bound + 1, 1)
-        if top >= first:
-            raise CapabilityError(f"n = {first} exceeds the brute-force bound {brute_bound}")
-        # Korselt: for n, n + K >= 2, a^(n+K) = a mod n for every a exactly
-        # when n is squarefree and lambda(n) | n + K - 1
-        rule = ExponentRule("shift", (parameter - 1, 1))
-        return _sieved(max(2, 2 - parameter), top, rule, squarefree_only=True)
-    if base == "rdu-one":
-        if parameter < 1:
-            raise DomainError(f"the rdu-one predicate requires K >= 1, got {parameter}")
-        return _sieved(1, top, ExponentRule("const", (parameter,)))
-    raise DomainError(f"unknown predicate {name!r}; expected {_PREDICATE_HELP}")
-
-
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
-    brute = args.bound or BRUTE_FORCE_BOUND
+    bound = args.bound or SUPPORTED_BOUND
     bfile = BFile.parse_path(args.bfile)
     # compare_bfile takes the members up to the limit, or up to the file's
     # largest value; for an empty file it takes none.
     top = args.limit if args.limit is not None else max(bfile.values, default=0)
-    members = _predicate(args.predicate, brute, top if bfile.entries else 0)
+    members = _predicate(args.predicate, top if bfile.entries else 0, bound=bound)
     report = compare_bfile(bfile, args.predicate, members, args.limit)
     if args.json:
         _emit_json(
@@ -380,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="override the command's working bound, N >= 1 (factorization, enumeration, or brute force)",
+        help="override the command's working bound, N >= 1 (factorization or enumeration)",
     )
 
     parser = argparse.ArgumentParser(

@@ -34,8 +34,8 @@ from .arith import (
     SUPPORTED_BOUND,
     Factorization,
     _as_factorization,
+    _cofactor_primes,
     _small_primes,
-    factorize,
 )
 from .errors import CapabilityError, DomainError
 
@@ -265,8 +265,8 @@ def lambda_range(lo: int, hi: int, *, bound: int = SUPPORTED_BOUND) -> Iterator[
     Each segment takes out the primes up to min(isqrt(hi), 2**16) with
     their multiplicities and checks that the prime powers taken out times
     the cofactor left give back n.  A cofactor below 2**32 is then 1 or a
-    prime; a larger one is factored by ``factorize``, which certifies its
-    primes or raises CapabilityError.
+    prime; a larger one goes to ``factorize``'s step after trial division,
+    which certifies its primes or raises CapabilityError.
     """
     if lo < 1 or hi < lo:
         raise DomainError(f"lambda_range requires 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -309,7 +309,8 @@ def _lambda_segment(a: int, b: int, primes: tuple[int, ...], bound: int) -> Lamb
         raise ArithmeticError(f"sieve factors do not multiply back on [{a}, {b})")
     # The cofactor is 1, a prime, or (from 2**32 on) a number to factor.
     for i in np.flatnonzero(rem >= _TRIAL_LIMIT * _TRIAL_LIMIT):
-        f = factorize(int(rem[i]), bound=bound)
+        c = int(rem[i])
+        f = Factorization(c, tuple(sorted(_cofactor_primes(c, c, bound).items())))
         for p, e in f.factors:
             lam[i] = lcm(int(lam[i]), _prime_power_lambda(p, e))
         squarefree[i] &= f.is_squarefree

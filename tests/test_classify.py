@@ -257,6 +257,13 @@ class TestClassifyReport:
         assert report.gen_carmichael_for == ((1, True), (2, False))
         assert not report.carmichael  # even, so never Carmichael
 
+    @pytest.mark.parametrize("n", [211 * 421 * 631, 271 * 541 * 811])
+    def test_chernick_numbers_above_10_7(self, n):
+        # (6m + 1)(12m + 1)(18m + 1) with all three prime is a Carmichael number
+        assert n > 10**7
+        report = classify(n, gen_carmichael_ks=(0, 1))
+        assert report.gen_carmichael_for == ((0, True), (1, False))
+
     def test_factors_n_once(self, monkeypatch):
         from importlib import import_module
 
@@ -267,7 +274,7 @@ class TestClassifyReport:
             calls.append(n)
             return real(n, **kwargs)
 
-        for name in ("arith", "classify", "solver", "unitgroup"):
+        for name in ("arith", "classify", "solver"):
             monkeypatch.setattr(import_module(f"kunits.{name}"), "factorize", counting)
         report = classify(561, liars=True, knodel_indices=(1, 2))
         assert calls == [561]

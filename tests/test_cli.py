@@ -14,6 +14,8 @@ import pytest
 import kunits
 from kunits.cli import main
 
+from oracles import brute_gen_carmichael
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -193,6 +195,19 @@ class TestClassify:
         assert code == 0
         assert obj["result"]["gen_carmichael"] == [["1", True]]
 
+    def test_gen_carmichael_answers_far_above_10_7(self):
+        # The closed form factors n once; checking every residue would take hours.
+        src = str(Path(kunits.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kunits.cli", "classify", "--n", "1000000000001",
+             "--gen-carmichael", "0"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "factorization     73 * 137 * 99990001\n" in proc.stdout
+        assert proc.stdout.endswith("gen-carmichael:0  false\n")
+
     def test_knodel(self, capsys):
         code, obj, _ = run_json(capsys, "classify", "--n", "4", "--knodel", "2")
         assert code == 0
@@ -343,29 +358,17 @@ class TestOeisCheck:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_gen_carmichael_above_the_brute_force_bound_exits_3(self, capsys, tmp_path):
+    def test_gen_carmichael_bound_is_only_the_factorization_bound(self, capsys, tmp_path):
         path = tmp_path / "b014117.txt"
         path.write_text("0 1\n1 2\n2 6\n3 42\n4 1806\n", encoding="utf-8")
-        code, out, err = run(
-            capsys, "oeis-check", str(path), "--predicate", "gen-carmichael:1",
-            "--bound", "100", "--limit", "2000",
-        )
-        assert (code, out) == (3, "")
-        assert err == "capability error: n = 101 exceeds the brute-force bound 100\n"
-
-    def test_gen_carmichael_refusal_comes_before_any_work(self, tmp_path):
-        # Checking n by n up to the default bound of 10^7 would take hours.
-        path = tmp_path / "b.txt"
-        path.write_text("1 2\n2 3\n", encoding="utf-8")
-        src = str(Path(kunits.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "kunits.cli", "oeis-check", str(path),
-             "--predicate", "gen-carmichael:0", "--limit", "20000000"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == "capability error: n = 10000001 exceeds the brute-force bound 10000000\n"
+        argv = ["oeis-check", str(path), "--predicate", "gen-carmichael:1", "--limit", "2000"]
+        bounded = run(capsys, *argv, "--bound", "100")
+        assert bounded == run(capsys, *argv)
+        code, out, err = bounded
+        assert (code, err) == (1, "")
+        assert [n for n in range(1, 2001) if brute_gen_carmichael(n, 1)] == [2, 6, 42, 1806]
+        assert "missing    none\n" in out
+        assert "extra      1\n" in out
 
     def test_sieved_predicates_agree_with_the_point_path(self, capsys, tmp_path):
         from kunits import is_carmichael, is_knodel, is_rdu_one

@@ -9,14 +9,15 @@ from kunits import (
     DomainError,
     SweepSpec,
     carmichael_lambda,
+    classify,
     factorize,
     is_rdu_one,
     lambda_range,
     parse_rule,
     sweep,
 )
-from kunits.classify import BRUTE_FORCE_BOUND
-from kunits.cli import _predicate
+from kunits import arith
+from kunits.classify import _predicate
 from kunits.unitgroup import _SEGMENT
 
 from oracles import brute_gen_carmichael, brute_is_prime, brute_rdu_is_one, brute_unit_exponent
@@ -101,6 +102,18 @@ class TestLambdaRange:
         assert rows == factored(n - 150, n + 150)
         assert (n, 65536 * 65538 // 2, True, True) in rows
 
+    def test_window_above_2_40_skips_trial_division(self, monkeypatch):
+        # The sieve has taken out every prime below 2**16, so its cofactors
+        # go straight to certification and rho.
+        lo, hi = 2**40, 2**40 + _SEGMENT - 1
+        expected = factored(lo, hi)
+
+        def refuse():
+            raise AssertionError("trial division was entered")
+
+        monkeypatch.setattr(arith, "_prime_blocks", refuse)
+        assert sieved(lo, hi) == expected
+
     def test_square_of_a_prime_above_2_16(self):
         n = 65537**2
         rows = sieved(n - 20, n + 20)
@@ -184,13 +197,16 @@ class TestGeneralizedCarmichaelSieve:
 
     @pytest.mark.parametrize("k", range(-5, 6))
     def test_matches_the_brute_force_oracle(self, k):
-        members = _predicate(f"gen-carmichael:{k}", BRUTE_FORCE_BOUND, 3000)
+        members = _predicate(f"gen-carmichael:{k}", 3000)
         assert members == {n for n in range(1, 3001) if brute_gen_carmichael(n, k)}
+        # classify's point verdict reads the same definition
+        verdicts = {n for n in range(1, 3001) if classify(n, gen_carmichael_ks=(k,)).gen_carmichael_for[0][1]}
+        assert verdicts == members
 
     def test_c0_across_a_segment_boundary(self):
         lo, hi = 15800, 17000
         assert lo < 2 + _SEGMENT < hi  # the C_0 sieve starts at n = 2
-        members = {n for n in _predicate("gen-carmichael:0", BRUTE_FORCE_BOUND, hi) if n >= lo}
+        members = {n for n in _predicate("gen-carmichael:0", hi) if n >= lo}
         primes = {n for n in range(lo, hi + 1) if brute_is_prime(n)}
         carmichael = {n for n in range(lo, hi + 1) if not brute_is_prime(n) and brute_rdu_is_one(n, n - 1)}
         assert carmichael == {15841}
