@@ -17,14 +17,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, TypeVar
 
 from .arith import SUPPORTED_BOUND
 from .bfile import BFile, compare_bfile
 from .classify import _PREDICATE_HELP, SweepSpec, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
 from .solver import enumerate_rdu_one_solutions, solve_rdu_one
-from .unitgroup import ENUMERATION_BOUND, _gather, _k_unit_chunks, k_unit_stats
+from .unitgroup import ENUMERATION_BOUND, _decimal_text, _gather, _k_unit_chunks, k_unit_stats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main"]
 
@@ -57,12 +60,13 @@ def _emit_json(
     command: str,
     inputs: dict,
     result: dict,
-    streamed: tuple[str, Iterable[list[int]]] | None = None,
+    streamed: tuple[str, Iterable[list[int] | np.ndarray]] | None = None,
 ) -> None:
     """Print ``json.dumps(obj, sort_keys=True)`` of the command's object.
 
     ``streamed`` names one more list of ints in ``result`` and gives it as
-    chunks, which are written one by one between the list's brackets.
+    chunks, int64 arrays or lists of ints, which ``_write_ints`` writes one
+    by one between the list's brackets.
     """
     obj = {"command": command, "input": _jsonable(inputs), "result": _jsonable(result)}
     if streamed is None:
@@ -76,17 +80,30 @@ def _emit_json(
     sys.stdout.write("]" + tail + "\n")
 
 
-def _write_ints(chunks: Iterable[list[int]], quote: str, sep: str) -> None:
-    """Write the ints of the chunks in decimal, each in quotes, separated by sep."""
+def _write_ints(chunks: Iterable[list[int] | np.ndarray], quote: str, sep: str) -> None:
+    """Write the ints of the chunks in decimal, each in quotes, separated by sep.
+
+    A chunk is an int64 array of non-negative values (the ``units``
+    residues), turned into text by ``_decimal_text`` without a str per
+    value, or a list of ints, joined from one str each: the ``solve``
+    solutions, whose values go past 2^63.
+    """
     inner = quote + sep + quote
-    lead = quote
+    lead = ""
     for chunk in chunks:
-        if chunk:
-            sys.stdout.write(lead + inner.join(map(str, chunk)) + quote)
-            lead = sep + quote
+        if len(chunk):
+            if isinstance(chunk, list):
+                text = quote + inner.join(map(str, chunk)) + quote
+            else:
+                text = _decimal_text(chunk, quote, sep)
+            sys.stdout.write(lead + text)
+            lead = sep
 
 
-def _slices(values: Sequence[int]) -> Iterator[Sequence[int]]:
+_Values = TypeVar("_Values", list[int], "np.ndarray")
+
+
+def _slices(values: _Values) -> Iterator[_Values]:
     return (values[i : i + _SLICE] for i in range(0, len(values), _SLICE))
 
 
@@ -144,7 +161,7 @@ def _cmd_units(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             exit_code = 1
-    residues = (part.tolist() for part in _slices(units))
+    residues = _slices(units)
     if args.json:
         result: dict[str, Any] = {"count": count}
         if oracle_report is not None:

@@ -23,6 +23,7 @@ import mmap
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterator, NamedTuple
@@ -228,6 +229,57 @@ def _gather(chunks: Iterator[np.ndarray], capacity: int) -> np.ndarray:
         if take < len(chunk):
             overflow.append(chunk[take:])
     return np.concatenate([held[:end], *overflow]) if overflow else held[:end]
+
+
+# 10, 100, ..., 10^18: a non-negative int64 v has 1 + #{p <= v} digits.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+@cache
+def _digit_quads() -> np.ndarray:
+    """The four ASCII digits of ``"%04d" % i``, read as one native uint32, at i.
+
+    The digits of i are its index in a 10x10x10x10 array.  Built on first
+    use, so that only ``units`` pays for it.
+    """
+    digits = np.moveaxis(np.indices((10, 10, 10, 10), dtype=np.uint8), 0, -1) + ord("0")
+    return np.ascontiguousarray(digits).reshape(10000, 4).view(np.uint32).ravel()
+
+
+def _decimal_text(values: np.ndarray, quote: str, sep: str) -> str:
+    """``sep.join(quote + str(v) + quote for v in values)`` for non-negative
+    int64 values, built in numpy without a Python str per value.
+
+    Each value becomes the row sep, quote, digits, quote.  Consecutive
+    values with the same digit count form one run, filled as a (rows,
+    width) uint8 block of the output: the fixed columns from one template
+    row, the digits four at a time from ``divmod(·, 10000)`` and
+    ``_digit_quads``.  Ascending values make at most 19 runs.  The
+    leading sep is cut off.
+    """
+    if not len(values):
+        return ""
+    if values.min() < 0:
+        raise ValueError("_decimal_text takes non-negative values")
+    head, tail = (sep + quote).encode("ascii"), quote.encode("ascii")
+    digits = np.searchsorted(_POWERS_OF_TEN, values, side="right") + 1
+    bounds = [0, *(np.flatnonzero(np.diff(digits)) + 1).tolist(), len(values)]
+    runs = [(a, b, len(head) + int(digits[a]) + len(tail)) for a, b in zip(bounds, bounds[1:])]
+    out = np.empty(sum((b - a) * width for a, b, width in runs), dtype=np.uint8)
+    quad_text = _digit_quads()
+    at = 0
+    for a, b, width in runs:
+        d = width - len(head) - len(tail)
+        rows = out[at : at + (b - a) * width].reshape(b - a, width)
+        at += rows.size
+        rows[:] = np.frombuffer(head + b"0" * d + tail, dtype=np.uint8)
+        quads = np.empty((b - a, -(-d // 4)), dtype=np.uint32)
+        rest = values[a:b]
+        for j in reversed(range(quads.shape[1])):
+            rest, low = np.divmod(rest, 10000)
+            quads[:, j] = quad_text[low]
+        rows[:, len(head) : len(head) + d] = quads.view(np.uint8)[:, -d:]
+    return out[len(sep) :].tobytes().decode("ascii")
 
 
 def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list[int]:

@@ -9,10 +9,12 @@ import tracemalloc
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kunits
-from kunits.cli import main
+import kunits.cli as cli_module
+from kunits.cli import _write_ints, main
 
 from oracles import brute_gen_carmichael
 
@@ -95,8 +97,6 @@ class TestUnits:
         assert "oracle ok" in out
 
     def test_oracle_mismatch_exits_1(self, capsys, monkeypatch):
-        import kunits.cli as cli_module
-
         real = cli_module.k_unit_stats
 
         def lying_stats(n, k, **kw):
@@ -465,7 +465,7 @@ class TestOutputContracts:
 
 @functools.lru_cache(maxsize=None)
 def _units_and_du(n, k):
-    return kunits.enumerate_k_units(n, k), kunits.k_unit_stats(n, k).du
+    return kunits.enumerate_k_units(n, k, bound=max(n, 10**7)), kunits.k_unit_stats(n, k).du
 
 
 def _units_reference(n, k, oracle, as_json):
@@ -518,6 +518,32 @@ def _seeded_wheel_moduli():
     return sorted({w * rng.randrange(1, 10**5 // w + 1) for w in wheels})
 
 
+class _NoPythonInts(np.ndarray):
+    """An array that refuses to hand out its values as Python ints."""
+
+    def tolist(self):
+        raise AssertionError("tolist() on the units path")
+
+    def __iter__(self):
+        raise AssertionError("iteration on the units path")
+
+
+class TestWriteInts:
+    @pytest.mark.parametrize("quote, sep", [('"', ", "), ("", " ")])
+    def test_arrays_and_lists_write_the_same_text(self, capsys, quote, sep):
+        values = [0, 9, 10, 99, 100, 3037000499, 2**63 - 1, 5]
+        layouts = [[values], [[], values], [values[:3], [], values[3:]], [values[::-1]], [[], []], []]
+        for layout in layouts:
+            expected = sep.join(quote + str(v) + quote for chunk in layout for v in chunk)
+            for chunks in (layout, [np.array(c, dtype=np.int64) for c in layout]):
+                _write_ints(chunks, quote, sep)
+                assert capsys.readouterr().out == expected, chunks
+
+    def test_lists_take_ints_past_int64(self, capsys):
+        _write_ints([[2**63, 3], [127589793288205521873600]], '"', ", ")
+        assert capsys.readouterr().out == '"9223372036854775808", "3", "127589793288205521873600"'
+
+
 class TestStreamedOutput:
     @pytest.mark.parametrize("n", [1, 2, 5, 24, 127, 128, 129, 9999991, *_seeded_wheel_moduli()])
     def test_units_matches_the_whole_list_output(self, capsys, n):
@@ -528,6 +554,36 @@ class TestStreamedOutput:
                 code, out, err = run(capsys, *argv)
                 assert (code, err) == (0, ""), argv
                 assert out == _units_reference(n, k, oracle, as_json), argv
+
+    # n = 1, 2, primes and multiples of 30030 are in the test above
+    @pytest.mark.parametrize(
+        "n, k",
+        [
+            (100003, 100002),  # every unit of a prime, from 1 digit to 6
+            (9999990, 720),  # the largest in bulk_output: 1866240 residues
+            (30030 * 33301, 2),  # above 10^9: residues from 1 digit to 10
+        ],
+    )
+    def test_units_text_grid(self, capsys, n, k):
+        bound = ["--bound", str(n)] * (n > 10**7)
+        for oracle, as_json in product((False, True), repeat=2):
+            argv = ["units", "--n", str(n), "--k", str(k), *bound]
+            argv += ["--oracle"] * oracle + ["--json"] * as_json
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out == _units_reference(n, k, oracle, as_json), argv
+
+    def test_units_writes_int64_residues_without_python_ints(self, capsys, monkeypatch):
+        real = cli_module._gather
+        monkeypatch.setattr(
+            cli_module, "_gather", lambda chunks, capacity: real(chunks, capacity).view(_NoPythonInts)
+        )
+        n, k = 30030 * 7, 60
+        for as_json in (False, True):
+            argv = ["units", "--n", str(n), "--k", str(k), "--oracle"] + ["--json"] * as_json
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out == _units_reference(n, k, True, as_json), argv
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 252, 720])
     def test_solve_matches_the_whole_list_output(self, capsys, k):
@@ -540,8 +596,6 @@ class TestStreamedOutput:
             assert out == expected, argv
 
     def test_oracle_mismatch_still_writes_the_residues(self, capsys, monkeypatch):
-        import kunits.cli as cli_module
-
         real = cli_module.k_unit_stats
 
         def lying_stats(n, k, **kw):
