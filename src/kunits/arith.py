@@ -213,7 +213,7 @@ def _brent_cycle(n: int, c: int, budget: float) -> tuple[int, int]:
             steps = min(128, r - k)
             for _ in range(steps):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             g = gcd(q, n)
             k += 128
             used += steps
@@ -225,7 +225,7 @@ def _brent_cycle(n: int, c: int, budget: float) -> tuple[int, int]:
         y = ys
         while g == 1:
             y = (y * y + c) % n
-            g = gcd(abs(x - y), n)
+            g = gcd(x - y, n)
             used += 1
     return g, used
 

@@ -9,7 +9,7 @@ offset conventions differ between sequences.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Set
+from collections.abc import Set
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,24 +97,20 @@ class ComparisonReport:
 def compare_bfile(
     bfile: BFile,
     predicate_name: str,
-    predicate: Callable[[int], bool] | Set[int],
+    members: Set[int],
     limit: int | None = None,
 ) -> ComparisonReport:
-    """Compare the file's value set against {n in [1, L] : predicate(n)}.
+    """Compare the file's value set against the members in [1, L].
 
-    ``predicate`` is a function of n, asked about every n in [1, L], or
-    the set of its members, of which those in [1, L] are taken.  L is
-    ``limit`` when given, else the largest value in the file; file values
-    above L are ignored.  An empty file compares 0 terms and matches.
+    L is ``limit`` when given, else the largest value in the file; file
+    values and members above L are ignored.  An empty file compares 0
+    terms and matches.
     """
     if not bfile.entries:
         return ComparisonReport(bfile.source_path, predicate_name, limit or 0, 0, (), ())
     top = limit if limit is not None else max(bfile.values)
     file_values = {v for v in bfile.values if 1 <= v <= top}
-    if isinstance(predicate, Set):
-        computed = {n for n in predicate if 1 <= n <= top}
-    else:
-        computed = {n for n in range(1, top + 1) if predicate(n)}
+    computed = {n for n in members if 1 <= n <= top}
     return ComparisonReport(
         source_path=bfile.source_path,
         predicate=predicate_name,

@@ -7,7 +7,8 @@ polynomials).
 
 The point classifiers factor one n; ``sweep`` instead reads lambda(n) for
 a whole range from one sieve (``lambda_range``), since rdu_k(n) = 1
-exactly when lambda(n) divides k.  Each set is defined once, in ``_lambda_set``.
+exactly when lambda(n) divides k.  Each set is defined once, in
+``_lambda_set``, and every point verdict is ``_LambdaSet.failure`` of it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _value, factorize
+from .arith import SUPPORTED_BOUND, Factorization, _value, factorize
 from .errors import CapabilityError, DomainError
 from .unitgroup import carmichael_lambda, du_k_product, lambda_range, unit_group_structure
 
@@ -59,59 +60,57 @@ def count_fermat_liars(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) 
 
 def korselt_failure(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> str | None:
     """Why n fails to be a Carmichael number, or None when it is one."""
-    m = _value(n)
-    if m < 2:
-        return f"{m} is not composite"
-    if m % 2 == 0:
-        return f"{m} is even"
-    f = _as_factorization(n, bound=bound)
-    if not f.is_composite:
-        return f"{m} is prime"
+    return _korselt_reason(_lambda_set("carmichael").failure(n, bound=bound), _value(n))
+
+
+def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> str | None:
+    """Korselt's wording of the clause of the Carmichael set that n failed."""
+    if failed is None:
+        return None
+    clause, f = failed
+    if clause == "least":
+        return f"{n} is not composite"
+    if clause == "parity":
+        return f"{n} is even"
+    if clause == "composite":
+        return f"{n} is prime"
+    # lambda(n) does not divide n - 1: a square p^2 | n puts p into lambda(n)
+    # but not into n - 1; for squarefree n, lambda(n) = lcm(p - 1)
     for p, e in f.factors:
         if e > 1:
-            return f"not squarefree: {p}^{e} divides {m}"
+            return f"not squarefree: {p}^{e} divides {n}"
     for p, _ in f.factors:
-        if (m - 1) % (p - 1):
-            return f"{p} - 1 does not divide {m} - 1"
-    return None
+        if (n - 1) % (p - 1):
+            return f"{p} - 1 does not divide {n} - 1"
 
 
 def is_carmichael(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Korselt test: n odd, composite, squarefree, and p-1 | n-1 for all p | n."""
     if n < 1:
         raise DomainError(f"is_carmichael requires n >= 1, got {n}")
-    return korselt_failure(n, bound=bound) is None
+    return _lambda_set("carmichael").failure(n, bound=bound) is None
 
 
 def is_knodel(n: Factorization | int, i: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Membership of n in the i-Knodel set: composite n > i whose every unit
     satisfies a^(n-i) = 1.  The 1-Knodel numbers are the Carmichael numbers.
     Accepts an int or a Factorization."""
-    m = _value(n)
-    if i < 1:
-        raise DomainError(f"is_knodel requires i >= 1, got {i}")
-    if m < 1:
-        raise DomainError(f"is_knodel requires n >= 1, got {m}")
-    if m <= i:
-        return False
-    f = _as_factorization(n, bound=bound)
-    return _lambda_set(f"knodel:{i}").holds(f, carmichael_lambda(f))
+    s = _lambda_set(f"knodel:{i}")
+    if _value(n) < 1:
+        raise DomainError(f"is_knodel requires n >= 1, got {_value(n)}")
+    return s.failure(n, bound=bound) is None
 
 
 def is_generalized_carmichael(n: int, k: int, *, bound: int = BRUTE_FORCE_BOUND) -> bool:
     """Membership of n in C_k: min(n, n+k) > 1 and a^(n+k) = a mod n for ALL a.
 
-    Decided by exhaustive check over a in [0, n), non-units included; one
-    period of residues suffices for all natural a.  k may be negative.
+    Decided by Korselt's closed form (``_lambda_set``); k may be negative; n > bound is refused.
     """
     if n < 1:
         raise DomainError(f"is_generalized_carmichael requires n >= 1, got {n}")
     if n > bound:
         raise CapabilityError(f"n = {n} exceeds the brute-force bound {bound}")
-    if min(n, n + k) <= 1:
-        return False
-    e = n + k
-    return all(pow(a, e, n) == a for a in range(n))
+    return _lambda_set(f"gen-carmichael:{k}").failure(n, bound=bound) is None
 
 
 _RULE_CONST = re.compile(r"const:(\d+)\Z")
@@ -260,16 +259,33 @@ class _LambdaSet(NamedTuple):
     composite: bool = False
     squarefree: bool = False
 
-    def holds(self, f: Factorization, lam: int) -> bool:
-        """The verdict for f.n, given lam = lambda(f.n)."""
-        if (self.slope * f.n + self.offset) % lam or f.n < self.least:
-            return False
-        return (f.is_composite or not self.composite) and (f.is_squarefree or not self.squarefree)
+    def failure(
+        self, n: Factorization | int, lam: int | None = None, *, bound: int = SUPPORTED_BOUND
+    ) -> tuple[str, Factorization | None] | None:
+        """None for a member, else the first clause n fails and the factorization
+        read for it (None if it failed before factoring).  The clauses: "least";
+        "parity", from n alone: lambda(n) is even for n >= 3, and 2 is prime;
+        "lambda" (lam, or lambda(n), does not divide e(n)); "composite"; "squarefree"."""
+        f = n if isinstance(n, Factorization) else None
+        m = n if f is None else f.n
+        if m < self.least:
+            return "least", None
+        e = self.slope * m + self.offset
+        if (e % 2 and m >= 3) or (m == 2 and self.composite):
+            return "parity", None
+        f = f or factorize(m, bound=bound)
+        if e % (carmichael_lambda(f) if lam is None else lam):
+            return "lambda", f
+        if self.composite and not f.is_composite:
+            return "composite", f
+        if self.squarefree and not f.is_squarefree:
+            return "squarefree", f
+        return None
 
 
 @lru_cache(maxsize=64)
 def _lambda_set(name: str) -> _LambdaSet:
-    """The set oeis-check calls ``name``; cached, as classify asks for it once per n."""
+    """The set oeis-check calls ``name``; cached, as every point verdict asks for it."""
     base, _, raw = name.partition(":")
     if base == "carmichael":
         if raw:
@@ -281,7 +297,7 @@ def _lambda_set(name: str) -> _LambdaSet:
         raise DomainError(f"predicate {name!r} needs an integer parameter") from None
     if base == "knodel":
         if parameter < 1:
-            raise DomainError(f"the knodel predicate requires I >= 1, got {parameter}")
+            raise DomainError(f"is_knodel requires i >= 1, got {parameter}")
         return _LambdaSet(1, -parameter, parameter + 1, composite=True)
     if base == "gen-carmichael":
         # Korselt: for n, n + K >= 2, a^(n+K) = a mod n for every a exactly
@@ -326,25 +342,25 @@ def classify(
     gen_carmichael_ks: tuple[int, ...] = (),
     bound: int = SUPPORTED_BOUND,
 ) -> ClassificationReport:
-    """Assemble the requested classifier verdicts for n into one report."""
+    """Assemble the requested classifier verdicts for n into one report.
+
+    Each verdict, and Korselt's reason, is ``_LambdaSet.failure`` of its set
+    on the one factorization of n and the one lambda(n)."""
     if n < 1:
         raise DomainError(f"classify requires n >= 1, got {n}")
-    for i in knodel_indices:
-        if i < 1:
-            raise DomainError(f"is_knodel requires i >= 1, got {i}")
+    knodel = [(i, _lambda_set(f"knodel:{i}")) for i in knodel_indices]
+    gen_carmichael = [(k, _lambda_set(f"gen-carmichael:{k}")) for k in gen_carmichael_ks]
     f = factorize(n, bound=bound)
     liar_count = count_fermat_liars(f) if liars and n % 2 and n >= 3 else None
-    reason = korselt_failure(f)
-    lam = carmichael_lambda(f) if knodel_indices or gen_carmichael_ks else 1
+    lam = carmichael_lambda(f)
+    reason = _korselt_reason(_lambda_set("carmichael").failure(f, lam), n)
     return ClassificationReport(
         n=n,
         is_composite=f.is_composite,
         fermat_liar_count=liar_count,
         carmichael=reason is None,
-        knodel_for=tuple((i, _lambda_set(f"knodel:{i}").holds(f, lam)) for i in knodel_indices),
-        gen_carmichael_for=tuple(
-            (k, _lambda_set(f"gen-carmichael:{k}").holds(f, lam)) for k in gen_carmichael_ks
-        ),
+        knodel_for=tuple((i, s.failure(f, lam) is None) for i, s in knodel),
+        gen_carmichael_for=tuple((k, s.failure(f, lam) is None) for k, s in gen_carmichael),
         evidence=f,
         carmichael_reason=reason,
     )

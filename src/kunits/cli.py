@@ -43,8 +43,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        if all(type(v) is int for v in value):  # not bool, which subclasses int
-            return [str(v) for v in value]
         return [_jsonable(v) for v in value]
     return value
 

@@ -91,6 +91,17 @@ def brute_liar_count(n: int) -> int:
     return sum(1 for a in range(1, n) if gcd(a, n) == 1 and pow(a, n - 1, n) == 1)
 
 
+def brute_korselt(n: int) -> bool:
+    """Korselt's criterion read off brute_factor_map: n composite and
+    squarefree, and p - 1 divides n - 1 for every prime p | n."""
+    factors = brute_factor_map(n)
+    return (
+        sum(factors.values()) > 1
+        and all(e == 1 for e in factors.values())
+        and all((n - 1) % (p - 1) == 0 for p in factors)
+    )
+
+
 def brute_gen_carmichael(n: int, k: int) -> bool:
     """Direct check of a^(n+k) = a over one full period of residues."""
     if min(n, n + k) <= 1:

@@ -20,7 +20,7 @@ from kunits import (
     sweep,
 )
 
-from oracles import brute_gen_carmichael, brute_liar_count, brute_rdu_is_one
+from oracles import brute_gen_carmichael, brute_korselt, brute_liar_count, brute_rdu_is_one
 
 CARMICHAELS_BELOW_3000 = [561, 1105, 1729, 2465, 2821]
 
@@ -77,10 +77,9 @@ class TestIsCarmichael:
     def test_korselt_equals_rdu_route_up_to_10_5(self):
         hits = 0
         for n in range(1, 100001):
-            f = factorize(n)
-            fast = n % 2 == 1 and f.is_composite and is_rdu_one(n, n - 1)
-            assert is_carmichael(n) == fast, n
-            hits += fast
+            expected = brute_korselt(n)
+            assert is_carmichael(n) == expected, n
+            hits += expected
         assert hits == 16
 
     def test_domain(self):
@@ -101,7 +100,7 @@ class TestIsKnodel:
 
     def test_k1_equals_carmichael_up_to_10_5(self):
         for n in range(1, 100001):
-            assert (is_knodel(n, 1) and n % 2 == 1) == is_carmichael(n), n
+            assert (is_knodel(n, 1) and n % 2 == 1) == brute_korselt(n), n
 
     def test_small_knodel_sets_by_brute_force(self):
         for i in (1, 2, 3):
@@ -111,6 +110,30 @@ class TestIsKnodel:
                 if factorize(n).is_composite and brute_rdu_is_one(n, n - i)
             ]
             assert [n for n in range(1, 400) if is_knodel(n, i)] == expected, i
+
+    @pytest.mark.parametrize("p,q", [(4294967291, 4294967279), (4294967231, 4294967197)])
+    def test_odd_exponent_is_answered_without_factoring(self, monkeypatch, p, q):
+        # n - 2 is odd and lambda(n) is even, so n is not 2-Knodel
+        from importlib import import_module
+
+        calls = []
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return factorize(n, **kwargs)
+
+        for name in ("arith", "classify"):
+            monkeypatch.setattr(import_module(f"kunits.{name}"), "factorize", counting)
+        assert (p * q).bit_length() == 64
+        assert not is_knodel(p * q, 2)
+        assert calls == []
+
+    def test_odd_exponent_past_the_rho_budget(self):
+        # two 50-bit primes: rho cannot split n within its budget, and need not
+        n = 1125899906842597 * 1125899906842589
+        with pytest.raises(CapabilityError):
+            factorize(n)
+        assert not is_knodel(n, 2)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -153,6 +176,38 @@ class TestIsGeneralizedCarmichael:
     def test_domain(self):
         with pytest.raises(DomainError):
             is_generalized_carmichael(0, 1)
+
+
+class TestParityGate:
+    """lambda(n) is even for n >= 3, so no set holds an n >= 3 with odd e(n)."""
+
+    FAMILIES = [
+        ("carmichael", lambda n: n - 1, is_carmichael, brute_korselt),
+        *[
+            (f"knodel:{i}", lambda n, i=i: n - i, lambda n, i=i: is_knodel(n, i),
+             lambda n, i=i: n > i and brute_rdu_is_one(n, n - i))
+            for i in (1, 2, 3)
+        ],
+        *[
+            (f"gen-carmichael:{k}", lambda n, k=k: n + k - 1,
+             lambda n, k=k: is_generalized_carmichael(n, k),
+             lambda n, k=k: brute_gen_carmichael(n, k))
+            for k in (-2, -1, 0, 1, 2)
+        ],
+        *[
+            (f"rdu-one:{k}", lambda n, k=k: k, lambda n, k=k: is_rdu_one(n, k),
+             lambda n, k=k: brute_rdu_is_one(n, k))
+            for k in (1, 3, 15)
+        ],
+    ]
+
+    @pytest.mark.parametrize("name,exponent,member,oracle", FAMILIES, ids=[f[0] for f in FAMILIES])
+    def test_odd_exponent_is_never_a_member_up_to_10_4(self, name, exponent, member, oracle):
+        odd = [n for n in range(3, 10**4 + 1) if exponent(n) % 2]
+        assert odd
+        for n in odd:
+            assert not member(n), (name, n)
+            assert not oracle(n), (name, n)
 
 
 class TestExponentRules:

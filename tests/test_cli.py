@@ -223,6 +223,68 @@ class TestClassify:
         assert code == 0
         assert "3 * 11 * 17" in out
 
+    # One n for every reason string.  1859 = 11 * 13^2 also has 11 - 1 not
+    # dividing 1858, and the reason must still be the square.
+    REASON_GRID = [
+        (
+            1, "1", "false", "false  (1 is not composite)", "false", "false",
+            '{"carmichael": false, "carmichael_reason": "1 is not composite", "composite": false, "factorization": [], "gen_carmichael": [], "knodel": [["1", false], ["2", false]]}',
+        ),
+        (
+            2, "2", "false", "false  (2 is even)", "false", "false",
+            '{"carmichael": false, "carmichael_reason": "2 is even", "composite": false, "factorization": [["2", "1"]], "gen_carmichael": [], "knodel": [["1", false], ["2", false]]}',
+        ),
+        (
+            4, "2^2", "true", "false  (4 is even)", "false", "true",
+            '{"carmichael": false, "carmichael_reason": "4 is even", "composite": true, "factorization": [["2", "2"]], "gen_carmichael": [], "knodel": [["1", false], ["2", true]]}',
+        ),
+        (
+            9, "3^2", "true", "false  (not squarefree: 3^2 divides 9)", "false", "false",
+            '{"carmichael": false, "carmichael_reason": "not squarefree: 3^2 divides 9", "composite": true, "factorization": [["3", "2"]], "gen_carmichael": [], "knodel": [["1", false], ["2", false]]}',
+        ),
+        (
+            13, "13", "false", "false  (13 is prime)", "false", "false",
+            '{"carmichael": false, "carmichael_reason": "13 is prime", "composite": false, "factorization": [["13", "1"]], "gen_carmichael": [], "knodel": [["1", false], ["2", false]]}',
+        ),
+        (
+            15, "3 * 5", "true", "false  (5 - 1 does not divide 15 - 1)", "false", "false",
+            '{"carmichael": false, "carmichael_reason": "5 - 1 does not divide 15 - 1", "composite": true, "factorization": [["3", "1"], ["5", "1"]], "gen_carmichael": [], "knodel": [["1", false], ["2", false]]}',
+        ),
+        (
+            45, "3^2 * 5", "true", "false  (not squarefree: 3^2 divides 45)", "false", "false",
+            '{"carmichael": false, "carmichael_reason": "not squarefree: 3^2 divides 45", "composite": true, "factorization": [["3", "2"], ["5", "1"]], "gen_carmichael": [], "knodel": [["1", false], ["2", false]]}',
+        ),
+        (
+            75, "3 * 5^2", "true", "false  (not squarefree: 5^2 divides 75)", "false", "false",
+            '{"carmichael": false, "carmichael_reason": "not squarefree: 5^2 divides 75", "composite": true, "factorization": [["3", "1"], ["5", "2"]], "gen_carmichael": [], "knodel": [["1", false], ["2", false]]}',
+        ),
+        (
+            561, "3 * 11 * 17", "true", "true", "true", "false",
+            '{"carmichael": true, "carmichael_reason": null, "composite": true, "factorization": [["3", "1"], ["11", "1"], ["17", "1"]], "gen_carmichael": [], "knodel": [["1", true], ["2", false]]}',
+        ),
+        (
+            1105, "5 * 13 * 17", "true", "true", "true", "false",
+            '{"carmichael": true, "carmichael_reason": null, "composite": true, "factorization": [["5", "1"], ["13", "1"], ["17", "1"]], "gen_carmichael": [], "knodel": [["1", true], ["2", false]]}',
+        ),
+        (
+            1859, "11 * 13^2", "true", "false  (not squarefree: 13^2 divides 1859)", "false", "false",
+            '{"carmichael": false, "carmichael_reason": "not squarefree: 13^2 divides 1859", "composite": true, "factorization": [["11", "1"], ["13", "2"]], "gen_carmichael": [], "knodel": [["1", false], ["2", false]]}',
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "n,factorization,composite,carmichael,knodel1,knodel2,result",
+        REASON_GRID,
+        ids=[str(row[0]) for row in REASON_GRID],
+    )
+    def test_reason_grid(self, capsys, n, factorization, composite, carmichael, knodel1, knodel2, result):
+        argv = ["classify", "--n", str(n), "--knodel", "1", "--knodel", "2"]
+        rows = [("n", str(n)), ("factorization", factorization), ("composite", composite),
+                ("carmichael", carmichael), ("knodel:1", knodel1), ("knodel:2", knodel2)]
+        assert run(capsys, *argv) == (0, "".join(f"{k:<15}{v}\n" for k, v in rows), "")
+        envelope = '{"command": "classify", "input": {"n": "%d"}, "result": %s}\n' % (n, result)
+        assert run(capsys, *argv, "--json") == (0, envelope, "")
+
 
 class TestSweep:
     def test_const_2(self, capsys):
