@@ -8,7 +8,7 @@ accepts --csv.  units and solve --enumerate write their long list as they
 go, in the same bytes as the whole object or line would be.
 
 Exit codes: 0 success or match, 1 predicate mismatch (oeis-check, the
-units --oracle self-check), 2 usage or parse errors, 3 capability errors.
+units --oracle check), 2 usage or parse errors, 3 capability errors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .bfile import BFile, compare_bfile
 from .classify import _PREDICATE_HELP, SweepSpec, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
 from .solver import enumerate_rdu_one_solutions, solve_rdu_one
-from .unitgroup import ENUMERATION_BOUND, _decimal_text, _gather, _k_unit_chunks, k_unit_stats
+from .unitgroup import ENUMERATION_BOUND, _decimal_text, _k_units, k_unit_stats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -139,38 +139,52 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_units(args: argparse.Namespace) -> int:
-    bound = args.bound or ENUMERATION_BOUND
-    chunks = _k_unit_chunks(args.n, args.k, bound)  # refuses before any work
-    expected = k_unit_stats(args.n, args.k).du
-    # All of them, 8 bytes a residue, in memory sized by the closed form:
-    # the count and the oracle's verdict are known before the first
-    # residue is written.
-    units = _gather(chunks, expected)
+    units = _k_units(args.n, args.k, args.bound or ENUMERATION_BOUND)
     count = len(units)
-    oracle_report: dict | None = None
-    exit_code = 0
+    result: dict[str, Any] = {"count": count}
+    mismatches: list[str] = []
     if args.oracle:
-        matched = expected == count
-        oracle_report = {"expected_count": expected, "matched": matched}
-        if not matched:
-            print(
-                f"oracle mismatch: closed form expects {expected} k-units, "
-                f"enumeration found {count}",
-                file=sys.stderr,
-            )
-            exit_code = 1
+        expected = k_unit_stats(args.n, args.k).du
+        if expected != count:
+            mismatches.append(f"closed form expects {expected} k-units, enumeration found {count}")
+        if (failure := _not_k_unit(units, args.n, args.k)) is not None:
+            mismatches.append(failure)
+        result["oracle"] = {"expected_count": expected, "matched": not mismatches}
+    for mismatch in mismatches:
+        print(f"oracle mismatch: {mismatch}", file=sys.stderr)
     residues = _slices(units)
     if args.json:
-        result: dict[str, Any] = {"count": count}
-        if oracle_report is not None:
-            result["oracle"] = oracle_report
         _emit_json("units", {"n": args.n, "k": args.k}, result, ("residues", residues))
     else:
         _write_ints(residues, "", " ")
         print()
-        if oracle_report is not None and oracle_report["matched"]:
+        if args.oracle and not mismatches:
             print(f"oracle ok: count {count} matches the closed form")
-    return exit_code
+    return 1 if mismatches else 0
+
+
+def _not_k_unit(units: np.ndarray, n: int, k: int) -> str | None:
+    """The first residue out of order, out of [0, n) or with a^k != 1 mod n,
+    worded, or None.  a^k is taken by square-and-multiply in int64, one
+    slice at a time; x - x // n * n is x mod n, as numpy divides by a scalar
+    without a hardware division, and its ``%`` took 4 times as long."""
+    stalls = units[1:] <= units[:-1]
+    if stalls.any():
+        return f"the residues do not strictly ascend at {units[stalls.argmax() + 1]}"
+    if len(units) and not 0 <= units[0] <= units[-1] < n:
+        return f"the residues leave [0, {n})"
+    for chunk in _slices(units):
+        acc = chunk.copy()
+        for bit in bin(k)[3:]:
+            acc *= acc
+            acc -= acc // n * n
+            if bit == "1":
+                acc *= chunk
+                acc -= acc // n * n
+        if (wrong := acc != 1 % n).any():
+            a, power = chunk[wrong][0], acc[wrong][0]
+            return f"residue {a} is not a k-unit: {a}^{k} = {power} mod {n}"
+    return None
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -360,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check the enumerated count against the closed form; exit 1 on mismatch",
+        help="check the list apart from its construction: strictly ascending residues in "
+        "[0, n), each with a^k = 1 mod n, du of them by the closed form; exit 1 on mismatch",
     )
     p.set_defaults(handler=_cmd_units)
 

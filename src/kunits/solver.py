@@ -28,7 +28,7 @@ from .arith import (
     is_prime,
 )
 from .errors import CapabilityError, DomainError
-from .unitgroup import carmichael_lambda
+from .classify import _lambda_set
 
 __all__ = [
     "SOLUTION_CAP",
@@ -139,13 +139,15 @@ def enumerate_rdu_one_solutions(
 
 def is_rdu_one(n: Factorization | int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Fast membership test for rdu_k(n) = 1, without touching the k-units:
-    every unit is a k-unit exactly when lambda(n) | k.
+    every unit is a k-unit exactly when lambda(n) | k.  Decided by the
+    rdu-one:K set of ``_lambda_set``, so an odd k with n >= 3 is answered
+    False without factoring, as lambda(n) is even.
 
     Accepts an int or a Factorization.
     """
     if _value(n) < 1 or k < 1:
         raise DomainError(f"is_rdu_one requires n >= 1 and k >= 1, got n={_value(n)}, k={k}")
-    return k % carmichael_lambda(n, bound=bound) == 0
+    return _lambda_set(f"rdu-one:{k}").failure(n, bound=bound) is None
 
 
 def check_korselt_general(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:

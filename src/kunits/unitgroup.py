@@ -12,19 +12,18 @@ Carmichael's lambda(n); every unit is a k-unit exactly when lambda(n)
 divides k.  ``lambda_range`` sieves lambda over a whole range, segment by
 segment, for the range tooling in ``classify``.
 
-``enumerate_k_units`` is the brute-force oracle every closed form is
-tested against: a residue scan in bounded memory that uses no
-factorization.
+``enumerate_k_units`` lists U_k(n) itself, the product over the cyclic
+factors C_r of their subgroups of order gcd(k, r), built from a
+generator of each factor.
 """
 
 from __future__ import annotations
 
-import mmap
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import count
 from math import gcd, isqrt, lcm, prod
 from typing import Iterator, NamedTuple
 
@@ -37,6 +36,7 @@ from .arith import (
     _as_factorization,
     _cofactor_primes,
     _small_primes,
+    factorize,
 )
 from .errors import CapabilityError, DomainError
 
@@ -156,47 +156,27 @@ def k_unit_stats(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> KUnitStats:
     return KUnitStats(n=n, k=k, du=du, pdu=Fraction(du, phi), rdu=phi // du)
 
 
-# Residues per step of the scan; its memory is O(chunk), not O(n).
-_CHUNK = 1 << 16
-_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+def _cyclic_generators(p: int, e: int) -> tuple[tuple[int, int], ...]:
+    """(generator, order) of each cyclic factor of U(Z_{p^e}), as ordered by
+    ``_prime_power_orders``: -1 and 5 for 2^e; for odd p, the least primitive
+    root g mod p, or g + p when e > 1 and g^(p-1) = 1 mod p^2 (Cohen, A Course
+    in Computational Algebraic Number Theory, 1.4)."""
+    if p == 2:
+        generators: tuple[int, ...] = ((1 << e) - 1, 5)
+    else:
+        qs = [q for q, _ in factorize(p - 1).factors]
+        g = next(g for g in count(2) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+        generators = (g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g,)
+    return tuple(zip(generators, _prime_power_orders(p, e)))
 
 
-def _scan_k_units(n: int, k: int) -> Iterator[np.ndarray]:
-    """Vectorized residue scan: a^k mod n for a in [0, n), chunk by chunk.
+def _k_units(n: int, k: int, bound: int) -> np.ndarray:
+    """``enumerate_k_units`` as an int64 array.
 
-    Yields, per chunk, the ascending int64 array of its residues with
-    a^k = 1.  Residues sharing a wheel prime with n are skipped (they are
-    not units, so a^k != 1); the rest are the spokes coprime to the wheel
-    w, tiled by multiples of w, which divides n.  a^k is taken left to
-    right over the bits of k; 0, scanned when w = 1, gives 0, which is
-    1 mod n only for n = 1.  int64 holds every product below n^2, which
-    the caller has checked.
-    """
-    wheel = [p for p in _WHEEL_PRIMES if n % p == 0]
-    w = prod(wheel)
-    spokes = np.arange(w, dtype=np.int64)
-    for p in wheel:
-        spokes = spokes[spokes % p != 0]
-    turns = min(max(1, _CHUNK // len(spokes)), n // w)
-    block = (np.arange(0, turns * w, w, dtype=np.int64)[:, None] + spokes).ravel()
-    bits = bin(k)[3:]
-    for start in range(0, n, turns * w):
-        a = block[: (n - start) // w * len(spokes)] + start
-        acc = a.copy()
-        for bit in bits:
-            acc *= acc
-            acc %= n
-            if bit == "1":
-                acc *= a
-                acc %= n
-        yield a[acc == 1 % n]
-
-
-def _k_unit_chunks(n: int, k: int, bound: int) -> Iterator[np.ndarray]:
-    """The k-units modulo n, ascending, as int64 chunks of the scan.
-
-    Checks the arguments before it returns, so a refusal comes before any
-    chunk; held chunks cost 8 bytes a k-unit.
+    The k-units of a cyclic factor <g> of order r are its subgroup of order
+    d = gcd(k, r), generated by h = g^(r/d).  Each h, lifted by the CRT to
+    h mod p^e and 1 mod n/p^e, grows the array built so far into d cosets,
+    by doubling in place; one in-place sort ends it.
     """
     if n < 1 or k < 1:
         raise DomainError(f"enumerate_k_units requires n >= 1 and k >= 1, got n={n}, k={k}")
@@ -206,29 +186,29 @@ def _k_unit_chunks(n: int, k: int, bound: int) -> Iterator[np.ndarray]:
         raise CapabilityError(
             f"n = {n} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
         )
-    return _scan_k_units(n, k)
-
-
-def _gather(chunks: Iterator[np.ndarray], capacity: int) -> np.ndarray:
-    """The int64 chunks end to end in one array, backed by an anonymous
-    memory map of ``capacity`` values (and copied out of it when the
-    chunks hold more).
-
-    Chunks kept in a list lie on the allocator's heap among the scan's
-    freed temporaries, and whether their memory goes back to the system
-    once they are freed depends on what else the process allocated in
-    the meantime.  The map is unmapped when the last view of it is freed.
-    """
-    held = np.frombuffer(mmap.mmap(-1, 8 * max(capacity, 1)), dtype=np.int64)
-    end = 0
-    overflow = []
-    for chunk in chunks:
-        take = min(len(chunk), capacity - end)
-        held[end : end + take] = chunk[:take]
-        end += take
-        if take < len(chunk):
-            overflow.append(chunk[take:])
-    return np.concatenate([held[:end], *overflow]) if overflow else held[:end]
+    f = factorize(n)
+    du = du_k_product(k, unit_group_structure(f))
+    try:
+        units = np.empty(du, dtype=np.int64)
+    except MemoryError:
+        raise CapabilityError(f"the {du} k-units modulo {n} do not fit in memory") from None
+    units[0] = 1 % n
+    size = 1
+    for p, e in f.factors:
+        q = p**e
+        rest = n // q
+        for g, r in _cyclic_generators(p, e):
+            d = gcd(k, r)
+            h = 1 + rest * ((pow(g, r // d, q) - 1) * pow(rest, -1, q) % q)
+            coset, grown = size, size * d
+            while size < grown:
+                step = min(size, grown - size)
+                view = units[size : size + step]
+                np.multiply(units[:step], pow(h, size // coset, n), out=view)
+                np.remainder(view, n, out=view)
+                size += step
+    units.sort()
+    return units
 
 
 # 10, 100, ..., 10^18: a non-negative int64 v has 1 + #{p <= v} digits.
@@ -283,15 +263,15 @@ def _decimal_text(values: np.ndarray, quote: str, sep: str) -> str:
 
 
 def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list[int]:
-    """Brute-force list of the k-units modulo n, ascending.
+    """The k-units modulo n, ascending: U_k(n), the product over the cyclic
+    factors of U(Z_n) of their subgroups of order gcd(k, r).
 
-    Scans the residues and keeps those with a^k = 1 (such a is a unit
-    automatically: a * a^(k-1) = 1); n = 1 returns [0], the single trivial
-    unit of Z_1.  Independent of the closed forms above, which makes it
-    the oracle they are tested against.  The vectorized scan refuses n
-    with (n - 1)^2 > 2**63 - 1 (n > 3037000500) with CapabilityError.
+    n = 1 returns [0], the single trivial unit of Z_1.  Refuses with
+    CapabilityError n > bound; n with (n - 1)^2 > 2**63 - 1 (n > 3037000500),
+    as a product of two residues must fit int64; and du values that cannot
+    be allocated.
     """
-    return list(chain.from_iterable(c.tolist() for c in _k_unit_chunks(n, k, bound)))
+    return _k_units(n, k, bound).tolist()
 
 
 # Values per segment of lambda_range; its memory is O(segment), not O(hi).

@@ -9,6 +9,8 @@ from collections import Counter
 from functools import lru_cache
 from math import gcd, lcm, prod
 
+import numpy as np
+
 
 def brute_is_prime(n: int) -> bool:
     if n < 2:
@@ -62,6 +64,43 @@ def brute_k_units(n: int, k: int) -> list[int]:
             x = x * a % n
         if x == 1:
             out.append(a)
+    return out
+
+
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def scan_k_units(n: int, k: int, chunk: int = 1 << 16) -> list[int]:
+    """k-units modulo n by a vectorized residue scan: a^k mod n for a in
+    [0, n), about ``chunk`` residues at a time, with no factorization.
+
+    Residues sharing a wheel prime with n are skipped (they are not
+    units, so a^k != 1); the rest are the spokes coprime to the wheel w,
+    tiled by multiples of w, which divides n.  a^k is taken left to right
+    over the bits of k; 0, scanned when w = 1, gives 0, which is 1 mod n
+    only for n = 1.  int64 holds every product below n^2, so n must have
+    (n - 1)^2 < 2^63.
+    """
+    assert n >= 1 and k >= 1 and (n - 1) ** 2 < 1 << 63
+    wheel = [p for p in _WHEEL_PRIMES if n % p == 0]
+    w = prod(wheel)
+    spokes = np.arange(w, dtype=np.int64)
+    for p in wheel:
+        spokes = spokes[spokes % p != 0]
+    turns = min(max(1, chunk // len(spokes)), n // w)
+    block = (np.arange(0, turns * w, w, dtype=np.int64)[:, None] + spokes).ravel()
+    bits = bin(k)[3:]
+    out: list[int] = []
+    for start in range(0, n, turns * w):
+        a = block[: (n - start) // w * len(spokes)] + start
+        acc = a.copy()
+        for bit in bits:
+            acc *= acc
+            acc %= n
+            if bit == "1":
+                acc *= a
+                acc %= n
+        out += a[acc == 1 % n].tolist()
     return out
 
 

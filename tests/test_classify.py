@@ -345,7 +345,7 @@ class TestClassifyReport:
             calls.append(n)
             return real(n, **kwargs)
 
-        for name in ("classify", "solver", "unitgroup"):
+        for name in ("classify", "unitgroup"):
             monkeypatch.setattr(import_module(f"kunits.{name}"), "carmichael_lambda", counting)
         for n in (561, 1105, 15, 13, 4):
             calls.clear()

@@ -16,7 +16,7 @@ import kunits
 import kunits.cli as cli_module
 from kunits.cli import _write_ints, main
 
-from oracles import brute_gen_carmichael
+from oracles import brute_gen_carmichael, scan_k_units
 
 
 def run(capsys, *argv):
@@ -108,6 +108,67 @@ class TestUnits:
         code, _, err = run(capsys, "units", "--n", "24", "--k", "2", "--oracle")
         assert code == 1
         assert "mismatch" in err
+
+    @pytest.mark.parametrize(
+        "residues, message",
+        [
+            # the right count, one residue that is not a 2-unit mod 24
+            ([1, 5, 7, 11, 13, 17, 19, 22], "residue 22 is not a k-unit: 22^2 = 4 mod 24"),
+            ([1, 7, 5, 11, 13, 17, 19, 23], "the residues do not strictly ascend at 5"),
+            ([1, 5, 5, 11, 13, 17, 19, 23], "the residues do not strictly ascend at 5"),
+            # 25 = 1 mod 24 is a 2-unit, but not a residue
+            ([1, 5, 7, 11, 13, 17, 19, 25], "the residues leave [0, 24)"),
+        ],
+    )
+    def test_oracle_checks_each_residue_apart_from_the_construction(
+        self, capsys, monkeypatch, residues, message
+    ):
+        monkeypatch.setattr(
+            cli_module, "_k_units", lambda n, k, bound: np.array(residues, dtype=np.int64)
+        )
+        for as_json in (False, True):
+            argv = ["units", "--n", "24", "--k", "2", "--oracle"] + ["--json"] * as_json
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (1, f"oracle mismatch: {message}\n"), argv
+            if as_json:
+                result = json.loads(out)["result"]
+                assert result["oracle"] == {"expected_count": "8", "matched": False}
+                assert result["residues"] == [str(a) for a in residues]
+            else:
+                assert out == " ".join(map(str, residues)) + "\n"
+
+    def test_oracle_checks_every_slice(self, capsys, monkeypatch):
+        # every unit of 2 * 100003 is a 100002-unit; an even number in a later
+        # slice keeps the order and the count, but is not a unit
+        n, k = 200006, 100002
+        units = np.array(kunits.enumerate_k_units(n, k, bound=n), dtype=np.int64)
+        units[cli_module._SLICE] += 1
+        a = int(units[cli_module._SLICE])
+        monkeypatch.setattr(cli_module, "_k_units", lambda n, k, bound: units)
+        argv = ["units", "--n", str(n), "--k", str(k), "--bound", str(n), "--oracle"]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        power = pow(a, k, n)
+        assert err == f"oracle mismatch: residue {a} is not a k-unit: {a}^{k} = {power} mod {n}\n"
+
+    def test_unallocatable_units_are_refused(self, capsys, monkeypatch):
+        # a raised bound lets du outgrow memory; the allocation is faked,
+        # never made
+        real = np.empty
+
+        def failing(shape, *args, **kwargs):
+            if shape == 40487 * 40486:
+                raise MemoryError
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing)
+        n = 40487**2
+        argv = ["units", "--n", str(n), "--k", str(40487 * 40486), "--bound", str(n)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"capability error: the {40487 * 40486} k-units modulo {n} do not fit in memory\n"
+        )
 
     def test_enumeration_bound_exits_3(self, capsys):
         code, _, err = run(capsys, "units", "--n", "10000001", "--k", "2")
@@ -527,7 +588,7 @@ class TestOutputContracts:
 
 @functools.lru_cache(maxsize=None)
 def _units_and_du(n, k):
-    return kunits.enumerate_k_units(n, k, bound=max(n, 10**7)), kunits.k_unit_stats(n, k).du
+    return scan_k_units(n, k), kunits.k_unit_stats(n, k).du
 
 
 def _units_reference(n, k, oracle, as_json):
@@ -574,7 +635,7 @@ def _solve_reference(capsys, k, limit, as_json):
 
 
 def _seeded_wheel_moduli():
-    # n <= 10^5 divisible by wheel primes, so the scan tiles by w > 1
+    # n <= 10^5 divisible by wheel primes, so the oracle scan tiles by w > 1
     rng = random.Random(6)
     wheels = (2, 6, 10, 30, 210, 2310, 30030, 13, 26, 77)
     return sorted({w * rng.randrange(1, 10**5 // w + 1) for w in wheels})
@@ -636,9 +697,9 @@ class TestStreamedOutput:
             assert out == _units_reference(n, k, oracle, as_json), argv
 
     def test_units_writes_int64_residues_without_python_ints(self, capsys, monkeypatch):
-        real = cli_module._gather
+        real = cli_module._k_units
         monkeypatch.setattr(
-            cli_module, "_gather", lambda chunks, capacity: real(chunks, capacity).view(_NoPythonInts)
+            cli_module, "_k_units", lambda n, k, bound: real(n, k, bound).view(_NoPythonInts)
         )
         n, k = 30030 * 7, 60
         for as_json in (False, True):

@@ -16,7 +16,6 @@ from kunits import (
     check_korselt_general,
     divisors,
     du_k_product,
-    enumerate_k_units,
     enumerate_rdu_one_solutions,
     euler_phi,
     factorize,
@@ -26,7 +25,7 @@ from kunits import (
     solve_rdu_one,
 )
 
-from oracles import brute_divisors, brute_rdu_is_one
+from oracles import brute_divisors, brute_rdu_is_one, scan_k_units
 
 
 class TestSolveRduOne:
@@ -227,6 +226,29 @@ class TestIsRduOne:
         assert is_rdu_one(2, 3)
         assert is_rdu_one(1, 17)
 
+    def test_domain_errors_name_is_rdu_one(self):
+        # its own check runs before the rdu-one:K set is asked for
+        for n, k in ((0, 2), (5, 0), (0, 0)):
+            with pytest.raises(DomainError, match="is_rdu_one requires n >= 1 and k >= 1"):
+                is_rdu_one(n, k)
+
+    def test_odd_exponent_past_the_rho_budget(self, monkeypatch):
+        # lambda(n) is even for n >= 3, so no odd k is a multiple of it: two
+        # 50-bit primes, which rho cannot split within its budget, need no split
+        from importlib import import_module
+
+        calls = []
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return factorize(n, **kwargs)
+
+        for name in ("arith", "classify", "solver", "unitgroup"):
+            monkeypatch.setattr(import_module(f"kunits.{name}"), "factorize", counting)
+        assert not is_rdu_one(1125899906842597 * 1125899906842589, 3)
+        assert not is_rdu_one(4294967291 * 4294967279, 3)
+        assert calls == []
+
     def test_two_factor_group(self):
         # U(Z_15) = C2 x C4, so lambda(15) = 4; U(Z_2) is trivial
         assert is_rdu_one(15, 4)
@@ -266,7 +288,7 @@ class TestCheckKorseltGeneral:
     def test_561(self):
         assert check_korselt_general(561, 560)
         assert check_korselt_general(561, 80)  # lcm(2, 10, 16)
-        assert len(enumerate_k_units(561, 80)) == euler_phi(561) == 320
+        assert len(scan_k_units(561, 80)) == euler_phi(561) == 320
 
     def test_45_never_passes(self):
         for k in (1, 2, 4, 7, 8, 11):  # coprime to 45

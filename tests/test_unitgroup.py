@@ -1,4 +1,3 @@
-import mmap
 import random
 import tracemalloc
 from fractions import Fraction
@@ -27,6 +26,7 @@ from oracles import (
     brute_k_units,
     brute_k_units_by_order,
     brute_phi,
+    scan_k_units,
 )
 
 
@@ -210,7 +210,7 @@ class TestEnumerateKUnits:
         assert enumerate_k_units(n, k) == brute_k_units(n, k)
 
     def test_small_moduli_match_the_oracle(self):
-        # the wheel scan serves every n >= 1; n = 1 keeps 0, as 0 = 1 mod 1
+        # the construction serves every n >= 1; n = 1 gives 0, as 0 = 1 mod 1
         for n in range(1, 136):
             for k in (1, 2, 6, 63):
                 assert enumerate_k_units(n, k) == brute_k_units(n, k)
@@ -223,46 +223,50 @@ class TestEnumerateKUnits:
 
     @pytest.mark.parametrize("n", [30030, 60060, 2 * 30030 + 1])
     def test_every_wheel_prime(self, n):
-        # 30030 = 2*3*5*7*11*13 and 60060 skip residues of every wheel
-        # prime; 60061 = 17 * 3533 none
+        # 30030 = 2*3*5*7*11*13 and 60060 have six prime factors, of which
+        # 2 twice; 60061 = 17 * 3533
         ks = (1, 2, 720)
         for k, units in zip(ks, brute_k_units_by_order(n, ks)):
             assert enumerate_k_units(n, k) == units, (n, k)
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
-    def test_chunk_boundaries(self, monkeypatch, chunk):
-        # the scan steps by the chunk for n coprime to 30030 and by twice
-        # the chunk for n = 2 * odd coprime to 15015; a small chunk puts
+    def test_chunk_boundaries(self, chunk):
+        # the oracle scan steps by the chunk for n coprime to 30030 and by
+        # twice the chunk for n = 2 * odd coprime to 15015; a small chunk puts
         # such edges, just above 128, within reach of the brute-force oracle
-        monkeypatch.setattr(unitgroup, "_CHUNK", chunk)
         for step in (chunk, 2 * chunk):
             edge = max(2, 128 // step + 1) * step
             for n in range(edge - 2, edge + 3):
                 for k in (1, 2, 720):
-                    assert enumerate_k_units(n, k) == brute_k_units(n, k), (chunk, n, k)
+                    expected = brute_k_units(n, k)
+                    assert enumerate_k_units(n, k) == expected, (chunk, n, k)
+                    assert scan_k_units(n, k, chunk) == expected, (chunk, n, k)
 
-    @pytest.mark.parametrize("n", [unitgroup._CHUNK + 1, 2 * unitgroup._CHUNK - 1])
+    @pytest.mark.parametrize("n", [(1 << 16) + 1, (1 << 17) - 1])
     def test_full_size_chunk_boundary(self, n):
-        # n coprime to the wheel, one residue past or short of a chunk edge
+        # n coprime to the oracle scan's wheel, one residue past or short of
+        # its chunk edge
         for k in (1, 2, 720):
             units = enumerate_k_units(n, k)
             assert len(units) == len(set(units)) == k_unit_stats(n, k).du
             assert units == sorted(units)
             assert all(pow(a, k, n) == 1 for a in units)
+            assert units == scan_k_units(n, k)
             if k < 3:
                 assert units == brute_k_units(n, k)
 
     def test_int64_overflow_is_refused(self):
-        # (n - 1)^2 wraps in int64 past n = 3037000500; the scan refuses
-        # before it allocates anything
+        # (n - 1)^2 wraps in int64 past n = 3037000500; the construction
+        # refuses before it allocates anything
         with pytest.raises(CapabilityError, match="int64"):
             enumerate_k_units(4 * 10**9 + 7, 2, bound=5 * 10**9)
         with pytest.raises(CapabilityError, match="int64"):
             enumerate_k_units(3037000501, 1, bound=10**10)
 
-    def test_scan_memory_is_bounded_by_the_chunk(self):
-        # numpy reports its buffers to tracemalloc; a scan holding arrays of
-        # n values would peak near 240 MB here
+    def test_memory_is_bounded_by_the_count(self):
+        # numpy reports its buffers to tracemalloc; a scan of the residues in
+        # chunks of 2^16 peaked at 2 MB here, and one holding n values would
+        # peak near 240 MB
         tracemalloc.start()
         try:
             units = enumerate_k_units(9999991, 2)
@@ -270,30 +274,43 @@ class TestEnumerateKUnits:
         finally:
             tracemalloc.stop()
         assert units == [1, 9999990]
-        assert peak < 32 * 2**20
+        assert peak < 2**20
 
-    @pytest.mark.parametrize("n, k", [(1, 7), (24, 2), (561, 80), (9999990, 720)])
-    def test_gather_holds_every_chunk_in_a_map_of_its_own(self, n, k):
-        # sized by the closed form, the residues sit in one anonymous map,
-        # which is unmapped with them
-        units = unitgroup._gather(unitgroup._k_unit_chunks(n, k, 10**7), k_unit_stats(n, k).du)
-        owner = units
-        while hasattr(owner, "base"):
-            owner = owner.base
-        assert isinstance(owner.obj, mmap.mmap)  # numpy holds it by a memoryview
-        if n < 10**3:
+    @pytest.mark.parametrize("n, k", [(1, 7), (24, 2), (561, 80), (1001, 720), (9999990, 720)])
+    def test_k_units_is_one_int64_array_of_its_own(self, n, k):
+        units = unitgroup._k_units(n, k, 10**7)
+        assert units.dtype == np.int64 and units.base is None
+        assert units.flags.c_contiguous
+        if n < 10**4:
             assert units.tolist() == brute_k_units(n, k)
         else:
-            assert len(units) == k_unit_stats(n, k).du
-            assert units.tolist() == sorted(set(units.tolist()))
+            assert units.tolist() == scan_k_units(n, k)
 
-    @pytest.mark.parametrize("capacity", [0, 1, 100, 101, 5000])
-    def test_gather_keeps_chunks_past_its_capacity(self, monkeypatch, capacity):
-        # a capacity below the count (a closed form that undercounts) costs
-        # a copy, not residues
-        monkeypatch.setattr(unitgroup, "_CHUNK", 64)
-        units = unitgroup._gather(unitgroup._k_unit_chunks(1001, 720, 10**7), capacity)
-        assert units.tolist() == brute_k_units(1001, 720)
+    @pytest.mark.parametrize("k", [2, 40486, 40487, 80974])
+    def test_prime_square_whose_least_root_does_not_lift(self, k):
+        # 5 is the least primitive root mod 40487, and 5^40486 = 1 mod
+        # 40487^2, so 5 does not generate U(Z_{40487^2}) and 5 + 40487 does
+        p = 40487
+        n = p * p
+        assert 2 * 31 * 653 == p - 1
+        roots = [g for g in range(2, 6) if all(pow(g, (p - 1) // q, p) != 1 for q in (2, 31, 653))]
+        assert roots == [5] and pow(5, p - 1, n) == 1
+        units = enumerate_k_units(n, k, bound=n)
+        assert len(set(units)) == len(units) == k_unit_stats(n, k).du
+        assert units == sorted(units)
+        assert all(pow(a, k, n) == 1 for a in units)
+
+    def test_powers_of_two(self):
+        # U(Z_{2^e}) = <-1> x <5>: every e up to 2^31 < 3037000500
+        for e in range(1, 32):
+            n = 1 << e
+            for k in (1, 2, 4, 12, 720, 1 << 10):
+                units = enumerate_k_units(n, k, bound=n)
+                assert len(set(units)) == len(units) == k_unit_stats(n, k).du, (e, k)
+                assert units == sorted(units)
+                assert all(pow(a, k, n) == 1 for a in units), (e, k)
+                if e <= 12:
+                    assert units == brute_k_units(n, k), (e, k)
 
     @given(st.integers(2, 300), st.integers(1, 32))
     @settings(max_examples=100)
@@ -310,7 +327,9 @@ class TestEnumerateKUnits:
         rng = random.Random(99)
         for _ in range(300):
             n, k = rng.randrange(1, 3000), rng.randrange(1, 65)
-            assert len(enumerate_k_units(n, k)) == k_unit_stats(n, k).du
+            units = scan_k_units(n, k)
+            assert len(units) == k_unit_stats(n, k).du
+            assert enumerate_k_units(n, k) == units
 
     def test_enumeration_bound(self):
         with pytest.raises(CapabilityError):
@@ -384,14 +403,14 @@ class TestReducedExponent:
 
     def test_examples(self):
         assert gcd(6, euler_phi(5)) == 2
-        assert enumerate_k_units(5, 6) == enumerate_k_units(5, 2)
+        assert enumerate_k_units(5, 6) == scan_k_units(5, 2)
         assert gcd(7, euler_phi(5)) == 1
         assert gcd(10, euler_phi(24)) == 2
-        assert enumerate_k_units(24, 10) == enumerate_k_units(24, 2)
+        assert enumerate_k_units(24, 10) == scan_k_units(24, 2)
 
     @given(st.integers(1, 500), st.integers(1, 10**4))
     @settings(max_examples=150)
     def test_reduction_preserves_the_set(self, n, k):
         d = gcd(k, euler_phi(n))
         assert d == gcd(k, brute_phi(n))
-        assert enumerate_k_units(n, k) == enumerate_k_units(n, d)
+        assert enumerate_k_units(n, k) == scan_k_units(n, d)
