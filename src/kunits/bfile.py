@@ -104,8 +104,10 @@ def compare_bfile(
 
     L is ``limit`` when given, else the largest value in the file; file
     values and members above L are ignored.  An empty file compares 0
-    terms and matches.
+    terms and matches.  A negative limit is refused with DomainError.
     """
+    if limit is not None and limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
     if not bfile.entries:
         return ComparisonReport(bfile.source_path, predicate_name, limit or 0, 0, (), ())
     top = limit if limit is not None else max(bfile.values)

@@ -16,13 +16,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import SUPPORTED_BOUND, Factorization, _value, factorize
 from .errors import CapabilityError, DomainError
 from .unitgroup import carmichael_lambda, du_k_product, lambda_range, unit_group_structure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BRUTE_FORCE_BOUND",
@@ -59,8 +60,11 @@ def count_fermat_liars(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) 
 
 
 def korselt_failure(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> str | None:
-    """Why n fails to be a Carmichael number, or None when it is one."""
-    return _korselt_reason(_lambda_set("carmichael").failure(n, bound=bound), _value(n))
+    """Why n >= 1 fails to be a Carmichael number, or None when it is one."""
+    m = _value(n)
+    if m < 1:
+        raise DomainError(f"korselt_failure requires n >= 1, got {m}")
+    return _korselt_reason(_lambda_set("carmichael").failure(n, bound=bound), m)
 
 
 def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> str | None:
@@ -238,7 +242,7 @@ def sweep(
     skipped: list[int] = []
     for segment in lambda_range(spec.lo, spec.hi, bound=bound):
         n = segment.n
-        keep = segment.composite if composite_only else np.ones(len(n), dtype=bool)
+        keep = segment.composite if composite_only else True
         if odd_only:
             keep = keep & (n % 2 == 1)
         if squarefree_only:

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .arith import SUPPORTED_BOUND
 from .bfile import BFile, compare_bfile
@@ -58,51 +58,42 @@ def _emit_json(
     command: str,
     inputs: dict,
     result: dict,
-    streamed: tuple[str, Iterable[list[int] | np.ndarray]] | None = None,
+    streamed: tuple[str, list[int] | np.ndarray] | None = None,
 ) -> None:
     """Print ``json.dumps(obj, sort_keys=True)`` of the command's object.
 
-    ``streamed`` names one more list of ints in ``result`` and gives it as
-    chunks, int64 arrays or lists of ints, which ``_write_ints`` writes one
-    by one between the list's brackets.
+    ``streamed`` names one more list of ints in ``result`` and gives its
+    values, which ``_write_ints`` writes between the list's brackets.
     """
     obj = {"command": command, "input": _jsonable(inputs), "result": _jsonable(result)}
     if streamed is None:
         print(json.dumps(obj, sort_keys=True))
         return
-    key, chunks = streamed
+    key, values = streamed
     obj["result"][key] = _PLACEHOLDER
     head, tail = json.dumps(obj, sort_keys=True).split(json.dumps(_PLACEHOLDER))
     sys.stdout.write(head + "[")
-    _write_ints(chunks, '"', ", ")
+    _write_ints(values, '"', ", ")
     sys.stdout.write("]" + tail + "\n")
 
 
-def _write_ints(chunks: Iterable[list[int] | np.ndarray], quote: str, sep: str) -> None:
-    """Write the ints of the chunks in decimal, each in quotes, separated by sep.
+def _write_ints(values: list[int] | np.ndarray, quote: str, sep: str) -> None:
+    """Write the values in decimal, each in quotes, separated by sep, one
+    slice of ``_SLICE`` values per write.
 
-    A chunk is an int64 array of non-negative values (the ``units``
-    residues), turned into text by ``_decimal_text`` without a str per
-    value, or a list of ints, joined from one str each: the ``solve``
-    solutions, whose values go past 2^63.
+    An int64 array of non-negative values (the ``units`` residues) is
+    turned into text by ``_decimal_text`` without a str per value; a list
+    of ints is joined from one str each: the ``solve`` solutions, whose
+    values go past 2^63.
     """
     inner = quote + sep + quote
-    lead = ""
-    for chunk in chunks:
-        if len(chunk):
-            if isinstance(chunk, list):
-                text = quote + inner.join(map(str, chunk)) + quote
-            else:
-                text = _decimal_text(chunk, quote, sep)
-            sys.stdout.write(lead + text)
-            lead = sep
-
-
-_Values = TypeVar("_Values", list[int], "np.ndarray")
-
-
-def _slices(values: _Values) -> Iterator[_Values]:
-    return (values[i : i + _SLICE] for i in range(0, len(values), _SLICE))
+    for i in range(0, len(values), _SLICE):
+        part = values[i : i + _SLICE]
+        if isinstance(part, list):
+            text = quote + inner.join(map(str, part)) + quote
+        else:
+            text = _decimal_text(part, quote, sep)
+        sys.stdout.write(sep + text if i else text)
 
 
 def _emit_table(rows: list[tuple[str, str]]) -> None:
@@ -152,11 +143,10 @@ def _cmd_units(args: argparse.Namespace) -> int:
         result["oracle"] = {"expected_count": expected, "matched": not mismatches}
     for mismatch in mismatches:
         print(f"oracle mismatch: {mismatch}", file=sys.stderr)
-    residues = _slices(units)
     if args.json:
-        _emit_json("units", {"n": args.n, "k": args.k}, result, ("residues", residues))
+        _emit_json("units", {"n": args.n, "k": args.k}, result, ("residues", units))
     else:
-        _write_ints(residues, "", " ")
+        _write_ints(units, "", " ")
         print()
         if args.oracle and not mismatches:
             print(f"oracle ok: count {count} matches the closed form")
@@ -173,7 +163,8 @@ def _not_k_unit(units: np.ndarray, n: int, k: int) -> str | None:
         return f"the residues do not strictly ascend at {units[stalls.argmax() + 1]}"
     if len(units) and not 0 <= units[0] <= units[-1] < n:
         return f"the residues leave [0, {n})"
-    for chunk in _slices(units):
+    for i in range(0, len(units), _SLICE):
+        chunk = units[i : i + _SLICE]
         acc = chunk.copy()
         for bit in bin(k)[3:]:
             acc *= acc
@@ -210,7 +201,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             _emit_json("solve", {"k": args.k}, result)
         else:
             result["truncated"] = truncated
-            _emit_json("solve", {"k": args.k}, result, ("solutions", _slices(solutions)))
+            _emit_json("solve", {"k": args.k}, result, ("solutions", solutions))
     else:
         rows = [
             ("k", str(sol.k)),
@@ -225,7 +216,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         _emit_table(rows)
         if solutions is not None:
             sys.stdout.write("solutions  ")
-            _write_ints(_slices(solutions), "", " ")
+            _write_ints(solutions, "", " ")
             print()
             if truncated:
                 print(f"... truncated to {len(solutions)} of {sol.count}")

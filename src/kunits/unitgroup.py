@@ -311,7 +311,11 @@ def lambda_range(lo: int, hi: int, *, bound: int = SUPPORTED_BOUND) -> Iterator[
 
 
 def _lambda_segment(a: int, b: int, primes: tuple[int, ...], bound: int) -> LambdaSegment:
-    """lambda(n) and the flags for n in [a, b)."""
+    """lambda(n) and the flags for n in [a, b).
+
+    The composite flag is read from lambda itself: for n >= 2, lambda(n)
+    divides phi(n) <= n - 1, with equality exactly when n is prime.
+    """
     size = b - a
     if b - 1 <= _INT64_MAX:
         n = np.arange(a, b, dtype=np.int64)
@@ -320,10 +324,7 @@ def _lambda_segment(a: int, b: int, primes: tuple[int, ...], bound: int) -> Lamb
     taken = np.ones(size, dtype=n.dtype)  # product of the prime powers taken out
     lam = np.ones(size, dtype=n.dtype)
     squarefree = np.ones(size, dtype=bool)
-    prime = np.zeros(size, dtype=bool)
     for p in primes:
-        if a <= p < b:
-            prime[p - a] = True
         q, e = p, 1
         while q < b and (first := -a % q) < size:
             view = taken[first::q]
@@ -343,13 +344,8 @@ def _lambda_segment(a: int, b: int, primes: tuple[int, ...], bound: int) -> Lamb
     for i in np.flatnonzero(rem >= _TRIAL_LIMIT * _TRIAL_LIMIT):
         c = int(rem[i])
         f = Factorization(c, tuple(sorted(_cofactor_primes(c, c, bound).items())))
-        for p, e in f.factors:
-            lam[i] = lcm(int(lam[i]), _prime_power_lambda(p, e))
+        lam[i] = lcm(int(lam[i]), carmichael_lambda(f))
         squarefree[i] &= f.is_squarefree
-        prime[i] = f.is_prime and taken[i] == 1
         rem[i] = 1
-    cofactor = rem > 1
-    prime |= cofactor & (taken == 1)
-    rem -= 1
-    np.lcm(lam, rem, out=lam, where=cofactor)
-    return LambdaSegment(n, lam, squarefree, (n > 1) & ~prime)
+    np.lcm(lam, rem - 1, out=lam, where=rem > 1)
+    return LambdaSegment(n, lam, squarefree, (n > 1) & (lam != n - 1))

@@ -1,6 +1,6 @@
 import pytest
 
-from kunits import BFile, BFileParseError, compare_bfile, is_carmichael, is_rdu_one
+from kunits import BFile, BFileParseError, DomainError, compare_bfile, is_carmichael, is_rdu_one
 from kunits.classify import _predicate
 
 
@@ -100,6 +100,14 @@ class TestComparison:
         report = compare_bfile(BFile.parse_text(""), "carmichael", CARMICHAELS_TO_2000, limit=100)
         assert report.matched
         assert report.compared == 0
+
+    def test_negative_limit_is_refused(self):
+        for text in ("1 561\n", ""):
+            bf = BFile.parse_text(text)
+            with pytest.raises(DomainError, match="limit must be >= 0, got -5"):
+                compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000, limit=-5)
+            report = compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000, limit=0)
+            assert (report.limit, report.compared, report.matched) == (0, 0, True)
 
     def test_member_set_matches_the_predicate(self):
         bf = BFile.parse_text("1 561\n2 563\n3 1729\n")

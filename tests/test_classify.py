@@ -74,6 +74,13 @@ class TestIsCarmichael:
         assert "squarefree" in korselt_failure(45)
         assert "does not divide" in korselt_failure(15)
 
+    @pytest.mark.parametrize("n", [0, -7])
+    def test_failure_refuses_n_below_1(self, n):
+        with pytest.raises(DomainError, match="korselt_failure requires n >= 1"):
+            korselt_failure(n)
+        with pytest.raises(DomainError):
+            is_carmichael(n)
+
     def test_korselt_equals_rdu_route_up_to_10_5(self):
         hits = 0
         for n in range(1, 100001):

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -454,6 +455,18 @@ class TestOeisCheck:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("limit, code", [("-5", 2), ("-1", 2), ("0", 0)])
+    def test_negative_limit_is_refused(self, capsys, tmp_path, limit, code):
+        path = tmp_path / "c.b"
+        path.write_text("1 561\n2 1105\n", encoding="utf-8")
+        argv = ["oeis-check", str(path), "--predicate", "carmichael", "--limit", limit]
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code:
+            assert (out, err) == ("", "error: limit must be >= 0, got " + limit + "\n")
+        else:
+            assert "compared   0" in out and "verdict    match" in out
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "oeis-check", str(tmp_path / "nope.txt"), "--predicate", "carmichael")
         assert code == 2
@@ -651,20 +664,45 @@ class _NoPythonInts(np.ndarray):
         raise AssertionError("iteration on the units path")
 
 
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+
+
 class TestWriteInts:
+    VALUES = [0, 9, 10, 99, 100, 3037000499, 2**63 - 1, 5]
+
     @pytest.mark.parametrize("quote, sep", [('"', ", "), ("", " ")])
     def test_arrays_and_lists_write_the_same_text(self, capsys, quote, sep):
-        values = [0, 9, 10, 99, 100, 3037000499, 2**63 - 1, 5]
-        layouts = [[values], [[], values], [values[:3], [], values[3:]], [values[::-1]], [[], []], []]
-        for layout in layouts:
-            expected = sep.join(quote + str(v) + quote for chunk in layout for v in chunk)
-            for chunks in (layout, [np.array(c, dtype=np.int64) for c in layout]):
-                _write_ints(chunks, quote, sep)
-                assert capsys.readouterr().out == expected, chunks
+        for values in (self.VALUES, self.VALUES[::-1], []):
+            expected = sep.join(quote + str(v) + quote for v in values)
+            for given in (values, np.array(values, dtype=np.int64)):
+                _write_ints(given, quote, sep)
+                assert capsys.readouterr().out == expected, given
 
     def test_lists_take_ints_past_int64(self, capsys):
-        _write_ints([[2**63, 3], [127589793288205521873600]], '"', ", ")
+        _write_ints([2**63, 3, 127589793288205521873600], '"', ", ")
         assert capsys.readouterr().out == '"9223372036854775808", "3", "127589793288205521873600"'
+
+    @pytest.mark.parametrize("quote, sep", [('"', ", "), ("", " ")])
+    def test_slices_join_with_one_separator(self, monkeypatch, quote, sep):
+        monkeypatch.setattr(cli_module, "_SLICE", 3)
+        # 0 to 8 values: no slice, whole slices only, and a short last slice
+        for size in range(len(self.VALUES) + 1):
+            values = self.VALUES[:size]
+            texts = [quote + str(v) + quote for v in values]
+            for given in (values, np.array(values, dtype=np.int64)):
+                writes = _Writes()
+                monkeypatch.setattr(cli_module, "sys", SimpleNamespace(stdout=writes))
+                _write_ints(given, quote, sep)
+                slices = [sep.join(texts[i : i + 3]) for i in range(0, size, 3)]
+                assert writes.parts == slices[:1] + [sep + s for s in slices[1:]], given
+                assert "".join(writes.parts) == sep.join(texts)
 
 
 class TestStreamedOutput:

@@ -38,3 +38,9 @@ def test_every_library_name_has_exactly_one_layer():
 def test_classify_names_the_function():
     # the star import rebinds the submodule's name to its function
     assert kunits.classify is importlib.import_module("kunits.classify").classify
+
+
+def test_classify_holds_no_numpy():
+    # classify reads its arrays from unitgroup and names numpy only for type checkers
+    module = importlib.import_module("kunits.classify")
+    assert not {"np", "numpy"} & set(vars(module))
