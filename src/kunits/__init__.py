@@ -4,7 +4,8 @@ A unit a of Z_n is a k-unit when a^k = 1.  This package computes the
 k-unit census (du, pdu, rdu) in closed form from the cyclic decomposition
 of U(Z_n), solves rdu_k(n) = 1 completely for any fixed k, classifies
 integers as Carmichael / i-Knodel / generalized-Carmichael numbers, and
-ships the brute-force oracles every closed form is verified against.
+cross-checks OEIS b-files; its tests verify every closed form against the
+brute-force oracles of ``tests/oracles.py``.
 
 The public names are those each layer lists in its own ``__all__``.
 """

@@ -295,6 +295,8 @@ def _lambda_set(name: str) -> _LambdaSet:
         if raw:
             raise DomainError("the carmichael predicate takes no parameter")
         base, raw = "knodel", "1"  # lambda(n) is even for n >= 3, so only odd n are 1-Knodel
+    if base not in ("knodel", "gen-carmichael", "rdu-one"):
+        raise DomainError(f"unknown predicate {name!r}; expected {_PREDICATE_HELP}")
     try:
         parameter = int(raw)
     except ValueError:
@@ -307,11 +309,9 @@ def _lambda_set(name: str) -> _LambdaSet:
         # Korselt: for n, n + K >= 2, a^(n+K) = a mod n for every a exactly
         # when n is squarefree and lambda(n) | n + K - 1
         return _LambdaSet(1, parameter - 1, max(2, 2 - parameter), squarefree=True)
-    if base == "rdu-one":
-        if parameter < 1:
-            raise DomainError(f"the rdu-one predicate requires K >= 1, got {parameter}")
-        return _LambdaSet(0, parameter, 1)
-    raise DomainError(f"unknown predicate {name!r}; expected {_PREDICATE_HELP}")
+    if parameter < 1:
+        raise DomainError(f"the rdu-one predicate requires K >= 1, got {parameter}")
+    return _LambdaSet(0, parameter, 1)
 
 
 def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozenset[int]:

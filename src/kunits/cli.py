@@ -418,9 +418,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    # n_max may have thousands of digits: lift the int-str limit for the handler
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         if args.bound is not None and args.bound < 1:
             raise DomainError(f"--bound must be >= 1, got {args.bound}")
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -431,6 +435,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

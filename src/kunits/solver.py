@@ -1,15 +1,12 @@
 """Complete solution of rdu_k(n) = 1 for a fixed exponent k.
 
-rdu_k(n) = 1 says every unit modulo n is a k-unit.  For odd k the only
-solutions are n = 1 and n = 2.  For even k = 2^beta * M (M odd) the
-solutions are exactly the divisors of
-
-    n_max = 2^(beta+2) * prod(A) * prod(q^(nu_q(M)+1) for q in B),
-
-where A and B collect the primes of the form 2^l * d + 1 with 0 < l <= beta
-and d | M, split by whether the prime divides M (A: it does not, B: it
-does).  The solution count is (beta+3) * 2^|A| * prod(nu_q(M)+2), which is
-the divisor count of n_max.
+rdu_k(n) = 1 says every unit modulo n is a k-unit, that is lambda(n) | k,
+so the solutions are exactly the divisors of n_max, the product of the
+largest p^e with lambda(p^e) | k, and they number prod(e + 1).  For odd
+k, n_max = 2, as lambda(n) is even for n >= 3.  For even k = 2^beta * M
+(M odd) the 2-part is 2^(beta+2), and an odd prime p enters exactly when
+p - 1 = 2^l * d with 0 < l <= beta and d | M, with exponent nu_p(M) + 1:
+A holds the primes with exponent 1 (those not dividing M), B the others.
 """
 
 from __future__ import annotations
@@ -67,19 +64,18 @@ class RduOneSolution:
 
     def n_max_factorization(self) -> Factorization:
         """Prime-power form of n_max, assembled from the solution parts."""
-        pairs = [(2, self.beta + 2)] if self.k_parity == "even" else [(2, 1)]
-        pairs += [(p, 1) for p in self.set_a]
-        pairs += list(self.set_b)
+        pairs = [(2, _nu2(self.n_max)), *((p, 1) for p in self.set_a), *self.set_b]
         return Factorization(self.n_max, tuple(sorted(pairs)))
 
 
 def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     """Solve rdu_k(n) = 1 in closed form.
 
-    Candidates 2^l * d + 1 are scanned over the divisors d of the odd part
-    of k (ascending) and l = 1..beta, kept when prime, deduplicated, and
-    partitioned into A and B by divisibility of the odd part.  A candidate
-    above the certified Miller-Rabin limit raises CapabilityError.
+    Candidates 2^l * d + 1 (d | M ascending, l = 1..beta, each arising
+    once) are kept when prime, with their exponent in n_max; n_max, the
+    count, A and B are all read from this one sorted list of the largest
+    p^e with lambda(p^e) | k.  A candidate above the certified
+    Miller-Rabin limit raises CapabilityError.
     """
     if k < 1:
         raise DomainError(f"solve_rdu_one requires k >= 1, got {k}")
@@ -90,27 +86,23 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     beta = _nu2(k)
     m = k >> beta
     fm = factorize(m, bound=bound)
-    candidates: set[int] = set()
+    nu = dict(fm.factors)
+    pairs = [(2, beta + 2)]
     for d in divisors(fm):
         for l in range(1, beta + 1):
             c = (1 << l) * d + 1
             if is_prime(c, bound=_CERTIFIED_LIMIT):
-                candidates.add(c)
-    set_a = tuple(sorted(p for p in candidates if m % p != 0))
-    set_b = tuple(
-        (q, fm.exponent_of(q) + 1) for q in sorted(p for p in candidates if m % p == 0)
-    )
-    n_max = (1 << (beta + 2)) * prod(set_a) * prod(q**e for q, e in set_b)
-    count = (beta + 3) * (1 << len(set_a)) * prod(e + 1 for _, e in set_b)
+                pairs.append((c, nu.get(c, 0) + 1))
+    pairs.sort()
     return RduOneSolution(
         k=k,
         k_parity="even",
         beta=beta,
         m=m,
-        set_a=set_a,
-        set_b=set_b,
-        n_max=n_max,
-        count=count,
+        set_a=tuple(p for p, e in pairs[1:] if e == 1),
+        set_b=tuple((p, e) for p, e in pairs[1:] if e > 1),
+        n_max=prod(p**e for p, e in pairs),
+        count=prod(e + 1 for _, e in pairs),
     )
 
 

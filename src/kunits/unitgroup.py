@@ -107,11 +107,6 @@ def _prime_power_orders(p: int, e: int) -> tuple[int, ...]:
     return ((p - 1) * p ** (e - 1),)
 
 
-def _prime_power_lambda(p: int, e: int) -> int:
-    """The exponent lambda(p^e) of U(Z_{p^e}): its largest cyclic factor order."""
-    return max(_prime_power_orders(p, e), default=1)
-
-
 def unit_group_structure(
     n: Factorization | int, *, bound: int = SUPPORTED_BOUND
 ) -> CyclicDecomposition:
@@ -130,9 +125,8 @@ def unit_group_structure(
 
 
 def carmichael_lambda(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:
-    """Carmichael's lambda(n), the exponent of U(Z_n): the lcm of lambda(p^e)."""
-    f = _as_factorization(n, bound=bound)
-    return lcm(*(_prime_power_lambda(p, e) for p, e in f.factors))
+    """Carmichael's lambda(n), the exponent of U(Z_n): the lcm of its cyclic factor orders."""
+    return lcm(*unit_group_structure(n, bound=bound).orders)
 
 
 def du_k_product(k: int, decomposition: CyclicDecomposition) -> int:
@@ -329,7 +323,7 @@ def _lambda_segment(a: int, b: int, primes: tuple[int, ...], bound: int) -> Lamb
         while q < b and (first := -a % q) < size:
             view = taken[first::q]
             view *= p
-            order = _prime_power_lambda(p, e)
+            order = max(_prime_power_orders(p, e), default=1)
             if order > 1:
                 view = lam[first::q]
                 np.lcm(view, order, out=view)

@@ -120,6 +120,21 @@ class TestComparison:
         # the sieved members oeis-check compares are the point verdicts
         assert _predicate("carmichael", 2000) == CARMICHAELS_TO_2000
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("bogus", "unknown predicate 'bogus'; expected "),
+            ("bogus:3", "unknown predicate 'bogus:3'; expected "),
+            ("knodel", "predicate 'knodel' needs an integer parameter"),
+            ("knodel:x", "predicate 'knodel:x' needs an integer parameter"),
+            ("carmichael:1", "the carmichael predicate takes no parameter"),
+        ],
+    )
+    def test_bad_predicate_name_is_refused(self, name, message):
+        with pytest.raises(DomainError) as exc:
+            _predicate(name, 100)
+        assert str(exc.value).startswith(message)
+
     def test_rdu_one_predicate(self):
         bf = BFile.parse_text("\n".join(f"{i} {v}" for i, v in enumerate([1, 2, 3, 4, 6, 8, 12, 24])))
         members = point_members(lambda n: is_rdu_one(n, 2), 100)

@@ -234,6 +234,27 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--k", "2", "--limit", "3")
         assert code == 2
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+    def test_n_max_past_the_int_str_digit_limit(self, capsys):
+        # n_max of this k has 4578 digits, past the default limit of 4300
+        k = 17167417344000
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "solve", "--k", str(k), "--json")
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == 4300
+            code, text, err = run(capsys, "solve", "--k", str(k))
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            n_max = kunits.solve_rdu_one(k).n_max
+            assert len(str(n_max)) == 4578
+            assert int(json.loads(out)["result"]["n_max"]) == n_max
+            assert f"n_max   {n_max}\n" in text
+        finally:
+            sys.set_int_max_str_digits(saved)
+
 
 class TestClassify:
     def test_carmichael(self, capsys):
@@ -528,6 +549,16 @@ class TestOeisCheck:
         path.write_text("1 2\n", encoding="utf-8")
         code, _, _ = run(capsys, "oeis-check", str(path), "--predicate", "wat")
         assert code == 2
+
+    def test_unknown_parameterless_predicate_is_named(self, capsys, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("1 2\n", encoding="utf-8")
+        code, out, err = run(capsys, "oeis-check", str(path), "--predicate", "bogus")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown predicate 'bogus'; "
+            "expected carmichael | knodel:I | gen-carmichael:K | rdu-one:K\n"
+        )
 
     def test_knodel_predicate(self, capsys, tmp_path):
         from kunits import is_knodel

@@ -136,6 +136,43 @@ class TestSolveRduOne:
         assert f"cofactor {c * (2 * c + 1)} " in proc.stdout
         assert "rho iterations" in proc.stdout
 
+    def test_odd_k_past_the_rho_budget_needs_no_factorization(self, monkeypatch):
+        # lambda(n) is even for n >= 3, so an odd k gives n_max = 2 whatever
+        # its factors: c * (2c + 1) is the cofactor rho refuses above
+        from importlib import import_module
+
+        calls = []
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return factorize(n, **kwargs)
+
+        for name in ("arith", "classify", "solver", "unitgroup"):
+            monkeypatch.setattr(import_module(f"kunits.{name}"), "factorize", counting)
+        c = 18446744073709552109
+        sol = solve_rdu_one(c * (2 * c + 1))
+        assert (sol.n_max, sol.count) == (2, 2)
+        assert calls == []
+
+    def test_n_max_matches_the_sympy_lambda(self):
+        # n_max is the product of the largest p^e with lambda(p^e) | k, and an
+        # odd prime qualifies exactly when p - 1 | k; lambda from sympy
+        sympy = pytest.importorskip("sympy")
+        top = 2000
+        primes = list(sympy.primerange(2, top + 2))
+        # lambda(p^e) >= p^(e - 2), so larger e never divide k <= top
+        lam = {
+            p: [(e, int(sympy.reduced_totient(p**e))) for e in range(1, 14) if p ** (e - 2) <= top]
+            for p in primes
+        }
+        for k in range(1, top + 1):
+            sol = solve_rdu_one(k)
+            within = [p for p in primes if p <= k + 1]
+            n_max = prod(p ** max((e for e, r in lam[p] if k % r == 0), default=0) for p in within)
+            assert sol.n_max == n_max, k
+            odd = {p for p in within[1:] if k % (p - 1) == 0}
+            assert set(sol.set_a) | {q for q, _ in sol.set_b} == odd, k
+
     def test_candidate_above_the_certified_limit_is_refused(self):
         # 3 * 2**80 + 1 lies above the Miller-Rabin limit, whatever the bound
         for bound in (kunits.SUPPORTED_BOUND, 10**30):
