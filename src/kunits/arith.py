@@ -1,4 +1,4 @@
-"""Exact integer primitives: primality, factorization, totient, divisors.
+"""Exact integer primitives: primality, factorization, divisors.
 
 Everything here is arbitrary precision and deterministic.  Primality is
 Miller-Rabin on the first t prime bases, t chosen by the size of n: the
@@ -24,7 +24,6 @@ __all__ = [
     "Factorization",
     "is_prime",
     "factorize",
-    "euler_phi",
     "nu",
     "divisors",
     "pow_mod",
@@ -110,10 +109,6 @@ class Factorization:
             raise DomainError(f"factors do not multiply back to {self.n}")
 
     @property
-    def is_one(self) -> bool:
-        return self.n == 1
-
-    @property
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
@@ -124,13 +119,6 @@ class Factorization:
     @property
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
-
-    def exponent_of(self, p: int) -> int:
-        """Multiplicity of the prime p in n (0 when p does not divide n)."""
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
     def __str__(self) -> str:
         if not self.factors:
@@ -321,12 +309,6 @@ def _as_factorization(f: Factorization | int, *, bound: int = SUPPORTED_BOUND) -
 def _value(f: Factorization | int) -> int:
     """The integer n of an int or a Factorization, without factoring it."""
     return f.n if isinstance(f, Factorization) else f
-
-
-def euler_phi(f: Factorization | int) -> int:
-    """Euler's totient; accepts an integer or a ready Factorization."""
-    f = _as_factorization(f)
-    return prod((p - 1) * p ** (e - 1) for p, e in f.factors)
 
 
 def nu(p: int, n: int) -> int:

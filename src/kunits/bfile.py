@@ -82,8 +82,6 @@ class BFile:
 class ComparisonReport:
     """Outcome of checking a b-file against a predicate over [1, limit]."""
 
-    source_path: str
-    predicate: str
     limit: int
     compared: int
     missing: tuple[int, ...]  # predicate holds but value absent from the file
@@ -94,13 +92,8 @@ class ComparisonReport:
         return not self.missing and not self.extra
 
 
-def compare_bfile(
-    bfile: BFile,
-    predicate_name: str,
-    members: Set[int],
-    limit: int | None = None,
-) -> ComparisonReport:
-    """Compare the file's value set against the members in [1, L].
+def compare_bfile(bfile: BFile, members: Set[int], limit: int | None = None) -> ComparisonReport:
+    """Compare the file's value set against the members in [1, L] of a predicate.
 
     L is ``limit`` when given, else the largest value in the file; file
     values and members above L are ignored.  An empty file compares 0
@@ -109,13 +102,11 @@ def compare_bfile(
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if not bfile.entries:
-        return ComparisonReport(bfile.source_path, predicate_name, limit or 0, 0, (), ())
+        return ComparisonReport(limit or 0, 0, (), ())
     top = limit if limit is not None else max(bfile.values)
     file_values = {v for v in bfile.values if 1 <= v <= top}
     computed = {n for n in members if 1 <= n <= top}
     return ComparisonReport(
-        source_path=bfile.source_path,
-        predicate=predicate_name,
         limit=top,
         compared=len(file_values),
         missing=tuple(sorted(computed - file_values)),

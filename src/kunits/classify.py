@@ -29,7 +29,6 @@ __all__ = [
     "BRUTE_FORCE_BOUND",
     "ClassificationReport",
     "ExponentRule",
-    "SweepSpec",
     "SweepResult",
     "count_fermat_liars",
     "is_carmichael",
@@ -201,57 +200,46 @@ def parse_rule(text: str) -> ExponentRule:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """A range [lo, hi] and an exponent rule to test rdu_f(n)(n) = 1 over."""
-
-    lo: int
-    hi: int
-    rule: ExponentRule
-
-    def __post_init__(self) -> None:
-        if self.lo < 1 or self.hi < self.lo:
-            raise DomainError(f"invalid sweep range [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Hits (n with rdu_f(n)(n) = 1) and the n skipped for exponent < 1."""
 
-    spec: SweepSpec
     hits: tuple[int, ...]
     skipped: tuple[int, ...]
 
 
 def sweep(
-    spec: SweepSpec,
+    lo: int,
+    hi: int,
+    rule: ExponentRule,
     *,
     composite_only: bool = False,
     odd_only: bool = False,
     squarefree_only: bool = False,
     bound: int = SUPPORTED_BOUND,
 ) -> SweepResult:
-    """Scan the range for n with rdu_f(n)(n) = 1, in ascending order.
+    """Scan [lo, hi] for n with rdu_f(n)(n) = 1, f the rule, in ascending order.
 
     rdu_k(n) = 1 exactly when lambda(n) divides k, so the range is sieved
-    once by ``lambda_range`` rather than factored n by n.  Filters narrow
+    once by ``lambda_range`` rather than factored n by n; its DomainError
+    refuses a range without 1 <= lo <= hi before any work.  Filters narrow
     the candidate set before the exponent is looked at; an n that
     survives the filters but has exponent f(n) < 1 is recorded as skipped
     rather than silently dropped.
     """
     hits: list[int] = []
     skipped: list[int] = []
-    for segment in lambda_range(spec.lo, spec.hi, bound=bound):
+    for segment in lambda_range(lo, hi, bound=bound):
         n = segment.n
         keep = segment.composite if composite_only else True
         if odd_only:
             keep = keep & (n % 2 == 1)
         if squarefree_only:
             keep = keep & segment.squarefree
-        e = spec.rule.over(n)
+        e = rule.over(n)
         low = e < 1
         skipped += n[keep & low].tolist()
         hits += n[keep & ~low & (e % segment.lam == 0)].tolist()
-    return SweepResult(spec=spec, hits=tuple(hits), skipped=tuple(skipped))
+    return SweepResult(hits=tuple(hits), skipped=tuple(skipped))
 
 
 class _LambdaSet(NamedTuple):
@@ -319,9 +307,9 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
     s = _lambda_set(name)
     if top < s.least:
         return frozenset()
-    spec = SweepSpec(s.least, top, ExponentRule("poly", (s.offset, s.slope)))
+    rule = ExponentRule("poly", (s.offset, s.slope))
     filters = {"composite_only": s.composite, "squarefree_only": s.squarefree}
-    return frozenset(sweep(spec, **filters, bound=bound).hits)
+    return frozenset(sweep(s.least, top, rule, **filters, bound=bound).hits)
 
 
 @dataclass(frozen=True)

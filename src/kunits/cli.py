@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from .arith import SUPPORTED_BOUND
 from .bfile import BFile, compare_bfile
-from .classify import _PREDICATE_HELP, SweepSpec, _predicate, classify, parse_rule, sweep
+from .classify import _PREDICATE_HELP, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
 from .solver import enumerate_rdu_one_solutions, solve_rdu_one
 from .unitgroup import ENUMERATION_BOUND, _decimal_text, _k_units, k_unit_stats
@@ -268,10 +268,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bound = args.bound or SUPPORTED_BOUND
     rule = parse_rule(args.rule)
-    spec = SweepSpec(lo=args.lo, hi=args.hi, rule=rule)
-    result = sweep(
-        spec, composite_only=args.composite_only, odd_only=args.odd_only, bound=bound
-    )
+    filters = {"composite_only": args.composite_only, "odd_only": args.odd_only}
+    result = sweep(args.lo, args.hi, rule, **filters, bound=bound)
     summary = f"hits={len(result.hits)} skipped={len(result.skipped)}"
     if args.json:
         _emit_json(
@@ -309,7 +307,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     # largest value; for an empty file it takes none.
     top = args.limit if args.limit is not None else max(bfile.values, default=0)
     members = _predicate(args.predicate, top if bfile.entries else 0, bound=bound)
-    report = compare_bfile(bfile, args.predicate, members, args.limit)
+    report = compare_bfile(bfile, members, args.limit)
     if args.json:
         _emit_json(
             "oeis-check",

@@ -114,18 +114,19 @@ def enumerate_rdu_one_solutions(
 ) -> list[int]:
     """All solutions of rdu_k(n) = 1 ascending, i.e. the divisors of n_max.
 
-    Truncates to the first ``limit`` values when given; otherwise refuses
-    (CapabilityError) when the solution count exceeds ``SOLUTION_CAP``,
-    since the count grows exponentially in |A|.
+    Truncates to the first ``limit`` values when given.  Refuses
+    (CapabilityError) a list of more than ``SOLUTION_CAP`` values, the
+    count or the limit whichever is smaller, since the count grows
+    exponentially in |A|.
     """
-    sol = solve_rdu_one(k, bound=bound)
-    if limit is None and sol.count > SOLUTION_CAP:
-        raise CapabilityError(
-            f"rdu_{k}(n) = 1 has {sol.count} solutions, above the enumeration "
-            f"cap {SOLUTION_CAP}; pass a limit to truncate"
-        )
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
+    sol = solve_rdu_one(k, bound=bound)
+    if sol.count > SOLUTION_CAP and (limit is None or limit > SOLUTION_CAP):
+        raise CapabilityError(
+            f"rdu_{k}(n) = 1 has {sol.count} solutions, above the enumeration "
+            f"cap {SOLUTION_CAP}; pass a limit of at most {SOLUTION_CAP} to truncate"
+        )
     return _smallest_divisors(sol.n_max_factorization(), limit)
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "KUnitStats",
     "LambdaSegment",
     "unit_group_structure",
+    "euler_phi",
     "carmichael_lambda",
     "lambda_range",
     "du_k_product",
@@ -122,6 +123,12 @@ def unit_group_structure(
         orders += _prime_power_orders(p, e)
     # each order is p - 1 >= 1 times a prime power, or a power of 2
     return CyclicDecomposition._from_valid(orders)
+
+
+def euler_phi(f: Factorization | int) -> int:
+    """Euler's phi(n), the order of U(Z_n): the product of its cyclic factor
+    orders.  Accepts an int or a Factorization."""
+    return unit_group_structure(f).group_order
 
 
 def carmichael_lambda(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:

@@ -205,13 +205,13 @@ class TestFactorize:
             Factorization(12, ((2, 0), (3, 1)))  # zero exponent
 
     def test_predicates(self):
-        assert factorize(1).is_one
+        assert factorize(1).factors == ()
         assert factorize(7).is_prime
         assert factorize(561).is_composite
         assert factorize(561).is_squarefree
         assert not factorize(45).is_squarefree
-        assert factorize(45).exponent_of(3) == 2
-        assert factorize(45).exponent_of(7) == 0
+        assert nu(3, 45) == 2
+        assert nu(7, 45) == 0
 
 
 class TestEulerPhi:

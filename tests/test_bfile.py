@@ -67,37 +67,37 @@ class TestParsing:
 class TestComparison:
     def test_exact_match(self):
         bf = BFile.parse_text("1 561\n2 1105\n3 1729\n")
-        report = compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000, limit=2000)
+        report = compare_bfile(bf, CARMICHAELS_TO_2000, limit=2000)
         assert report.matched
         assert report.compared == 3
         assert report.missing == () and report.extra == ()
 
     def test_missing_term_detected(self):
         bf = BFile.parse_text("1 561\n2 1729\n")  # 1105 absent
-        report = compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000, limit=2000)
+        report = compare_bfile(bf, CARMICHAELS_TO_2000, limit=2000)
         assert not report.matched
         assert report.missing == (1105,)
         assert report.extra == ()
 
     def test_extra_term_detected(self):
         bf = BFile.parse_text("1 561\n2 563\n3 1105\n4 1729\n")
-        report = compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000, limit=2000)
+        report = compare_bfile(bf, CARMICHAELS_TO_2000, limit=2000)
         assert report.extra == (563,)
 
     def test_limit_defaults_to_max_value(self):
         bf = BFile.parse_text("1 561\n2 1105\n")
-        report = compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000)
+        report = compare_bfile(bf, CARMICHAELS_TO_2000)
         assert report.limit == 1105
         assert report.matched
 
     def test_values_above_limit_ignored(self):
         bf = BFile.parse_text("1 561\n2 1105\n3 1729\n4 999999\n")
-        report = compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000, limit=2000)
+        report = compare_bfile(bf, CARMICHAELS_TO_2000, limit=2000)
         assert report.matched
         assert report.compared == 3
 
     def test_empty_file_matches_vacuously(self):
-        report = compare_bfile(BFile.parse_text(""), "carmichael", CARMICHAELS_TO_2000, limit=100)
+        report = compare_bfile(BFile.parse_text(""), CARMICHAELS_TO_2000, limit=100)
         assert report.matched
         assert report.compared == 0
 
@@ -105,8 +105,8 @@ class TestComparison:
         for text in ("1 561\n", ""):
             bf = BFile.parse_text(text)
             with pytest.raises(DomainError, match="limit must be >= 0, got -5"):
-                compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000, limit=-5)
-            report = compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000, limit=0)
+                compare_bfile(bf, CARMICHAELS_TO_2000, limit=-5)
+            report = compare_bfile(bf, CARMICHAELS_TO_2000, limit=0)
             assert (report.limit, report.compared, report.matched) == (0, 0, True)
 
     def test_member_set_matches_the_predicate(self):
@@ -114,8 +114,8 @@ class TestComparison:
         # members outside [1, limit] are left out, as the predicate never sees them
         members = frozenset({0, 561, 1105, 1729, 2465, 10**6})
         for limit in (None, 1000, 2000):
-            report = compare_bfile(bf, "carmichael", members, limit)
-            assert report == compare_bfile(bf, "carmichael", CARMICHAELS_TO_2000, limit)
+            report = compare_bfile(bf, members, limit)
+            assert report == compare_bfile(bf, CARMICHAELS_TO_2000, limit)
         assert (report.missing, report.extra) == ((1105,), (563,))
         # the sieved members oeis-check compares are the point verdicts
         assert _predicate("carmichael", 2000) == CARMICHAELS_TO_2000
@@ -138,6 +138,6 @@ class TestComparison:
     def test_rdu_one_predicate(self):
         bf = BFile.parse_text("\n".join(f"{i} {v}" for i, v in enumerate([1, 2, 3, 4, 6, 8, 12, 24])))
         members = point_members(lambda n: is_rdu_one(n, 2), 100)
-        report = compare_bfile(bf, "rdu-one:2", members, limit=100)
+        report = compare_bfile(bf, members, limit=100)
         assert report.matched
         assert report.compared == 8

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from kunits import (
     CapabilityError,
     DomainError,
-    SweepSpec,
     carmichael_lambda,
     classify,
     count_fermat_liars,
@@ -250,12 +249,12 @@ class TestExponentRules:
 
 class TestSweep:
     def test_const_rule_reproduces_the_divisors_of_24(self):
-        result = sweep(SweepSpec(1, 2000, parse_rule("const:2")))
+        result = sweep(1, 2000, parse_rule("const:2"))
         assert result.hits == (1, 2, 3, 4, 6, 8, 12, 24)
         assert result.skipped == ()
 
     def test_n_minus_1_rule_matches_brute_force(self):
-        result = sweep(SweepSpec(3, 2000, parse_rule("n-1")))
+        result = sweep(3, 2000, parse_rule("n-1"))
         expected = tuple(n for n in range(3, 2001) if brute_rdu_is_one(n, n - 1))
         assert result.hits == expected
         assert 561 in result.hits
@@ -264,33 +263,32 @@ class TestSweep:
         assert composites == [561, 1105, 1729]
 
     def test_exponent_n_rule(self):
-        result = sweep(SweepSpec(1, 2000, parse_rule("poly:0,1")))
+        result = sweep(1, 2000, parse_rule("poly:0,1"))
         for expected in (1, 2, 4, 6, 8, 16, 32, 42, 1806):
             assert expected in result.hits
         brute = tuple(n for n in range(1, 2001) if brute_rdu_is_one(n, n))
         assert result.hits == brute
 
     def test_skip_recording(self):
-        result = sweep(SweepSpec(1, 10, parse_rule("n-5")))
+        result = sweep(1, 10, parse_rule("n-5"))
         assert result.skipped == (1, 2, 3, 4, 5)
         # n = 6 gets exponent 1: only n with trivial unit group qualify
         assert 6 not in result.hits
 
     def test_filters(self):
-        spec = SweepSpec(3, 3000, parse_rule("n-1"))
-        result = sweep(spec, composite_only=True, odd_only=True)
+        result = sweep(3, 3000, parse_rule("n-1"), composite_only=True, odd_only=True)
         assert result.hits == (561, 1105, 1729, 2465, 2821)
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
-            SweepSpec(10, 5, parse_rule("n"))
+            sweep(10, 5, parse_rule("n"))
         with pytest.raises(DomainError):
-            SweepSpec(0, 5, parse_rule("n"))
+            sweep(0, 5, parse_rule("n"))
 
     def test_unknown_predicate_rejected(self):
-        # a sweep tests one predicate, so SweepSpec takes no predicate field
+        # a sweep tests one predicate, so sweep takes no predicate argument
         with pytest.raises(TypeError, match="predicate"):
-            SweepSpec(1, 5, parse_rule("n"), predicate="something_else")
+            sweep(1, 5, parse_rule("n"), predicate="something_else")
 
 
 class TestClassifyReport:

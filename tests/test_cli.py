@@ -221,6 +221,15 @@ class TestSolve:
         assert code == 3
         assert "cap" in err
 
+    def test_limit_above_the_cap_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(kunits.solver, "SOLUTION_CAP", 10)
+        code, out, err = run(capsys, "solve", "--k", "252", "--enumerate", "--limit", "11")
+        assert (code, out) == (3, "")
+        assert "7680 solutions" in err and "cap 10" in err
+        code, out, _ = run(capsys, "solve", "--k", "252", "--enumerate", "--limit", "10")
+        assert code == 0
+        assert "truncated to 10 of 7680" in out
+
     def test_bound_is_not_the_enumeration_cap(self, capsys):
         # --bound is the factorization bound; the solution cap stays SOLUTION_CAP
         code, obj, _ = run_json(capsys, "solve", "--k", "252", "--enumerate", "--bound", "100")

@@ -35,6 +35,13 @@ def test_every_library_name_has_exactly_one_layer():
         assert len(homes) == 1, (name, homes)
 
 
+def test_euler_phi_has_one_home():
+    # phi(n) is the order of U(Z_n), so it lives beside the cyclic decomposition
+    unitgroup = importlib.import_module("kunits.unitgroup")
+    assert kunits.euler_phi is unitgroup.euler_phi
+    assert "euler_phi" not in vars(importlib.import_module("kunits.arith"))
+
+
 def test_classify_names_the_function():
     # the star import rebinds the submodule's name to its function
     assert kunits.classify is importlib.import_module("kunits.classify").classify

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kunits import (
     DomainError,
-    SweepSpec,
     carmichael_lambda,
     classify,
     factorize,
@@ -43,15 +42,15 @@ def factored(lo, hi):
     return rows
 
 
-def point_sweep(spec, composite_only=False, odd_only=False):
+def point_sweep(lo, hi, rule, composite_only=False, odd_only=False):
     """The sweep n by n: factorize, then is_rdu_one at the rule's exponent."""
     hits, skipped = [], []
-    for n in range(spec.lo, spec.hi + 1):
+    for n in range(lo, hi + 1):
         if odd_only and n % 2 == 0:
             continue
         if composite_only and not factorize(n).is_composite:
             continue
-        e = spec.rule(n)
+        e = rule(n)
         if e < 1:
             skipped.append(n)
         elif is_rdu_one(n, e):
@@ -151,27 +150,27 @@ class TestSweepOnTheSieve:
     @pytest.mark.parametrize("rule", ["n-1", "n", "const:12", "n+3", "2*n-1", "poly:-7,0,1", "poly:50,-1"])
     @pytest.mark.parametrize("composite_only,odd_only", [(False, False), (True, False), (True, True)])
     def test_matches_the_point_path_across_a_segment_boundary(self, rule, composite_only, odd_only):
-        spec = SweepSpec(_SEGMENT - 700, _SEGMENT + 300, parse_rule(rule))
-        result = sweep(spec, composite_only=composite_only, odd_only=odd_only)
-        assert (result.hits, result.skipped) == point_sweep(spec, composite_only, odd_only)
+        args = _SEGMENT - 700, _SEGMENT + 300, parse_rule(rule)
+        result = sweep(*args, composite_only=composite_only, odd_only=odd_only)
+        assert (result.hits, result.skipped) == point_sweep(*args, composite_only, odd_only)
 
     def test_matches_the_point_path_above_2_32(self):
         n = SEMIPRIME_ABOVE_2_32
-        spec = SweepSpec(n - 300, n + 300, parse_rule("n-1"))
-        result = sweep(spec)
-        assert (result.hits, result.skipped) == point_sweep(spec)
+        args = n - 300, n + 300, parse_rule("n-1")
+        result = sweep(*args)
+        assert (result.hits, result.skipped) == point_sweep(*args)
 
     def test_matches_the_point_path_above_2_63(self):
-        spec = SweepSpec(2**63 - 30, 2**63 + 30, parse_rule("n+1"))
-        result = sweep(spec, odd_only=True)
-        assert (result.hits, result.skipped) == point_sweep(spec, odd_only=True)
+        args = 2**63 - 30, 2**63 + 30, parse_rule("n+1")
+        result = sweep(*args, odd_only=True)
+        assert (result.hits, result.skipped) == point_sweep(*args, odd_only=True)
 
     def test_cubic_rule_leaves_int64(self):
         rule = parse_rule("poly:0,0,0,1")
         lo, hi = 2**21, 2**21 + 2000
         assert rule(lo) >= 2**63
         assert rule.over(np.arange(lo, hi + 1, dtype=np.int64)).dtype == object
-        result = sweep(SweepSpec(lo, hi, rule))
+        result = sweep(lo, hi, rule)
         assert result.hits == tuple(n for n in range(lo, hi + 1) if is_rdu_one(n, rule(n)))
         assert result.hits  # e.g. every prime p with p - 1 | p^3
 
@@ -185,8 +184,7 @@ class TestSweepOnTheSieve:
 
     def test_pinch_carmichael_count_to_10_6(self):
         # Pinch, "The Carmichael numbers up to 10^21": C(10^6) = 43.
-        spec = SweepSpec(3, 10**6, parse_rule("n-1"))
-        hits = sweep(spec, composite_only=True, odd_only=True).hits
+        hits = sweep(3, 10**6, parse_rule("n-1"), composite_only=True, odd_only=True).hits
         assert len(hits) == 43
         assert hits[:5] == (561, 1105, 1729, 2465, 2821)
         assert hits[-1] == 997633

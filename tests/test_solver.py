@@ -248,8 +248,22 @@ class TestEnumerateSolutions:
         with pytest.raises(CapabilityError) as err:
             enumerate_rdu_one_solutions(30030)
         assert str(sol.count) in str(err.value)
-        # a limit bypasses the cap
+        # a limit of at most the cap truncates the list instead
         assert enumerate_rdu_one_solutions(30030, limit=5) == [1, 2, 3, 4, 6]
+
+    def test_limit_above_the_cap_is_refused(self, monkeypatch):
+        sol = solve_rdu_one(30030)
+        with pytest.raises(CapabilityError, match=str(sol.count)):
+            enumerate_rdu_one_solutions(30030, limit=kunits.SOLUTION_CAP + 1)
+        # the cap bounds min(limit, count), the length of the list returned
+        monkeypatch.setattr(kunits.solver, "SOLUTION_CAP", 10)
+        with pytest.raises(CapabilityError, match="7680"):
+            enumerate_rdu_one_solutions(252, limit=11)
+        assert len(enumerate_rdu_one_solutions(252, limit=10)) == 10
+        assert enumerate_rdu_one_solutions(2, limit=100) == [1, 2, 3, 4, 6, 8, 12, 24]
+        # a negative limit is refused first
+        with pytest.raises(DomainError):
+            enumerate_rdu_one_solutions(252, limit=-1)
 
     def test_negative_limit_rejected(self):
         with pytest.raises(DomainError):
