@@ -119,12 +119,16 @@ def enumerate_rdu_one_solutions(
     count or the limit whichever is smaller, since the count grows
     exponentially in |A|.
     """
+    return _solutions(solve_rdu_one(k, bound=bound), limit)
+
+
+def _solutions(sol: RduOneSolution, limit: int | None) -> list[int]:
+    """``enumerate_rdu_one_solutions`` from a solution already solved."""
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    sol = solve_rdu_one(k, bound=bound)
     if sol.count > SOLUTION_CAP and (limit is None or limit > SOLUTION_CAP):
         raise CapabilityError(
-            f"rdu_{k}(n) = 1 has {sol.count} solutions, above the enumeration "
+            f"rdu_{sol.k}(n) = 1 has {sol.count} solutions, above the enumeration "
             f"cap {SOLUTION_CAP}; pass a limit of at most {SOLUTION_CAP} to truncate"
         )
     return _smallest_divisors(sol.n_max_factorization(), limit)

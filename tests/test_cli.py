@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -263,6 +264,55 @@ class TestSolve:
             assert f"n_max   {n_max}\n" in text
         finally:
             sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+    def test_threads_leave_the_int_str_digit_limit_alone(self, capsys):
+        # main writes n_max (4578 digits) without lifting the process-wide limit,
+        # so no thread can save or restore another thread's setting
+        saved = sys.get_int_max_str_digits()
+        codes, errors = [], []
+
+        def solve_20_times():
+            try:
+                for _ in range(20):
+                    codes.append(main(["solve", "--k", "17167417344000"]))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=solve_20_times) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        capsys.readouterr()
+        assert not any(thread.is_alive() for thread in threads)
+        assert (errors, codes) == ([], [0] * 40)
+        assert sys.get_int_max_str_digits() == saved
+
+    def test_enumerate_solves_once(self, capsys, monkeypatch):
+        solves, primality = [], []
+        real_solve, real_is_prime = kunits.solver.solve_rdu_one, kunits.solver.is_prime
+
+        def counted_solve(*args, **kwargs):
+            solves.append(args)
+            return real_solve(*args, **kwargs)
+
+        def counted_is_prime(*args, **kwargs):
+            primality.append(args)
+            return real_is_prime(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "solve_rdu_one", counted_solve)
+        monkeypatch.setattr(kunits.solver, "solve_rdu_one", counted_solve)
+        monkeypatch.setattr(kunits.solver, "is_prime", counted_is_prime)
+        code, out, _ = run(capsys, "solve", "--k", "720720", "--enumerate", "--limit", "10")
+        assert code == 0
+        assert "truncated to 10 of" in out
+        assert (len(solves), len(primality)) == (1, 192)
 
 
 class TestClassify:

@@ -1,5 +1,10 @@
 """The range layer: lambda_range and the sweep built on it, against the point path."""
 
+import random
+import time
+import tracemalloc
+from math import lcm
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +27,9 @@ from kunits.unitgroup import _SEGMENT
 from oracles import brute_gen_carmichael, brute_is_prime, brute_rdu_is_one, brute_unit_exponent
 
 SEMIPRIME_ABOVE_2_32 = 65537 * 65539
+# The two least primes above 2**24, the sieve's largest prime: their product,
+# just above 2**48, is a cofactor the sieve leaves to rho.
+SEMIPRIME_ABOVE_2_48 = 16777259 * 16777289
 
 
 def sieved(lo, hi):
@@ -94,7 +102,7 @@ class TestLambdaRange:
     def test_unaligned_windows(self, lo, hi):
         assert sieved(lo, hi) == factored(lo, hi)
 
-    def test_composite_cofactor_above_2_32_takes_rho(self):
+    def test_semiprime_above_2_32_is_sieved(self):
         n = SEMIPRIME_ABOVE_2_32
         assert factorize(n).factors == ((65537, 1), (65539, 1))
         rows = sieved(n - 150, n + 150)
@@ -102,8 +110,8 @@ class TestLambdaRange:
         assert (n, 65536 * 65538 // 2, True, True) in rows
 
     def test_window_above_2_40_skips_trial_division(self, monkeypatch):
-        # The sieve has taken out every prime below 2**16, so its cofactors
-        # go straight to certification and rho.
+        # The sieve has taken out every prime up to isqrt(hi) = 2**20, so each
+        # cofactor is 1 or a prime, and factorize is never entered.
         lo, hi = 2**40, 2**40 + _SEGMENT - 1
         expected = factored(lo, hi)
 
@@ -112,6 +120,53 @@ class TestLambdaRange:
 
         monkeypatch.setattr(arith, "_prime_blocks", refuse)
         assert sieved(lo, hi) == expected
+
+    def test_window_above_2_40_takes_no_rho(self, monkeypatch):
+        lo, hi = 2**40, 2**40 + _SEGMENT - 1
+        expected = factored(lo, hi)
+
+        def refuse(*args):
+            raise AssertionError("rho was entered")
+
+        monkeypatch.setattr(arith, "_brent_cycle", refuse)
+        assert sieved(lo, hi) == expected
+
+    def test_cofactor_above_the_largest_sieving_prime_squared_takes_rho(self, monkeypatch):
+        n = SEMIPRIME_ABOVE_2_48
+        expected = factored(n - 100, n + 100)
+        calls = []
+        real = arith._brent_cycle
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(arith, "_brent_cycle", counted)
+        rows = sieved(n - 100, n + 100)
+        assert rows == expected
+        assert (n, lcm(16777258, 16777288), True, True) in rows
+        assert calls
+
+    @pytest.mark.parametrize(
+        "n, lam, squarefree",
+        [
+            # 131^2 * 263 with 263 - 1 = 2 * 131: the sparse square keeps an lcm
+            (4513343, 17030, False),
+            # 131 * 137: two sparse primes at the same level
+            (17947, 8840, True),
+        ],
+    )
+    def test_sparse_prime_traps(self, n, lam, squarefree):
+        rows = sieved(n - 300, n + 300)
+        assert rows == factored(n - 300, n + 300)
+        assert (n, lam, squarefree, True) in rows
+
+    @pytest.mark.parametrize("divisor", [131**2 * 263, 131**3 * 137, 127**2 * 131 * 137])
+    def test_sparse_powers_above_2_63(self, divisor):
+        n = -(-(2**63) // divisor) * divisor
+        segments = list(lambda_range(n - 10, n + 10))
+        assert segments[0].n.dtype == object
+        assert sieved(n - 10, n + 10) == factored(n - 10, n + 10)
 
     def test_square_of_a_prime_above_2_16(self):
         n = 65537**2
@@ -136,6 +191,27 @@ class TestLambdaRange:
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
+
+
+def _seeded_windows():
+    """[1, 2**16] and one window of 256 n at each of 20, 34, 40, 50 and 63 bits."""
+    rng = random.Random(16)
+    windows = [(1, 2**16)]
+    for bits in (20, 34, 40, 50, 63):
+        lo = rng.randrange(2 ** (bits - 1), 2**bits - 256)
+        windows.append((lo, lo + 255))
+    return windows
+
+
+@pytest.mark.parametrize("lo, hi", _seeded_windows())
+def test_matches_the_point_path_on_seeded_windows(lo, hi):
+    rows = sieved(lo, hi)
+    assert rows == factored(lo, hi)
+    sympy = pytest.importorskip("sympy")
+    # sympy takes 6 s for all of [1, 2**16]; its first 2**12 suffice
+    checked = range(lo, min(hi, lo + 2**12) + 1)
+    lams = [lam for _, lam, _, _ in rows[: len(checked)]]
+    assert lams == [int(sympy.reduced_totient(n)) for n in checked]
 
 
 @given(st.integers(1, 10**12), st.integers(0, 40))
@@ -181,6 +257,24 @@ class TestSweepOnTheSieve:
             values = rule.over(n)
             assert values.dtype == np.int64
             assert values.tolist() == [rule(m) for m in range(1, 5000)]
+
+    @pytest.mark.slow
+    def test_pinch_carmichael_count_to_10_8_in_bounded_memory(self):
+        # Pinch, "The Carmichael numbers up to 10^21": C(10^8) = 255.  The
+        # sieve holds one segment at a time: its peak stays far below the
+        # 800 MB of one int64 per n.
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            hits = sweep(3, 10**8, parse_rule("n-1"), composite_only=True, odd_only=True).hits
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"C(10^8) in {time.perf_counter() - started:.1f} s, peak {peak / 2**20:.2f} MiB")
+        assert len(hits) == 255
+        assert hits[:3] == (561, 1105, 1729)
+        assert hits[-1] == 99861985
+        assert peak < 4 * 2**20
 
     def test_pinch_carmichael_count_to_10_6(self):
         # Pinch, "The Carmichael numbers up to 10^21": C(10^6) = 43.

@@ -347,14 +347,16 @@ class TestEnumerateKUnits:
 _TEXT_STYLES = [('"', ", "), ("", " ")]  # units --json, plain units
 # 0, 1, 9, each side of every power of ten in int64, (n - 1) at the largest
 # n the scan takes, and the int64 maximum
-_DECIMAL_EDGES = [
-    0,
-    1,
-    9,
-    *(10**j + d for j in range(1, 19) for d in (-1, 0, 1)),
-    3037000499,
-    2**63 - 1,
-]
+_DECIMAL_EDGES = sorted(
+    [
+        0,
+        1,
+        9,
+        *(10**j + d for j in range(1, 19) for d in (-1, 0, 1)),
+        3037000499,
+        2**63 - 1,
+    ]
+)
 
 
 def _joined(values, quote, sep):
@@ -369,12 +371,15 @@ class TestDecimalText:
             assert got == _joined(values, quote, sep), values
 
     @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
-    def test_unsorted_and_strided_values(self, quote, sep):
-        # every change of digit count starts a run of its own
-        values = [*_DECIMAL_EDGES[::-1], *_DECIMAL_EDGES[::3], 5, 50, 5, 5000000]
+    def test_strided_values_and_unsorted_ones_refused(self, quote, sep):
+        # repeated values, and digit counts that one run spans or skips
+        values = sorted([*_DECIMAL_EDGES[::-1], *_DECIMAL_EDGES[::3], 5, 50, 5, 5000000])
         array = np.array(values, dtype=np.int64)
         assert unitgroup._decimal_text(array, quote, sep) == _joined(values, quote, sep)
         assert unitgroup._decimal_text(array[::2], quote, sep) == _joined(values[::2], quote, sep)
+        # the run bounds are searched in the values, so they must ascend
+        with pytest.raises(ValueError):
+            unitgroup._decimal_text(np.array([5, 50, 5], dtype=np.int64), quote, sep)
 
     @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
     def test_empty(self, quote, sep):
@@ -394,6 +399,7 @@ class TestDecimalText:
     @settings(max_examples=300)
     def test_matches_str_join(self, values, style):
         quote, sep = style
+        values.sort()
         got = unitgroup._decimal_text(np.array(values, dtype=np.int64), quote, sep)
         assert got == _joined(values, quote, sep)
 
