@@ -221,18 +221,17 @@ def sweep(
 
     rdu_k(n) = 1 exactly when lambda(n) divides k, so the range is sieved
     once by ``lambda_range`` rather than factored n by n; its DomainError
-    refuses a range without 1 <= lo <= hi before any work.  Filters narrow
-    the candidate set before the exponent is looked at; an n that
-    survives the filters but has exponent f(n) < 1 is recorded as skipped
-    rather than silently dropped.
+    refuses a range without 1 <= lo <= hi, and its CapabilityError one of
+    more than RANGE_BOUND n, before any work.  Filters narrow the candidate
+    set before the exponent is looked at (odd_only by sieving the odd n
+    alone); an n that survives the filters but has exponent f(n) < 1 is
+    recorded as skipped rather than silently dropped.
     """
     hits: list[int] = []
     skipped: list[int] = []
-    for segment in lambda_range(lo, hi, bound=bound):
+    for segment in lambda_range(lo, hi, bound=bound, odd_only=odd_only):
         n = segment.n
         keep = segment.composite if composite_only else True
-        if odd_only:
-            keep = keep & (n % 2 == 1)
         if squarefree_only:
             keep = keep & segment.squarefree
         e = rule.over(n)
@@ -251,19 +250,27 @@ class _LambdaSet(NamedTuple):
     composite: bool = False
     squarefree: bool = False
 
+    @property
+    def odd_only(self) -> bool:
+        """Whether every even n >= 3 is out.  lambda(n) is even for n >= 3, so
+        an n >= 3 with e(n) odd is out; at even n, e(n) has the parity of the
+        offset."""
+        return self.offset % 2 == 1
+
     def failure(
         self, n: Factorization | int, lam: int | None = None, *, bound: int = SUPPORTED_BOUND
     ) -> tuple[str, Factorization | None] | None:
         """None for a member, else the first clause n fails and the factorization
         read for it (None if it failed before factoring).  The clauses: "least";
-        "parity", from n alone: lambda(n) is even for n >= 3, and 2 is prime;
-        "lambda" (lam, or lambda(n), does not divide e(n)); "composite"; "squarefree"."""
+        "parity", from n alone: e(n) is odd at n >= 3 (see ``odd_only``), or n = 2
+        is not composite; "lambda" (lam, or lambda(n), does not divide e(n));
+        "composite"; "squarefree"."""
         f = n if isinstance(n, Factorization) else None
         m = n if f is None else f.n
         if m < self.least:
             return "least", None
         e = self.slope * m + self.offset
-        if (e % 2 and m >= 3) or (m == 2 and self.composite):
+        if (m >= 3 and (e % 2 if m % 2 else self.odd_only)) or (m == 2 and self.composite):
             return "parity", None
         f = f or factorize(m, bound=bound)
         if e % (carmichael_lambda(f) if lam is None else lam):
@@ -303,13 +310,23 @@ def _lambda_set(name: str) -> _LambdaSet:
 
 
 def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozenset[int]:
-    """The members in [1, top] of the named set, from one sweep after the name is checked."""
+    """The members in [1, top] of the named set, from one sweep after the name is checked.
+
+    A set without even n >= 3 (``_LambdaSet.odd_only``) sieves the odd n
+    only, and decides n = 2 alone."""
     s = _lambda_set(name)
     if top < s.least:
         return frozenset()
     rule = ExponentRule("poly", (s.offset, s.slope))
-    filters = {"composite_only": s.composite, "squarefree_only": s.squarefree}
-    return frozenset(sweep(s.least, top, rule, **filters, bound=bound).hits)
+    filters = {
+        "composite_only": s.composite,
+        "odd_only": s.odd_only,
+        "squarefree_only": s.squarefree,
+    }
+    members = frozenset(sweep(s.least, top, rule, **filters, bound=bound).hits)
+    if s.odd_only and top >= 2 and s.failure(2) is None:
+        members |= {2}
+    return members
 
 
 @dataclass(frozen=True)

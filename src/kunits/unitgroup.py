@@ -44,6 +44,7 @@ __all__ = [
     "CyclicDecomposition",
     "KUnitStats",
     "LambdaSegment",
+    "RANGE_BOUND",
     "unit_group_structure",
     "euler_phi",
     "carmichael_lambda",
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 ENUMERATION_BOUND = 10**7
+# lambda_range refuses a range of more n; its docstring gives the cost at the bound.
+RANGE_BOUND = 10**9
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -324,25 +327,42 @@ class LambdaSegment(NamedTuple):
     composite: np.ndarray
 
 
-def lambda_range(lo: int, hi: int, *, bound: int = SUPPORTED_BOUND) -> Iterator[LambdaSegment]:
+def lambda_range(
+    lo: int, hi: int, *, bound: int = SUPPORTED_BOUND, odd_only: bool = False
+) -> Iterator[LambdaSegment]:
     """Carmichael's lambda over [lo, hi] by a segmented sieve, ascending.
 
-    Each segment takes out every prime up to L = min(isqrt(hi), 2**24)
-    with its multiplicity and checks that the prime powers taken out
-    times the cofactor left give back n.  The cofactor has no prime
-    factor up to L, so below (L + 1)**2 it is 1 or a prime: that holds
-    for every n while L = isqrt(hi), up to hi = 2**48 + 2**25.  A larger
-    cofactor goes to ``factorize``'s step after trial division, which
-    certifies its primes (Brent's rho) or raises CapabilityError.  The
-    primes above 2**16 come from ``_prime_table``, built on first use.
+    Each segment holds up to 2**14 consecutive n, or with odd_only up to
+    2**14 consecutive odd n (the even n are not sieved at all).  It takes out
+    every prime up to L = min(isqrt(hi), 2**24) with its multiplicity and
+    checks that the prime powers taken out times the cofactor left give
+    back n.  The cofactor has no prime factor up to L, so below
+    (L + 1)**2 it is 1 or a prime: that holds for every n while
+    L = isqrt(hi), up to hi = 2**48 + 2**25.  A larger cofactor goes to
+    ``factorize``'s step after trial division, which certifies its primes
+    (Brent's rho) or raises CapabilityError.  The primes above 2**16 come
+    from ``_prime_table``, built on first use.
 
-    CPU time per n on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): about
-    0.10 us over [3, 10**6], 0.11-0.12 us over [9 * 10**6, 10**7], and
-    0.13-0.14 us over the 2**20 n below 10**8; 0.35-0.5 us in a window of
-    2**14 n at 2**40, with no rho, after 60 ms to build the prime table.
+    CPU time per n sieved on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4):
+    about 0.10-0.13 us over [3, 10**6], 0.11-0.12 us over [9 * 10**6,
+    10**7], and 0.13-0.16 us over the 2**20 n below 10**8; 0.35-0.5 us in
+    a window of 2**14 n at 2**40, with no rho, after 60 ms to build the
+    prime table.  odd_only sieves half the n at about the same cost each,
+    so it halves the cost of a range: [3, 10**6] took 49-62 ms against
+    100-122 ms.
+
+    Refuses with DomainError a range without 1 <= lo <= hi, and with
+    CapabilityError one of more than RANGE_BOUND = 10**9 n, both before
+    any work.  At that bound [1, 10**9] took 2.6 min of CPU (1.4 min with
+    odd_only), and 10**9 n near 2**40 would take 6-8 min at the cost per
+    n there.
     """
     if lo < 1 or hi < lo:
         raise DomainError(f"lambda_range requires 1 <= lo <= hi, got [{lo}, {hi}]")
+    if hi - lo + 1 > RANGE_BOUND:
+        raise CapabilityError(
+            f"[{lo}, {hi}] holds {hi - lo + 1} n, above the range bound {RANGE_BOUND}"
+        )
     limit = min(isqrt(hi), _SIEVE_LIMIT)
     # only a range past 2**32 needs the table
     if limit < _TRIAL_LIMIT:
@@ -351,29 +371,48 @@ def lambda_range(lo: int, hi: int, *, bound: int = SUPPORTED_BOUND) -> Iterator[
         primes = _prime_table()
     primes = primes[: np.searchsorted(primes, limit, side="right")]
     split = np.searchsorted(primes, isqrt(_SEGMENT), side="right")
-    # each dense prime with lambda(p^e) for every p^e <= hi
+    # each dense prime with lambda(p^e) for every p^e <= hi; 2 divides no odd n
     powers = range(1, hi.bit_length())
     dense = [
         (p, [max(_prime_power_orders(p, e), default=1) for e in powers if p**e <= hi])
         for p in primes[:split].tolist()
+        if not (odd_only and p == 2)
     ]
     sparse = primes[split:]
+    step = 2 if odd_only else 1
+    width = step * _SEGMENT  # the span of n one segment covers
     return (
-        _lambda_segment(a, min(a + _SEGMENT, hi + 1), dense, sparse, limit, bound)
-        for a in range(lo, hi + 1, _SEGMENT)
+        _lambda_segment(range(a, min(a + width, hi + 1), step), dense, sparse, limit, bound)
+        for a in range(lo | 1 if odd_only else lo, hi + 1, width)
     )
 
 
+def _first_multiple(a: int, q, step: int):
+    """The index in a, a + step, a + 2 * step, ... of the first multiple of q,
+    for step 1, or step 2 and odd q; q may be an array.
+
+    With f = -a mod q, that index is f at step 1.  At step 2 it is f / 2
+    for even f and (f + q) / 2 for odd f, written so that no term exceeds
+    q: an int64 q cannot overflow.
+    """
+    f = -a % q
+    return f if step == 1 else f // 2 + f % 2 * (q // 2 + 1)
+
+
 def _lambda_segment(
-    a: int,
-    b: int,
+    span: range,
     dense: list[tuple[int, list[int]]],
     sparse: np.ndarray,
     limit: int,
     bound: int,
 ) -> LambdaSegment:
-    """lambda(n) and the flags for n in [a, b), sieved by the dense primes
-    (p * p <= _SEGMENT) and the sparse ones (up to limit).
+    """lambda(n) and the flags for the n of span (consecutive, or
+    consecutive odd at step 2), sieved by the dense primes (p * p <=
+    _SEGMENT) and the sparse ones (up to limit).
+
+    At step 2 the prime 2 is left out (see ``lambda_range``), so every
+    q = p^e is odd and its multiples among the odd n lie 2q apart: q apart
+    in the index, as at step 1, from ``_first_multiple`` on.
 
     A dense prime p walks its powers p^e in strides.  At e = 1, lcm(lam,
     p - 1) is lam * table[lam % (p - 1)] (``_lcm_table``).  From e = 2 on
@@ -383,32 +422,35 @@ def _lambda_segment(
     lambda(p^(e-1)).
 
     The sparse primes have p^2 > _SEGMENT, so each p^e (e >= 2) has at
-    most one multiple here.  They are gathered one level e at a time: the
-    index of every multiple at once, then ``multiply.at`` and ``lcm.at``,
-    which apply each of two primes that hit the same n (131 * 137), where
-    a fancy assignment would keep one.  These keep an lcm: every level-1
-    step runs before any level-2 step, so at 131^2 * 263 (262 = 2 * 131)
-    lam already holds a 131.
+    most one multiple here (at step 2 too, as 2 * p^2 > 2 * _SEGMENT).
+    They are gathered one level e at a time: the index of every multiple
+    at once, then ``multiply.at`` and ``lcm.at``, which apply each of two
+    primes that hit the same n (131 * 137), where a fancy assignment
+    would keep one.  These keep an lcm: every level-1 step runs before any
+    level-2 step, so at 131^2 * 263 (262 = 2 * 131) lam already holds a
+    131.
 
-    Of the 0.10 us per n over [3, 10**6] (see ``lambda_range``), the dense
-    primes take about 45%, the sparse ones 25% and the closing lcm with
-    the prime cofactor's p - 1 the other 30%.
+    Of the time per n over [3, 10**6] (see ``lambda_range``), with or
+    without odd_only, the dense primes take about 35%, the sparse ones 25%
+    and the closing lcm with the prime cofactor's p - 1, with the
+    multiply-back check, 35%; just below 10**8 the dense primes take 27%
+    and the sparse ones 37%.
 
     The composite flag is read from lambda itself: for n >= 2, lambda(n)
     divides phi(n) <= n - 1, with equality exactly when n is prime.
     """
-    size = b - a
-    if b - 1 <= _INT64_MAX:
-        n = np.arange(a, b, dtype=np.int64)
+    a, size, largest = span.start, len(span), span[-1]
+    if largest <= _INT64_MAX:
+        n = np.arange(a, span.stop, span.step, dtype=np.int64)
     else:
-        n = np.array(range(a, b), dtype=object)
+        n = np.array(span, dtype=object)
     taken = np.ones(size, dtype=n.dtype)  # product of the prime powers taken out
     lam = np.ones(size, dtype=n.dtype)
     squarefree = np.ones(size, dtype=bool)
     for p, orders in dense:
         q = p
         for e, order in enumerate(orders, 1):
-            if q >= b or (first := -a % q) >= size:
+            if q > largest or (first := _first_multiple(a, q, span.step)) >= size:
                 break
             view = taken[first::q]
             view *= p
@@ -424,7 +466,7 @@ def _lambda_segment(
     p = sparse.astype(n.dtype, copy=False)
     q, e = p, 1
     while len(p):
-        first = -a % q
+        first = _first_multiple(a, q, span.step)
         counts = ((size - 1 - first) // q + 1).astype(np.int64, copy=False)
         hit = counts > 0
         p, q, counts = p[hit], q[hit], counts[hit]
@@ -443,13 +485,13 @@ def _lambda_segment(
         np.lcm.at(lam, index, np.repeat(q - q // p, counts))
         if e > 1:
             squarefree[index] = False
-        more = q <= (b - 1) // p
+        more = q <= largest // p
         p = p[more]
         q = q[more] * p
         e += 1
     rem = n // taken
     if not np.array_equal(taken * rem, n):
-        raise ArithmeticError(f"sieve factors do not multiply back on [{a}, {b})")
+        raise ArithmeticError(f"sieve factors do not multiply back on [{a}, {largest}]")
     # The cofactor is 1, a prime, or (from (limit + 1)**2 on) a number to factor.
     for i in np.flatnonzero(rem > limit * (limit + 2)):
         c = int(rem[i])

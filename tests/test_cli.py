@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -30,6 +31,27 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+class _Hang(Exception):
+    """Raised by ``deadline`` when a call runs past its wall time."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise _Hang in the main thread after seconds of wall time, so that a hang
+    fails the test instead of stopping the run (as perfbench's worker does)."""
+
+    def expire(signum, frame):
+        raise _Hang(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestStats:
@@ -635,6 +657,24 @@ class TestOeisCheck:
         path.write_text("".join(f"{i+1} {v}\n" for i, v in enumerate(sols)), encoding="utf-8")
         code, _, _ = run(capsys, "oeis-check", str(path), "--predicate", "rdu-one:10", "--limit", "264")
         assert code == 0
+
+
+class TestRangeBound:
+    """A range of more than RANGE_BOUND n is refused with exit 3 before any sieving."""
+
+    def test_oeis_check_past_the_range_bound_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("1 561\n2 1000000000000000\n", encoding="utf-8")
+        with deadline(10):
+            code, out, err = run(capsys, "oeis-check", str(path), "--predicate", "carmichael")
+        assert (code, out) == (3, "")
+        assert err.startswith("capability error: ") and "range bound" in err
+
+    def test_sweep_past_the_range_bound_exits_3(self, capsys):
+        with deadline(10):
+            code, out, err = run(capsys, "sweep", "--from", "1", "--to", str(10**15), "--rule", "n-1")
+        assert (code, out) == (3, "")
+        assert err.startswith("capability error: ") and "range bound" in err
 
 
 class TestBoundFlag:

@@ -1,5 +1,7 @@
 """The range layer: lambda_range and the sweep built on it, against the point path."""
 
+import functools
+import importlib
 import random
 import time
 import tracemalloc
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kunits import (
+    RANGE_BOUND,
+    CapabilityError,
     DomainError,
     carmichael_lambda,
     classify,
@@ -24,21 +28,38 @@ from kunits import arith
 from kunits.classify import _predicate
 from kunits.unitgroup import _SEGMENT
 
-from oracles import brute_gen_carmichael, brute_is_prime, brute_rdu_is_one, brute_unit_exponent
+from oracles import (
+    brute_gen_carmichael,
+    brute_is_prime,
+    brute_korselt,
+    brute_rdu_is_one,
+    brute_unit_exponent,
+)
 
 SEMIPRIME_ABOVE_2_32 = 65537 * 65539
 # The two least primes above 2**24, the sieve's largest prime: their product,
 # just above 2**48, is a cofactor the sieve leaves to rho.
 SEMIPRIME_ABOVE_2_48 = 16777259 * 16777289
+# Divisors whose least multiple above 2**63 puts sparse prime powers in an object segment
+DIVISORS_ABOVE_2_63 = [131**2 * 263, 131**3 * 137, 127**2 * 131 * 137]
 
 
-def sieved(lo, hi):
+def above_2_63(divisor):
+    """The least multiple of divisor at or above 2**63."""
+    return -(-(2**63) // divisor) * divisor
+
+
+def sieved(lo, hi, odd_only=False):
     """(n, lambda(n), squarefree, composite) for each n, from lambda_range."""
     rows = []
-    for segment in lambda_range(lo, hi):
+    for segment in lambda_range(lo, hi, odd_only=odd_only):
         assert len(segment.n) <= _SEGMENT
         rows += zip(*(column.tolist() for column in segment))
     return rows
+
+
+def odd_rows(rows):
+    return [row for row in rows if row[0] % 2]
 
 
 def factored(lo, hi):
@@ -161,9 +182,9 @@ class TestLambdaRange:
         assert rows == factored(n - 300, n + 300)
         assert (n, lam, squarefree, True) in rows
 
-    @pytest.mark.parametrize("divisor", [131**2 * 263, 131**3 * 137, 127**2 * 131 * 137])
+    @pytest.mark.parametrize("divisor", DIVISORS_ABOVE_2_63)
     def test_sparse_powers_above_2_63(self, divisor):
-        n = -(-(2**63) // divisor) * divisor
+        n = above_2_63(divisor)
         segments = list(lambda_range(n - 10, n + 10))
         assert segments[0].n.dtype == object
         assert sieved(n - 10, n + 10) == factored(n - 10, n + 10)
@@ -186,6 +207,16 @@ class TestLambdaRange:
             lambda_range(0, 5)
         with pytest.raises(DomainError):
             lambda_range(10, 9)
+
+    def test_range_bound_is_refused_before_iteration(self):
+        with pytest.raises(CapabilityError, match="range bound"):
+            lambda_range(1, RANGE_BOUND + 1)
+        with pytest.raises(CapabilityError, match="range bound"):
+            lambda_range(2**64, 2**64 + RANGE_BOUND, odd_only=True)
+        # the bound counts n, not how high they are; the opt-in sweep to 1e8 stays under it
+        lambda_range(1, RANGE_BOUND)
+        lambda_range(2**64, 2**64 + RANGE_BOUND - 1)
+        lambda_range(3, 10**8, odd_only=True)
 
 
 @pytest.fixture(scope="module")
@@ -217,9 +248,53 @@ def test_matches_the_point_path_on_seeded_windows(lo, hi):
 @given(st.integers(1, 10**12), st.integers(0, 40))
 @settings(max_examples=80, deadline=None)
 def test_lambda_matches_sympy_reduced_totient(sympy, lo, width):
+    expected = [
+        (n, int(sympy.reduced_totient(n)), n > 1 and not sympy.isprime(n)) for n in range(lo, lo + width + 1)
+    ]
     rows = sieved(lo, lo + width)
-    assert [lam for _, lam, _, _ in rows] == [int(sympy.reduced_totient(n)) for n in range(lo, lo + width + 1)]
-    assert [c for *_, c in rows] == [n > 1 and not sympy.isprime(n) for n in range(lo, lo + width + 1)]
+    assert [(n, lam, c) for n, lam, _, c in rows] == expected
+    rows = sieved(lo, lo + width, odd_only=True)
+    assert [(n, lam, c) for n, lam, _, c in rows] == odd_rows(expected)
+
+
+def _odd_only_windows():
+    """Windows whose odd rows the odd-only sieve must give back."""
+    n = SEMIPRIME_ABOVE_2_32
+    return [
+        *_seeded_windows(),
+        (2**40, 2**40 + _SEGMENT - 1),
+        *((above_2_63(d) - 10, above_2_63(d) + 10) for d in DIVISORS_ABOVE_2_63),
+        (3 * _SEGMENT - 5, 5 * _SEGMENT + 3),  # an odd lo, two odd-only segments
+        (3 * _SEGMENT - 4, 5 * _SEGMENT + 3),  # an even lo
+        (n - 150, n + 150),
+        (1, 1),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (10, 11),
+        (2**63 - 1, 2**63),
+    ]
+
+
+class TestOddOnly:
+    """lambda_range(..., odd_only=True) holds the odd rows of the full sieve."""
+
+    @pytest.mark.parametrize("lo, hi", _odd_only_windows())
+    def test_matches_the_odd_rows_of_the_full_sieve(self, lo, hi):
+        rows = sieved(lo, hi, odd_only=True)
+        assert rows == odd_rows(sieved(lo, hi))
+        assert len(rows) == len(range(lo | 1, hi + 1, 2))
+
+    def test_segments_hold_2_14_consecutive_odd_n(self):
+        lo, hi = 3 * _SEGMENT - 5, 5 * _SEGMENT + 3
+        segments = list(lambda_range(lo, hi, odd_only=True))
+        assert [len(s.n) for s in segments] == [_SEGMENT, 5]
+        assert segments[0].n[0] == lo and segments[1].n[0] == lo + 2 * _SEGMENT
+        assert all((np.diff(s.n) == 2).all() for s in segments)
+
+    def test_even_lo_equal_to_hi_gives_no_segment(self):
+        assert list(lambda_range(2, 2, odd_only=True)) == []
+        assert list(lambda_range(2**64, 2**64, odd_only=True)) == []
 
 
 class TestSweepOnTheSieve:
@@ -303,3 +378,56 @@ class TestGeneralizedCarmichaelSieve:
         carmichael = {n for n in range(lo, hi + 1) if not brute_is_prime(n) and brute_rdu_is_one(n, n - 1)}
         assert carmichael == {15841}
         assert members == primes | carmichael
+
+
+def _knodel(i):
+    return lambda n: n > i and not brute_is_prime(n) and brute_rdu_is_one(n, n - i)
+
+
+# The sets whose offset is odd, so that no even n >= 3 is a member.
+ODD_OFFSET_ORACLES = {
+    "carmichael": brute_korselt,
+    "knodel:1": _knodel(1),
+    "knodel:3": _knodel(3),
+    "gen-carmichael:0": lambda n: brute_gen_carmichael(n, 0),
+    "gen-carmichael:2": lambda n: brute_gen_carmichael(n, 2),
+    "gen-carmichael:-2": lambda n: brute_gen_carmichael(n, -2),
+    "rdu-one:7": lambda n: brute_rdu_is_one(n, 7),
+}
+
+
+@functools.cache
+def _brute_members(name, top=3000):
+    return frozenset(n for n in range(1, top + 1) if ODD_OFFSET_ORACLES[name](n))
+
+
+class TestPredicateOnOddN:
+    """_predicate sieves the odd n only for a set whose offset is odd, and decides n = 2 alone."""
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 3, 3000])
+    @pytest.mark.parametrize("name", ODD_OFFSET_ORACLES)
+    def test_matches_the_brute_force_oracle(self, name, top):
+        assert _predicate(name, top) == {n for n in _brute_members(name) if n <= top}
+
+    @pytest.mark.parametrize(
+        "name, odd_only",
+        [
+            ("carmichael", True),
+            ("knodel:1", True),
+            ("gen-carmichael:0", True),
+            ("knodel:2", False),
+            ("rdu-one:720", False),
+        ],
+    )
+    def test_asks_the_sieve_for_odd_n_exactly_when_the_offset_is_odd(self, monkeypatch, name, odd_only):
+        module = importlib.import_module("kunits.classify")
+        real, asked = module.lambda_range, []
+
+        def recorded(*args, **kwargs):
+            asked.append(kwargs.get("odd_only", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "lambda_range", recorded)
+        _predicate(name, 1000)
+        assert asked == [odd_only]
+        assert module._lambda_set(name).odd_only is odd_only
