@@ -29,8 +29,8 @@ __all__ = [
     "pow_mod",
 ]
 
-# Default gate for the primality / factorization fast paths.  Callers may
-# raise it per call up to the certified Miller-Rabin limit below.
+# Default gate for the primality / factorization fast paths.  Another rho budget
+# is chosen by factoring n with factorize(n, bound=B) and passing that on.
 SUPPORTED_BOUND = 2**64 - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -242,11 +242,11 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     Trial division by the primes below 2**16, a block of them at a time
     (a block whose product is coprime to n is ruled out by one gcd), then
     Brent's rho with deterministic primality certification of every
-    reported prime.  Rho
-    work on a composite cofactor above ``bound`` is budgeted.  Inputs
-    with a cofactor the backend cannot split (within that budget) or
-    certify raise CapabilityError; a wrong factorization is never
-    returned.
+    reported prime.  Rho work on a composite cofactor above ``bound`` is
+    budgeted; this is the one place that budget is chosen, as every other
+    function that reads n's factorization also takes the Factorization.
+    Inputs with a cofactor the backend cannot split (within that budget)
+    or certify raise CapabilityError; a wrong factorization is never returned.
     """
     if n < 1:
         raise DomainError(f"factorization requires n >= 1, got {n}")
@@ -302,8 +302,8 @@ def _cofactor_primes(n: int, original: int, bound: int) -> dict[int, int]:
     return counts
 
 
-def _as_factorization(f: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
-    return factorize(f, bound=bound) if isinstance(f, int) else f
+def _as_factorization(f: Factorization | int) -> Factorization:
+    return factorize(f) if isinstance(f, int) else f
 
 
 def _value(f: Factorization | int) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import SUPPORTED_BOUND, Factorization, _value, factorize
+from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _value
 from .errors import CapabilityError, DomainError
 from .unitgroup import carmichael_lambda, du_k_product, lambda_range, unit_group_structure
 
@@ -44,7 +44,7 @@ BRUTE_FORCE_BOUND = 10**7
 _PREDICATE_HELP = "carmichael | knodel:I | gen-carmichael:K | rdu-one:K"
 
 
-def count_fermat_liars(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:
+def count_fermat_liars(n: Factorization | int) -> int:
     """Number of units a modulo odd n with a^(n-1) = 1: the (n-1)-units.
 
     For odd n no prime p | n divides n - 1, so the count is the product
@@ -55,15 +55,15 @@ def count_fermat_liars(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) 
     m = _value(n)
     if m < 3 or m % 2 == 0:
         raise DomainError(f"count_fermat_liars requires odd n >= 3, got {m}")
-    return du_k_product(m - 1, unit_group_structure(n, bound=bound))
+    return du_k_product(m - 1, unit_group_structure(n))
 
 
-def korselt_failure(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> str | None:
+def korselt_failure(n: Factorization | int) -> str | None:
     """Why n >= 1 fails to be a Carmichael number, or None when it is one."""
     m = _value(n)
     if m < 1:
         raise DomainError(f"korselt_failure requires n >= 1, got {m}")
-    return _korselt_reason(_lambda_set("carmichael").failure(n, bound=bound), m)
+    return _korselt_reason(_lambda_set("carmichael").failure(n), m)
 
 
 def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> str | None:
@@ -87,33 +87,36 @@ def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> 
             return f"{p} - 1 does not divide {n} - 1"
 
 
-def is_carmichael(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
+def is_carmichael(n: Factorization | int) -> bool:
     """Korselt test: n odd, composite, squarefree, and p-1 | n-1 for all p | n."""
-    if n < 1:
-        raise DomainError(f"is_carmichael requires n >= 1, got {n}")
-    return _lambda_set("carmichael").failure(n, bound=bound) is None
+    if _value(n) < 1:
+        raise DomainError(f"is_carmichael requires n >= 1, got {_value(n)}")
+    return _lambda_set("carmichael").failure(n) is None
 
 
-def is_knodel(n: Factorization | int, i: int, *, bound: int = SUPPORTED_BOUND) -> bool:
+def is_knodel(n: Factorization | int, i: int) -> bool:
     """Membership of n in the i-Knodel set: composite n > i whose every unit
     satisfies a^(n-i) = 1.  The 1-Knodel numbers are the Carmichael numbers.
     Accepts an int or a Factorization."""
     s = _lambda_set(f"knodel:{i}")
     if _value(n) < 1:
         raise DomainError(f"is_knodel requires n >= 1, got {_value(n)}")
-    return s.failure(n, bound=bound) is None
+    return s.failure(n) is None
 
 
-def is_generalized_carmichael(n: int, k: int, *, bound: int = BRUTE_FORCE_BOUND) -> bool:
+def is_generalized_carmichael(
+    n: Factorization | int, k: int, *, bound: int = BRUTE_FORCE_BOUND
+) -> bool:
     """Membership of n in C_k: min(n, n+k) > 1 and a^(n+k) = a mod n for ALL a.
 
     Decided by Korselt's closed form (``_lambda_set``); k may be negative; n > bound is refused.
     """
-    if n < 1:
-        raise DomainError(f"is_generalized_carmichael requires n >= 1, got {n}")
-    if n > bound:
-        raise CapabilityError(f"n = {n} exceeds the brute-force bound {bound}")
-    return _lambda_set(f"gen-carmichael:{k}").failure(n, bound=bound) is None
+    m = _value(n)
+    if m < 1:
+        raise DomainError(f"is_generalized_carmichael requires n >= 1, got {m}")
+    if m > bound:
+        raise CapabilityError(f"n = {m} exceeds the brute-force bound {bound}")
+    return _lambda_set(f"gen-carmichael:{k}").failure(n) is None
 
 
 _RULE_CONST = re.compile(r"const:(\d+)\Z")
@@ -252,27 +255,25 @@ class _LambdaSet(NamedTuple):
 
     @property
     def odd_only(self) -> bool:
-        """Whether every even n >= 3 is out.  lambda(n) is even for n >= 3, so
-        an n >= 3 with e(n) odd is out; at even n, e(n) has the parity of the
-        offset."""
+        """Whether every even n >= 3 is out (``failure``'s parity clause): at
+        even n, e(n) has the parity of the offset."""
         return self.offset % 2 == 1
 
     def failure(
-        self, n: Factorization | int, lam: int | None = None, *, bound: int = SUPPORTED_BOUND
+        self, n: Factorization | int, lam: int | None = None
     ) -> tuple[str, Factorization | None] | None:
         """None for a member, else the first clause n fails and the factorization
         read for it (None if it failed before factoring).  The clauses: "least";
-        "parity", from n alone: e(n) is odd at n >= 3 (see ``odd_only``), or n = 2
-        is not composite; "lambda" (lam, or lambda(n), does not divide e(n));
-        "composite"; "squarefree"."""
-        f = n if isinstance(n, Factorization) else None
-        m = n if f is None else f.n
+        "parity", from n alone: e(n) is odd at n >= 3, where lambda(n) is even,
+        or n = 2 is not composite; "lambda" (lam, or lambda(n), does not divide
+        e(n)); "composite"; "squarefree"."""
+        m = _value(n)
         if m < self.least:
             return "least", None
         e = self.slope * m + self.offset
-        if (m >= 3 and (e % 2 if m % 2 else self.odd_only)) or (m == 2 and self.composite):
+        if (m >= 3 and e % 2) or (m == 2 and self.composite):
             return "parity", None
-        f = f or factorize(m, bound=bound)
+        f = _as_factorization(n)
         if e % (carmichael_lambda(f) if lam is None else lam):
             return "lambda", f
         if self.composite and not f.is_composite:
@@ -344,27 +345,26 @@ class ClassificationReport:
 
 
 def classify(
-    n: int,
+    n: Factorization | int,
     *,
     liars: bool = False,
     knodel_indices: tuple[int, ...] = (),
     gen_carmichael_ks: tuple[int, ...] = (),
-    bound: int = SUPPORTED_BOUND,
 ) -> ClassificationReport:
     """Assemble the requested classifier verdicts for n into one report.
 
     Each verdict, and Korselt's reason, is ``_LambdaSet.failure`` of its set
     on the one factorization of n and the one lambda(n)."""
-    if n < 1:
-        raise DomainError(f"classify requires n >= 1, got {n}")
+    if _value(n) < 1:
+        raise DomainError(f"classify requires n >= 1, got {_value(n)}")
     knodel = [(i, _lambda_set(f"knodel:{i}")) for i in knodel_indices]
     gen_carmichael = [(k, _lambda_set(f"gen-carmichael:{k}")) for k in gen_carmichael_ks]
-    f = factorize(n, bound=bound)
-    liar_count = count_fermat_liars(f) if liars and n % 2 and n >= 3 else None
+    f = _as_factorization(n)
+    liar_count = count_fermat_liars(f) if liars and f.n % 2 and f.n >= 3 else None
     lam = carmichael_lambda(f)
-    reason = _korselt_reason(_lambda_set("carmichael").failure(f, lam), n)
+    reason = _korselt_reason(_lambda_set("carmichael").failure(f, lam), f.n)
     return ClassificationReport(
-        n=n,
+        n=f.n,
         is_composite=f.is_composite,
         fermat_liar_count=liar_count,
         carmichael=reason is None,

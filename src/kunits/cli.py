@@ -20,7 +20,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .arith import SUPPORTED_BOUND
+from .arith import SUPPORTED_BOUND, factorize
 from .bfile import BFile, compare_bfile
 from .classify import _PREDICATE_HELP, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
@@ -131,8 +131,8 @@ def _bool(value: bool) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    bound = args.bound or SUPPORTED_BOUND
-    stats = k_unit_stats(args.n, args.k, bound=bound)
+    n = factorize(args.n, bound=args.bound or SUPPORTED_BOUND) if args.n >= 1 else args.n
+    stats = k_unit_stats(n, args.k)
     if args.json:
         _emit_json(
             "stats",
@@ -205,8 +205,7 @@ def _not_k_unit(units: np.ndarray, n: int, k: int) -> str | None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.limit is not None and not args.enumerate:
         raise DomainError("--limit requires --enumerate")
-    bound = args.bound or SUPPORTED_BOUND
-    sol = solve_rdu_one(args.k, bound=bound)
+    sol = solve_rdu_one(args.k, bound=args.bound or SUPPORTED_BOUND)
     solutions = _solutions(sol, args.limit) if args.enumerate else None
     truncated = solutions is not None and len(solutions) < sol.count
     if args.json:
@@ -249,12 +248,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.liars and (args.n < 3 or args.n % 2 == 0):
         raise DomainError(f"--liars requires odd n >= 3, got {args.n}")
+    n = factorize(args.n, bound=args.bound or SUPPORTED_BOUND) if args.n >= 1 else args.n
     report = classify(
-        args.n,
+        n,
         liars=args.liars,
         knodel_indices=tuple(args.knodel or ()),
         gen_carmichael_ks=tuple(args.gen_carmichael or ()),
-        bound=args.bound or SUPPORTED_BOUND,
     )
     if args.json:
         result: dict[str, Any] = {
@@ -289,10 +288,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    bound = args.bound or SUPPORTED_BOUND
     rule = parse_rule(args.rule)
     filters = {"composite_only": args.composite_only, "odd_only": args.odd_only}
-    result = sweep(args.lo, args.hi, rule, **filters, bound=bound)
+    result = sweep(args.lo, args.hi, rule, **filters, bound=args.bound or SUPPORTED_BOUND)
     summary = f"hits={len(result.hits)} skipped={len(result.skipped)}"
     if args.json:
         _emit_json(

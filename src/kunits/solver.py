@@ -18,6 +18,7 @@ from .arith import (
     _CERTIFIED_LIMIT,
     SUPPORTED_BOUND,
     Factorization,
+    _as_factorization,
     _smallest_divisors,
     _value,
     divisors,
@@ -134,7 +135,7 @@ def _solutions(sol: RduOneSolution, limit: int | None) -> list[int]:
     return _smallest_divisors(sol.n_max_factorization(), limit)
 
 
-def is_rdu_one(n: Factorization | int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:
+def is_rdu_one(n: Factorization | int, k: int) -> bool:
     """Fast membership test for rdu_k(n) = 1, without touching the k-units:
     every unit is a k-unit exactly when lambda(n) | k.  Decided by the
     rdu-one:K set of ``_lambda_set``, so an odd k with n >= 3 is answered
@@ -144,10 +145,10 @@ def is_rdu_one(n: Factorization | int, k: int, *, bound: int = SUPPORTED_BOUND) 
     """
     if _value(n) < 1 or k < 1:
         raise DomainError(f"is_rdu_one requires n >= 1 and k >= 1, got n={_value(n)}, k={k}")
-    return _lambda_set(f"rdu-one:{k}").failure(n, bound=bound) is None
+    return _lambda_set(f"rdu-one:{k}").failure(n) is None
 
 
-def check_korselt_general(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> bool:
+def check_korselt_general(n: Factorization | int, k: int) -> bool:
     """Squarefree-and-(p-1 | k) test for odd composite n with gcd(k, n) = 1.
 
     Under those preconditions the verdict is is_rdu_one(n, k): lambda(n) | k
@@ -155,13 +156,14 @@ def check_korselt_general(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> bo
     and so in k.  Violated preconditions raise DomainError naming the
     clause rather than silently extending the equivalence.
     """
-    if n < 1 or k < 1:
-        raise DomainError(f"check_korselt_general requires n >= 1 and k >= 1, got n={n}, k={k}")
-    if n % 2 == 0:
-        raise DomainError(f"precondition violated: n = {n} is not odd")
-    f = factorize(n, bound=bound)
+    m = _value(n)
+    if m < 1 or k < 1:
+        raise DomainError(f"check_korselt_general requires n >= 1 and k >= 1, got n={m}, k={k}")
+    if m % 2 == 0:
+        raise DomainError(f"precondition violated: n = {m} is not odd")
+    f = _as_factorization(n)
     if not f.is_composite:
-        raise DomainError(f"precondition violated: n = {n} is not composite")
-    if gcd(k, n) != 1:
-        raise DomainError(f"precondition violated: k = {k} is not relatively prime to n = {n}")
+        raise DomainError(f"precondition violated: n = {m} is not composite")
+    if gcd(k, m) != 1:
+        raise DomainError(f"precondition violated: k = {k} is not relatively prime to n = {m}")
     return is_rdu_one(f, k)

@@ -35,6 +35,7 @@ from .arith import (
     _as_factorization,
     _cofactor_primes,
     _small_primes,
+    _value,
     factorize,
 )
 from .errors import CapabilityError, DomainError
@@ -110,16 +111,14 @@ def _prime_power_orders(p: int, e: int) -> tuple[int, ...]:
     return ((p - 1) * p ** (e - 1),)
 
 
-def unit_group_structure(
-    n: Factorization | int, *, bound: int = SUPPORTED_BOUND
-) -> CyclicDecomposition:
+def unit_group_structure(n: Factorization | int) -> CyclicDecomposition:
     """Cyclic decomposition of U(Z_n), prime power by prime power.
 
     Factors appear in ascending order of the underlying prime, with the
     2-power contributing [2, 2^(a-2)] in that order; n = 1 and n = 2 give
     the empty (trivial) decomposition.  Accepts an int or a Factorization.
     """
-    f = _as_factorization(n, bound=bound)
+    f = _as_factorization(n)
     orders: tuple[int, ...] = ()
     for p, e in f.factors:
         orders += _prime_power_orders(p, e)
@@ -133,9 +132,9 @@ def euler_phi(f: Factorization | int) -> int:
     return unit_group_structure(f).group_order
 
 
-def carmichael_lambda(n: Factorization | int, *, bound: int = SUPPORTED_BOUND) -> int:
+def carmichael_lambda(n: Factorization | int) -> int:
     """Carmichael's lambda(n), the exponent of U(Z_n): the lcm of its cyclic factor orders."""
-    return lcm(*unit_group_structure(n, bound=bound).orders)
+    return lcm(*unit_group_structure(n).orders)
 
 
 def du_k_product(k: int, decomposition: CyclicDecomposition) -> int:
@@ -145,18 +144,19 @@ def du_k_product(k: int, decomposition: CyclicDecomposition) -> int:
     return prod(gcd(k, r) for r in decomposition.orders)
 
 
-def k_unit_stats(n: int, k: int, *, bound: int = SUPPORTED_BOUND) -> KUnitStats:
+def k_unit_stats(n: Factorization | int, k: int) -> KUnitStats:
     """du, pdu and rdu for (n, k) from the cyclic decomposition of U(Z_n).
 
     du is the product of gcd(k, r_i) over the cyclic factor orders r_i,
     and phi(n) is the order of the group.
     """
-    if n < 1 or k < 1:
-        raise DomainError(f"k_unit_stats requires n >= 1 and k >= 1, got n={n}, k={k}")
-    group = unit_group_structure(n, bound=bound)
+    m = _value(n)
+    if m < 1 or k < 1:
+        raise DomainError(f"k_unit_stats requires n >= 1 and k >= 1, got n={m}, k={k}")
+    group = unit_group_structure(n)
     du = du_k_product(k, group)
     phi = group.group_order
-    return KUnitStats(n=n, k=k, du=du, pdu=Fraction(du, phi), rdu=phi // du)
+    return KUnitStats(n=m, k=k, du=du, pdu=Fraction(du, phi), rdu=phi // du)
 
 
 def _cyclic_generators(p: int, e: int) -> tuple[tuple[int, int], ...]:

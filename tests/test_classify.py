@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,17 +8,22 @@ from kunits import (
     CapabilityError,
     DomainError,
     carmichael_lambda,
+    check_korselt_general,
     classify,
     count_fermat_liars,
+    divisors,
+    euler_phi,
     factorize,
     is_carmichael,
     is_generalized_carmichael,
     is_knodel,
     is_prime,
     is_rdu_one,
+    k_unit_stats,
     korselt_failure,
     parse_rule,
     sweep,
+    unit_group_structure,
 )
 
 from oracles import brute_gen_carmichael, brute_korselt, brute_liar_count, brute_rdu_is_one
@@ -128,8 +135,7 @@ class TestIsKnodel:
             calls.append(n)
             return factorize(n, **kwargs)
 
-        for name in ("arith", "classify"):
-            monkeypatch.setattr(import_module(f"kunits.{name}"), "factorize", counting)
+        monkeypatch.setattr(import_module("kunits.arith"), "factorize", counting)
         assert (p * q).bit_length() == 64
         assert not is_knodel(p * q, 2)
         assert calls == []
@@ -334,7 +340,7 @@ class TestClassifyReport:
             calls.append(n)
             return real(n, **kwargs)
 
-        for name in ("arith", "classify", "solver"):
+        for name in ("arith", "solver"):
             monkeypatch.setattr(import_module(f"kunits.{name}"), "factorize", counting)
         report = classify(561, liars=True, knodel_indices=(1, 2))
         assert calls == [561]
@@ -366,6 +372,12 @@ class TestClassifyReport:
             classify(561, knodel_indices=(1, 0))
 
 
+def _classify_with_reason(n):
+    # the report's equality leaves out Korselt's reason
+    report = classify(n, liars=True, knodel_indices=(1, 2), gen_carmichael_ks=(0, 1))
+    return report, report.carmichael_reason
+
+
 class TestFactorizationArguments:
     def test_point_classifiers_accept_a_factorization(self):
         for n in (9, 15, 561, 1105, 2821, 4, 13):
@@ -384,3 +396,46 @@ class TestFactorizationArguments:
             is_knodel(factorize(561), 0)
         assert "even" in korselt_failure(factorize(10))
         assert "not composite" in korselt_failure(factorize(1))
+
+    # Each point function with the extra arguments it is called with: k, i or K.
+    POINT_FUNCTIONS = [
+        ("unit_group_structure", unit_group_structure, [()]),
+        ("euler_phi", euler_phi, [()]),
+        ("carmichael_lambda", carmichael_lambda, [()]),
+        ("k_unit_stats", k_unit_stats, [(0,), (1,), (2,), (12,)]),
+        ("count_fermat_liars", count_fermat_liars, [()]),
+        ("korselt_failure", korselt_failure, [()]),
+        ("is_carmichael", is_carmichael, [()]),
+        ("is_knodel", is_knodel, [(0,), (1,), (2,), (3,)]),
+        ("is_generalized_carmichael", is_generalized_carmichael, [(-2,), (0,), (1,)]),
+        (
+            "is_generalized_carmichael_unrefused",
+            lambda n, k: is_generalized_carmichael(n, k, bound=2**64),
+            [(-2,), (0,), (1,)],
+        ),
+        ("classify", _classify_with_reason, [()]),
+        ("is_rdu_one", is_rdu_one, [(0,), (1,), (2,), (12,), (720,)]),
+        ("check_korselt_general", check_korselt_general, [(0,), (2,), (80,), (720,)]),
+        ("divisors", divisors, [()]),
+    ]
+    # three seeded n each of 40 and 64 bits, besides every n <= 2000
+    LARGE_N = [
+        random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+        for bits in (40, 64)
+        for seed in range(3)
+    ]
+
+    @pytest.mark.parametrize(
+        "call,extras", [f[1:] for f in POINT_FUNCTIONS], ids=[f[0] for f in POINT_FUNCTIONS]
+    )
+    def test_an_int_and_its_factorization_give_the_same_answer(self, call, extras):
+        def outcome(n, extra):
+            try:
+                return call(n, *extra)
+            except (DomainError, CapabilityError) as exc:
+                return type(exc), str(exc)
+
+        for n in [*range(1, 2001), *self.LARGE_N]:
+            f = factorize(n)
+            for extra in extras:
+                assert outcome(f, extra) == outcome(n, extra), (n, extra)

@@ -699,6 +699,32 @@ class TestBoundFlag:
             assert err == f"error: --bound must be >= 1, got {bound}\n"
 
 
+class TestRhoBudget:
+    """The rho budget is chosen where n is factored: by factorize's bound, which --bound
+    sets, and by no keyword of the functions that read n's factorization."""
+
+    N = 1000003 * 1000033  # past 512 rho iterations, inside the default budget
+    COMMANDS = {
+        "stats": ["stats", "--n", str(N), "--k", "2"],
+        "classify": ["classify", "--n", str(N)],
+        "solve": ["solve", "--k", str(2 * N)],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bound_flag_sets_the_budget(self, capsys, command):
+        assert run(capsys, *self.COMMANDS[command])[0] == 0
+        code, out, err = run(capsys, *self.COMMANDS[command], "--bound", "1048576")
+        assert (code, out) == (3, "")
+        assert err.startswith("capability error: ") and "after 512 rho iterations" in err
+
+    def test_refusal_bound_is_not_a_rho_budget(self):
+        # two 50-bit primes: rho cannot split n within the default budget, and
+        # is_generalized_carmichael's bound only refuses n above it
+        n = 562949953433657 * 562950941075639
+        with deadline(2), pytest.raises(kunits.CapabilityError):
+            kunits.is_generalized_carmichael(n, 0, bound=2**200)
+
+
 class TestOutputContracts:
     def test_byte_identical_reruns(self, capsys):
         outputs = []

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import pytest
 
@@ -51,3 +52,30 @@ def test_classify_holds_no_numpy():
     # classify reads its arrays from unitgroup and names numpy only for type checkers
     module = importlib.import_module("kunits.classify")
     assert not {"np", "numpy"} & set(vars(module))
+
+
+# The functions for which bound is their own decision: a refusal limit, the rho
+# budget, the enumeration bound, or the rho budget of a number they derive (the
+# odd part of k, the sieve's cofactors).  The others read n's factorization and
+# take a Factorization from a caller who wants another budget.
+BOUND_TAKERS = {
+    "is_prime",
+    "factorize",
+    "enumerate_k_units",
+    "is_generalized_carmichael",
+    "solve_rdu_one",
+    "enumerate_rdu_one_solutions",
+    "lambda_range",
+    "sweep",
+}
+
+
+def test_bound_is_a_parameter_only_where_it_is_the_functions_own():
+    takers = set()
+    for name in kunits.__all__:
+        obj = getattr(kunits, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue  # the errors are builtin subclasses without a signature
+        if "bound" in inspect.signature(obj).parameters:
+            takers.add(name)
+    assert takers == BOUND_TAKERS
