@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, inf, isqrt, prod
+from math import gcd, isqrt, prod
 
 from .errors import CapabilityError, DomainError
 
@@ -58,6 +58,7 @@ _MR_PSI = (
 _CERTIFIED_LIMIT = _MR_PSI[-1]
 
 _TRIAL_LIMIT = 1 << 16
+_RHO_CAP = 1 << 24  # rho evaluations per cofactor at most, whatever the bound: about 10 s of CPU
 # Primes per block of trial division; one gcd with the block's product
 # rules out all of them.
 _BLOCK = 64
@@ -243,8 +244,8 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     (a block whose product is coprime to n is ruled out by one gcd), then
     Brent's rho with deterministic primality certification of every
     reported prime.  Rho work on a composite cofactor above ``bound`` is
-    budgeted; this is the one place that budget is chosen, as every other
-    function that reads n's factorization also takes the Factorization.
+    budgeted, and on any cofactor capped; this is the one place that budget
+    is chosen, as every function that reads n's factorization accepts one.
     Inputs with a cofactor the backend cannot split (within that budget)
     or certify raise CapabilityError; a wrong factorization is never returned.
     """
@@ -289,8 +290,8 @@ def _cofactor_primes(n: int, original: int, bound: int) -> dict[int, int]:
             continue
         # A composite m <= bound has a prime factor p <= sqrt(bound), which rho finds in
         # about sqrt(p) <= bound^(1/4) steps.  A cofactor above the bound gets 16 times that
-        # (2**20 steps for the default bound); at or below it the full schedule runs.
-        budget = 16 * isqrt(isqrt(bound)) if m > bound else inf
+        # (2**20 steps for the default bound); at or below it rho runs up to _RHO_CAP steps.
+        budget = min(16 * isqrt(isqrt(bound)), _RHO_CAP) if m > bound else _RHO_CAP
         d, used = _split(m, budget)
         if d is None:
             raise CapabilityError(

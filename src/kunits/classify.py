@@ -314,8 +314,11 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
     """The members in [1, top] of the named set, from one sweep after the name is checked.
 
     A set without even n >= 3 (``_LambdaSet.odd_only``) sieves the odd n
-    only, and decides n = 2 alone."""
+    only, and decides n = 2 alone.  With an even slope too, e(n) is odd at
+    every n and lambda(n) is even from 3 on, so the sweep stops at 2."""
     s = _lambda_set(name)
+    if s.odd_only and s.slope % 2 == 0:
+        top = min(top, 2)
     if top < s.least:
         return frozenset()
     rule = ExponentRule("poly", (s.offset, s.slope))

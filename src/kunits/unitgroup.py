@@ -285,6 +285,8 @@ def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list
 _SEGMENT = 1 << 14
 # The sieve takes out every prime up to min(isqrt(hi), _SIEVE_LIMIT).
 _SIEVE_LIMIT = 1 << 24
+# The prime powers up to this one are sieved in strides, the others gathered.
+_STRIDE_LIMIT = isqrt(_SEGMENT)
 
 
 @cache
@@ -333,29 +335,22 @@ def lambda_range(
     """Carmichael's lambda over [lo, hi] by a segmented sieve, ascending.
 
     Each segment holds up to 2**14 consecutive n, or with odd_only up to
-    2**14 consecutive odd n (the even n are not sieved at all).  It takes out
-    every prime up to L = min(isqrt(hi), 2**24) with its multiplicity and
-    checks that the prime powers taken out times the cofactor left give
-    back n.  The cofactor has no prime factor up to L, so below
-    (L + 1)**2 it is 1 or a prime: that holds for every n while
-    L = isqrt(hi), up to hi = 2**48 + 2**25.  A larger cofactor goes to
-    ``factorize``'s step after trial division, which certifies its primes
-    (Brent's rho) or raises CapabilityError.  The primes above 2**16 come
-    from ``_prime_table``, built on first use.
+    2**14 consecutive odd n (the even n are not sieved at all).  It takes
+    out every prime up to L = min(isqrt(hi), 2**24), from ``_prime_table``
+    above 2**16.  The cofactor left is 1 or a prime below (L + 1)**2, so
+    for every n up to hi = 2**48 + 2**25; a larger one goes to the rho of
+    ``factorize``, which certifies its primes or raises CapabilityError.
 
-    CPU time per n sieved on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4):
-    about 0.10-0.13 us over [3, 10**6], 0.11-0.12 us over [9 * 10**6,
-    10**7], and 0.13-0.16 us over the 2**20 n below 10**8; 0.35-0.5 us in
-    a window of 2**14 n at 2**40, with no rho, after 60 ms to build the
-    prime table.  odd_only sieves half the n at about the same cost each,
-    so it halves the cost of a range: [3, 10**6] took 49-62 ms against
-    100-122 ms.
+    CPU time per n on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): about
+    0.08-0.09 us to 10**6 and near 10**7, 0.11-0.14 us for the 2**20 n
+    below 10**8, and 0.34-0.36 us in a window of 2**14 n at 2**40, with
+    no rho (the prime table takes 60 ms once).  odd_only halves the cost
+    of a range: [3, 10**6] took 39-45 ms against 78-83 ms.
 
     Refuses with DomainError a range without 1 <= lo <= hi, and with
     CapabilityError one of more than RANGE_BOUND = 10**9 n, both before
-    any work.  At that bound [1, 10**9] took 2.6 min of CPU (1.4 min with
-    odd_only), and 10**9 n near 2**40 would take 6-8 min at the cost per
-    n there.
+    any work.  At that bound [1, 10**9] took 2.4 min of CPU (1.2 min with
+    odd_only), and 10**9 n near 2**40 would take about 6 min.
     """
     if lo < 1 or hi < lo:
         raise DomainError(f"lambda_range requires 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -370,19 +365,24 @@ def lambda_range(
     else:
         primes = _prime_table()
     primes = primes[: np.searchsorted(primes, limit, side="right")]
-    split = np.searchsorted(primes, isqrt(_SEGMENT), side="right")
-    # each dense prime with lambda(p^e) for every p^e <= hi; 2 divides no odd n
-    powers = range(1, hi.bit_length())
-    dense = [
-        (p, [max(_prime_power_orders(p, e), default=1) for e in powers if p**e <= hi])
+    split = np.searchsorted(primes, _STRIDE_LIMIT, side="right")
+    # (q, p, lambda(q)) for each power q = p^e <= hi of a dense prime p; 2 divides no odd n
+    powers = [
+        (p**e, p, max(_prime_power_orders(p, e), default=1))
         for p in primes[:split].tolist()
         if not (odd_only and p == 2)
+        for e in range(1, hi.bit_length())
+        if p**e <= hi
     ]
-    sparse = primes[split:]
-    step = 2 if odd_only else 1
+    strided = [power for power in powers if power[0] <= _STRIDE_LIMIT]
+    gathered = [power for power in powers if power[0] > _STRIDE_LIMIT]
+    gathered = np.array(gathered, dtype=np.int64 if hi <= _INT64_MAX else object).reshape(-1, 3).T
+    sparse, step = primes[split:], 2 if odd_only else 1
     width = step * _SEGMENT  # the span of n one segment covers
     return (
-        _lambda_segment(range(a, min(a + width, hi + 1), step), dense, sparse, limit, bound)
+        _lambda_segment(
+            range(a, min(a + width, hi + 1), step), strided, gathered, sparse, limit, bound
+        )
         for a in range(lo | 1 if odd_only else lo, hi + 1, width)
     )
 
@@ -399,42 +399,84 @@ def _first_multiple(a: int, q, step: int):
     return f if step == 1 else f // 2 + f % 2 * (q // 2 + 1)
 
 
+def _runs(a: int, q: np.ndarray, step: int, size: int) -> tuple[np.ndarray, ...]:
+    """Which q have a multiple in the segment, and the first index and count of those (int64)."""
+    first = _first_multiple(a, q, step)
+    counts = (size - 1 - first) // q + 1
+    hit = counts > 0
+    return hit, first[hit].astype(np.int64, copy=False), counts[hit].astype(np.int64, copy=False)
+
+
+def _gathered_multiples(
+    span: range, gathered: np.ndarray, sparse: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every multiple in span of each gathered power q = p^e, with p and
+    lambda(q), and how many are multiples of a sparse p itself (they come
+    first).  A dense power above _STRIDE_LIMIT or a sparse prime can have
+    many multiples: their indices come from one ``repeat`` and ``cumsum``.
+    A sparse p^e with e >= 2 has at most one, and is tried only if p^(e-1)
+    hit, which keeps a window at 2**48 from trying every p^2.
+    """
+    a, step, size, largest = span.start, span.step, len(span), span[-1]
+    hit, first, counts = _runs(a, sparse, step, size)
+    dense_hit, dense_first, dense_counts = _runs(a, gathered[0], step, size)
+    p, (q, dense_p, dense_orders) = sparse[hit], gathered[:, dense_hit]
+    first, counts = np.concatenate((first, dense_first)), np.concatenate((counts, dense_counts))
+    # a run of one multiple needs no stride, and that of a q past 2**63 would not fit
+    stride = np.minimum(np.concatenate((p, q)), size).astype(np.int64, copy=False)
+    steps = np.repeat(stride, counts)
+    last = first + (counts - 1) * stride
+    steps[np.cumsum(counts[:-1])] = first[1:] - last[:-1]
+    steps[:1] = first[:1]
+    indices = [np.cumsum(steps)]
+    primes = [np.repeat(np.concatenate((p, dense_p)), counts)]
+    orders = [np.repeat(np.concatenate((p - 1, dense_orders)), counts)]
+    prime_multiples = int(counts[: len(p)].sum())
+    p = p[p <= largest // p]
+    q = p * p
+    while len(p):
+        first = _first_multiple(a, q, step)
+        hit = first < size
+        p, q = p[hit], q[hit]
+        indices.append(first[hit].astype(np.int64, copy=False))
+        primes.append(p)
+        orders.append(q - q // p)
+        more = q <= largest // p
+        p = p[more]
+        q = q[more] * p
+    return np.concatenate(indices), np.concatenate(primes), np.concatenate(orders), prime_multiples
+
+
 def _lambda_segment(
     span: range,
-    dense: list[tuple[int, list[int]]],
+    strided: list[tuple[int, int, int]],
+    gathered: np.ndarray,
     sparse: np.ndarray,
     limit: int,
     bound: int,
 ) -> LambdaSegment:
     """lambda(n) and the flags for the n of span (consecutive, or
-    consecutive odd at step 2), sieved by the dense primes (p * p <=
-    _SEGMENT) and the sparse ones (up to limit).
+    consecutive odd at step 2, where 2 is left out and each odd q = p^e
+    steps by q in the index too), sieved by every prime up to limit.
 
-    At step 2 the prime 2 is left out (see ``lambda_range``), so every
-    q = p^e is odd and its multiples among the odd n lie 2q apart: q apart
-    in the index, as at step 1, from ``_first_multiple`` on.
+    The dense powers up to _STRIDE_LIMIT stride: 30 odd primes, 9, 27, 81,
+    25, 125, 49 and 121, and 2, 4, ..., 128 at step 1.  Every other power
+    is gathered (``_gathered_multiples``) and applied by ``multiply.at``
+    and ``lcm.at``, which apply each of two powers that hit one n.
 
-    A dense prime p walks its powers p^e in strides.  At e = 1, lcm(lam,
-    p - 1) is lam * table[lam % (p - 1)] (``_lcm_table``).  From e = 2 on
-    it is one multiply: the dense primes run in ascending order, and no
-    smaller prime p' has p | p' - 1, so lam holds exactly the p-part of
-    lambda(p^(e-1)) and lcm(lam, lambda(p^e)) = lam * lambda(p^e) /
-    lambda(p^(e-1)).
-
-    The sparse primes have p^2 > _SEGMENT, so each p^e (e >= 2) has at
-    most one multiple here (at step 2 too, as 2 * p^2 > 2 * _SEGMENT).
-    They are gathered one level e at a time: the index of every multiple
-    at once, then ``multiply.at`` and ``lcm.at``, which apply each of two
-    primes that hit the same n (131 * 137), where a fancy assignment
-    would keep one.  These keep an lcm: every level-1 step runs before any
-    level-2 step, so at 131^2 * 263 (262 = 2 * 131) lam already holds a
-    131.
-
-    Of the time per n over [3, 10**6] (see ``lambda_range``), with or
-    without odd_only, the dense primes take about 35%, the sparse ones 25%
-    and the closing lcm with the prime cofactor's p - 1, with the
-    multiply-back check, 35%; just below 10**8 the dense primes take 27%
-    and the sparse ones 37%.
+    The first pass takes out every prime power and checks that their
+    product times the cofactor gives back n.  The cofactor has no prime
+    factor up to limit, so below (limit + 1)**2 it is 1 or a prime r; a
+    larger one is factored.  The second pass starts lam at lambda of the
+    cofactor (r - 1 for a prime) and folds in lambda(q) for each q | n, in
+    any order, keeping lam the lcm of what it has folded.  A strided fold
+    is lam * table[lam mod lambda(q)] (``_lcm_table``), which multiplies
+    only where lambda(q) does not divide lam, since r - 1 can hold any part
+    of p; the remainder is x - x // m * m, as numpy divides by a scalar
+    without a hardware division.  Over [3, 10**6] the strided folds take
+    about 35-40% of the time, ``lcm.at`` 25%, the gathered index 11-13%,
+    the strided first pass 10% and the check 7%; below 10**8, ``lcm.at``
+    takes 37% and the strided folds 28%.
 
     The composite flag is read from lambda itself: for n >= 2, lambda(n)
     divides phi(n) <= n - 1, with equality exactly when n is prime.
@@ -444,60 +486,35 @@ def _lambda_segment(
         n = np.arange(a, span.stop, span.step, dtype=np.int64)
     else:
         n = np.array(span, dtype=object)
+    if gathered.dtype != n.dtype:  # an int64 segment of a range past 2**63
+        gathered = gathered[:, gathered[0] <= largest].astype(np.int64)
+    index, primes, orders, prime_multiples = _gathered_multiples(
+        span, gathered, sparse.astype(n.dtype, copy=False)
+    )
+    firsts = [_first_multiple(a, q, span.step) for q, _, _ in strided]
     taken = np.ones(size, dtype=n.dtype)  # product of the prime powers taken out
-    lam = np.ones(size, dtype=n.dtype)
     squarefree = np.ones(size, dtype=bool)
-    for p, orders in dense:
-        q = p
-        for e, order in enumerate(orders, 1):
-            if q > largest or (first := _first_multiple(a, q, span.step)) >= size:
-                break
-            view = taken[first::q]
-            view *= p
-            view = lam[first::q]
-            if e == 1:
-                if order > 1:
-                    view *= _lcm_table(order)[(view % order).astype(np.intp, copy=False)]
-            elif order > orders[e - 2]:
-                view *= order // orders[e - 2]
-            if e == 2:
-                squarefree[first::q] = False
-            q *= p
-    p = sparse.astype(n.dtype, copy=False)
-    q, e = p, 1
-    while len(p):
-        first = _first_multiple(a, q, span.step)
-        counts = ((size - 1 - first) // q + 1).astype(np.int64, copy=False)
-        hit = counts > 0
-        p, q, counts = p[hit], q[hit], counts[hit]
-        first = first[hit].astype(np.int64, copy=False)
-        if e == 1:
-            # each prime's run of multiples: first, then steps of p
-            stride = p.astype(np.int64, copy=False)
-            steps = np.repeat(stride, counts)
-            last = first + (counts - 1) * stride
-            steps[np.cumsum(counts[:-1])] = first[1:] - last[:-1]
-            steps[:1] = first[:1]
-            index = np.cumsum(steps)
-        else:
-            index = first
-        np.multiply.at(taken, index, np.repeat(p, counts))
-        np.lcm.at(lam, index, np.repeat(q - q // p, counts))
-        if e > 1:
-            squarefree[index] = False
-        more = q <= largest // p
-        p = p[more]
-        q = q[more] * p
-        e += 1
+    for (q, p, _), first in zip(strided, firsts):
+        view = taken[first::q]
+        view *= p
+        if q == p * p:
+            squarefree[first::q] = False
+    np.multiply.at(taken, index, primes)
+    squarefree[index[prime_multiples:]] = False
     rem = n // taken
     if not np.array_equal(taken * rem, n):
         raise ArithmeticError(f"sieve factors do not multiply back on [{a}, {largest}]")
+    lam = np.maximum(rem - 1, 1)
     # The cofactor is 1, a prime, or (from (limit + 1)**2 on) a number to factor.
     for i in np.flatnonzero(rem > limit * (limit + 2)):
         c = int(rem[i])
         f = Factorization(c, tuple(sorted(_cofactor_primes(c, c, bound).items())))
-        lam[i] = lcm(int(lam[i]), carmichael_lambda(f))
+        lam[i] = carmichael_lambda(f)
         squarefree[i] &= f.is_squarefree
-        rem[i] = 1
-    np.lcm(lam, rem - 1, out=lam, where=rem > 1)
+    for (q, _, order), first in zip(strided, firsts):
+        if order > 1:
+            x = lam[first::q].copy()  # numpy divides a contiguous array 3 times as fast
+            x *= _lcm_table(order)[(x - x // order * order).astype(np.intp, copy=False)]
+            lam[first::q] = x
+    np.lcm.at(lam, index, orders)
     return LambdaSegment(n, lam, squarefree, (n > 1) & (lam != n - 1))

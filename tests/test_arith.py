@@ -17,6 +17,7 @@ from kunits import (
     nu,
     pow_mod,
 )
+from kunits import arith
 from kunits.arith import (
     _BLOCK,
     _CERTIFIED_LIMIT,
@@ -191,6 +192,12 @@ class TestFactorize:
         assert factorize(n, bound=2**32).factors == ((1000003, 1), (1000033, 1))
         with pytest.raises(CapabilityError, match="after 512 rho iterations"):
             factorize(n, bound=2**20)
+
+    def test_rho_cap_holds_below_the_bound(self, monkeypatch):
+        # at or below the bound rho gets no tighter budget, but never more than the cap
+        monkeypatch.setattr(arith, "_RHO_CAP", 512)
+        with pytest.raises(CapabilityError, match="after 512 rho iterations"):
+            factorize(1000003 * 1000033, bound=2**64)
 
     def test_smooth_numbers_above_the_bound_still_factor(self):
         f = factorize(2**100 * 3**5)

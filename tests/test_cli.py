@@ -717,6 +717,15 @@ class TestRhoBudget:
         assert (code, out) == (3, "")
         assert err.startswith("capability error: ") and "after 512 rho iterations" in err
 
+    def test_bound_flag_cannot_lift_the_rho_cap(self, capsys, monkeypatch):
+        # two 50-bit primes below --bound 2**200: rho stops at the cap, not at the bound
+        monkeypatch.setattr(kunits.arith, "_RHO_CAP", 512)
+        argv = ["stats", "--n", "673572628042771384973556338657", "--k", "2", "--bound", str(2**200)]
+        with deadline(5):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "after 512 rho iterations" in err
+
     def test_refusal_bound_is_not_a_rho_budget(self):
         # two 50-bit primes: rho cannot split n within the default budget, and
         # is_generalized_carmichael's bound only refuses n above it

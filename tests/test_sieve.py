@@ -19,6 +19,7 @@ from kunits import (
     carmichael_lambda,
     classify,
     factorize,
+    is_prime,
     is_rdu_one,
     lambda_range,
     parse_rule,
@@ -26,7 +27,7 @@ from kunits import (
 )
 from kunits import arith
 from kunits.classify import _predicate
-from kunits.unitgroup import _SEGMENT
+from kunits.unitgroup import _SEGMENT, _STRIDE_LIMIT
 
 from oracles import (
     brute_gen_carmichael,
@@ -217,6 +218,38 @@ class TestLambdaRange:
         lambda_range(1, RANGE_BOUND)
         lambda_range(2**64, 2**64 + RANGE_BOUND - 1)
         lambda_range(3, 10**8, odd_only=True)
+
+
+# (p, e) for every prime power p^e the sieve strides rather than gathers
+STRIDED = [
+    (p, e) for p in range(2, _STRIDE_LIMIT + 1) if brute_is_prime(p) for e in range(1, 8) if p**e <= _STRIDE_LIMIT
+]
+
+
+def cofactor_trap(p, e, floor):
+    """(q * r, r) for q = p^e and the least prime r > floor with r = 1 (mod q * p):
+    r is the cofactor, and r - 1 holds more of p than lambda(q) does."""
+    m = p ** (e + 1)
+    r = (floor // m + 1) * m + 1
+    while not is_prime(r):
+        r += m
+    return p**e * r, r
+
+
+class TestCofactorTraps:
+    """lambda starts from the cofactor r, whose r - 1 may already hold any part of p."""
+
+    @pytest.mark.parametrize("floor", [1000, 2**32])
+    @pytest.mark.parametrize("p, e", STRIDED, ids=[f"{p}^{e}" for p, e in STRIDED])
+    def test_strided_power_times_a_cofactor_with_more_of_p(self, p, e, floor):
+        n, r = cofactor_trap(p, e, floor)
+        assert factorize(n).factors == ((p, e), (r, 1))
+        expected = factored(n - 20, n + 20)
+        rows = sieved(n - 20, n + 20)
+        assert rows == expected
+        assert (n, lcm(brute_unit_exponent(p**e), r - 1), e == 1, True) in rows
+        if p > 2:
+            assert sieved(n - 20, n + 20, odd_only=True) == odd_rows(expected)
 
 
 @pytest.fixture(scope="module")
@@ -431,3 +464,18 @@ class TestPredicateOnOddN:
         _predicate(name, 1000)
         assert asked == [odd_only]
         assert module._lambda_set(name).odd_only is odd_only
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 3, 10**6])
+    @pytest.mark.parametrize("k", [1, 3, 15, 720721])
+    def test_odd_constant_exponent_sieves_no_n_above_2(self, monkeypatch, k, top):
+        # e(n) = k is odd at every n, and lambda(n) is even from 3 on
+        module = importlib.import_module("kunits.classify")
+        real, asked = module.lambda_range, []
+
+        def recorded(lo, hi, **kwargs):
+            asked.append(hi)
+            return real(lo, hi, **kwargs)
+
+        monkeypatch.setattr(module, "lambda_range", recorded)
+        assert _predicate(f"rdu-one:{k}", top) == {1, 2} & set(range(1, top + 1))
+        assert all(hi <= 2 for hi in asked)
