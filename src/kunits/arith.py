@@ -294,10 +294,12 @@ def _cofactor_primes(n: int, original: int, bound: int) -> dict[int, int]:
         budget = min(16 * isqrt(isqrt(bound)), _RHO_CAP) if m > bound else _RHO_CAP
         d, used = _split(m, budget)
         if d is None:
+            stop = f"the supported factorization bound is {bound}"
+            if budget == _RHO_CAP:
+                stop = f"the rho cap is {_RHO_CAP} iterations per cofactor"
             raise CapabilityError(
                 f"cannot split the composite cofactor {m} of {original} "
-                f"after {used} rho iterations; the supported factorization "
-                f"bound is {bound}"
+                f"after {used} rho iterations; {stop}"
             )
         stack += [d, m // d]
     return counts

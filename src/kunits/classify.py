@@ -253,12 +253,6 @@ class _LambdaSet(NamedTuple):
     composite: bool = False
     squarefree: bool = False
 
-    @property
-    def odd_only(self) -> bool:
-        """Whether every even n >= 3 is out (``failure``'s parity clause): at
-        even n, e(n) has the parity of the offset."""
-        return self.offset % 2 == 1
-
     def failure(
         self, n: Factorization | int, lam: int | None = None
     ) -> tuple[str, Factorization | None] | None:
@@ -311,26 +305,25 @@ def _lambda_set(name: str) -> _LambdaSet:
 
 
 def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozenset[int]:
-    """The members in [1, top] of the named set, from one sweep after the name is checked.
+    """The members in [1, top] of the named set, from at most one sweep after the name is checked.
 
-    A set without even n >= 3 (``_LambdaSet.odd_only``) sieves the odd n
-    only, and decides n = 2 alone.  With an even slope too, e(n) is odd at
-    every n and lambda(n) is even from 3 on, so the sweep stops at 2."""
+    ``failure`` decides n = 1 and 2, and the sweep [3, top], where lambda(n)
+    is even: only the odd n when the offset is odd, and no n when the slope
+    is even too.  An odd slope with an even offset, whose odd n >= 3 are
+    all out, is still sieved in full."""
     s = _lambda_set(name)
-    if s.odd_only and s.slope % 2 == 0:
-        top = min(top, 2)
-    if top < s.least:
-        return frozenset()
-    rule = ExponentRule("poly", (s.offset, s.slope))
-    filters = {
-        "composite_only": s.composite,
-        "odd_only": s.odd_only,
-        "squarefree_only": s.squarefree,
-    }
-    members = frozenset(sweep(s.least, top, rule, **filters, bound=bound).hits)
-    if s.odd_only and top >= 2 and s.failure(2) is None:
-        members |= {2}
-    return members
+    members = {n for n in (1, 2) if n <= top and s.failure(n) is None}
+    lo = max(s.least, 3)
+    odd_offset = s.offset % 2 == 1
+    if lo <= top and not (odd_offset and s.slope % 2 == 0):
+        rule = ExponentRule("poly", (s.offset, s.slope))
+        filters = {
+            "composite_only": s.composite,
+            "odd_only": odd_offset,
+            "squarefree_only": s.squarefree,
+        }
+        members.update(sweep(lo, top, rule, **filters, bound=bound).hits)
+    return frozenset(members)
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .arith import (
-    _TRIAL_LIMIT,
     SUPPORTED_BOUND,
     Factorization,
     _as_factorization,
     _cofactor_primes,
-    _small_primes,
     _value,
     factorize,
 )
@@ -283,26 +281,20 @@ def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list
 
 # Values per segment of lambda_range; its memory is O(segment), not O(hi).
 _SEGMENT = 1 << 14
-# The sieve takes out every prime up to min(isqrt(hi), _SIEVE_LIMIT).
-_SIEVE_LIMIT = 1 << 24
 # The prime powers up to this one are sieved in strides, the others gathered.
 _STRIDE_LIMIT = isqrt(_SEGMENT)
 
 
 @cache
-def _prime_table() -> np.ndarray:
-    """Every prime below 2**24, ascending, as int64: 1,077,871 primes in
-    8.6 MB, kept for the life of the process.
-
-    A sieve of Eratosthenes over the odd numbers, crossed off by
-    ``_small_primes()``; index i stands for 2i + 1, and the 1 at index 0
-    becomes the even prime 2.
-    """
-    odd = np.ones(_SIEVE_LIMIT // 2, dtype=bool)
-    for p in _small_primes()[1:]:
-        if p * p >= _SIEVE_LIMIT:
-            break
-        odd[p * p // 2 :: p] = False
+def _primes_below(bits: int) -> np.ndarray:
+    """Every prime below 2**bits, ascending, as int64, kept for the life of
+    the process (below 2**24, 1,077,871 primes in 8.6 MB): a sieve of
+    Eratosthenes over the odd numbers, where index i stands for 2i + 1 and
+    the 1 at index 0 becomes the even prime 2."""
+    odd = np.ones(1 << (bits - 1), dtype=bool)
+    for p in range(3, isqrt(1 << bits) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
     primes = np.flatnonzero(odd)
     primes *= 2
     primes += 1
@@ -336,16 +328,19 @@ def lambda_range(
 
     Each segment holds up to 2**14 consecutive n, or with odd_only up to
     2**14 consecutive odd n (the even n are not sieved at all).  It takes
-    out every prime up to L = min(isqrt(hi), 2**24), from ``_prime_table``
-    above 2**16.  The cofactor left is 1 or a prime below (L + 1)**2, so
-    for every n up to hi = 2**48 + 2**25; a larger one goes to the rho of
+    out every prime up to L = min(isqrt(hi), 2**24), read from
+    ``_primes_below(16)`` while L < 2**16 and from ``_primes_below(24)``
+    beyond.  The cofactor left is 1 or a prime below (L + 1)**2, so for
+    every n up to hi = 2**48 + 2**25; a larger one goes to the rho of
     ``factorize``, which certifies its primes or raises CapabilityError.
+    The gathered powers and sparse primes are built once per call, in int64
+    (the powers up to 2**63 - 1) and, for a hi past that, in Python ints.
 
     CPU time per n on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): about
     0.08-0.09 us to 10**6 and near 10**7, 0.11-0.14 us for the 2**20 n
     below 10**8, and 0.34-0.36 us in a window of 2**14 n at 2**40, with
-    no rho (the prime table takes 60 ms once).  odd_only halves the cost
-    of a range: [3, 10**6] took 39-45 ms against 78-83 ms.
+    no rho (the primes below 2**24 take 55 ms once).  odd_only halves the
+    cost of a range: [3, 10**6] took 39-45 ms against 78-83 ms.
 
     Refuses with DomainError a range without 1 <= lo <= hi, and with
     CapabilityError one of more than RANGE_BOUND = 10**9 n, both before
@@ -358,12 +353,10 @@ def lambda_range(
         raise CapabilityError(
             f"[{lo}, {hi}] holds {hi - lo + 1} n, above the range bound {RANGE_BOUND}"
         )
-    limit = min(isqrt(hi), _SIEVE_LIMIT)
-    # only a range past 2**32 needs the table
-    if limit < _TRIAL_LIMIT:
-        primes = np.array(_small_primes(), dtype=np.int64)
-    else:
-        primes = _prime_table()
+    # the primes below 2**16 serve a range up to 2**32, and those below 2**24 any other
+    bits = 16 if hi < 1 << 32 else 24
+    limit = min(isqrt(hi), 1 << bits)
+    primes = _primes_below(bits)
     primes = primes[: np.searchsorted(primes, limit, side="right")]
     split = np.searchsorted(primes, _STRIDE_LIMIT, side="right")
     # (q, p, lambda(q)) for each power q = p^e <= hi of a dense prime p; 2 divides no odd n
@@ -376,13 +369,16 @@ def lambda_range(
     ]
     strided = [power for power in powers if power[0] <= _STRIDE_LIMIT]
     gathered = [power for power in powers if power[0] > _STRIDE_LIMIT]
-    gathered = np.array(gathered, dtype=np.int64 if hi <= _INT64_MAX else object).reshape(-1, 3).T
     sparse, step = primes[split:], 2 if odd_only else 1
+    # the gathered powers and the sparse primes in each dtype a segment's n can take
+    fits = [power for power in gathered if power[0] <= _INT64_MAX]
+    tables = {np.dtype(np.int64): (np.array(fits, dtype=np.int64).reshape(-1, 3).T, sparse)}
+    if hi > _INT64_MAX:
+        gathered = np.array(gathered, dtype=object).reshape(-1, 3).T
+        tables[np.dtype(object)] = gathered, sparse.astype(object)
     width = step * _SEGMENT  # the span of n one segment covers
     return (
-        _lambda_segment(
-            range(a, min(a + width, hi + 1), step), strided, gathered, sparse, limit, bound
-        )
+        _lambda_segment(range(a, min(a + width, hi + 1), step), strided, tables, limit, bound)
         for a in range(lo | 1 if odd_only else lo, hi + 1, width)
     )
 
@@ -450,14 +446,15 @@ def _gathered_multiples(
 def _lambda_segment(
     span: range,
     strided: list[tuple[int, int, int]],
-    gathered: np.ndarray,
-    sparse: np.ndarray,
+    tables: dict[np.dtype, tuple[np.ndarray, np.ndarray]],
     limit: int,
     bound: int,
 ) -> LambdaSegment:
     """lambda(n) and the flags for the n of span (consecutive, or
     consecutive odd at step 2, where 2 is left out and each odd q = p^e
     steps by q in the index too), sieved by every prime up to limit.
+    The n are int64 while the largest fits, else Python ints, and
+    ``tables`` holds the gathered powers and sparse primes in each dtype.
 
     The dense powers up to _STRIDE_LIMIT stride: 30 odd primes, 9, 27, 81,
     25, 125, 49 and 121, and 2, 4, ..., 128 at step 1.  Every other power
@@ -486,11 +483,7 @@ def _lambda_segment(
         n = np.arange(a, span.stop, span.step, dtype=np.int64)
     else:
         n = np.array(span, dtype=object)
-    if gathered.dtype != n.dtype:  # an int64 segment of a range past 2**63
-        gathered = gathered[:, gathered[0] <= largest].astype(np.int64)
-    index, primes, orders, prime_multiples = _gathered_multiples(
-        span, gathered, sparse.astype(n.dtype, copy=False)
-    )
+    index, primes, orders, prime_multiples = _gathered_multiples(span, *tables[n.dtype])
     firsts = [_first_multiple(a, q, span.step) for q, _, _ in strided]
     taken = np.ones(size, dtype=n.dtype)  # product of the prime powers taken out
     squarefree = np.ones(size, dtype=bool)

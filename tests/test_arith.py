@@ -199,6 +199,19 @@ class TestFactorize:
         with pytest.raises(CapabilityError, match="after 512 rho iterations"):
             factorize(1000003 * 1000033, bound=2**64)
 
+    def test_rho_refusal_names_the_limit_that_stopped_it(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_CAP", 512)
+        n = 1000003 * 1000033
+        with pytest.raises(CapabilityError) as capped:
+            factorize(n, bound=2**64)
+        assert "the rho cap is 512 iterations" in str(capped.value)
+        assert str(2**64) not in str(capped.value)
+        # a bound below n sets a smaller budget, and the refusal names the bound
+        with pytest.raises(CapabilityError) as bounded:
+            factorize(n, bound=2**16)
+        assert str(bounded.value).endswith("the supported factorization bound is 65536")
+        assert "rho cap" not in str(bounded.value)
+
     def test_smooth_numbers_above_the_bound_still_factor(self):
         f = factorize(2**100 * 3**5)
         assert f.factors == ((2, 100), (3, 5))

@@ -25,9 +25,9 @@ from kunits import (
     parse_rule,
     sweep,
 )
-from kunits import arith
-from kunits.classify import _predicate
-from kunits.unitgroup import _SEGMENT, _STRIDE_LIMIT
+from kunits import arith, unitgroup
+from kunits.classify import _lambda_set, _predicate
+from kunits.unitgroup import _SEGMENT, _STRIDE_LIMIT, _primes_below
 
 from oracles import (
     brute_gen_carmichael,
@@ -218,6 +218,52 @@ class TestLambdaRange:
         lambda_range(1, RANGE_BOUND)
         lambda_range(2**64, 2**64 + RANGE_BOUND - 1)
         lambda_range(3, 10**8, odd_only=True)
+
+
+class TestPrimeSieve:
+    """lambda_range reads its primes from one cached sieve, below 2**16 or below 2**24."""
+
+    def test_primes_below_2_16_match_the_trial_division_primes(self):
+        # two independent sieves
+        assert _primes_below(16).tolist() == list(arith._small_primes())
+
+    def test_primes_below_2_24(self, sympy):
+        primes = _primes_below(24)
+        assert primes.dtype == np.int64
+        assert len(primes) == 1077871 and primes[-1] == 16777213
+        head = primes[: 2**16].tolist()
+        assert head == list(sympy.primerange(2, head[-1] + 1))
+
+    @pytest.mark.parametrize("hi, bits", [(2**32 - 1, 16), (2**32 + 5, 24)])
+    def test_windows_on_either_side_of_2_32(self, monkeypatch, hi, bits):
+        asked = []
+
+        def recorded(b):
+            asked.append(b)
+            return _primes_below(b)
+
+        monkeypatch.setattr(unitgroup, "_primes_below", recorded)
+        lo = hi - 300
+        expected = factored(lo, hi)
+        assert sieved(lo, hi) == expected
+        assert sieved(lo, hi, odd_only=True) == odd_rows(expected)
+        assert asked == [bits, bits]
+
+
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_one_call_straddles_2_63(monkeypatch, odd_only):
+    # segments of 16 n: the int64 ones below 2**63 and the object ones above
+    # read the gathered powers and sparse primes built once for their dtype
+    monkeypatch.setattr(unitgroup, "_SEGMENT", 16)
+    lo, hi = 2**63 - 40, 2**63 + 40
+    segments = list(lambda_range(lo, hi, odd_only=odd_only))
+    dtypes = [segment.n.dtype for segment in segments]
+    switch = dtypes.index(np.dtype(object))
+    assert 0 < switch and set(dtypes[:switch]) == {np.dtype(np.int64)}
+    assert set(dtypes[switch:]) == {np.dtype(object)}
+    rows = [row for segment in segments for row in zip(*(column.tolist() for column in segment))]
+    expected = factored(lo, hi)
+    assert rows == (odd_rows(expected) if odd_only else expected)
 
 
 # (p, e) for every prime power p^e the sieve strides rather than gathers
@@ -463,7 +509,6 @@ class TestPredicateOnOddN:
         monkeypatch.setattr(module, "lambda_range", recorded)
         _predicate(name, 1000)
         assert asked == [odd_only]
-        assert module._lambda_set(name).odd_only is odd_only
 
     @pytest.mark.parametrize("top", [0, 1, 2, 3, 10**6])
     @pytest.mark.parametrize("k", [1, 3, 15, 720721])
@@ -479,3 +524,24 @@ class TestPredicateOnOddN:
         monkeypatch.setattr(module, "lambda_range", recorded)
         assert _predicate(f"rdu-one:{k}", top) == {1, 2} & set(range(1, top + 1))
         assert all(hi <= 2 for hi in asked)
+
+
+POINT_SETS = [
+    "carmichael",
+    *(f"knodel:{i}" for i in range(1, 7)),
+    *(f"gen-carmichael:{k}" for k in range(-6, 7)),
+    *(f"rdu-one:{k}" for k in (*range(1, 13), 720)),
+]
+
+
+@functools.cache
+def _point_members(name, top=1000):
+    s = _lambda_set(name)
+    return frozenset(n for n in range(1, top + 1) if s.failure(n) is None)
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 3, 4, 1000])
+@pytest.mark.parametrize("name", POINT_SETS)
+def test_predicate_matches_the_point_verdicts(name, top):
+    # every parity of slope and offset, and the tops where n = 1 and n = 2 are decided alone
+    assert _predicate(name, top) == {n for n in _point_members(name) if n <= top}
