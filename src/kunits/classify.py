@@ -5,17 +5,16 @@ i-Knodel sets, the generalized Carmichael sets C_k, and sweep tooling for
 exponent rules that depend on n (n-i, n+i, a*n+b, arbitrary integer
 polynomials).
 
-The point classifiers factor one n; ``sweep`` instead reads lambda(n) for
-a whole range from one sieve (``lambda_range``), since rdu_k(n) = 1
-exactly when lambda(n) divides k.  Each set is defined once, in
-``_lambda_set``, and every point verdict is ``_LambdaSet.failure`` of it.
+The point classifiers factor one n; ``sweep`` instead reads lambda(n) for a
+whole range from one sieve (``lambda_range``), since rdu_k(n) = 1 exactly when
+lambda(n) divides k.  Each set is a value built by its own constructor, every
+point verdict is its ``_LambdaSet.failure``, and only oeis-check names a set.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _value
@@ -63,7 +62,7 @@ def korselt_failure(n: Factorization | int) -> str | None:
     m = _value(n)
     if m < 1:
         raise DomainError(f"korselt_failure requires n >= 1, got {m}")
-    return _korselt_reason(_lambda_set("carmichael").failure(n), m)
+    return _korselt_reason(_CARMICHAEL.failure(n), m)
 
 
 def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> str | None:
@@ -91,14 +90,14 @@ def is_carmichael(n: Factorization | int) -> bool:
     """Korselt test: n odd, composite, squarefree, and p-1 | n-1 for all p | n."""
     if _value(n) < 1:
         raise DomainError(f"is_carmichael requires n >= 1, got {_value(n)}")
-    return _lambda_set("carmichael").failure(n) is None
+    return _CARMICHAEL.failure(n) is None
 
 
 def is_knodel(n: Factorization | int, i: int) -> bool:
     """Membership of n in the i-Knodel set: composite n > i whose every unit
     satisfies a^(n-i) = 1.  The 1-Knodel numbers are the Carmichael numbers.
     Accepts an int or a Factorization."""
-    s = _lambda_set(f"knodel:{i}")
+    s = _knodel(i)
     if _value(n) < 1:
         raise DomainError(f"is_knodel requires n >= 1, got {_value(n)}")
     return s.failure(n) is None
@@ -109,14 +108,14 @@ def is_generalized_carmichael(
 ) -> bool:
     """Membership of n in C_k: min(n, n+k) > 1 and a^(n+k) = a mod n for ALL a.
 
-    Decided by Korselt's closed form (``_lambda_set``); k may be negative; n > bound is refused.
-    """
+    Decided by Korselt's closed form, ``_gen_carmichael(k)``; k may be
+    negative; n > bound is refused."""
     m = _value(n)
     if m < 1:
         raise DomainError(f"is_generalized_carmichael requires n >= 1, got {m}")
     if m > bound:
         raise CapabilityError(f"n = {m} exceeds the brute-force bound {bound}")
-    return _lambda_set(f"gen-carmichael:{k}").failure(n) is None
+    return _gen_carmichael(k).failure(n) is None
 
 
 _RULE_CONST = re.compile(r"const:(\d+)\Z")
@@ -277,31 +276,43 @@ class _LambdaSet(NamedTuple):
         return None
 
 
-@lru_cache(maxsize=64)
+def _knodel(i: int) -> _LambdaSet:
+    """The i-Knodel set: the composite n > i with lambda(n) | n - i."""
+    if i < 1:
+        raise DomainError(f"is_knodel requires i >= 1, got {i}")
+    return _LambdaSet(1, -i, i + 1, composite=True)
+
+
+def _gen_carmichael(k: int) -> _LambdaSet:
+    """Korselt's form of C_k: the squarefree n with n, n + k >= 2 and lambda(n) | n + k - 1."""
+    return _LambdaSet(1, k - 1, max(2, 2 - k), squarefree=True)
+
+
+def _rdu_one(k: int) -> _LambdaSet:
+    """The n with rdu_k(n) = 1, that is lambda(n) | k."""
+    if k < 1:
+        raise DomainError(f"the rdu-one predicate requires K >= 1, got {k}")
+    return _LambdaSet(0, k, 1)
+
+
+_CARMICHAEL = _knodel(1)  # lambda(n) is even for n >= 3, so only odd n are 1-Knodel
+
+
 def _lambda_set(name: str) -> _LambdaSet:
-    """The set oeis-check calls ``name``; cached, as every point verdict asks for it."""
+    """The set oeis-check calls ``name``, built by its family's constructor."""
     base, _, raw = name.partition(":")
     if base == "carmichael":
         if raw:
             raise DomainError("the carmichael predicate takes no parameter")
-        base, raw = "knodel", "1"  # lambda(n) is even for n >= 3, so only odd n are 1-Knodel
-    if base not in ("knodel", "gen-carmichael", "rdu-one"):
+        return _CARMICHAEL
+    families = {"knodel": _knodel, "gen-carmichael": _gen_carmichael, "rdu-one": _rdu_one}
+    if base not in families:
         raise DomainError(f"unknown predicate {name!r}; expected {_PREDICATE_HELP}")
     try:
         parameter = int(raw)
     except ValueError:
         raise DomainError(f"predicate {name!r} needs an integer parameter") from None
-    if base == "knodel":
-        if parameter < 1:
-            raise DomainError(f"is_knodel requires i >= 1, got {parameter}")
-        return _LambdaSet(1, -parameter, parameter + 1, composite=True)
-    if base == "gen-carmichael":
-        # Korselt: for n, n + K >= 2, a^(n+K) = a mod n for every a exactly
-        # when n is squarefree and lambda(n) | n + K - 1
-        return _LambdaSet(1, parameter - 1, max(2, 2 - parameter), squarefree=True)
-    if parameter < 1:
-        raise DomainError(f"the rdu-one predicate requires K >= 1, got {parameter}")
-    return _LambdaSet(0, parameter, 1)
+    return families[base](parameter)
 
 
 def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozenset[int]:
@@ -353,12 +364,12 @@ def classify(
     on the one factorization of n and the one lambda(n)."""
     if _value(n) < 1:
         raise DomainError(f"classify requires n >= 1, got {_value(n)}")
-    knodel = [(i, _lambda_set(f"knodel:{i}")) for i in knodel_indices]
-    gen_carmichael = [(k, _lambda_set(f"gen-carmichael:{k}")) for k in gen_carmichael_ks]
+    knodel = [(i, _knodel(i)) for i in knodel_indices]
+    gen_carmichael = [(k, _gen_carmichael(k)) for k in gen_carmichael_ks]
     f = _as_factorization(n)
     liar_count = count_fermat_liars(f) if liars and f.n % 2 and f.n >= 3 else None
     lam = carmichael_lambda(f)
-    reason = _korselt_reason(_lambda_set("carmichael").failure(f, lam), f.n)
+    reason = _korselt_reason(_CARMICHAEL.failure(f, lam), f.n)
     return ClassificationReport(
         n=f.n,
         is_composite=f.is_composite,

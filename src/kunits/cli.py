@@ -131,7 +131,7 @@ def _bool(value: bool) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    n = factorize(args.n, bound=args.bound or SUPPORTED_BOUND) if args.n >= 1 else args.n
+    n = factorize(args.n, bound=args.bound) if args.n >= 1 else args.n
     stats = k_unit_stats(n, args.k)
     if args.json:
         _emit_json(
@@ -154,7 +154,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_units(args: argparse.Namespace) -> int:
-    units = _k_units(args.n, args.k, args.bound or ENUMERATION_BOUND)
+    units = _k_units(args.n, args.k, args.bound)
     count = len(units)
     result: dict[str, Any] = {"count": count}
     mismatches: list[str] = []
@@ -205,7 +205,7 @@ def _not_k_unit(units: np.ndarray, n: int, k: int) -> str | None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.limit is not None and not args.enumerate:
         raise DomainError("--limit requires --enumerate")
-    sol = solve_rdu_one(args.k, bound=args.bound or SUPPORTED_BOUND)
+    sol = solve_rdu_one(args.k, bound=args.bound)
     solutions = _solutions(sol, args.limit) if args.enumerate else None
     truncated = solutions is not None and len(solutions) < sol.count
     if args.json:
@@ -248,7 +248,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.liars and (args.n < 3 or args.n % 2 == 0):
         raise DomainError(f"--liars requires odd n >= 3, got {args.n}")
-    n = factorize(args.n, bound=args.bound or SUPPORTED_BOUND) if args.n >= 1 else args.n
+    n = factorize(args.n, bound=args.bound) if args.n >= 1 else args.n
     report = classify(
         n,
         liars=args.liars,
@@ -279,10 +279,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         rows.append(("carmichael", verdict))
         if report.fermat_liar_count is not None:
             rows.append(("fermat-liars", str(report.fermat_liar_count)))
-        for i, v in report.knodel_for:
-            rows.append((f"knodel:{i}", _bool(v)))
-        for k, v in report.gen_carmichael_for:
-            rows.append((f"gen-carmichael:{k}", _bool(v)))
+        families = [("knodel", report.knodel_for), ("gen-carmichael", report.gen_carmichael_for)]
+        rows += [(f"{name}:{i}", _bool(v)) for name, verdicts in families for i, v in verdicts]
         _emit_table(rows)
     return 0
 
@@ -290,7 +288,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule)
     filters = {"composite_only": args.composite_only, "odd_only": args.odd_only}
-    result = sweep(args.lo, args.hi, rule, **filters, bound=args.bound or SUPPORTED_BOUND)
+    result = sweep(args.lo, args.hi, rule, **filters, bound=args.bound)
     summary = f"hits={len(result.hits)} skipped={len(result.skipped)}"
     if args.json:
         _emit_json(
@@ -322,12 +320,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
-    bound = args.bound or SUPPORTED_BOUND
     bfile = BFile.parse_path(args.bfile)
     # compare_bfile takes the members up to the limit, or up to the file's
     # largest value; for an empty file it takes none.
     top = args.limit if args.limit is not None else max(bfile.values, default=0)
-    members = _predicate(args.predicate, top if bfile.entries else 0, bound=bound)
+    members = _predicate(args.predicate, top if bfile.entries else 0, bound=args.bound)
     report = compare_bfile(bfile, members, args.limit)
     if args.json:
         _emit_json(
@@ -440,6 +437,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.bound is not None and args.bound < 1:
             raise DomainError(f"--bound must be >= 1, got {args.bound}")
+        if args.bound is None:
+            args.bound = ENUMERATION_BOUND if args.command == "units" else SUPPORTED_BOUND
         return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .arith import (
     is_prime,
 )
 from .errors import CapabilityError, DomainError
-from .classify import _lambda_set
+from .classify import _rdu_one
 
 __all__ = [
     "SOLUTION_CAP",
@@ -137,15 +137,15 @@ def _solutions(sol: RduOneSolution, limit: int | None) -> list[int]:
 
 def is_rdu_one(n: Factorization | int, k: int) -> bool:
     """Fast membership test for rdu_k(n) = 1, without touching the k-units:
-    every unit is a k-unit exactly when lambda(n) | k.  Decided by the
-    rdu-one:K set of ``_lambda_set``, so an odd k with n >= 3 is answered
-    False without factoring, as lambda(n) is even.
+    every unit is a k-unit exactly when lambda(n) | k.  Decided by the set
+    ``classify._rdu_one(k)``, so an odd k with n >= 3 is answered False
+    without factoring, as lambda(n) is even.
 
     Accepts an int or a Factorization.
     """
     if _value(n) < 1 or k < 1:
         raise DomainError(f"is_rdu_one requires n >= 1 and k >= 1, got n={_value(n)}, k={k}")
-    return _lambda_set(f"rdu-one:{k}").failure(n) is None
+    return _rdu_one(k).failure(n) is None
 
 
 def check_korselt_general(n: Factorization | int, k: int) -> bool:

@@ -223,6 +223,8 @@ class TestFactorize:
             Factorization(12, ((2, 2), (5, 1)))  # wrong product
         with pytest.raises(DomainError):
             Factorization(12, ((2, 0), (3, 1)))  # zero exponent
+        with pytest.raises(DomainError, match=r"\AFactorization requires n >= 1, got 0\Z"):
+            Factorization(0, ())
 
     def test_predicates(self):
         assert factorize(1).factors == ()

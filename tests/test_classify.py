@@ -1,4 +1,5 @@
 import random
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,8 @@ class TestIsCarmichael:
             korselt_failure(n)
         with pytest.raises(DomainError):
             is_carmichael(n)
+        with pytest.raises(DomainError, match=rf"\Aclassify requires n >= 1, got {n}\Z"):
+            classify(n)
 
     def test_korselt_equals_rdu_route_up_to_10_5(self):
         hits = 0
@@ -127,8 +130,6 @@ class TestIsKnodel:
     @pytest.mark.parametrize("p,q", [(4294967291, 4294967279), (4294967231, 4294967197)])
     def test_odd_exponent_is_answered_without_factoring(self, monkeypatch, p, q):
         # n - 2 is odd and lambda(n) is even, so n is not 2-Knodel
-        from importlib import import_module
-
         calls = []
 
         def counting(n, **kwargs):
@@ -331,8 +332,6 @@ class TestClassifyReport:
         assert report.gen_carmichael_for == ((0, True), (1, False))
 
     def test_factors_n_once(self, monkeypatch):
-        from importlib import import_module
-
         calls = []
         real = factorize
 
@@ -347,8 +346,6 @@ class TestClassifyReport:
         assert report.knodel_for == ((1, True), (2, False))
 
     def test_takes_lambda_once(self, monkeypatch):
-        from importlib import import_module
-
         calls = []
         real = carmichael_lambda
 
@@ -370,6 +367,44 @@ class TestClassifyReport:
     def test_bad_knodel_index_is_domain_error(self):
         with pytest.raises(DomainError, match="i >= 1"):
             classify(561, knodel_indices=(1, 0))
+
+
+def test_point_verdicts_build_their_sets_without_parsing_a_name(monkeypatch):
+    # only oeis-check names a set; a point verdict builds its set by value
+    def refuse(name):
+        raise AssertionError(f"parsed the predicate name {name!r}")
+
+    for name in ("classify", "solver"):
+        monkeypatch.setattr(import_module(f"kunits.{name}"), "_lambda_set", refuse, raising=False)
+    assert is_carmichael(561) and not is_carmichael(563)
+    assert korselt_failure(561) is None
+    assert korselt_failure(15) == "5 - 1 does not divide 15 - 1"
+    assert is_knodel(561, 1) and is_knodel(6, 2) and not is_knodel(9, 2)
+    assert is_generalized_carmichael(1806, 1) and not is_generalized_carmichael(1806, 2)
+    assert is_rdu_one(561, 80) and not is_rdu_one(561, 40)
+    assert check_korselt_general(561, 80)
+    report = classify(561, liars=True, knodel_indices=(1, 2), gen_carmichael_ks=(0, 1))
+    assert report.carmichael
+    assert report.knodel_for == ((1, True), (2, False))
+    assert report.gen_carmichael_for == ((0, True), (1, False))
+
+
+class TestExactMessages:
+    """Domain refusals of the point verdicts, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: is_knodel(5, 0), "is_knodel requires i >= 1, got 0"),
+            (lambda: classify(5, knodel_indices=(0,)), "is_knodel requires i >= 1, got 0"),
+            (lambda: is_rdu_one(5, 0), "is_rdu_one requires n >= 1 and k >= 1, got n=5, k=0"),
+            (lambda: is_generalized_carmichael(0, 1), "is_generalized_carmichael requires n >= 1, got 0"),
+        ],
+    )
+    def test_domain_messages(self, call, message):
+        with pytest.raises(DomainError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def _classify_with_reason(n):

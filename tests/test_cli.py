@@ -349,6 +349,9 @@ class TestClassify:
         code, obj, _ = run_json(capsys, "classify", "--n", "561", "--liars")
         assert code == 0
         assert obj["result"]["fermat_liars"] == "320"
+        code, out, _ = run(capsys, "classify", "--n", "561", "--liars")
+        assert code == 0
+        assert "\nfermat-liars   320\n" in out
 
     def test_liars_on_even_n_exits_2(self, capsys):
         code, _, _ = run(capsys, "classify", "--n", "10", "--liars")
@@ -697,6 +700,28 @@ class TestBoundFlag:
             code, out, err = run(capsys, *argv, "--bound", bound)
             assert (code, out) == (2, ""), bound
             assert err == f"error: --bound must be >= 1, got {bound}\n"
+
+    def test_each_command_keeps_its_own_default(self, capsys, monkeypatch):
+        # units works up to ENUMERATION_BOUND, and every other command factors up to
+        # SUPPORTED_BOUND, whichever command ran before in the process
+        semiprime = 1000000007 * 1000000009  # beyond rho's budget for a bound of 10**7
+        bounds = []
+        real = cli_module.factorize
+
+        def recorded(n, *, bound):
+            bounds.append(bound)
+            return real(n, bound=bound)
+
+        monkeypatch.setattr(cli_module, "factorize", recorded)
+        for _ in range(2):
+            assert run(capsys, "units", "--n", str(10**7), "--k", "2")[0] == 0
+            code, out, err = run(capsys, "units", "--n", str(10**7 + 1), "--k", "2")
+            assert (code, out) == (3, "")
+            assert "enumeration bound 10000000" in err
+            code, out, _ = run(capsys, "stats", "--n", str(semiprime), "--k", "2")
+            assert code == 0
+            assert out.startswith(f"n    {semiprime}\n")
+        assert bounds == [2**64 - 1] * 2
 
 
 class TestRhoBudget:

@@ -27,6 +27,7 @@ from kunits import (
 )
 from kunits import arith, unitgroup
 from kunits.classify import _lambda_set, _predicate
+from kunits.cli import main
 from kunits.unitgroup import _SEGMENT, _STRIDE_LIMIT, _primes_below
 
 from oracles import (
@@ -208,6 +209,19 @@ class TestLambdaRange:
             lambda_range(0, 5)
         with pytest.raises(DomainError):
             lambda_range(10, 9)
+
+    def test_rho_refusal_names_the_n_sieved(self, monkeypatch, capsys):
+        # the sieve takes out 3 and leaves the cofactor 536870923 * 536870951 to rho
+        n = 3 * 536870923 * 536870951
+        monkeypatch.setattr(arith, "_RHO_CAP", 512)
+        named = f"cofactor 288230402995257773 of {n} after 512 rho iterations"
+        for call in (lambda: list(lambda_range(n, n)), lambda: sweep(n, n, parse_rule("n-1"))):
+            with pytest.raises(CapabilityError, match=named):
+                call()
+        code = main(["sweep", "--from", str(n), "--to", str(n), "--rule", "n-1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert named in err
 
     def test_range_bound_is_refused_before_iteration(self):
         with pytest.raises(CapabilityError, match="range bound"):
@@ -532,6 +546,19 @@ POINT_SETS = [
     *(f"gen-carmichael:{k}" for k in range(-6, 7)),
     *(f"rdu-one:{k}" for k in (*range(1, 13), 720)),
 ]
+
+
+def test_every_point_set_name_parses_to_the_set_its_constructor_builds():
+    module = importlib.import_module("kunits.classify")
+    constructed = {
+        "carmichael": module._CARMICHAEL,
+        **{f"knodel:{i}": module._knodel(i) for i in range(1, 7)},
+        **{f"gen-carmichael:{k}": module._gen_carmichael(k) for k in range(-6, 7)},
+        **{f"rdu-one:{k}": module._rdu_one(k) for k in (*range(1, 13), 720)},
+    }
+    assert sorted(constructed) == sorted(POINT_SETS)
+    for name in POINT_SETS:
+        assert _lambda_set(name) == constructed[name], name
 
 
 @functools.cache
