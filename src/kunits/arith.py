@@ -1,12 +1,14 @@
 """Exact integer primitives: primality, factorization, divisors.
 
-Everything here is arbitrary precision and deterministic.  Primality is
-Miller-Rabin on the first t prime bases, t chosen by the size of n: the
-smallest t with n below psi_t, the least odd composite that passes all of
-the first t (OEIS A014233).  The 13 bases 2..41 are a proof for every n
-below psi_13 = 3317044064679887385961981, about 3.3e24 (Sorenson &
-Webster), so there are no probabilistic false positives anywhere in the
-toolkit; inputs the backend cannot certify raise
+Everything here is arbitrary precision and deterministic.  Factorization
+is trial division below 2**16, then Pollard's p - 1 and Brent's rho on
+what is left, each on a fixed schedule, so the same n always takes the
+same path.  Primality is Miller-Rabin on the first t prime bases, t chosen
+by the size of n: the smallest t with n below psi_t, the least odd
+composite that passes all of the first t (OEIS A014233).  The 13 bases
+2..41 are a proof for every n below psi_13 = 3317044064679887385961981,
+about 3.3e24 (Sorenson & Webster), so there are no probabilistic false
+positives anywhere in the toolkit; inputs the backend cannot certify raise
 :class:`~kunits.errors.CapabilityError` rather than guessing.
 """
 
@@ -16,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .errors import CapabilityError, DomainError
 
@@ -62,6 +65,8 @@ _RHO_CAP = 1 << 24  # rho evaluations per cofactor at most, whatever the bound: 
 # Primes per block of trial division; one gcd with the block's product
 # rules out all of them.
 _BLOCK = 64
+# Stage 1 bound of Pollard's p - 1; stage 2 takes the primes above it below _TRIAL_LIMIT.
+_PM1_B1 = 1 << 12
 
 
 @lru_cache(maxsize=1)
@@ -82,6 +87,41 @@ def _prime_blocks() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     primes = _small_primes()
     runs = (primes[i : i + _BLOCK] for i in range(0, len(primes), _BLOCK))
     return tuple((run[0], prod(run), run) for run in runs)
+
+
+class _Pm1Plan(NamedTuple):
+    """The fixed tables of Pollard's p - 1, the same for every n."""
+
+    exponents: tuple[int, ...]  # stage 1: one per block, the largest p^k <= B1 of its p <= B1
+    base: int  # stage 2 starts from x^base, base the largest prime <= B1
+    gaps: tuple[tuple[int, ...], ...]  # stage 2: per block, each prime above B1 less the one before
+    widest: int  # the largest of the gaps
+    cost: int  # modular multiplications: the stage 1 exponent bits plus the stage 2 primes
+
+
+@lru_cache(maxsize=1)
+def _pm1_plan() -> _Pm1Plan:
+    """The p - 1 tables for B1 = _PM1_B1 and the primes below _TRIAL_LIMIT, built on first use."""
+    exponents, gaps = [], []
+    base = previous = 1
+    for _, _, block in _prime_blocks():
+        powers, run = [], []
+        for p in block:
+            if p <= _PM1_B1:
+                q = p
+                while q * p <= _PM1_B1:
+                    q *= p
+                powers.append(q)
+                base = p
+            else:
+                run.append(p - previous)
+            previous = p
+        if powers:
+            exponents.append(prod(powers))
+        if run:
+            gaps.append(tuple(run))
+    cost = sum(e.bit_length() for e in exponents) + sum(map(len, gaps))
+    return _Pm1Plan(tuple(exponents), base, tuple(gaps), max(map(max, gaps)), cost)
 
 
 @dataclass(frozen=True)
@@ -106,8 +146,18 @@ class Factorization:
             if e < 1:
                 raise DomainError("factor exponents must be >= 1")
             previous = p
-        if prod(p**e for p, e in self.factors) != self.n:
-            raise DomainError(f"factors do not multiply back to {self.n}")
+        _check_product(self.n, self.factors)
+
+    @classmethod
+    def _from_sorted(cls, n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        """An instance from a tuple of (prime, exponent) pairs already sorted
+        with exponents >= 1, without re-normalising or re-ordering them; only
+        the multiply-back check of ``__post_init__`` is kept."""
+        _check_product(n, factors)
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "factors", factors)
+        return f
 
     @property
     def is_prime(self) -> bool:
@@ -125,6 +175,11 @@ class Factorization:
         if not self.factors:
             return "1"
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
+
+
+def _check_product(n: int, factors: tuple[tuple[int, int], ...]) -> None:
+    if prod(p**e for p, e in factors) != n:
+        raise DomainError(f"factors do not multiply back to {n}")
 
 
 def _miller_rabin(n: int) -> bool:
@@ -219,13 +274,58 @@ def _brent_cycle(n: int, c: int, budget: float) -> tuple[int, int]:
     return g, used
 
 
+def _pm1(n: int) -> int | None:
+    """A nontrivial divisor of the odd composite n by Pollard's p - 1 on base 2,
+    or None.
+
+    Stage 1 raises x to each block's exponent of ``_pm1_plan()`` and takes
+    gcd(x - 1, n) after each.  Stage 2 (Montgomery's prime-gap continuation)
+    steps y = x^q from prime to prime q above B1 by one multiplication with a
+    table of x^d for the even gaps d, and takes the gcd of the product of the
+    y - 1 after each block.  So it finds a prime p | n whose p - 1 is made of
+    prime powers <= B1 and at most one prime between B1 and 2**16, unless
+    every prime of n is found at once: a gcd of n gives None, as does the
+    end of the tables.
+    """
+    plan = _pm1_plan()
+    x = 2
+    for e in plan.exponents:
+        x = pow(x, e, n)
+        g = gcd(x - 1, n)
+        if g > 1:
+            return g if g < n else None
+    square = x * x % n
+    table = [1] * (plan.widest + 1)  # x^d mod n at each even d; no gap is odd
+    for d in range(2, plan.widest + 1, 2):
+        table[d] = table[d - 2] * square % n
+    y = pow(x, plan.base, n)
+    acc = 1
+    for gaps in plan.gaps:
+        for d in gaps:
+            y = y * table[d] % n
+            acc = acc * (y - 1) % n
+        g = gcd(acc, n)
+        if g > 1:
+            return g if g < n else None
+    return None
+
+
 def _split(n: int, budget: float) -> tuple[int | None, int]:
-    """A nontrivial divisor of the odd composite n, or None when the
-    deterministic schedule of Brent runs or the budget of evaluations runs
-    out; and the evaluations used."""
+    """A nontrivial divisor of the odd composite n, or None; and the rho
+    evaluations used.
+
+    Pollard's p - 1 goes first when the budget covers its cost in modular
+    multiplications, which are not counted as rho evaluations.  When it
+    fails, the deterministic schedule of Brent runs follows, until a split
+    or until the schedule or the budget of evaluations runs out.
+    """
     s = isqrt(n)
     if s * s == n:
         return s, 0
+    if budget >= _pm1_plan().cost:
+        d = _pm1(n)
+        if d is not None:
+            return d, 0
     used = 0
     for c in range(1, 64):
         g, steps = _brent_cycle(n, c, budget - used)
@@ -242,10 +342,12 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
 
     Trial division by the primes below 2**16, a block of them at a time
     (a block whose product is coprime to n is ruled out by one gcd), then
-    Brent's rho with deterministic primality certification of every
-    reported prime.  Rho work on a composite cofactor above ``bound`` is
-    budgeted, and on any cofactor capped; this is the one place that budget
-    is chosen, as every function that reads n's factorization accepts one.
+    each composite cofactor is split by Pollard's p - 1 and, where that
+    fails, by Brent's rho, with deterministic primality certification of
+    every reported prime.  Rho work on a composite cofactor above ``bound``
+    is budgeted, and on any cofactor capped; p - 1 runs only when that
+    budget covers its fixed cost.  This is the one place that budget is
+    chosen, as every function that reads n's factorization accepts one.
     Inputs with a cofactor the backend cannot split (within that budget)
     or certify raise CapabilityError; a wrong factorization is never returned.
     """
@@ -271,7 +373,7 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     elif n > 1:
         # no prime factor below sqrt(n), so n itself is prime
         counts[n] = counts.get(n, 0) + 1
-    return Factorization(original, tuple(sorted(counts.items())))
+    return Factorization._from_sorted(original, tuple(sorted(counts.items())))
 
 
 def _cofactor_primes(n: int, original: int, bound: int) -> dict[int, int]:

@@ -280,12 +280,12 @@ def _knodel(i: int) -> _LambdaSet:
     """The i-Knodel set: the composite n > i with lambda(n) | n - i."""
     if i < 1:
         raise DomainError(f"is_knodel requires i >= 1, got {i}")
-    return _LambdaSet(1, -i, i + 1, composite=True)
+    return _LambdaSet(1, -i, i + 1, True)  # composite=True; by position, as keywords build slower
 
 
 def _gen_carmichael(k: int) -> _LambdaSet:
     """Korselt's form of C_k: the squarefree n with n, n + k >= 2 and lambda(n) | n + k - 1."""
-    return _LambdaSet(1, k - 1, max(2, 2 - k), squarefree=True)
+    return _LambdaSet(1, k - 1, max(2, 2 - k), False, True)  # squarefree=True
 
 
 def _rdu_one(k: int) -> _LambdaSet:

@@ -501,7 +501,7 @@ def _lambda_segment(
     # The cofactor is 1, a prime, or (from (limit + 1)**2 on) a number to factor.
     for i in np.flatnonzero(rem > limit * (limit + 2)):
         c = int(rem[i])
-        f = Factorization(c, tuple(sorted(_cofactor_primes(c, int(n[i]), bound).items())))
+        f = Factorization._from_sorted(c, tuple(sorted(_cofactor_primes(c, int(n[i]), bound).items())))
         lam[i] = carmichael_lambda(f)
         squarefree[i] &= f.is_squarefree
     for (q, _, order), first in zip(strided, firsts):

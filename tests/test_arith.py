@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from math import prod
 
@@ -212,6 +213,37 @@ class TestFactorize:
         assert str(bounded.value).endswith("the supported factorization bound is 65536")
         assert "rho cap" not in str(bounded.value)
 
+    def test_p_minus_1_splits_before_rho(self, monkeypatch):
+        # 1000033 - 1 = 2^5 * 3 * 11 * 947, so p - 1 splits n without a rho evaluation
+        def refuse(*args):
+            raise AssertionError("rho was entered")
+
+        monkeypatch.setattr(arith, "_brent_cycle", refuse)
+        assert factorize(1000003 * 1000033).factors == ((1000003, 1), (1000033, 1))
+
+    @pytest.mark.parametrize("bound", [{}, {"bound": 2**200}])
+    def test_smooth_p_minus_1_answers_where_rho_is_refused(self, bound):
+        # 3488667409721572847 - 1 = 2 * 1123 * 2287 * 2897 * 4057 * 57787; rho alone runs
+        # out of the default budget on this 122-bit n, and takes 10 s to its cap
+        n = 3488667409721572847 * 1152921504606847009
+        start = time.perf_counter()
+        f = factorize(n, **bound)
+        assert time.perf_counter() - start < 1
+        assert f.factors == ((1152921504606847009, 1), (3488667409721572847, 1))
+
+    def test_p_minus_1_leaves_the_refused_cofactors_to_rho(self):
+        # Each has a prime above 2**16 in both p - 1 (the largest named), so the refusals that
+        # tests and the benchmark expect of them stay rho's
+        c = 18446744073709552109  # 330441535519 | c - 1, and c | 2c = (2c + 1) - 1
+        assert arith._pm1(c * (2 * c + 1)) is None
+        assert arith._pm1(562949953433657 * 562950941075639) is None  # 2749745777, 3524920423
+        assert arith._pm1(621334231200341 * 1084074551536477) is None  # 4125899, 9587939
+        # p - 1 splits these two at once, so their refusal tests, run at budgets of 512 and
+        # 4096, check the gate that keeps p - 1 out below its cost
+        assert arith._pm1(1000003 * 1000033) == 1000033
+        assert arith._pm1(536870923 * 536870951) == 536870951
+        assert 4096 < arith._pm1_plan().cost
+
     def test_smooth_numbers_above_the_bound_still_factor(self):
         f = factorize(2**100 * 3**5)
         assert f.factors == ((2, 100), (3, 5))
@@ -225,6 +257,8 @@ class TestFactorize:
             Factorization(12, ((2, 0), (3, 1)))  # zero exponent
         with pytest.raises(DomainError, match=r"\AFactorization requires n >= 1, got 0\Z"):
             Factorization(0, ())
+        with pytest.raises(DomainError, match="do not multiply back to 12"):
+            Factorization._from_sorted(12, ((2, 2), (5, 1)))
 
     def test_predicates(self):
         assert factorize(1).factors == ()

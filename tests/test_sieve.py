@@ -40,8 +40,10 @@ from oracles import (
 
 SEMIPRIME_ABOVE_2_32 = 65537 * 65539
 # The two least primes above 2**24, the sieve's largest prime: their product,
-# just above 2**48, is a cofactor the sieve leaves to rho.
+# just above 2**48, is a cofactor the sieve leaves to factorize's splitting path.
 SEMIPRIME_ABOVE_2_48 = 16777259 * 16777289
+# The two least primes above 2**24 whose p - 1 has a prime factor above 2**16
+SEMIPRIME_ABOVE_2_48_RHO = 16777291 * 16777331
 # Divisors whose least multiple above 2**63 puts sparse prime powers in an object segment
 DIVISORS_ABOVE_2_63 = [131**2 * 263, 131**3 * 137, 127**2 * 131 * 137]
 
@@ -154,8 +156,26 @@ class TestLambdaRange:
         monkeypatch.setattr(arith, "_brent_cycle", refuse)
         assert sieved(lo, hi) == expected
 
-    def test_cofactor_above_the_largest_sieving_prime_squared_takes_rho(self, monkeypatch):
+    def test_cofactor_above_the_largest_sieving_prime_squared_is_split(self, monkeypatch):
         n = SEMIPRIME_ABOVE_2_48
+        expected = factored(n - 100, n + 100)
+        calls = []
+        real = arith._split
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(arith, "_split", counted)
+        rows = sieved(n - 100, n + 100)
+        assert rows == expected
+        assert (n, lcm(16777258, 16777288), True, True) in rows
+        assert calls
+
+    def test_cofactor_that_p_minus_1_misses_takes_rho(self, monkeypatch):
+        # 16777290 = 2 * 3 * 5 * 559243 and 16777330 = 2 * 5 * 1677733: each p - 1 has a
+        # prime above 2**16, so p - 1 leaves this cofactor to Brent's rho
+        n = SEMIPRIME_ABOVE_2_48_RHO
         expected = factored(n - 100, n + 100)
         calls = []
         real = arith._brent_cycle
@@ -167,7 +187,7 @@ class TestLambdaRange:
         monkeypatch.setattr(arith, "_brent_cycle", counted)
         rows = sieved(n - 100, n + 100)
         assert rows == expected
-        assert (n, lcm(16777258, 16777288), True, True) in rows
+        assert (n, lcm(16777290, 16777330), True, True) in rows
         assert calls
 
     @pytest.mark.parametrize(
