@@ -130,6 +130,7 @@ class Factorization:
 
     ``factors`` is a tuple of ``(prime, exponent)`` pairs with strictly
     increasing primes and exponents >= 1; it is empty exactly for n = 1.
+    A composite "prime" raises DomainError, and one from psi_13 on CapabilityError.
     """
 
     n: int
@@ -147,6 +148,9 @@ class Factorization:
                 raise DomainError("factor exponents must be >= 1")
             previous = p
         _check_product(self.n, self.factors)
+        for p, _ in self.factors:
+            if not _certified_prime(p, self.n):
+                raise DomainError(f"factor {p} of {self.n} is not prime")
 
     @classmethod
     def _from_sorted(cls, n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
@@ -180,6 +184,17 @@ class Factorization:
 def _check_product(n: int, factors: tuple[tuple[int, int], ...]) -> None:
     if prod(p**e for p, e in factors) != n:
         raise DomainError(f"factors do not multiply back to {n}")
+
+
+def _certified_prime(m: int, n: int) -> bool:
+    """Whether the factor m of n is prime; CapabilityError for a probable prime from psi_13 on."""
+    prime = _is_prime_unchecked(m)
+    if prime and m >= _CERTIFIED_LIMIT:
+        raise CapabilityError(
+            f"cofactor {m} of {n} is a probable prime but lies "
+            f"beyond the certified bound {_CERTIFIED_LIMIT}"
+        )
+    return prime
 
 
 def _miller_rabin(n: int) -> bool:
@@ -382,12 +397,7 @@ def _cofactor_primes(n: int, original: int, bound: int) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if _is_prime_unchecked(m):
-            if m >= _CERTIFIED_LIMIT:
-                raise CapabilityError(
-                    f"cofactor {m} of {original} is a probable prime but lies "
-                    f"beyond the certified bound {_CERTIFIED_LIMIT}"
-                )
+        if _certified_prime(m, original):
             counts[m] = counts.get(m, 0) + 1
             continue
         # A composite m <= bound has a prime factor p <= sqrt(bound), which rho finds in

@@ -165,6 +165,14 @@ class ExponentRule:
         return "poly:" + ",".join(str(c) for c in self.coeffs)
 
 
+def _rule_int(digits: str) -> int:
+    """int(digits), or DomainError past the int-to-str digit limit, as argparse refuses an --n."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(f"rule integer of {len(digits)} digits exceeds the digit limit") from None
+
+
 def parse_rule(text: str) -> ExponentRule:
     """Parse an exponent rule: const:K, n, n-I, n+I, A*n+B, or poly:c0,c1,...
 
@@ -174,7 +182,7 @@ def parse_rule(text: str) -> ExponentRule:
     """
     text = text.strip()
     if m := _RULE_CONST.match(text):
-        k = int(m.group(1))
+        k = _rule_int(m.group(1))
         if k < 1:
             raise DomainError(f"constant exponent must be >= 1, got {k}")
         return ExponentRule("const", (k,))
@@ -182,18 +190,18 @@ def parse_rule(text: str) -> ExponentRule:
         sign, digits = m.group(1), m.group(2)
         if sign is None:
             return ExponentRule("shift", (0, 1))
-        offset = int(digits)
+        offset = _rule_int(digits)
         if sign == "-" and offset < 1:
             raise DomainError("rule n-I requires I >= 1")
         return ExponentRule("shift", (offset if sign == "+" else -offset, 1))
     if m := _RULE_LINEAR.match(text):
-        a = int(m.group(1))
+        a = _rule_int(m.group(1))
         if a < 1:
             raise DomainError(f"rule A*n+B requires A >= 1, got A={a}")
-        b = int(m.group(2) or 0)
+        b = _rule_int(m.group(2) or "0")
         return ExponentRule("linear", (b, a))
     if m := _RULE_POLY.match(text):
-        coeffs = tuple(int(c) for c in m.group(1).split(","))
+        coeffs = tuple(map(_rule_int, m.group(1).split(",")))
         return ExponentRule("poly", coeffs)
     raise DomainError(
         f"malformed exponent rule {text!r}; expected const:K, n, n-I, n+I, "

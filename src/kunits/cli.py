@@ -18,17 +18,17 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from functools import cache
+from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from .arith import SUPPORTED_BOUND, factorize
 from .bfile import BFile, compare_bfile
 from .classify import _PREDICATE_HELP, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
 from .solver import _solutions, solve_rdu_one
-from .unitgroup import ENUMERATION_BOUND, _decimal_text, _k_units, k_unit_stats
-
-if TYPE_CHECKING:
-    import numpy as np
+from .unitgroup import ENUMERATION_BOUND, _k_units, k_unit_stats
 
 __all__ = ["main"]
 
@@ -55,9 +55,9 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return _decimal(value)(value)
+        return _text(value)
     if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+        return {"num": _text(value.numerator), "den": _text(value.denominator)}
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -101,13 +101,15 @@ def _write_ints(values: list[int] | np.ndarray, quote: str, sep: str) -> None:
 
     An int64 array of ascending non-negative values (the ``units``
     residues) is turned into text by ``_decimal_text`` without a str per
-    value; an array out of order, which only a wrong construction gives
+    value; any other array, which only a wrong construction gives
     (``units --oracle`` reports it), is written as a list.  A list of
     ascending ints is joined from one str each: the ``solve`` solutions,
     whose values go past 2^63 and, as n_max, past the int-to-str digit
     limit.  Its last value picks the route of ``_decimal`` for all.
     """
-    if not isinstance(values, list) and (values[1:] < values[:-1]).any():
+    if not isinstance(values, list) and (
+        (values[:1] < 0).any() or (values[1:] < values[:-1]).any()
+    ):
         values = values.tolist()
     inner = quote + sep + quote
     text_of = _decimal(values[-1]) if isinstance(values, list) and values else str
@@ -120,36 +122,83 @@ def _write_ints(values: list[int] | np.ndarray, quote: str, sep: str) -> None:
         sys.stdout.write(sep + text if i else text)
 
 
-def _emit_table(rows: list[tuple[str, str]]) -> None:
+@cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """10, 100, ..., 10^18 as int64, as a non-negative int64 v has
+    1 + #{p <= v} digits; and the four ASCII digits of ``"%04d" % i``, read
+    as one native uint32, at i.
+
+    The digits of i are its index in a 10x10x10x10 array.  Built on first
+    use, so that only ``units`` pays for them.
+    """
+    digits = np.moveaxis(np.indices((10, 10, 10, 10), dtype=np.uint8), 0, -1) + ord("0")
+    quads = np.ascontiguousarray(digits).reshape(10000, 4).view(np.uint32).ravel()
+    return 10 ** np.arange(1, 19, dtype=np.int64), quads
+
+
+def _decimal_text(values: np.ndarray, quote: str, sep: str) -> str:
+    """``sep.join(quote + str(v) + quote for v in values)`` for the
+    ascending non-negative int64 values that ``_write_ints`` passes, built
+    in numpy without a Python str per value.
+
+    Each value becomes the row sep, quote, digits, quote.  The values with
+    the same digit count form one run, bounded by where each power of ten
+    falls among the ascending values (18 searches, not one per value), and
+    filled as a (rows, width) uint8 block of the output: the fixed columns
+    from one template row, the digits four at a time from
+    ``divmod(·, 10000)`` and the quads of ``_digit_tables``.  The leading
+    sep is cut off.
+    """
+    powers_of_ten, quad_text = _digit_tables()
+    head, tail = (sep + quote).encode("ascii"), quote.encode("ascii")
+    cuts = [0, *np.searchsorted(values, powers_of_ten).tolist(), len(values)]
+    runs = [
+        (a, b, len(head) + d + len(tail))
+        for d, (a, b) in enumerate(zip(cuts, cuts[1:]), 1)
+        if a < b
+    ]
+    out = np.empty(sum((b - a) * width for a, b, width in runs), dtype=np.uint8)
+    at = 0
+    for a, b, width in runs:
+        d = width - len(head) - len(tail)
+        rows = out[at : at + (b - a) * width].reshape(b - a, width)
+        at += rows.size
+        rows[:] = np.frombuffer(head + b"0" * d + tail, dtype=np.uint8)
+        quads = np.empty((b - a, -(-d // 4)), dtype=np.uint32)
+        rest = values[a:b]
+        for j in reversed(range(quads.shape[1])):
+            rest, low = np.divmod(rest, 10000)
+            quads[:, j] = quad_text[low]
+        rows[:, len(head) : len(head) + d] = quads.view(np.uint8)[:, -d:]
+    return out[len(sep) :].tobytes().decode("ascii")
+
+
+def _text(value: Any) -> str:
+    """One value of the plain output: a bool as true or false, an int in
+    full decimal by ``_decimal``, a Fraction as a/b, anything else by str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return _decimal(value)(value)
+    if isinstance(value, Fraction):
+        return f"{_text(value.numerator)}/{_text(value.denominator)}"
+    return str(value)
+
+
+def _emit_table(rows: list[tuple[str, Any]]) -> None:
     width = max(len(key) for key, _ in rows)
     for key, value in rows:
-        print(f"{key.ljust(width)}  {value}")
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+        print(f"{key.ljust(width)}  {_text(value)}")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     n = factorize(args.n, bound=args.bound) if args.n >= 1 else args.n
     stats = k_unit_stats(n, args.k)
+    result = {"phi": stats.phi, "du": stats.du, "pdu": stats.pdu, "rdu": stats.rdu}
     if args.json:
-        _emit_json(
-            "stats",
-            {"n": stats.n, "k": stats.k},
-            {"phi": stats.phi, "du": stats.du, "pdu": stats.pdu, "rdu": stats.rdu},
-        )
+        _emit_json("stats", {"n": stats.n, "k": stats.k}, result)
     else:
-        _emit_table(
-            [
-                ("n", str(stats.n)),
-                ("k", str(stats.k)),
-                ("phi", str(stats.phi)),
-                ("du", str(stats.du)),
-                ("pdu", f"{stats.pdu.numerator}/{stats.pdu.denominator}"),
-                ("rdu", str(stats.rdu)),
-            ]
-        )
+        _emit_table([("n", stats.n), ("k", stats.k), *result.items()])
     return 0
 
 
@@ -213,8 +262,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "parity": sol.k_parity,
             "beta": sol.beta,
             "m": sol.m,
-            "set_a": list(sol.set_a),
-            "set_b": [[q, e] for q, e in sol.set_b],
+            "set_a": sol.set_a,
+            "set_b": sol.set_b,
             "n_max": sol.n_max,
             "count": sol.count,
         }
@@ -224,16 +273,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             result["truncated"] = truncated
             _emit_json("solve", {"k": args.k}, result, ("solutions", solutions))
     else:
-        text = _decimal(max(sol.k, sol.n_max))
         rows = [
-            ("k", text(sol.k)),
+            ("k", sol.k),
             ("parity", sol.k_parity),
-            ("beta", str(sol.beta)),
-            ("M", text(sol.m)),
-            ("A", "{" + ", ".join(map(text, sol.set_a)) + "}"),
-            ("B", "{" + ", ".join(f"{text(q)}^{e}" for q, e in sol.set_b) + "}"),
-            ("n_max", text(sol.n_max)),
-            ("count", text(sol.count)),
+            ("beta", sol.beta),
+            ("M", sol.m),
+            ("A", "{" + ", ".join(map(_text, sol.set_a)) + "}"),
+            ("B", "{" + ", ".join(f"{_text(q)}^{_text(e)}" for q, e in sol.set_b) + "}"),
+            ("n_max", sol.n_max),
+            ("count", sol.count),
         ]
         _emit_table(rows)
         if solutions is not None:
@@ -241,7 +289,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             _write_ints(solutions, "", " ")
             print()
             if truncated:
-                print(f"... truncated to {len(solutions)} of {text(sol.count)}")
+                print(f"... truncated to {len(solutions)} of {_text(sol.count)}")
     return 0
 
 
@@ -257,30 +305,30 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     )
     if args.json:
         result: dict[str, Any] = {
-            "factorization": [[p, e] for p, e in report.evidence.factors],
+            "factorization": report.evidence.factors,
             "composite": report.is_composite,
             "carmichael": report.carmichael,
             "carmichael_reason": report.carmichael_reason,
-            "knodel": [[i, v] for i, v in report.knodel_for],
-            "gen_carmichael": [[k, v] for k, v in report.gen_carmichael_for],
+            "knodel": report.knodel_for,
+            "gen_carmichael": report.gen_carmichael_for,
         }
         if report.fermat_liar_count is not None:
             result["fermat_liars"] = report.fermat_liar_count
         _emit_json("classify", {"n": args.n}, result)
     else:
-        rows = [
-            ("n", str(report.n)),
-            ("factorization", str(report.evidence)),
-            ("composite", _bool(report.is_composite)),
-        ]
-        verdict = _bool(report.carmichael)
+        verdict = _text(report.carmichael)
         if report.carmichael_reason is not None:
             verdict += f"  ({report.carmichael_reason})"
-        rows.append(("carmichael", verdict))
+        rows = [
+            ("n", report.n),
+            ("factorization", report.evidence),
+            ("composite", report.is_composite),
+            ("carmichael", verdict),
+        ]
         if report.fermat_liar_count is not None:
-            rows.append(("fermat-liars", str(report.fermat_liar_count)))
+            rows.append(("fermat-liars", report.fermat_liar_count))
         families = [("knodel", report.knodel_for), ("gen-carmichael", report.gen_carmichael_for)]
-        rows += [(f"{name}:{i}", _bool(v)) for name, verdicts in families for i, v in verdicts]
+        rows += [(f"{name}:{_text(i)}", v) for name, verdicts in families for i, v in verdicts]
         _emit_table(rows)
     return 0
 
@@ -291,30 +339,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = sweep(args.lo, args.hi, rule, **filters, bound=args.bound)
     summary = f"hits={len(result.hits)} skipped={len(result.skipped)}"
     if args.json:
-        _emit_json(
-            "sweep",
-            {
-                "from": args.lo,
-                "to": args.hi,
-                "rule": rule.text,
-                "composite_only": args.composite_only,
-                "odd_only": args.odd_only,
-            },
-            {
-                "hits": list(result.hits),
-                "skipped": list(result.skipped),
-                "hit_count": len(result.hits),
-                "skip_count": len(result.skipped),
-            },
-        )
+        inputs = {"from": args.lo, "to": args.hi, "rule": rule.text, **filters}
+        counts = {"hit_count": len(result.hits), "skip_count": len(result.skipped)}
+        _emit_json("sweep", inputs, {"hits": result.hits, "skipped": result.skipped, **counts})
     elif args.csv:
         print("n,exponent")
         for n in result.hits:
-            print(f"{n},{rule(n)}")
+            print(f"{_text(n)},{_text(rule(n))}")
         print(summary, file=sys.stderr)
     else:
         for n in result.hits:
-            print(n)
+            print(_text(n))
         print(summary)
     return 0
 
@@ -333,8 +368,8 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
             {
                 "compared": report.compared,
                 "limit": report.limit,
-                "missing": list(report.missing),
-                "extra": list(report.extra),
+                "missing": report.missing,
+                "extra": report.extra,
                 "matched": report.matched,
             },
         )
@@ -343,39 +378,42 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
             [
                 ("bfile", args.bfile),
                 ("predicate", args.predicate),
-                ("limit", str(report.limit)),
-                ("compared", str(report.compared)),
-                ("missing", " ".join(map(str, report.missing)) or "none"),
-                ("extra", " ".join(map(str, report.extra)) or "none"),
+                ("limit", report.limit),
+                ("compared", report.compared),
+                ("missing", " ".join(map(_text, report.missing)) or "none"),
+                ("extra", " ".join(map(_text, report.extra)) or "none"),
                 ("verdict", "match" if report.matched else "MISMATCH"),
             ]
         )
     return 0 if report.matched else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common() -> argparse.ArgumentParser:
+    """Options for one subcommand; set_defaults(bound=...) on a shared parent sets all."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one canonical JSON object")
     common.add_argument(
         "--bound",
         type=int,
-        default=None,
         metavar="N",
         help="override the command's working bound, N >= 1 (factorization or enumeration)",
     )
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kunits",
         description="k-units modulo n: statistics, the rdu_k(n)=1 solver, and classifiers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", parents=[common], help="phi, du, pdu and rdu for (n, k)")
+    p = sub.add_parser("stats", parents=[_common()], help="phi, du, pdu and rdu for (n, k)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_stats)
+    p.set_defaults(handler=_cmd_stats, bound=SUPPORTED_BOUND)
 
-    p = sub.add_parser("units", parents=[common], help="enumerate the k-units modulo n")
+    p = sub.add_parser("units", parents=[_common()], help="enumerate the k-units modulo n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
@@ -384,15 +422,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check the list apart from its construction: strictly ascending residues in "
         "[0, n), each with a^k = 1 mod n, du of them by the closed form; exit 1 on mismatch",
     )
-    p.set_defaults(handler=_cmd_units)
+    p.set_defaults(handler=_cmd_units, bound=ENUMERATION_BOUND)
 
-    p = sub.add_parser("solve", parents=[common], help="solve rdu_k(n) = 1 for a fixed k")
+    p = sub.add_parser("solve", parents=[_common()], help="solve rdu_k(n) = 1 for a fixed k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--enumerate", action="store_true", help="also list the solutions")
     p.add_argument("--limit", type=int, default=None, help="truncate the solution list")
-    p.set_defaults(handler=_cmd_solve)
+    p.set_defaults(handler=_cmd_solve, bound=SUPPORTED_BOUND)
 
-    p = sub.add_parser("classify", parents=[common], help="classifier verdicts for one n")
+    p = sub.add_parser("classify", parents=[_common()], help="classifier verdicts for one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--liars", action="store_true", help="count Fermat liars (odd n only)")
     p.add_argument(
@@ -405,9 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="test generalized-Carmichael membership for shift K",
     )
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_cmd_classify, bound=SUPPORTED_BOUND)
 
-    p = sub.add_parser("sweep", parents=[common], help="scan a range for rdu_f(n)(n) = 1")
+    p = sub.add_parser("sweep", parents=[_common()], help="scan a range for rdu_f(n)(n) = 1")
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument(
@@ -416,15 +454,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--composite-only", action="store_true")
     p.add_argument("--odd-only", action="store_true")
     p.add_argument("--csv", action="store_true", help="CSV output: n,exponent per hit")
-    p.set_defaults(handler=_cmd_sweep)
+    p.set_defaults(handler=_cmd_sweep, bound=SUPPORTED_BOUND)
 
     p = sub.add_parser(
-        "oeis-check", parents=[common], help="compare a local OEIS b-file against a predicate"
+        "oeis-check", parents=[_common()], help="compare a local OEIS b-file against a predicate"
     )
     p.add_argument("bfile", help="path to the b-file")
     p.add_argument("--predicate", required=True, help=_PREDICATE_HELP)
     p.add_argument("--limit", type=int, default=None, help="compare values up to this limit")
-    p.set_defaults(handler=_cmd_oeis_check)
+    p.set_defaults(handler=_cmd_oeis_check, bound=SUPPORTED_BOUND)
     return parser
 
 
@@ -435,10 +473,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        if args.bound is not None and args.bound < 1:
+        if args.bound < 1:
             raise DomainError(f"--bound must be >= 1, got {args.bound}")
-        if args.bound is None:
-            args.bound = ENUMERATION_BOUND if args.command == "units" else SUPPORTED_BOUND
         return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,9 +64,9 @@ class RduOneSolution:
     count: int
 
     def n_max_factorization(self) -> Factorization:
-        """Prime-power form of n_max, assembled from the solution parts."""
+        """Prime-power form of n_max from the solution parts, whose primes the solver certified."""
         pairs = [(2, _nu2(self.n_max)), *((p, 1) for p in self.set_a), *self.set_b]
-        return Factorization(self.n_max, tuple(sorted(pairs)))
+        return Factorization._from_sorted(self.n_max, tuple(sorted(pairs)))
 
 
 def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:

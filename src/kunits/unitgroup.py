@@ -212,61 +212,6 @@ def _k_units(n: int, k: int, bound: int) -> np.ndarray:
     return units
 
 
-# 10, 100, ..., 10^18: a non-negative int64 v has 1 + #{p <= v} digits.
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
-@cache
-def _digit_quads() -> np.ndarray:
-    """The four ASCII digits of ``"%04d" % i``, read as one native uint32, at i.
-
-    The digits of i are its index in a 10x10x10x10 array.  Built on first
-    use, so that only ``units`` pays for it.
-    """
-    digits = np.moveaxis(np.indices((10, 10, 10, 10), dtype=np.uint8), 0, -1) + ord("0")
-    return np.ascontiguousarray(digits).reshape(10000, 4).view(np.uint32).ravel()
-
-
-def _decimal_text(values: np.ndarray, quote: str, sep: str) -> str:
-    """``sep.join(quote + str(v) + quote for v in values)`` for ascending
-    non-negative int64 values, built in numpy without a Python str per
-    value.
-
-    Each value becomes the row sep, quote, digits, quote.  The values with
-    the same digit count form one run, bounded by where each power of ten
-    falls among the ascending values (18 searches, not one per value), and
-    filled as a (rows, width) uint8 block of the output: the fixed columns
-    from one template row, the digits four at a time from
-    ``divmod(·, 10000)`` and ``_digit_quads``.  The leading sep is cut off.
-    """
-    if not len(values):
-        return ""
-    if values[0] < 0 or (values[1:] < values[:-1]).any():
-        raise ValueError("_decimal_text takes ascending non-negative values")
-    head, tail = (sep + quote).encode("ascii"), quote.encode("ascii")
-    cuts = [0, *np.searchsorted(values, _POWERS_OF_TEN).tolist(), len(values)]
-    runs = [
-        (a, b, len(head) + d + len(tail))
-        for d, (a, b) in enumerate(zip(cuts, cuts[1:]), 1)
-        if a < b
-    ]
-    out = np.empty(sum((b - a) * width for a, b, width in runs), dtype=np.uint8)
-    quad_text = _digit_quads()
-    at = 0
-    for a, b, width in runs:
-        d = width - len(head) - len(tail)
-        rows = out[at : at + (b - a) * width].reshape(b - a, width)
-        at += rows.size
-        rows[:] = np.frombuffer(head + b"0" * d + tail, dtype=np.uint8)
-        quads = np.empty((b - a, -(-d // 4)), dtype=np.uint32)
-        rest = values[a:b]
-        for j in reversed(range(quads.shape[1])):
-            rest, low = np.divmod(rest, 10000)
-            quads[:, j] = quad_text[low]
-        rows[:, len(head) : len(head) + d] = quads.view(np.uint8)[:, -d:]
-    return out[len(sep) :].tobytes().decode("ascii")
-
-
 def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list[int]:
     """The k-units modulo n, ascending: U_k(n), the product over the cyclic
     factors of U(Z_n) of their subgroups of order gcd(k, r).
@@ -331,8 +276,9 @@ def lambda_range(
     out every prime up to L = min(isqrt(hi), 2**24), read from
     ``_primes_below(16)`` while L < 2**16 and from ``_primes_below(24)``
     beyond.  The cofactor left is 1 or a prime below (L + 1)**2, so for
-    every n up to hi = 2**48 + 2**25; a larger one goes to the rho of
-    ``factorize``, which certifies its primes or raises CapabilityError.
+    every n up to hi = 2**48 + 2**25; a larger one goes to ``factorize``'s
+    Pollard p - 1 and then Brent's rho, which certify its primes or raise
+    CapabilityError.
     The gathered powers and sparse primes are built once per call, in int64
     (the powers up to 2**63 - 1) and, for a hi past that, in Python ints.
 

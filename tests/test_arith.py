@@ -259,6 +259,13 @@ class TestFactorize:
             Factorization(0, ())
         with pytest.raises(DomainError, match="do not multiply back to 12"):
             Factorization._from_sorted(12, ((2, 2), (5, 1)))
+        # the "primes" are certified as factorize certifies a cofactor
+        with pytest.raises(DomainError, match=r"\Afactor 561 of 561 is not prime\Z"):
+            Factorization(561, ((561, 1),))  # a Carmichael number
+        with pytest.raises(DomainError, match="is not prime"):
+            Factorization(3 * _MR_PSI[11], ((3, 1), (_MR_PSI[11], 1)))  # base 41 catches psi_12
+        with pytest.raises(CapabilityError, match="beyond the certified bound"):
+            Factorization(_MR_PSI[12], ((_MR_PSI[12], 1),))  # passes all 13 bases
 
     def test_predicates(self):
         assert factorize(1).factors == ()

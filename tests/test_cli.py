@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import io
 import json
 import os
 import random
@@ -12,12 +13,16 @@ from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kunits
 import kunits.cli as cli_module
-from kunits.cli import _write_ints, main
+from kunits.cli import _decimal_text, _write_ints, main
 
 from oracles import brute_gen_carmichael, scan_k_units
 
@@ -142,6 +147,8 @@ class TestUnits:
             ([1, 5, 5, 11, 13, 17, 19, 23], "the residues do not strictly ascend at 5"),
             # 25 = 1 mod 24 is a 2-unit, but not a residue
             ([1, 5, 7, 11, 13, 17, 19, 25], "the residues leave [0, 24)"),
+            # ascending, but negative: written by the list route, as str writes it
+            ([-23, 1, 5, 7, 11, 13, 17, 19], "the residues leave [0, 24)"),
         ],
     )
     def test_oracle_checks_each_residue_apart_from_the_construction(
@@ -502,6 +509,24 @@ class TestSweep:
         assert lines[1] == "1,2"
         assert "hits=" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+    @pytest.mark.parametrize(
+        "rule", ["poly:0,1" + "0" * 4299, "1" + "0" * 4299 + "*n+0"], ids=["poly", "linear"]
+    )
+    def test_csv_exponent_past_the_int_str_digit_limit(self, capsys, rule):
+        # the exponent of 16 is 16 * 10^4299, of 4301 digits, past the default
+        # limit of 4300; lambda(16) = 4 divides it
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            argv = ["sweep", "--from", "16", "--to", "16", "--rule", rule, "--csv"]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "hits=1 skipped=0\n")
+            assert out == "n,exponent\n16,16" + "0" * 4299 + "\n"
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_csv_rejected_elsewhere(self, capsys, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("1 561\n")
@@ -515,6 +540,13 @@ class TestSweep:
             code, out, err = run(capsys, *argv, "--csv")
             assert (code, out) == (2, ""), argv
             assert err.endswith("kunits: error: unrecognized arguments: --csv\n"), argv
+
+    def test_rule_integer_past_the_int_str_digit_limit_exits_2(self, capsys):
+        # refused as argparse refuses an --n of 4301 digits
+        argv = ["sweep", "--from", "16", "--to", "16", "--rule", "const:" + "9" * 4301]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: rule integer of 4301 digits exceeds the digit limit\n"
 
     def test_malformed_rule_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--from", "1", "--to", "10", "--rule", "bogus")
@@ -895,6 +927,70 @@ class TestWriteInts:
                 assert "".join(writes.parts) == sep.join(texts)
 
 
+_TEXT_STYLES = [('"', ", "), ("", " ")]  # units --json, plain units
+# 0, 1, 9, each side of every power of ten in int64, (n - 1) at the largest
+# n the scan takes, and the int64 maximum
+_DECIMAL_EDGES = sorted(
+    [
+        0,
+        1,
+        9,
+        *(10**j + d for j in range(1, 19) for d in (-1, 0, 1)),
+        3037000499,
+        2**63 - 1,
+    ]
+)
+
+
+def _joined(values, quote, sep):
+    return sep.join(quote + str(v) + quote for v in values)
+
+
+class TestDecimalText:
+    @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
+    def test_powers_of_ten_and_the_int64_edges(self, quote, sep):
+        for values in (_DECIMAL_EDGES, *([v] for v in _DECIMAL_EDGES)):
+            got = _decimal_text(np.array(values, dtype=np.int64), quote, sep)
+            assert got == _joined(values, quote, sep), values
+
+    @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
+    def test_strided_values_and_unsorted_ones_take_the_list_route(self, capsys, quote, sep):
+        # repeated values, and digit counts that one run spans or skips
+        values = sorted([*_DECIMAL_EDGES[::-1], *_DECIMAL_EDGES[::3], 5, 50, 5, 5000000])
+        array = np.array(values, dtype=np.int64)
+        assert _decimal_text(array, quote, sep) == _joined(values, quote, sep)
+        assert _decimal_text(array[::2], quote, sep) == _joined(values[::2], quote, sep)
+        # the run bounds are searched in the values, so _write_ints hands only
+        # ascending ones to _decimal_text and writes the others as a list
+        _write_ints(np.array([5, 50, 5], dtype=np.int64), quote, sep)
+        assert capsys.readouterr().out == _joined([5, 50, 5], quote, sep)
+
+    @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
+    def test_empty(self, quote, sep):
+        assert _decimal_text(np.array([], dtype=np.int64), quote, sep) == ""
+
+    def test_digit_tables(self):
+        powers_of_ten, quads = cli_module._digit_tables()
+        assert powers_of_ten.tolist() == [10**j for j in range(1, 19)]
+        assert quads.tobytes() == b"".join(b"%04d" % i for i in range(10000))
+
+    def test_negative_values_take_the_list_route(self, capsys):
+        for values in ([3, -1], [-1, 3]):
+            _write_ints(np.array(values, dtype=np.int64), "", " ")
+            assert capsys.readouterr().out == _joined(values, "", " ")
+
+    @given(
+        st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 10**5), max_size=80),
+        st.sampled_from(_TEXT_STYLES),
+    )
+    @settings(max_examples=300)
+    def test_matches_str_join(self, values, style):
+        quote, sep = style
+        values.sort()
+        got = _decimal_text(np.array(values, dtype=np.int64), quote, sep)
+        assert got == _joined(values, quote, sep)
+
+
 class TestStreamedOutput:
     @pytest.mark.parametrize("n", [1, 2, 5, 24, 127, 128, 129, 9999991, *_seeded_wheel_moduli()])
     def test_units_matches_the_whole_list_output(self, capsys, n):
@@ -1009,3 +1105,115 @@ class TestStreamedOutput:
         values = obj["result"].get("residues", obj["result"].get("solutions"))
         assert obj["result"]["count"] == str(len(values))
         assert peak < limit_mb * 2**20
+
+
+# The CLI contract fuzzer: edge numbers of every command, plain, --json and --csv.
+_PSI12, _PSI13 = kunits.arith._MR_PSI[11:]
+_CHERNICK = 15576893431219669577615842353855121  # (6m + 1)(12m + 1)(18m + 1), 38- and 39-bit primes
+_NUMBERS = [
+    *map(str, [0, 1, 2, 3, -1, 561, 3037000499, 3037000500, 2**63 - 1, 2**63 + 1]),
+    *map(str, [2**64 - 1, 2**64 + 1, _PSI12, _PSI13, _PSI13 + 1, _CHERNICK, 2**200]),
+    "abc",
+]
+_KS = [*map(str, [0, 1, 2, 3, -1, 252, 720720, 3037000500, 2**64, 2**200]), "abc"]
+_LIMITS = ["0", "5", "1000", "-1", "3037000499", "abc"]
+_BOUNDS = ["-1", "0", "1", "2", "1000", str(2**200)]
+_RULES = [
+    *("const:2", "const:0", "n", "n-1", "n+1", "n-0", "2*n+1", "0*n+1", "poly:1,0,1", "poly:-5,1"),
+    "bogus",
+    "const:" + "9" * 4301,  # past the int-to-str digit limit as a literal
+    "poly:0,1" + "0" * 4299,  # an exponent of 4301 digits at n = 16
+    "1" + "0" * 4299 + "*n+0",
+]
+_PREDICATES = ["carmichael", "knodel:1", "knodel:2", "gen-carmichael:1", "rdu-one:720", "rdu-one:3"]
+_PREDICATES += ["knodel:x", "prime"]
+_BFILES = {
+    "empty.txt": b"",
+    "carmichael.txt": b"# A002997\n\n1 561\n2 1105\n3 1729\n",
+    "unsorted.txt": b"1 1105\n2 561\n",
+    "duplicated.txt": b"1 561\n2 561\n",
+    "negative.txt": b"1 -5\n",
+    "not-utf8.txt": b"1 561\n\xff\xfe\n",
+    "above-range.txt": b"1 2000000000\n",
+    "huge.txt": b"1 %d\n" % 2**200,
+    "malformed.txt": b"1 abc\n",
+}
+# Wrong constructions of the units residues, as units --oracle reports them.
+_RESIDUES = [None, (-23, 1, 5, 7, 11, 13, 17, 19), (1, 7, 5, 11), (1, 5, 7, 11, 13, 17, 19, 25), ()]
+
+
+@st.composite
+def _argvs(draw):
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    def flag(*args):  # the args, or nothing
+        return list(args) * draw(st.booleans())
+
+    command = pick(["stats", "units", "solve", "classify", "sweep", "oeis-check"])
+    if command == "stats":
+        argv = ["stats", "--n", pick(_NUMBERS), "--k", pick(_KS)]
+    elif command == "units":
+        argv = ["units", "--n", pick(_NUMBERS), "--k", pick(_KS), *flag("--oracle")]
+    elif command == "solve":
+        argv = ["solve", "--k", pick(_KS), *flag("--enumerate"), *flag("--limit", pick(_LIMITS))]
+    elif command == "classify":
+        argv = ["classify", "--n", pick(_NUMBERS), *flag("--liars")]
+        argv += [arg for i in draw(st.lists(st.sampled_from(_KS), max_size=2)) for arg in ("--knodel", i)]
+        argv += flag("--gen-carmichael", pick(_KS))
+    elif command == "sweep":
+        lo = pick(_NUMBERS)
+        hi = pick(_NUMBERS) if lo == "abc" or draw(st.booleans()) else str(int(lo) + pick([0, 1, 100, 5000]))
+        argv = ["sweep", "--from", lo, "--to", hi, "--rule", pick(_RULES)]
+        argv += flag("--composite-only") + flag("--odd-only")
+    else:
+        argv = ["oeis-check", "<bfiles>/" + pick([*_BFILES, "missing.txt", ""]), "--predicate"]
+        argv += [pick(_PREDICATES), *flag("--limit", pick(_LIMITS))]
+    return argv + flag("--bound", pick(_BOUNDS)) + pick([[], ["--json"], ["--csv"]])
+
+
+@pytest.fixture(scope="module")
+def bfiles(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("bfiles")
+    for name, data in _BFILES.items():
+        (folder / name).write_bytes(data)
+    return folder
+
+
+class TestContractFuzzer:
+    """Every run of main ends with an exit code of the contract and no traceback,
+    writes nothing to stdout on a refusal, writes canonical JSON with --json and
+    leaves the process's int-to-str digit limit as it was."""
+
+    @given(argv=_argvs(), residues=st.sampled_from(_RESIDUES))
+    @example(argv=["sweep", "--from", "16", "--to", "16", "--rule", _RULES[-2], "--csv"], residues=None)
+    @example(argv=["sweep", "--from", "16", "--to", "16", "--rule", _RULES[-1], "--csv"], residues=None)
+    @example(argv=["units", "--n", "24", "--k", "2", "--oracle"], residues=_RESIDUES[1])
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    def test_every_run_keeps_the_contract(self, bfiles, argv, residues):
+        argv = [arg.replace("<bfiles>", str(bfiles)) for arg in argv]
+        real = cli_module._k_units
+
+        def construction(n, k, bound):
+            # the real refusals first, then the wrong residues
+            units = real(n, k, bound)
+            return units if residues is None else np.array(residues, dtype=np.int64)
+
+        out, err = io.StringIO(), io.StringIO()
+        digits = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = digits()
+        with (
+            mock.patch.object(kunits.arith, "_RHO_CAP", 1 << 12),
+            mock.patch.object(cli_module, "_k_units", construction),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+            deadline(5),
+        ):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert digits() == before
+        text = out.getvalue()
+        if code in (2, 3):
+            assert text == "", argv
+        elif "--json" in argv:
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", argv

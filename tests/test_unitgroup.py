@@ -344,66 +344,6 @@ class TestEnumerateKUnits:
             enumerate_k_units(5, 0)
 
 
-_TEXT_STYLES = [('"', ", "), ("", " ")]  # units --json, plain units
-# 0, 1, 9, each side of every power of ten in int64, (n - 1) at the largest
-# n the scan takes, and the int64 maximum
-_DECIMAL_EDGES = sorted(
-    [
-        0,
-        1,
-        9,
-        *(10**j + d for j in range(1, 19) for d in (-1, 0, 1)),
-        3037000499,
-        2**63 - 1,
-    ]
-)
-
-
-def _joined(values, quote, sep):
-    return sep.join(quote + str(v) + quote for v in values)
-
-
-class TestDecimalText:
-    @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
-    def test_powers_of_ten_and_the_int64_edges(self, quote, sep):
-        for values in (_DECIMAL_EDGES, *([v] for v in _DECIMAL_EDGES)):
-            got = unitgroup._decimal_text(np.array(values, dtype=np.int64), quote, sep)
-            assert got == _joined(values, quote, sep), values
-
-    @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
-    def test_strided_values_and_unsorted_ones_refused(self, quote, sep):
-        # repeated values, and digit counts that one run spans or skips
-        values = sorted([*_DECIMAL_EDGES[::-1], *_DECIMAL_EDGES[::3], 5, 50, 5, 5000000])
-        array = np.array(values, dtype=np.int64)
-        assert unitgroup._decimal_text(array, quote, sep) == _joined(values, quote, sep)
-        assert unitgroup._decimal_text(array[::2], quote, sep) == _joined(values[::2], quote, sep)
-        # the run bounds are searched in the values, so they must ascend
-        with pytest.raises(ValueError):
-            unitgroup._decimal_text(np.array([5, 50, 5], dtype=np.int64), quote, sep)
-
-    @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
-    def test_empty(self, quote, sep):
-        assert unitgroup._decimal_text(np.array([], dtype=np.int64), quote, sep) == ""
-
-    def test_digit_quads_are_the_four_digit_strings(self):
-        assert unitgroup._digit_quads().tobytes() == b"".join(b"%04d" % i for i in range(10000))
-
-    def test_negative_values_are_refused(self):
-        with pytest.raises(ValueError):
-            unitgroup._decimal_text(np.array([3, -1], dtype=np.int64), "", " ")
-
-    @given(
-        st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 10**5), max_size=80),
-        st.sampled_from(_TEXT_STYLES),
-    )
-    @settings(max_examples=300)
-    def test_matches_str_join(self, values, style):
-        quote, sep = style
-        values.sort()
-        got = unitgroup._decimal_text(np.array(values, dtype=np.int64), quote, sep)
-        assert got == _joined(values, quote, sep)
-
-
 class TestReducedExponent:
     """The k-units equal the d-units for d = gcd(k, phi(n))."""
 
