@@ -426,6 +426,16 @@ def _value(f: Factorization | int) -> int:
     return f.n if isinstance(f, Factorization) else f
 
 
+def _read_int(text: str, noun: str) -> int | None:
+    """The int that ``text`` writes as ASCII [+-]?[0-9]+, else None: every integer from outside is
+    read here.  Past the int-to-str digit limit, DomainError names the noun and the digit count."""
+    digits = text[1:] if text[:1] in "+-" else text
+    try:
+        return int(text) if digits.isascii() and digits.isdigit() else None
+    except ValueError:
+        raise DomainError(f"{noun} of {len(digits)} digits exceeds the digit limit") from None
+
+
 def nu(p: int, n: int) -> int:
     """Exponent of the greatest power of the prime p dividing n >= 1.
 

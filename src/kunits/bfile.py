@@ -1,10 +1,10 @@
 """OEIS b-file parsing and predicate cross-checking.
 
 A b-file is UTF-8 text with one ``<index> <value>`` pair per line; lines
-whose first non-blank character is '#' and blank lines are ignored.
-Indices must strictly increase.  Comparison against a predicate is
-index-agnostic: only the value sets up to the limit are compared, since
-offset conventions differ between sequences.
+whose first non-blank character is '#' and blank lines are ignored.  Each token
+is ASCII [+-]?[0-9]+, refused past the int-to-str digit limit by its digit count;
+indices must strictly increase.  Comparison against a predicate is index-agnostic:
+only the value sets up to the limit are compared, as offset conventions differ.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from pathlib import Path
 
+from .arith import _read_int
 from .errors import DomainError
 
 __all__ = ["BFile", "BFileParseError", "ComparisonReport", "compare_bfile"]
@@ -51,11 +52,11 @@ class BFile:
                     line_number, f"expected exactly two integer tokens, got {len(tokens)}"
                 )
             try:
-                index, value = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise BFileParseError(
-                    line_number, f"non-integer token in {stripped!r}"
-                ) from None
+                index, value = map(_read_int, tokens, ("index", "value"))
+            except DomainError as exc:
+                raise BFileParseError(line_number, str(exc)) from None
+            if index is None or value is None:
+                raise BFileParseError(line_number, f"non-integer token in {stripped!r}")
             if value < 0:
                 raise BFileParseError(line_number, f"negative value {value}")
             if previous_index is not None and index <= previous_index:

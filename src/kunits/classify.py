@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _value
+from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _read_int, _value
 from .errors import CapabilityError, DomainError
 from .unitgroup import carmichael_lambda, du_k_product, lambda_range, unit_group_structure
 
@@ -118,10 +118,10 @@ def is_generalized_carmichael(
     return _gen_carmichael(k).failure(n) is None
 
 
-_RULE_CONST = re.compile(r"const:(\d+)\Z")
-_RULE_SHIFT = re.compile(r"n(?:([+-])(\d+))?\Z")
-_RULE_LINEAR = re.compile(r"(\d+)\*n([+-]\d+)?\Z")
-_RULE_POLY = re.compile(r"poly:(-?\d+(?:,-?\d+)*)\Z")
+_RULE_CONST = re.compile(r"const:([0-9]+)\Z")
+_RULE_SHIFT = re.compile(r"n(?:([+-])([0-9]+))?\Z")
+_RULE_LINEAR = re.compile(r"([0-9]+)\*n([+-][0-9]+)?\Z")
+_RULE_POLY = re.compile(r"poly:(-?[0-9]+(?:,-?[0-9]+)*)\Z")
 
 
 @dataclass(frozen=True)
@@ -165,14 +165,6 @@ class ExponentRule:
         return "poly:" + ",".join(str(c) for c in self.coeffs)
 
 
-def _rule_int(digits: str) -> int:
-    """int(digits), or DomainError past the int-to-str digit limit, as argparse refuses an --n."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise DomainError(f"rule integer of {len(digits)} digits exceeds the digit limit") from None
-
-
 def parse_rule(text: str) -> ExponentRule:
     """Parse an exponent rule: const:K, n, n-I, n+I, A*n+B, or poly:c0,c1,...
 
@@ -182,26 +174,26 @@ def parse_rule(text: str) -> ExponentRule:
     """
     text = text.strip()
     if m := _RULE_CONST.match(text):
-        k = _rule_int(m.group(1))
+        k = _read_int(m.group(1), "rule integer")
         if k < 1:
             raise DomainError(f"constant exponent must be >= 1, got {k}")
         return ExponentRule("const", (k,))
     if m := _RULE_SHIFT.match(text):
-        sign, digits = m.group(1), m.group(2)
+        sign = m.group(1)
         if sign is None:
             return ExponentRule("shift", (0, 1))
-        offset = _rule_int(digits)
+        offset = _read_int(m.group(2), "rule integer")
         if sign == "-" and offset < 1:
             raise DomainError("rule n-I requires I >= 1")
         return ExponentRule("shift", (offset if sign == "+" else -offset, 1))
     if m := _RULE_LINEAR.match(text):
-        a = _rule_int(m.group(1))
+        a = _read_int(m.group(1), "rule integer")
         if a < 1:
             raise DomainError(f"rule A*n+B requires A >= 1, got A={a}")
-        b = _rule_int(m.group(2) or "0")
+        b = _read_int(m.group(2) or "0", "rule integer")
         return ExponentRule("linear", (b, a))
     if m := _RULE_POLY.match(text):
-        coeffs = tuple(map(_rule_int, m.group(1).split(",")))
+        coeffs = tuple(_read_int(c, "rule integer") for c in m.group(1).split(","))
         return ExponentRule("poly", coeffs)
     raise DomainError(
         f"malformed exponent rule {text!r}; expected const:K, n, n-I, n+I, "
@@ -308,18 +300,17 @@ _CARMICHAEL = _knodel(1)  # lambda(n) is even for n >= 3, so only odd n are 1-Kn
 
 def _lambda_set(name: str) -> _LambdaSet:
     """The set oeis-check calls ``name``, built by its family's constructor."""
-    base, _, raw = name.partition(":")
+    base, _, text = name.partition(":")
     if base == "carmichael":
-        if raw:
+        if text:
             raise DomainError("the carmichael predicate takes no parameter")
         return _CARMICHAEL
     families = {"knodel": _knodel, "gen-carmichael": _gen_carmichael, "rdu-one": _rdu_one}
     if base not in families:
         raise DomainError(f"unknown predicate {name!r}; expected {_PREDICATE_HELP}")
-    try:
-        parameter = int(raw)
-    except ValueError:
-        raise DomainError(f"predicate {name!r} needs an integer parameter") from None
+    parameter = _read_int(text, "predicate parameter")
+    if parameter is None:
+        raise DomainError(f"predicate {name!r} needs an integer parameter")
     return families[base](parameter)
 
 

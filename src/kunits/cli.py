@@ -23,7 +23,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .arith import SUPPORTED_BOUND, factorize
+from .arith import SUPPORTED_BOUND, _read_int, factorize
 from .bfile import BFile, compare_bfile
 from .classify import _PREDICATE_HELP, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
@@ -388,13 +388,24 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     return 0 if report.matched else 1
 
 
+def _integer(text: str) -> int:
+    """The type of every integer option: ``_read_int``, refusing in argparse's words for int."""
+    try:
+        value = _read_int(text, "integer")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _common() -> argparse.ArgumentParser:
     """Options for one subcommand; set_defaults(bound=...) on a shared parent sets all."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one canonical JSON object")
     common.add_argument(
         "--bound",
-        type=int,
+        type=_integer,
         metavar="N",
         help="override the command's working bound, N >= 1 (factorization or enumeration)",
     )
@@ -409,13 +420,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", parents=[_common()], help="phi, du, pdu and rdu for (n, k)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.set_defaults(handler=_cmd_stats, bound=SUPPORTED_BOUND)
 
     p = sub.add_parser("units", parents=[_common()], help="enumerate the k-units modulo n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument(
         "--oracle",
         action="store_true",
@@ -425,20 +436,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_units, bound=ENUMERATION_BOUND)
 
     p = sub.add_parser("solve", parents=[_common()], help="solve rdu_k(n) = 1 for a fixed k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--enumerate", action="store_true", help="also list the solutions")
-    p.add_argument("--limit", type=int, default=None, help="truncate the solution list")
+    p.add_argument("--limit", type=_integer, default=None, help="truncate the solution list")
     p.set_defaults(handler=_cmd_solve, bound=SUPPORTED_BOUND)
 
     p = sub.add_parser("classify", parents=[_common()], help="classifier verdicts for one n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--liars", action="store_true", help="count Fermat liars (odd n only)")
     p.add_argument(
-        "--knodel", type=int, action="append", metavar="I", help="test i-Knodel membership"
+        "--knodel", type=_integer, action="append", metavar="I", help="test i-Knodel membership"
     )
     p.add_argument(
         "--gen-carmichael",
-        type=int,
+        type=_integer,
         action="append",
         metavar="K",
         help="test generalized-Carmichael membership for shift K",
@@ -446,8 +457,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classify, bound=SUPPORTED_BOUND)
 
     p = sub.add_parser("sweep", parents=[_common()], help="scan a range for rdu_f(n)(n) = 1")
-    p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True)
+    p.add_argument("--from", dest="lo", type=_integer, required=True)
+    p.add_argument("--to", dest="hi", type=_integer, required=True)
     p.add_argument(
         "--rule", required=True, help="exponent rule: const:K | n | n-I | n+I | A*n+B | poly:c0,c1,..."
     )
@@ -461,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("bfile", help="path to the b-file")
     p.add_argument("--predicate", required=True, help=_PREDICATE_HELP)
-    p.add_argument("--limit", type=int, default=None, help="compare values up to this limit")
+    p.add_argument("--limit", type=_integer, default=None, help="compare values up to this limit")
     p.set_defaults(handler=_cmd_oeis_check, bound=SUPPORTED_BOUND)
     return parser
 

@@ -5,8 +5,10 @@ iterated multiplication.  The expected values frozen into the tests were
 computed with these, never with the closed forms under test.
 """
 
+import random
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -192,3 +194,50 @@ def brute_du_crt(n: int, ks: range) -> list[int]:
     whose order divides k."""
     tables = [_prime_power_k_unit_counts(p**e, ks) for p, e in brute_factor_map(n).items()]
     return list(map(prod, zip(*tables))) if tables else [1] * len(ks)
+
+
+@lru_cache(maxsize=None)
+def erdos_carmichaels(
+    primes: tuple[int, ...], L: int, size: int, count: int, window: tuple[int, int], seed: int
+) -> tuple[tuple[int, ...], ...]:
+    """``count`` Carmichael numbers n in the open window, each as its ascending primes, by
+    Erdos's construction: ``size`` of the given primes drawn at random, completed by two
+    pairs of the others, looked up by their product, so that n = 1 mod L.
+
+    Every p must have p - 1 | L and p not dividing L, checked here by trial division;
+    then lambda(n) | L | n - 1.  Each n is checked by Korselt's criterion directly:
+    p - 1 | n - 1 for each of its distinct primes p.
+    """
+    for p in primes:
+        assert brute_is_prime(p) and L % (p - 1) == 0 and L % p, p
+    lo, hi = window
+    pairs = list(combinations(primes, 2))
+    by_residue: dict[int, list[tuple[int, int]]] = {}
+    for a, b in pairs:
+        by_residue.setdefault(a * b % L, []).append((a, b))
+
+    def completion(drawn: list[int]) -> tuple[int, ...] | None:
+        want = pow(prod(drawn), -1, L)
+        for a, b in pairs:
+            for c, d in by_residue.get(want * pow(a * b, -1, L) % L, ()):
+                ps = {*drawn, a, b, c, d}
+                if len(ps) == size + 4 and lo < prod(ps) < hi:
+                    return tuple(sorted(ps))
+        return None
+
+    rng = random.Random(seed)
+    found: set[tuple[int, ...]] = set()
+    while len(found) < count:
+        if ps := completion(rng.sample(primes, size)):
+            found.add(ps)
+    anchors = tuple(sorted(found))
+    for ps in anchors:
+        n = prod(ps)
+        assert n % L == 1 and all((n - 1) % (p - 1) == 0 for p in ps), ps
+    return anchors
+
+
+def korselt_least_failure(primes: tuple[int, ...]) -> int | None:
+    """The least of the distinct primes, whose product is n, with p - 1 not dividing n - 1."""
+    n = prod(primes)
+    return next((p for p in sorted(primes) if (n - 1) % (p - 1)), None)

@@ -24,6 +24,7 @@ from kunits.arith import (
     _CERTIFIED_LIMIT,
     _MR_PSI,
     _prime_blocks,
+    _read_int,
     _small_primes,
     _smallest_divisors,
 )
@@ -407,6 +408,26 @@ class TestPowMod:
             for a in range(0, 51):
                 for e in range(0, 21):
                     assert pow_mod(a, e, n) == brute_pow_mod(a, e, n)
+
+
+class TestReadInt:
+    """The one reader of integers from outside: ASCII [+-]?[0-9]+, else None."""
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("-7", -7), ("+5", 5), ("007", 7)])
+    def test_accepted(self, text, value):
+        assert _read_int(text, "n") == value
+
+    @pytest.mark.parametrize(
+        "text", ["", "+", "-", "+-5", "5.0", "1_0", "\u0663", "\u00b2", " 5", "5 ", "5\n", "0x10"]
+    )
+    def test_other_text_is_none(self, text):
+        assert _read_int(text, "n") is None
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_past_the_digit_limit_is_refused_by_its_digit_count(self, sign):
+        with pytest.raises(DomainError) as exc:
+            _read_int(sign + "9" * 4301, "n")
+        assert str(exc.value) == "n of 4301 digits exceeds the digit limit"
 
 
 def test_factor_map_oracle_agreement_sampled():

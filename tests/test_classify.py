@@ -1,5 +1,6 @@
 import random
 from importlib import import_module
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,20 @@ from kunits import (
     k_unit_stats,
     korselt_failure,
     parse_rule,
+    solve_rdu_one,
     sweep,
     unit_group_structure,
 )
 
-from oracles import brute_gen_carmichael, brute_korselt, brute_liar_count, brute_rdu_is_one
+from oracles import (
+    brute_gen_carmichael,
+    brute_is_prime,
+    brute_korselt,
+    brute_liar_count,
+    brute_rdu_is_one,
+    erdos_carmichaels,
+    korselt_least_failure,
+)
 
 CARMICHAELS_BELOW_3000 = [561, 1105, 1729, 2465, 2821]
 
@@ -474,3 +484,59 @@ class TestFactorizationArguments:
             f = factorize(n)
             for extra in extras:
                 assert outcome(f, extra) == outcome(n, extra), (n, extra)
+
+
+class TestSolverCarmichaelAnchors:
+    """Carmichael numbers past 2**64 built from the solver's set A for L = 720720 (Erdos's
+    construction), where rho and the upper Miller-Rabin tiers run: the paper's two halves
+    check each other."""
+
+    L = 720720
+    # primes dividing no anchor: 3 divides L, and 2**61 - 1 exceeds L + 1, the largest p of A
+    Q = (3, 2**61 - 1)
+
+    @classmethod
+    def anchors(cls):
+        primes = solve_rdu_one(cls.L).set_a
+        big = erdos_carmichaels(primes, cls.L, 30, 5, (10**100, 10**120), seed=1)
+        small = erdos_carmichaels(primes, cls.L, 2, 10, (2**64, 2**65), seed=2)
+        return big + small
+
+    def test_set_a_is_the_primes_p_with_p_minus_1_dividing_L(self):
+        L = self.L
+        direct = [d + 1 for d in range(1, L + 1) if L % d == 0 and L % (d + 1) and brute_is_prime(d + 1)]
+        assert solve_rdu_one(L).set_a == tuple(direct)
+
+    def test_anchor_primes_agree_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for ps in self.anchors():
+            assert all(sympy.isprime(p) for p in ps), ps
+        assert all(map(sympy.isprime, self.Q))
+
+    def test_anchors_are_carmichael_numbers(self):
+        sol = solve_rdu_one(self.L)
+        anchors = self.anchors()
+        assert sum(prod(ps) > 10**100 for ps in anchors) >= 5
+        assert sum(2**64 < prod(ps) < 2**65 for ps in anchors) >= 3
+        for ps in anchors:
+            n = prod(ps)
+            assert is_carmichael(n) and is_knodel(n, 1), ps
+            assert not is_knodel(n, 2), ps
+            report = classify(n)
+            assert (report.carmichael, report.carmichael_reason) == (True, None), ps
+            assert report.evidence.factors == tuple((p, 1) for p in ps)
+            assert classify(n, gen_carmichael_ks=(0,)).gen_carmichael_for == ((0, True),)
+            assert is_rdu_one(n, self.L), ps
+            assert sol.n_max % n == 0, ps
+            if n < 2**65:  # Miller-Rabin's tier of 12 bases proves it composite
+                assert not is_prime(n, bound=n), ps
+
+    def test_korselt_reason_of_an_anchor_times_a_prime(self):
+        for ps in self.anchors():
+            for q in self.Q:
+                nq = prod(ps) * q
+                p = korselt_least_failure((*ps, q))
+                expected = None if p is None else f"{p} - 1 does not divide {nq} - 1"
+                assert korselt_failure(nq) == expected == classify(nq).carmichael_reason, (ps, q)
+            n, p = prod(ps), ps[0]
+            assert korselt_failure(n * p) == f"not squarefree: {p}^2 divides {n * p}"

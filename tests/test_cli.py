@@ -12,12 +12,13 @@ import tracemalloc
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import kunits
@@ -541,13 +542,6 @@ class TestSweep:
             assert (code, out) == (2, ""), argv
             assert err.endswith("kunits: error: unrecognized arguments: --csv\n"), argv
 
-    def test_rule_integer_past_the_int_str_digit_limit_exits_2(self, capsys):
-        # refused as argparse refuses an --n of 4301 digits
-        argv = ["sweep", "--from", "16", "--to", "16", "--rule", "const:" + "9" * 4301]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == "error: rule integer of 4301 digits exceeds the digit limit\n"
-
     def test_malformed_rule_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--from", "1", "--to", "10", "--rule", "bogus")
         assert code == 2
@@ -557,6 +551,101 @@ class TestSweep:
         code, obj, _ = run_json(capsys, "sweep", "--from", "1", "--to", "10", "--rule", "n-5")
         assert code == 0
         assert obj["result"]["skipped"] == ["1", "2", "3", "4", "5"]
+
+
+class _Slot(NamedTuple):
+    """A place where the CLI reads an integer from outside; {} stands for the literal."""
+
+    argv: list[str]  # <bfile> names a file holding ``line``
+    line: str | None
+    past_limit: str  # the refusal of a literal past the int-to-str digit limit
+    malformed: str  # the slot's wording for other text, of the text it names ({!r})
+    named: str = "{}"
+
+
+def _option(argv, name):
+    past_limit = f"argument {name}: integer of 4301 digits exceeds the digit limit"
+    return _Slot(argv, None, past_limit, f"argument {name}: invalid int value: {{!r}}\n")
+
+
+_INTEGER_SLOTS = {
+    "--n": _option(["stats", "--n", "{}", "--k", "2"], "--n"),
+    "--k": _option(["stats", "--n", "5", "--k", "{}"], "--k"),
+    "--bound": _option(["classify", "--n", "561", "--bound", "{}"], "--bound"),
+    "--from": _option(["sweep", "--from", "{}", "--to", "16", "--rule", "n-1"], "--from"),
+    "--to": _option(["sweep", "--from", "16", "--to", "{}", "--rule", "n-1"], "--to"),
+    "solve --limit": _option(["solve", "--k", "2", "--limit", "{}"], "--limit"),
+    "oeis-check --limit": _option(
+        ["oeis-check", "<bfile>", "--predicate", "carmichael", "--limit", "{}"], "--limit"
+    )._replace(line="1 561"),
+    "--knodel": _option(["classify", "--n", "561", "--knodel", "{}"], "--knodel"),
+    "--gen-carmichael": _option(["classify", "--n", "561", "--gen-carmichael", "{}"], "--gen-carmichael"),
+    "rule": _Slot(
+        ["sweep", "--from", "16", "--to", "16", "--rule", "const:{}"],
+        None,
+        "error: rule integer of 4301 digits exceeds the digit limit",
+        "error: malformed exponent rule {!r}; expected ",
+        "const:{}",
+    ),
+    "predicate": _Slot(
+        ["oeis-check", "<bfile>", "--predicate", "knodel:{}"],
+        "1 561",
+        "error: predicate parameter of 4301 digits exceeds the digit limit",
+        "error: predicate {!r} needs an integer parameter\n",
+        "knodel:{}",
+    ),
+    "b-file index": _Slot(
+        ["oeis-check", "<bfile>", "--predicate", "carmichael"],
+        "{} 561",
+        "error: line 1: index of 4301 digits exceeds the digit limit",
+        "error: line 1: non-integer token in {!r}\n",
+        "{} 561",
+    ),
+    "b-file value": _Slot(
+        ["oeis-check", "<bfile>", "--predicate", "carmichael"],
+        "1 {}",
+        "error: line 1: value of 4301 digits exceeds the digit limit",
+        "error: line 1: non-integer token in {!r}\n",
+        "1 {}",
+    ),
+}
+# Whitespace splits b-file tokens, so no b-file token can hold a padded literal.
+_MALFORMED = [
+    pytest.param(slot, text, id=f"{slot}-{text!r}")
+    for slot in _INTEGER_SLOTS
+    for text in ("1_0", "\u0663", " 5")
+    if not (slot.startswith("b-file") and text == " 5")
+]
+
+
+class TestIntegerSlots:
+    """Every integer from outside is read by one reader, ``arith._read_int``: ASCII
+    [+-]?[0-9]+, refused by its digit count past the int-to-str digit limit, and in the
+    slot's own words otherwise."""
+
+    @staticmethod
+    def _run(capsys, tmp_path, slot, literal):
+        path = tmp_path / "b.txt"
+        if slot.line is not None:
+            path.write_text(slot.line.format(literal) + "\n", encoding="utf-8")
+        return run(capsys, *(arg.replace("<bfile>", str(path)).format(literal) for arg in slot.argv))
+
+    @pytest.mark.parametrize("name", _INTEGER_SLOTS)
+    def test_past_the_digit_limit_exits_2(self, capsys, tmp_path, name):
+        slot = _INTEGER_SLOTS[name]
+        code, out, err = self._run(capsys, tmp_path, slot, "9" * 4301)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300 and "4301 digits" in err
+        assert err.endswith(slot.past_limit + "\n")
+        if name == "rule":  # refused as an --n of 4301 digits is
+            assert err == "error: rule integer of 4301 digits exceeds the digit limit\n"
+
+    @pytest.mark.parametrize("name, literal", _MALFORMED)
+    def test_other_text_is_malformed(self, capsys, tmp_path, name, literal):
+        slot = _INTEGER_SLOTS[name]
+        code, out, err = self._run(capsys, tmp_path, slot, literal)
+        assert (code, out) == (2, "")
+        assert slot.malformed.format(slot.named.format(literal)) in err
 
 
 class TestOeisCheck:
@@ -1110,23 +1199,25 @@ class TestStreamedOutput:
 # The CLI contract fuzzer: edge numbers of every command, plain, --json and --csv.
 _PSI12, _PSI13 = kunits.arith._MR_PSI[11:]
 _CHERNICK = 15576893431219669577615842353855121  # (6m + 1)(12m + 1)(18m + 1), 38- and 39-bit primes
+_PAST_LIMIT = "9" * 4301  # past the int-to-str digit limit as a literal
+_UNREAD = ["abc", "1_0", _PAST_LIMIT]  # text that no integer slot reads
 _NUMBERS = [
     *map(str, [0, 1, 2, 3, -1, 561, 3037000499, 3037000500, 2**63 - 1, 2**63 + 1]),
     *map(str, [2**64 - 1, 2**64 + 1, _PSI12, _PSI13, _PSI13 + 1, _CHERNICK, 2**200]),
-    "abc",
+    *_UNREAD,
 ]
-_KS = [*map(str, [0, 1, 2, 3, -1, 252, 720720, 3037000500, 2**64, 2**200]), "abc"]
-_LIMITS = ["0", "5", "1000", "-1", "3037000499", "abc"]
-_BOUNDS = ["-1", "0", "1", "2", "1000", str(2**200)]
+_KS = [*map(str, [0, 1, 2, 3, -1, 252, 720720, 3037000500, 2**64, 2**200]), *_UNREAD]
+_LIMITS = ["0", "5", "1000", "-1", "3037000499", *_UNREAD]
+_BOUNDS = ["-1", "0", "1", "2", "1000", str(2**200), "1_0", _PAST_LIMIT]
 _RULES = [
     *("const:2", "const:0", "n", "n-1", "n+1", "n-0", "2*n+1", "0*n+1", "poly:1,0,1", "poly:-5,1"),
     "bogus",
-    "const:" + "9" * 4301,  # past the int-to-str digit limit as a literal
+    "const:" + _PAST_LIMIT,
     "poly:0,1" + "0" * 4299,  # an exponent of 4301 digits at n = 16
     "1" + "0" * 4299 + "*n+0",
 ]
 _PREDICATES = ["carmichael", "knodel:1", "knodel:2", "gen-carmichael:1", "rdu-one:720", "rdu-one:3"]
-_PREDICATES += ["knodel:x", "prime"]
+_PREDICATES += ["knodel:x", "prime", "knodel:" + _PAST_LIMIT]
 _BFILES = {
     "empty.txt": b"",
     "carmichael.txt": b"# A002997\n\n1 561\n2 1105\n3 1729\n",
@@ -1137,6 +1228,8 @@ _BFILES = {
     "above-range.txt": b"1 2000000000\n",
     "huge.txt": b"1 %d\n" % 2**200,
     "malformed.txt": b"1 abc\n",
+    "past-limit.txt": f"1 561\n2 {_PAST_LIMIT}\n".encode(),
+    "underscore.txt": b"1 5_61\n",
 }
 # Wrong constructions of the units residues, as units --oracle reports them.
 _RESIDUES = [None, (-23, 1, 5, 7, 11, 13, 17, 19), (1, 7, 5, 11), (1, 5, 7, 11, 13, 17, 19, 25), ()]
@@ -1163,7 +1256,7 @@ def _argvs(draw):
         argv += flag("--gen-carmichael", pick(_KS))
     elif command == "sweep":
         lo = pick(_NUMBERS)
-        hi = pick(_NUMBERS) if lo == "abc" or draw(st.booleans()) else str(int(lo) + pick([0, 1, 100, 5000]))
+        hi = pick(_NUMBERS) if lo in _UNREAD or draw(st.booleans()) else str(int(lo) + pick([0, 1, 100, 5000]))
         argv = ["sweep", "--from", lo, "--to", hi, "--rule", pick(_RULES)]
         argv += flag("--composite-only") + flag("--odd-only")
     else:
@@ -1189,7 +1282,15 @@ class TestContractFuzzer:
     @example(argv=["sweep", "--from", "16", "--to", "16", "--rule", _RULES[-2], "--csv"], residues=None)
     @example(argv=["sweep", "--from", "16", "--to", "16", "--rule", _RULES[-1], "--csv"], residues=None)
     @example(argv=["units", "--n", "24", "--k", "2", "--oracle"], residues=_RESIDUES[1])
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    # No shrink phase: a draw that hangs costs 5 s a run, and shrinking one ran for a minute
+    # before it reported; without it the failing argv shows after two runs.
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
     def test_every_run_keeps_the_contract(self, bfiles, argv, residues):
         argv = [arg.replace("<bfiles>", str(bfiles)) for arg in argv]
         real = cli_module._k_units
@@ -1202,18 +1303,24 @@ class TestContractFuzzer:
         out, err = io.StringIO(), io.StringIO()
         digits = getattr(sys, "get_int_max_str_digits", lambda: None)
         before = digits()
-        with (
-            mock.patch.object(kunits.arith, "_RHO_CAP", 1 << 12),
-            mock.patch.object(cli_module, "_k_units", construction),
-            contextlib.redirect_stdout(out),
-            contextlib.redirect_stderr(err),
-            deadline(5),
-        ):
-            code = main(argv)
+        try:
+            with (
+                mock.patch.object(kunits.arith, "_RHO_CAP", 1 << 12),
+                mock.patch.object(cli_module, "_k_units", construction),
+                contextlib.redirect_stdout(out),
+                contextlib.redirect_stderr(err),
+                deadline(5),
+            ):
+                code = main(argv)
+        except _Hang as exc:
+            # raised afresh, naming argv: the alarm may land on a frame without a
+            # line number, whose traceback pytest cannot render
+            raise _Hang(f"{exc}: {argv}") from None
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
         assert digits() == before
         text = out.getvalue()
         if code in (2, 3):
             assert text == "", argv
+            assert len(err.getvalue().encode()) < 1024, argv
         elif "--json" in argv:
             assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", argv
