@@ -6,10 +6,11 @@ what is left, each on a fixed schedule, so the same n always takes the
 same path.  Primality is Miller-Rabin on the first t prime bases, t chosen
 by the size of n: the smallest t with n below psi_t, the least odd
 composite that passes all of the first t (OEIS A014233).  The 13 bases
-2..41 are a proof for every n below psi_13 = 3317044064679887385961981,
-about 3.3e24 (Sorenson & Webster), so there are no probabilistic false
-positives anywhere in the toolkit; inputs the backend cannot certify raise
-:class:`~kunits.errors.CapabilityError` rather than guessing.
+2..41 prove every verdict below psi_13 = 3317044064679887385961981, about
+3.3e24 (Sorenson & Webster), and a composite verdict at any size, so there
+are no probabilistic false positives anywhere in the toolkit; inputs the
+backend cannot certify raise :class:`~kunits.errors.CapabilityError` rather
+than guessing.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ _MR_PSI = (
     3_317_044_064_679_887_385_961_981,
 )
 # Every verdict for n below psi_13 is a proof, not a probable-prime answer;
-# from psi_13 on, primality is refused.
+# from psi_13 on, a composite verdict still is, and a probable prime is refused.
 _CERTIFIED_LIMIT = _MR_PSI[-1]
 
 _TRIAL_LIMIT = 1 << 16
@@ -130,7 +131,7 @@ class Factorization:
 
     ``factors`` is a tuple of ``(prime, exponent)`` pairs with strictly
     increasing primes and exponents >= 1; it is empty exactly for n = 1.
-    A composite "prime" raises DomainError, and one from psi_13 on CapabilityError.
+    A composite "prime" raises DomainError, and a probable prime from psi_13 on CapabilityError.
     """
 
     n: int
@@ -186,20 +187,9 @@ def _check_product(n: int, factors: tuple[tuple[int, int], ...]) -> None:
         raise DomainError(f"factors do not multiply back to {n}")
 
 
-def _certified_prime(m: int, n: int) -> bool:
-    """Whether the factor m of n is prime; CapabilityError for a probable prime from psi_13 on."""
-    prime = _is_prime_unchecked(m)
-    if prime and m >= _CERTIFIED_LIMIT:
-        raise CapabilityError(
-            f"cofactor {m} of {n} is a probable prime but lies "
-            f"beyond the certified bound {_CERTIFIED_LIMIT}"
-        )
-    return prime
-
-
 def _miller_rabin(n: int) -> bool:
     """Miller-Rabin for odd n > 41 on the first t bases, for the least t with
-    n < psi_t (all 13 from psi_13 on); a proof only below _CERTIFIED_LIMIT."""
+    n < psi_t (all 13 from psi_13 on); a True is a proof only below _CERTIFIED_LIMIT."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -216,35 +206,42 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _is_prime_unchecked(n: int) -> bool:
-    """Primality without the bound gate; 'composite' verdicts are always certain."""
-    if n < 2:
+def _certified_prime(m: int, n: int | None = None) -> bool:
+    """Whether m is prime: trial division by the 13 bases, then Miller-Rabin on them.
+
+    This is the one place a Miller-Rabin verdict becomes an answer.  Composite
+    is a proof at any size, prime only below psi_13, so a probable prime from
+    psi_13 on raises CapabilityError naming it (and n, when m is a factor of n).
+    """
+    if m < 2:
         return False
     for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    return _miller_rabin(n)
+        if m % p == 0:
+            return m == p
+    if not _miller_rabin(m):
+        return False
+    if m >= _CERTIFIED_LIMIT:
+        subject = m if n is None else f"cofactor {m} of {n}"
+        raise CapabilityError(
+            f"{subject} is a probable prime but lies beyond the certified bound {_CERTIFIED_LIMIT}"
+        )
+    return True
 
 
 def is_prime(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     """Deterministic primality test for 0 <= n <= bound.
 
-    Raises CapabilityError above the bound, or at or above the certified
-    Miller-Rabin limit psi_13, instead of answering probabilistically.
+    Raises CapabilityError above the bound, and for a probable prime at or
+    above the certified Miller-Rabin limit psi_13, instead of answering
+    probabilistically; a composite is answered False at any size.
     """
     if n < 0:
         raise DomainError(f"primality is defined for n >= 0, got {n}")
-    limit = min(bound, _CERTIFIED_LIMIT)
-    if n > limit:
+    if n > bound:
         raise CapabilityError(
-            f"cannot certify primality of {n}: exceeds the supported bound {limit}"
+            f"cannot certify primality of {n}: exceeds the supported bound {bound}"
         )
-    if n == _CERTIFIED_LIMIT:
-        raise CapabilityError(
-            f"cannot certify primality of {n}: the Miller-Rabin bases are a proof "
-            f"only below it"
-        )
-    return _is_prime_unchecked(n)
+    return _certified_prime(n)
 
 
 def _brent_cycle(n: int, c: int, budget: float) -> tuple[int, int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _read_int, _value
@@ -300,9 +301,9 @@ _CARMICHAEL = _knodel(1)  # lambda(n) is even for n >= 3, so only odd n are 1-Kn
 
 def _lambda_set(name: str) -> _LambdaSet:
     """The set oeis-check calls ``name``, built by its family's constructor."""
-    base, _, text = name.partition(":")
+    base, colon, text = name.partition(":")
     if base == "carmichael":
-        if text:
+        if colon:
             raise DomainError("the carmichael predicate takes no parameter")
         return _CARMICHAEL
     families = {"knodel": _knodel, "gen-carmichael": _gen_carmichael, "rdu-one": _rdu_one}
@@ -322,9 +323,10 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
     is even too.  An odd slope with an even offset, whose odd n >= 3 are
     all out, is still sieved in full."""
     s = _lambda_set(name)
-    members = {n for n in (1, 2) if n <= top and s.failure(n) is None}
+    small = [n for n in (1, 2) if n <= top and s.failure(n) is None]
     lo = max(s.least, 3)
     odd_offset = s.offset % 2 == 1
+    hits: tuple[int, ...] = ()
     if lo <= top and not (odd_offset and s.slope % 2 == 0):
         rule = ExponentRule("poly", (s.offset, s.slope))
         filters = {
@@ -332,8 +334,8 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
             "odd_only": odd_offset,
             "squarefree_only": s.squarefree,
         }
-        members.update(sweep(lo, top, rule, **filters, bound=bound).hits)
-    return frozenset(members)
+        hits = sweep(lo, top, rule, **filters, bound=bound).hits
+    return frozenset(chain(small, hits))
 
 
 @dataclass(frozen=True)

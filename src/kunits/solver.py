@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .arith import (
-    _CERTIFIED_LIMIT,
     SUPPORTED_BOUND,
     Factorization,
     _as_factorization,
+    _certified_prime,
     _smallest_divisors,
     _value,
     divisors,
     factorize,
-    is_prime,
 )
 from .errors import CapabilityError, DomainError
 from .classify import _rdu_one
@@ -75,8 +74,9 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     Candidates 2^l * d + 1 (d | M ascending, l = 1..beta, each arising
     once) are kept when prime, with their exponent in n_max; n_max, the
     count, A and B are all read from this one sorted list of the largest
-    p^e with lambda(p^e) | k.  A candidate above the certified
-    Miller-Rabin limit raises CapabilityError.
+    p^e with lambda(p^e) | k.  A composite candidate is ruled out at any
+    size; a probable prime at or above the certified Miller-Rabin limit
+    psi_13 raises CapabilityError.
     """
     if k < 1:
         raise DomainError(f"solve_rdu_one requires k >= 1, got {k}")
@@ -92,7 +92,7 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     for d in divisors(fm):
         for l in range(1, beta + 1):
             c = (1 << l) * d + 1
-            if is_prime(c, bound=_CERTIFIED_LIMIT):
+            if _certified_prime(c):
                 pairs.append((c, nu.get(c, 0) + 1))
     pairs.sort()
     return RduOneSolution(

@@ -70,14 +70,6 @@ class CyclicDecomposition:
         if any(r < 1 for r in self.orders):
             raise DomainError("cyclic factor orders must be >= 1")
 
-    @classmethod
-    def _from_valid(cls, orders: tuple[int, ...]) -> CyclicDecomposition:
-        """An instance from a tuple of orders already known to be >= 1,
-        without the check of ``__post_init__``."""
-        group = object.__new__(cls)
-        object.__setattr__(group, "orders", orders)
-        return group
-
     @property
     def group_order(self) -> int:
         return prod(self.orders)
@@ -120,8 +112,7 @@ def unit_group_structure(n: Factorization | int) -> CyclicDecomposition:
     orders: tuple[int, ...] = ()
     for p, e in f.factors:
         orders += _prime_power_orders(p, e)
-    # each order is p - 1 >= 1 times a prime power, or a power of 2
-    return CyclicDecomposition._from_valid(orders)
+    return CyclicDecomposition(orders)
 
 
 def euler_phi(f: Factorization | int) -> int:

@@ -60,6 +60,8 @@ class TestIsPrime:
         with pytest.raises(CapabilityError):
             is_prime(1000, bound=100)
         assert is_prime(2**70 + 249, bound=2**80) in (True, False)
+        with pytest.raises(CapabilityError, match=f"supported bound {10**25}$"):
+            is_prime(10**25 + 1, bound=10**25)  # the bound is named even past psi_13
 
     def test_certified_limit_is_a_hard_gate(self):
         with pytest.raises(CapabilityError) as err:
@@ -84,11 +86,12 @@ class TestIsPrime:
         sympy = pytest.importorskip("sympy")
         for psi in sorted(set(_MR_PSI)):
             for n in range(max(0, psi - 200), psi + 201):
-                if n >= _CERTIFIED_LIMIT:
+                if n == _CERTIFIED_LIMIT or (n > _CERTIFIED_LIMIT and sympy.isprime(n)):
+                    # these pass all 13 bases: psi_13 itself and the primes
                     with pytest.raises(CapabilityError):
                         is_prime(n, bound=10**25)
                 else:
-                    assert is_prime(n, bound=_CERTIFIED_LIMIT) == sympy.isprime(n), n
+                    assert is_prime(n, bound=10**25) == sympy.isprime(n), n
 
     @given(st.integers(8, 81).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
     @settings(max_examples=300)

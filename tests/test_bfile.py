@@ -128,6 +128,7 @@ class TestComparison:
             ("knodel", "predicate 'knodel' needs an integer parameter"),
             ("knodel:x", "predicate 'knodel:x' needs an integer parameter"),
             ("carmichael:1", "the carmichael predicate takes no parameter"),
+            ("carmichael:", "the carmichael predicate takes no parameter"),
         ],
     )
     def test_bad_predicate_name_is_refused(self, name, message):

@@ -252,6 +252,18 @@ class TestSolve:
         assert code == 3
         assert "cap" in err
 
+    def test_prime_candidate_past_psi13_exits_3(self, capsys):
+        # 9 * 2**81 + 1 is a prime past the certified Miller-Rabin limit
+        code, out, err = run(capsys, "solve", "--k", str(9 * 2**81))
+        assert (code, out) == (3, "")
+        assert "3317044064679887385961981" in err
+
+    def test_composite_candidate_past_psi13_is_answered(self, capsys):
+        # 3 * 2**80 + 1, the one candidate past the limit, is composite
+        code, out, _ = run(capsys, "solve", "--k", str(3 * 2**80))
+        assert code == 0
+        assert "count   8159232" in out
+
     def test_limit_above_the_cap_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(kunits.solver, "SOLUTION_CAP", 10)
         code, out, err = run(capsys, "solve", "--k", "252", "--enumerate", "--limit", "11")
@@ -326,19 +338,19 @@ class TestSolve:
 
     def test_enumerate_solves_once(self, capsys, monkeypatch):
         solves, primality = [], []
-        real_solve, real_is_prime = kunits.solver.solve_rdu_one, kunits.solver.is_prime
+        real_solve, real_certified = kunits.solver.solve_rdu_one, kunits.solver._certified_prime
 
         def counted_solve(*args, **kwargs):
             solves.append(args)
             return real_solve(*args, **kwargs)
 
-        def counted_is_prime(*args, **kwargs):
+        def counted_certified(*args, **kwargs):
             primality.append(args)
-            return real_is_prime(*args, **kwargs)
+            return real_certified(*args, **kwargs)
 
         monkeypatch.setattr(cli_module, "solve_rdu_one", counted_solve)
         monkeypatch.setattr(kunits.solver, "solve_rdu_one", counted_solve)
-        monkeypatch.setattr(kunits.solver, "is_prime", counted_is_prime)
+        monkeypatch.setattr(kunits.solver, "_certified_prime", counted_certified)
         code, out, _ = run(capsys, "solve", "--k", "720720", "--enumerate", "--limit", "10")
         assert code == 0
         assert "truncated to 10 of" in out

@@ -54,6 +54,12 @@ def test_classify_holds_no_numpy():
     assert not {"np", "numpy"} & set(vars(module))
 
 
+def test_arith_holds_no_numpy():
+    # arith is pure integer code; the lazy numpy import in unitgroup depends on it
+    module = importlib.import_module("kunits.arith")
+    assert not {"np", "numpy"} & set(vars(module))
+
+
 # The functions for which bound is their own decision: a refusal limit, the rho
 # budget, the enumeration bound, or the rho budget of a number they derive (the
 # odd part of k, the sieve's cofactors).  The others read n's factorization and

@@ -174,10 +174,28 @@ class TestSolveRduOne:
             assert set(sol.set_a) | {q for q, _ in sol.set_b} == odd, k
 
     def test_candidate_above_the_certified_limit_is_refused(self):
-        # 3 * 2**80 + 1 lies above the Miller-Rabin limit, whatever the bound
+        # 9 * 2**81 + 1 is a prime above the Miller-Rabin limit, whatever the bound
         for bound in (kunits.SUPPORTED_BOUND, 10**30):
             with pytest.raises(CapabilityError, match="3317044064679887385961981"):
-                solve_rdu_one(3 * 2**80, bound=bound)
+                solve_rdu_one(9 * 2**81, bound=bound)
+
+    @pytest.mark.parametrize("k", [3 * 2**80, 2**100])
+    def test_composite_candidates_above_the_certified_limit_are_ruled_out(self, k):
+        # every candidate from psi_13 on is composite, so each k is answered
+        sympy = pytest.importorskip("sympy")
+        exponents = {
+            p: max(
+                e
+                for e in range(1, k.bit_length() + 3)
+                if p ** (e - 2) <= k and k % sympy.reduced_totient(p**e) == 0
+            )
+            for p in (d + 1 for d in sympy.divisors(k) if sympy.isprime(d + 1))
+        }
+        sol = solve_rdu_one(k)
+        assert sol.n_max == prod(p**e for p, e in exponents.items())
+        assert sol.count == prod(e + 1 for e in exponents.values())
+        if k == 2**100:
+            assert (sol.set_a, sol.count) == ((3, 5, 17, 257, 65537), 3296)
 
     def test_n_max_factorization_helper(self):
         for k in (1, 2, 10, 24, 252):
