@@ -223,7 +223,7 @@ def _certified_prime(m: int, n: int | None = None) -> bool:
     if m >= _CERTIFIED_LIMIT:
         subject = m if n is None else f"cofactor {m} of {n}"
         raise CapabilityError(
-            f"{subject} is a probable prime but lies beyond the certified bound {_CERTIFIED_LIMIT}"
+            f"{subject} is a probable prime at or beyond the certified bound {_CERTIFIED_LIMIT}"
         )
     return True
 

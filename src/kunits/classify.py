@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _read_int, _value
@@ -323,10 +322,9 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
     is even too.  An odd slope with an even offset, whose odd n >= 3 are
     all out, is still sieved in full."""
     s = _lambda_set(name)
-    small = [n for n in (1, 2) if n <= top and s.failure(n) is None]
+    members = {n for n in (1, 2) if n <= top and s.failure(n) is None}
     lo = max(s.least, 3)
     odd_offset = s.offset % 2 == 1
-    hits: tuple[int, ...] = ()
     if lo <= top and not (odd_offset and s.slope % 2 == 0):
         rule = ExponentRule("poly", (s.offset, s.slope))
         filters = {
@@ -334,8 +332,8 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
             "odd_only": odd_offset,
             "squarefree_only": s.squarefree,
         }
-        hits = sweep(lo, top, rule, **filters, bound=bound).hits
-    return frozenset(chain(small, hits))
+        members.update(sweep(lo, top, rule, **filters, bound=bound).hits)
+    return frozenset(members)
 
 
 @dataclass(frozen=True)

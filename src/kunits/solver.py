@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 SOLUTION_CAP = 10**6
+# Candidates 2^l * d + 1 are at most k + 1, so an even k below 2^256 keeps each
+# Miller-Rabin proof to 256 bits.  Without the cap, k = 2^beta alone needs beta / 8
+# proofs of up to beta bits, a time that grows like beta^4.
+_CANDIDATE_BITS = 256
 
 
 def _nu2(k: int) -> int:
@@ -76,13 +80,19 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     count, A and B are all read from this one sorted list of the largest
     p^e with lambda(p^e) | k.  A composite candidate is ruled out at any
     size; a probable prime at or above the certified Miller-Rabin limit
-    psi_13 raises CapabilityError.
+    psi_13 raises CapabilityError, as does an even k of more than
+    _CANDIDATE_BITS bits, which would have candidates that long.
     """
     if k < 1:
         raise DomainError(f"solve_rdu_one requires k >= 1, got {k}")
     if k % 2:
         return RduOneSolution(
             k=k, k_parity="odd", beta=0, m=k, set_a=(), set_b=(), n_max=2, count=2
+        )
+    if k.bit_length() > _CANDIDATE_BITS:
+        raise CapabilityError(
+            f"cannot solve for a k of {k.bit_length()} bits: solve_rdu_one proves "
+            f"candidates 2^l * d + 1 of at most {_CANDIDATE_BITS} bits"
         )
     beta = _nu2(k)
     m = k >> beta

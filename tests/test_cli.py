@@ -258,6 +258,14 @@ class TestSolve:
         assert (code, out) == (3, "")
         assert "3317044064679887385961981" in err
 
+    def test_k_past_the_candidate_cap_exits_3_at_once(self, capsys):
+        # 2**4000 has only composite candidates past psi_13, but proving them all
+        # would take minutes; the k of 4001 bits is refused before any is tried
+        with deadline(5):
+            code, out, err = run(capsys, "solve", "--k", str(2**4000))
+        assert (code, out) == (3, "")
+        assert "a k of 4001 bits" in err and "at most 256 bits" in err
+
     def test_composite_candidate_past_psi13_is_answered(self, capsys):
         # 3 * 2**80 + 1, the one candidate past the limit, is composite
         code, out, _ = run(capsys, "solve", "--k", str(3 * 2**80))
@@ -1218,7 +1226,7 @@ _NUMBERS = [
     *map(str, [2**64 - 1, 2**64 + 1, _PSI12, _PSI13, _PSI13 + 1, _CHERNICK, 2**200]),
     *_UNREAD,
 ]
-_KS = [*map(str, [0, 1, 2, 3, -1, 252, 720720, 3037000500, 2**64, 2**200]), *_UNREAD]
+_KS = [*map(str, [0, 1, 2, 3, -1, 252, 720720, 3037000500, 2**64, 2**200, 2**4000]), *_UNREAD]
 _LIMITS = ["0", "5", "1000", "-1", "3037000499", *_UNREAD]
 _BOUNDS = ["-1", "0", "1", "2", "1000", str(2**200), "1_0", _PAST_LIMIT]
 _RULES = [

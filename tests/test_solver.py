@@ -179,6 +179,15 @@ class TestSolveRduOne:
             with pytest.raises(CapabilityError, match="3317044064679887385961981"):
                 solve_rdu_one(9 * 2**81, bound=bound)
 
+    def test_k_past_the_candidate_cap_is_refused_before_factoring(self, monkeypatch):
+        # 2**255 has candidates of up to 256 bits; 2**256 and 3 * 2**4000 would have longer ones
+        assert solve_rdu_one(2**255).set_a == (3, 5, 17, 257, 65537)
+        monkeypatch.setattr(kunits.solver, "factorize", None)
+        for k in (2**256, 3 * 2**4000):
+            with pytest.raises(CapabilityError, match=f"a k of {k.bit_length()} bits"):
+                solve_rdu_one(k)
+        assert solve_rdu_one(2**4000 + 1).count == 2  # an odd k has no candidates
+
     @pytest.mark.parametrize("k", [3 * 2**80, 2**100])
     def test_composite_candidates_above_the_certified_limit_are_ruled_out(self, k):
         # every candidate from psi_13 on is composite, so each k is answered
