@@ -2,15 +2,15 @@
 
 Everything here is arbitrary precision and deterministic.  Factorization
 is trial division below 2**16, then Pollard's p - 1 and Brent's rho on
-what is left, each on a fixed schedule, so the same n always takes the
-same path.  Primality is Miller-Rabin on the first t prime bases, t chosen
-by the size of n: the smallest t with n below psi_t, the least odd
-composite that passes all of the first t (OEIS A014233).  The 13 bases
-2..41 prove every verdict below psi_13 = 3317044064679887385961981, about
-3.3e24 (Sorenson & Webster), and a composite verdict at any size, so there
-are no probabilistic false positives anywhere in the toolkit; inputs the
-backend cannot certify raise :class:`~kunits.errors.CapabilityError` rather
-than guessing.
+what is left, each on a fixed schedule and charged to the call's work
+budget, so the same n always takes the same path.  Primality is
+Miller-Rabin on the first t prime bases, t chosen by the size of n: the
+smallest t with n below psi_t, the least odd composite that passes all of
+the first t (OEIS A014233).  The 13 bases 2..41 prove every verdict below
+psi_13 = 3317044064679887385961981, about 3.3e24 (Sorenson & Webster), and
+a composite verdict at any size, so there are no probabilistic false
+positives anywhere in the toolkit; inputs the backend cannot certify raise
+:class:`~kunits.errors.CapabilityError` rather than guessing.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ __all__ = [
     "Factorization",
     "is_prime",
     "factorize",
-    "nu",
     "divisors",
-    "pow_mod",
 ]
 
-# Default gate for the primality / factorization fast paths.  Another rho budget
+# Default gate for the primality / factorization fast paths.  Another work budget
 # is chosen by factoring n with factorize(n, bound=B) and passing that on.
 SUPPORTED_BOUND = 2**64 - 1
 
@@ -62,7 +60,8 @@ _MR_PSI = (
 _CERTIFIED_LIMIT = _MR_PSI[-1]
 
 _TRIAL_LIMIT = 1 << 16
-_RHO_CAP = 1 << 24  # rho evaluations per cofactor at most, whatever the bound: about 10 s of CPU
+# Modular multiplications per factoring call at most, whatever the bound: about 10 s of CPU.
+_WORK_CAP = 3 << 23
 # Primes per block of trial division; one gcd with the block's product
 # rules out all of them.
 _BLOCK = 64
@@ -244,46 +243,74 @@ def is_prime(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     return _certified_prime(n)
 
 
-def _brent_cycle(n: int, c: int, budget: float) -> tuple[int, int]:
-    """One run of Brent's cycle finder on x -> x^2 + c mod n.
+class _Budget:
+    """The work limit of one call of factorize or lambda_range, charged by every cofactor it
+    splits: ``limit`` and ``used``, in modular multiplications.  A composite m <= bound has
+    a prime factor p <= sqrt(bound), which rho finds in about sqrt(p) <= bound^(1/4) steps
+    of 1.5 multiplications.  A call whose cofactors may pass the bound gets 16 times that,
+    24 * bound^(1/4), and no call more than _WORK_CAP.  Every factoring refusal is built here.
+    """
 
-    Returns a gcd and the evaluations of x^2 + c it took.  The budget is
-    checked before each round's run of r steps and after each batch of up
-    to 128; a run that would pass it stops with gcd 1, so it overruns the
-    budget by less than one batch.
+    def __init__(self, top: int, bound: int):
+        """The budget of a call whose cofactors are at most top."""
+        self.used, self.limit, self.stop = 0, _WORK_CAP, "the limit is the cap per call"
+        if top > bound and 24 * isqrt(isqrt(bound)) < _WORK_CAP:
+            self.limit = 24 * isqrt(isqrt(bound))
+            self.stop = f"the supported factorization bound is {bound}"
+
+    def take(self, cost: int) -> bool:
+        """Charge cost if what is left covers it, and say whether it did."""
+        if self.used + cost > self.limit:
+            return False
+        self.used += cost
+        return True
+
+    def refusal(self, m: int, n: int) -> CapabilityError:
+        """The refusal of the composite cofactor m of n, which this budget did not split."""
+        return CapabilityError(
+            f"cannot split the composite cofactor {m} of {n} after {self.used} of "
+            f"{self.limit} modular multiplications; {self.stop}",
+            limit=self.limit,
+            used=self.used,
+        )
+
+
+def _brent_cycle(n: int, c: int, budget: _Budget) -> int:
+    """One run of Brent's cycle finder on x -> x^2 + c mod n: a gcd, or 1 when the budget runs out.
+
+    A step that only advances y costs one modular multiplication, and a
+    batched step two, y and the product of the x - y.  Each round's run
+    of r steps and each batch of up to 128 is charged before it is taken,
+    so the budget is never overrun.
     """
     y, r, q = 2, 1, 1
     g = 1
-    used = 0
     x = ys = y
     while g == 1:
-        if used + r > budget:
-            return 1, used
+        if not budget.take(r):
+            return 1
         x = y
         for _ in range(r):
             y = (y * y + c) % n
-        used += r
         k = 0
         while k < r and g == 1:
             ys = y
             steps = min(128, r - k)
+            if not budget.take(2 * steps):
+                return 1
             for _ in range(steps):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
             g = gcd(q, n)
             k += 128
-            used += steps
-            if g == 1 and used >= budget:
-                return 1, used
         r <<= 1
     if g == n:
         g = 1
         y = ys
-        while g == 1:
+        while g == 1 and budget.take(1):
             y = (y * y + c) % n
             g = gcd(x - y, n)
-            used += 1
-    return g, used
+    return g
 
 
 def _pm1(n: int) -> int | None:
@@ -322,31 +349,25 @@ def _pm1(n: int) -> int | None:
     return None
 
 
-def _split(n: int, budget: float) -> tuple[int | None, int]:
-    """A nontrivial divisor of the odd composite n, or None; and the rho
-    evaluations used.
+def _split(n: int, budget: _Budget) -> int | None:
+    """A nontrivial divisor of the odd composite n, or None.
 
-    Pollard's p - 1 goes first when the budget covers its cost in modular
-    multiplications, which are not counted as rho evaluations.  When it
-    fails, the deterministic schedule of Brent runs follows, until a split
-    or until the schedule or the budget of evaluations runs out.
+    Pollard's p - 1 goes first when what is left of the budget covers its fixed cost,
+    which is charged.  When it fails, the deterministic schedule of Brent runs
+    follows, until a split or until the schedule or the budget runs out.
     """
     s = isqrt(n)
     if s * s == n:
-        return s, 0
-    if budget >= _pm1_plan().cost:
+        return s
+    if budget.take(_pm1_plan().cost):
         d = _pm1(n)
         if d is not None:
-            return d, 0
-    used = 0
+            return d
     for c in range(1, 64):
-        g, steps = _brent_cycle(n, c, budget - used)
-        used += steps
-        if 1 < g < n:
-            return g, used
-        if used >= budget:
-            break
-    return None, used
+        g = _brent_cycle(n, c, budget)
+        if g < n:
+            return g if g > 1 else None
+    return None
 
 
 def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
@@ -356,12 +377,12 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     (a block whose product is coprime to n is ruled out by one gcd), then
     each composite cofactor is split by Pollard's p - 1 and, where that
     fails, by Brent's rho, with deterministic primality certification of
-    every reported prime.  Rho work on a composite cofactor above ``bound``
-    is budgeted, and on any cofactor capped; p - 1 runs only when that
-    budget covers its fixed cost.  This is the one place that budget is
-    chosen, as every function that reads n's factorization accepts one.
-    Inputs with a cofactor the backend cannot split (within that budget)
-    or certify raise CapabilityError; a wrong factorization is never returned.
+    every reported prime.  p - 1 and rho charge one work budget per call
+    (``_Budget``), set by ``bound`` when the cofactor left by trial division is
+    above it and capped whatever the bound: the one place it is chosen, as every
+    function that reads n's factorization accepts one.  A cofactor the backend
+    cannot split within it (the CapabilityError carries ``limit`` and ``used``)
+    or certify raises CapabilityError; a wrong factorization is never returned.
     """
     if n < 1:
         raise DomainError(f"factorization requires n >= 1, got {n}")
@@ -381,15 +402,15 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
                 counts[p] = counts.get(p, 0) + 1
                 n //= p
     if n >= _TRIAL_LIMIT * _TRIAL_LIMIT:
-        counts.update(_cofactor_primes(n, original, bound))
+        counts.update(_cofactor_primes(n, original, _Budget(n, bound)))
     elif n > 1:
         # no prime factor below sqrt(n), so n itself is prime
         counts[n] = counts.get(n, 0) + 1
     return Factorization._from_sorted(original, tuple(sorted(counts.items())))
 
 
-def _cofactor_primes(n: int, original: int, bound: int) -> dict[int, int]:
-    """The prime multiplicities of a cofactor n >= 2**32 left by trial division."""
+def _cofactor_primes(n: int, original: int, budget: _Budget) -> dict[int, int]:
+    """The prime multiplicities of a cofactor n >= 2**32 left by trial division, within budget."""
     counts: dict[int, int] = {}
     stack = [n]
     while stack:
@@ -397,19 +418,9 @@ def _cofactor_primes(n: int, original: int, bound: int) -> dict[int, int]:
         if _certified_prime(m, original):
             counts[m] = counts.get(m, 0) + 1
             continue
-        # A composite m <= bound has a prime factor p <= sqrt(bound), which rho finds in
-        # about sqrt(p) <= bound^(1/4) steps.  A cofactor above the bound gets 16 times that
-        # (2**20 steps for the default bound); at or below it rho runs up to _RHO_CAP steps.
-        budget = min(16 * isqrt(isqrt(bound)), _RHO_CAP) if m > bound else _RHO_CAP
-        d, used = _split(m, budget)
+        d = _split(m, budget)
         if d is None:
-            stop = f"the supported factorization bound is {bound}"
-            if budget == _RHO_CAP:
-                stop = f"the rho cap is {_RHO_CAP} iterations per cofactor"
-            raise CapabilityError(
-                f"cannot split the composite cofactor {m} of {original} "
-                f"after {used} rho iterations; {stop}"
-            )
+            raise budget.refusal(m, original)
         stack += [d, m // d]
     return counts
 
@@ -431,23 +442,6 @@ def _read_int(text: str, noun: str) -> int | None:
         return int(text) if digits.isascii() and digits.isdigit() else None
     except ValueError:
         raise DomainError(f"{noun} of {len(digits)} digits exceeds the digit limit") from None
-
-
-def nu(p: int, n: int) -> int:
-    """Exponent of the greatest power of the prime p dividing n >= 1.
-
-    p is certified prime below the Miller-Rabin limit, as in factorize;
-    a p at or above it raises CapabilityError.
-    """
-    if not is_prime(p, bound=_CERTIFIED_LIMIT):
-        raise DomainError(f"nu requires a prime first argument, got {p}")
-    if n < 1:
-        raise DomainError(f"nu requires n >= 1, got {n}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def _smallest_divisors(f: Factorization, stop: int | None = None) -> list[int]:
@@ -476,11 +470,3 @@ def divisors(f: Factorization | int) -> list[int]:
     """All divisors of n in ascending order; accepts an int or Factorization."""
     return _smallest_divisors(_as_factorization(f))
 
-
-def pow_mod(a: int, e: int, n: int) -> int:
-    """a**e reduced mod n >= 1, with a**0 == 1 mod n."""
-    if a < 0 or e < 0:
-        raise DomainError("pow_mod requires a >= 0 and e >= 0")
-    if n < 1:
-        raise DomainError(f"pow_mod requires a positive modulus, got {n}")
-    return pow(a, e, n)

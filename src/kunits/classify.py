@@ -224,10 +224,11 @@ def sweep(
     rdu_k(n) = 1 exactly when lambda(n) divides k, so the range is sieved
     once by ``lambda_range`` rather than factored n by n; its DomainError
     refuses a range without 1 <= lo <= hi, and its CapabilityError one of
-    more than RANGE_BOUND n, before any work.  Filters narrow the candidate
-    set before the exponent is looked at (odd_only by sieving the odd n
-    alone); an n that survives the filters but has exponent f(n) < 1 is
-    recorded as skipped rather than silently dropped.
+    more than RANGE_BOUND n, before any work, or one whose cofactors pass
+    the one work budget of the call, naming the n sieved.  Filters narrow
+    the candidate set before the exponent is looked at (odd_only by
+    sieving the odd n alone); an n that survives the filters but has
+    exponent f(n) < 1 is recorded as skipped rather than silently dropped.
     """
     hits: list[int] = []
     skipped: list[int] = []

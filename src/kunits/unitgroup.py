@@ -32,6 +32,7 @@ from .arith import (
     SUPPORTED_BOUND,
     Factorization,
     _as_factorization,
+    _Budget,
     _cofactor_primes,
     _value,
     factorize,
@@ -223,10 +224,10 @@ _STRIDE_LIMIT = isqrt(_SEGMENT)
 
 @cache
 def _primes_below(bits: int) -> np.ndarray:
-    """Every prime below 2**bits, ascending, as int64, kept for the life of
-    the process (below 2**24, 1,077,871 primes in 8.6 MB): a sieve of
-    Eratosthenes over the odd numbers, where index i stands for 2i + 1 and
-    the 1 at index 0 becomes the even prime 2."""
+    """Every prime below 2**bits, ascending, as one read-only int64 array shared
+    for the life of the process (below 2**24, 1,077,871 primes in 8.6 MB): a
+    sieve of Eratosthenes over the odd numbers, where index i stands for
+    2i + 1 and the 1 at index 0 becomes the even prime 2."""
     odd = np.ones(1 << (bits - 1), dtype=bool)
     for p in range(3, isqrt(1 << bits) + 1, 2):
         if odd[p // 2]:
@@ -235,6 +236,7 @@ def _primes_below(bits: int) -> np.ndarray:
     primes *= 2
     primes += 1
     primes[0] = 2
+    primes.flags.writeable = False
     return primes
 
 
@@ -269,7 +271,8 @@ def lambda_range(
     beyond.  The cofactor left is 1 or a prime below (L + 1)**2, so for
     every n up to hi = 2**48 + 2**25; a larger one goes to ``factorize``'s
     Pollard p - 1 and then Brent's rho, which certify its primes or raise
-    CapabilityError.
+    CapabilityError.  They charge one work budget per call, made from hi
+    and ``bound`` as ``factorize`` makes its own, so a range has one total.
     The gathered powers and sparse primes are built once per call, in int64
     (the powers up to 2**63 - 1) and, for a hi past that, in Python ints.
 
@@ -314,8 +317,9 @@ def lambda_range(
         gathered = np.array(gathered, dtype=object).reshape(-1, 3).T
         tables[np.dtype(object)] = gathered, sparse.astype(object)
     width = step * _SEGMENT  # the span of n one segment covers
+    budget = _Budget(hi, bound)
     return (
-        _lambda_segment(range(a, min(a + width, hi + 1), step), strided, tables, limit, bound)
+        _lambda_segment(range(a, min(a + width, hi + 1), step), strided, tables, limit, budget)
         for a in range(lo | 1 if odd_only else lo, hi + 1, width)
     )
 
@@ -385,7 +389,7 @@ def _lambda_segment(
     strided: list[tuple[int, int, int]],
     tables: dict[np.dtype, tuple[np.ndarray, np.ndarray]],
     limit: int,
-    bound: int,
+    budget: _Budget,
 ) -> LambdaSegment:
     """lambda(n) and the flags for the n of span (consecutive, or
     consecutive odd at step 2, where 2 is left out and each odd q = p^e
@@ -438,7 +442,7 @@ def _lambda_segment(
     # The cofactor is 1, a prime, or (from (limit + 1)**2 on) a number to factor.
     for i in np.flatnonzero(rem > limit * (limit + 2)):
         c = int(rem[i])
-        f = Factorization._from_sorted(c, tuple(sorted(_cofactor_primes(c, int(n[i]), bound).items())))
+        f = Factorization._from_sorted(c, tuple(sorted(_cofactor_primes(c, int(n[i]), budget).items())))
         lam[i] = carmichael_lambda(f)
         squarefree[i] &= f.is_squarefree
     for (q, _, order), first in zip(strided, firsts):

@@ -1,5 +1,6 @@
 import random
 import time
+from unittest import mock
 from itertools import product
 from math import prod
 
@@ -15,8 +16,6 @@ from kunits import (
     euler_phi,
     factorize,
     is_prime,
-    nu,
-    pow_mod,
 )
 from kunits import arith
 from kunits.arith import (
@@ -74,6 +73,8 @@ class TestIsPrime:
         assert _MR_PSI[11] == psi12
         assert not is_prime(psi12, bound=10**25)
         assert not is_prime(psi12 + 2, bound=10**25)  # divisible by 3
+        with pytest.raises(DomainError, match="is not prime"):
+            Factorization(psi12**2, ((psi12, 2),))
 
     def test_psi13_itself_is_refused(self):
         assert _MR_PSI[12] == _CERTIFIED_LIMIT
@@ -83,6 +84,11 @@ class TestIsPrime:
             f"{_CERTIFIED_LIMIT} is a probable prime at or beyond the certified bound {_CERTIFIED_LIMIT}"
         )
         assert not is_prime(_CERTIFIED_LIMIT - 1, bound=10**25)
+        # a bound at psi_13 refuses it as a probable prime, and psi_13 + 2 as past the bound
+        with pytest.raises(CapabilityError, match="certified bound"):
+            is_prime(_CERTIFIED_LIMIT, bound=_CERTIFIED_LIMIT)
+        with pytest.raises(CapabilityError, match=f"supported bound {_CERTIFIED_LIMIT}$"):
+            is_prime(_CERTIFIED_LIMIT + 2, bound=_CERTIFIED_LIMIT)
 
     def test_agrees_with_sympy_around_every_psi(self):
         sympy = pytest.importorskip("sympy")
@@ -193,31 +199,77 @@ class TestFactorize:
             factorize(2**89 - 1)
 
     def test_rho_budget_above_the_bound(self):
-        # rho splits 1000003 * 1000033 after about 1000 steps: inside the
-        # budget 16 * bound^(1/4) for bound = 2**32, past it for 2**20
+        # rho splits 1000003 * 1000033 after about 1000 steps: inside the budget of
+        # 24 * bound^(1/4) modular multiplications for bound = 2**32 (6144), past it
+        # for 2**20 (768), where the 255 steps of the rounds up to r = 128 take 765
         n = 1000003 * 1000033
         assert factorize(n, bound=2**32).factors == ((1000003, 1), (1000033, 1))
-        with pytest.raises(CapabilityError, match="after 512 rho iterations"):
+        with pytest.raises(CapabilityError, match="after 765 of 768 modular multiplications"):
             factorize(n, bound=2**20)
 
     def test_rho_cap_holds_below_the_bound(self, monkeypatch):
         # at or below the bound rho gets no tighter budget, but never more than the cap
-        monkeypatch.setattr(arith, "_RHO_CAP", 512)
-        with pytest.raises(CapabilityError, match="after 512 rho iterations"):
+        monkeypatch.setattr(arith, "_WORK_CAP", 768)
+        with pytest.raises(CapabilityError, match="after 765 of 768 modular multiplications"):
             factorize(1000003 * 1000033, bound=2**64)
 
     def test_rho_refusal_names_the_limit_that_stopped_it(self, monkeypatch):
-        monkeypatch.setattr(arith, "_RHO_CAP", 512)
+        monkeypatch.setattr(arith, "_WORK_CAP", 768)
         n = 1000003 * 1000033
         with pytest.raises(CapabilityError) as capped:
             factorize(n, bound=2**64)
-        assert "the rho cap is 512 iterations" in str(capped.value)
+        assert str(capped.value).endswith("of 768 modular multiplications; the limit is the cap per call")
         assert str(2**64) not in str(capped.value)
         # a bound below n sets a smaller budget, and the refusal names the bound
         with pytest.raises(CapabilityError) as bounded:
             factorize(n, bound=2**16)
         assert str(bounded.value).endswith("the supported factorization bound is 65536")
-        assert "rho cap" not in str(bounded.value)
+        assert "of 384 modular multiplications" in str(bounded.value)
+        assert "the cap" not in str(bounded.value)
+
+    def test_refusals_carry_the_budget(self, monkeypatch):
+        # a budget's refusal carries its limit and what it used; any other refusal None
+        n = 1000003 * 1000033
+        for bound, limit in ((2**20, 768), (2**16, 384)):
+            with pytest.raises(CapabilityError) as refused:
+                factorize(n, bound=bound)
+            assert (refused.value.limit, refused.value.used) == (limit, limit - 3)
+        monkeypatch.setattr(arith, "_WORK_CAP", 1 << 12)
+        with pytest.raises(CapabilityError) as refused:
+            factorize(562949953433657 * 562950941075639, bound=2**200)
+        assert refused.value.limit == 1 << 12
+        assert 0 < refused.value.used <= refused.value.limit
+        for call in (lambda: is_prime(2**65), lambda: factorize(2 * _CERTIFIED_LIMIT, bound=10**25)):
+            with pytest.raises(CapabilityError) as refused:
+                call()
+            assert (refused.value.limit, refused.value.used) == (None, None)
+
+    @given(st.integers(1, 20000))
+    @settings(max_examples=60, deadline=None)
+    def test_the_budget_is_never_overrun(self, limit):
+        # every charge is taken before its work, whatever the limit: p - 1 (below 20000
+        # it costs 11,906), rho's runs and batches, and the backtrack of a batch
+        n = 1000003 * 1000033 * 536870923 * 536870951
+        with mock.patch.object(arith, "_WORK_CAP", limit):
+            try:
+                f = factorize(n)
+            except CapabilityError as exc:
+                assert (exc.limit, 0 <= exc.used <= limit) == (limit, True)
+            else:
+                assert f.factors == ((1000003, 1), (1000033, 1), (536870923, 1), (536870951, 1))
+
+    def test_one_budget_covers_every_cofactor_of_a_call(self, monkeypatch):
+        # the square splits for free into two copies of 1000003 * 1000033, each of which
+        # p - 1 splits for its whole cost; past one cost, the second copy is left to rho
+        n = (1000003 * 1000033) ** 2
+        cost = arith._pm1_plan().cost
+        monkeypatch.setattr(arith, "_WORK_CAP", 2 * cost)
+        assert factorize(n).factors == ((1000003, 2), (1000033, 2))
+        monkeypatch.setattr(arith, "_WORK_CAP", cost + 768)
+        with pytest.raises(CapabilityError) as refused:
+            factorize(n)
+        assert refused.value.limit == cost + 768
+        assert cost < refused.value.used <= refused.value.limit
 
     def test_p_minus_1_splits_before_rho(self, monkeypatch):
         # 1000033 - 1 = 2^5 * 3 * 11 * 947, so p - 1 splits n without a rho evaluation
@@ -244,11 +296,11 @@ class TestFactorize:
         assert arith._pm1(c * (2 * c + 1)) is None
         assert arith._pm1(562949953433657 * 562950941075639) is None  # 2749745777, 3524920423
         assert arith._pm1(621334231200341 * 1084074551536477) is None  # 4125899, 9587939
-        # p - 1 splits these two at once, so their refusal tests, run at budgets of 512 and
-        # 4096, check the gate that keeps p - 1 out below its cost
+        # p - 1 splits these two at once, so their refusal tests, run at budgets of 768 and
+        # 6144 modular multiplications, check that p - 1 stays out of a budget below its cost
         assert arith._pm1(1000003 * 1000033) == 1000033
         assert arith._pm1(536870923 * 536870951) == 536870951
-        assert 4096 < arith._pm1_plan().cost
+        assert 6144 < arith._pm1_plan().cost
 
     def test_smooth_numbers_above_the_bound_still_factor(self):
         f = factorize(2**100 * 3**5)
@@ -268,6 +320,11 @@ class TestFactorize:
         # the "primes" are certified as factorize certifies a cofactor
         with pytest.raises(DomainError, match=r"\Afactor 561 of 561 is not prime\Z"):
             Factorization(561, ((561, 1),))  # a Carmichael number
+        with pytest.raises(DomainError, match=r"\Afactor 4 of 16 is not prime\Z"):
+            Factorization(16, ((4, 2),))
+        q = 9118249094292696600751  # a prime past 2**64, so 3q is a composite past it
+        with pytest.raises(DomainError, match=f"factor {3 * q} of {9 * q} is not prime"):
+            Factorization(9 * q, ((3, 1), (3 * q, 1)))
         with pytest.raises(DomainError, match="is not prime"):
             Factorization(3 * _MR_PSI[11], ((3, 1), (_MR_PSI[11], 1)))  # base 41 catches psi_12
         with pytest.raises(CapabilityError, match="beyond the certified bound"):
@@ -279,8 +336,6 @@ class TestFactorize:
         assert factorize(561).is_composite
         assert factorize(561).is_squarefree
         assert not factorize(45).is_squarefree
-        assert nu(3, 45) == 2
-        assert nu(7, 45) == 0
 
 
 class TestEulerPhi:
@@ -309,40 +364,20 @@ class TestEulerPhi:
             checked += 1
 
 
-class TestNu:
+class TestPrimeExponent:
+    """The exponent of a prime p in n, read from factorize as dict(factorize(n).factors).get(p, 0)."""
+
     def test_examples(self):
-        assert nu(2, 252) == 2
-        assert nu(3, 252) == 2
-        assert nu(5, 7) == 0
-
-    def test_non_prime_p_is_domain_error(self):
-        with pytest.raises(DomainError):
-            nu(4, 252)
-
-    def test_n_zero_is_domain_error(self):
-        with pytest.raises(DomainError):
-            nu(2, 0)
+        for p, n, e in ((2, 252, 2), (3, 252, 2), (5, 7, 0), (3, 45, 2), (7, 45, 0)):
+            assert dict(factorize(n).factors).get(p, 0) == e, (p, n)
 
     def test_prime_above_64_bits_is_certified(self):
-        # factorize certifies this q up to the Miller-Rabin limit; so does nu
+        # factorize certifies this q up to the Miller-Rabin limit; it splits a square
+        # cofactor at once, but rho cannot split q**3 within the cap
         q = 9118249094292696600751
         assert q > 2**64 and factorize(q, bound=_CERTIFIED_LIMIT).is_prime
-        assert nu(q, 3 * q) == 1
-        assert nu(q, 5 * q**3) == 3
-        assert nu(q, q + 1) == 0
-        with pytest.raises(DomainError):
-            nu(q * 3, 9 * q)
-
-    def test_p_beyond_the_certified_limit_is_refused(self):
-        with pytest.raises(CapabilityError):
-            nu(_CERTIFIED_LIMIT + 2, 7)
-        with pytest.raises(CapabilityError):
-            nu(_CERTIFIED_LIMIT, 7)
-
-    def test_psi12_is_not_a_prime_argument(self):
-        psi12 = 318665857834031151167461
-        with pytest.raises(DomainError):
-            nu(psi12, psi12**2)
+        for n, e in ((3 * q, 1), (5 * q**2, 2), (q + 1, 0)):
+            assert dict(factorize(n, bound=_CERTIFIED_LIMIT).factors).get(q, 0) == e, n
 
 
 class TestDivisors:
@@ -388,31 +423,23 @@ class TestDivisors:
         assert ds == sorted(ds)
 
 
-class TestPowMod:
+class TestPow:
+    """The builtin pow, which the library calls for a**e mod n."""
+
     def test_examples(self):
-        assert pow_mod(2, 2, 5) == 4
-        assert pow_mod(4, 2, 5) == 1
-        assert pow_mod(9, 0, 7) == 1
+        assert pow(2, 2, 5) == 4
+        assert pow(4, 2, 5) == 1
+        assert pow(9, 0, 7) == 1
 
     def test_modulus_one(self):
-        assert pow_mod(5, 0, 1) == 0
-
-    def test_modulus_zero_is_domain_error(self):
-        with pytest.raises(DomainError):
-            pow_mod(2, 3, 0)
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(DomainError):
-            pow_mod(-2, 3, 5)
-        with pytest.raises(DomainError):
-            pow_mod(2, -3, 5)
+        assert pow(5, 0, 1) == 0
 
     def test_agrees_with_iterated_multiplication(self):
-        # the full grid the contract promises: a, n <= 50, e <= 20
+        # the full grid: a, n <= 50, e <= 20
         for n in range(1, 51):
             for a in range(0, 51):
                 for e in range(0, 21):
-                    assert pow_mod(a, e, n) == brute_pow_mod(a, e, n)
+                    assert pow(a, e, n) == brute_pow_mod(a, e, n)
 
 
 class TestReadInt:

@@ -866,10 +866,10 @@ class TestBoundFlag:
 
 
 class TestRhoBudget:
-    """The rho budget is chosen where n is factored: by factorize's bound, which --bound
+    """The work budget is chosen where n is factored: by factorize's bound, which --bound
     sets, and by no keyword of the functions that read n's factorization."""
 
-    N = 1000003 * 1000033  # past 512 rho iterations, inside the default budget
+    N = 1000003 * 1000033  # past 768 modular multiplications, inside the default budget
     COMMANDS = {
         "stats": ["stats", "--n", str(N), "--k", "2"],
         "classify": ["classify", "--n", str(N)],
@@ -881,16 +881,25 @@ class TestRhoBudget:
         assert run(capsys, *self.COMMANDS[command])[0] == 0
         code, out, err = run(capsys, *self.COMMANDS[command], "--bound", "1048576")
         assert (code, out) == (3, "")
-        assert err.startswith("capability error: ") and "after 512 rho iterations" in err
+        assert err.startswith("capability error: ")
+        assert "after 765 of 768 modular multiplications" in err
 
     def test_bound_flag_cannot_lift_the_rho_cap(self, capsys, monkeypatch):
         # two 50-bit primes below --bound 2**200: rho stops at the cap, not at the bound
-        monkeypatch.setattr(kunits.arith, "_RHO_CAP", 512)
+        monkeypatch.setattr(kunits.arith, "_WORK_CAP", 768)
         argv = ["stats", "--n", "673572628042771384973556338657", "--k", "2", "--bound", str(2**200)]
         with deadline(5):
             code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
-        assert "after 512 rho iterations" in err
+        assert "after 765 of 768 modular multiplications; the limit is the cap per call" in err
+
+    def test_a_sweep_has_one_budget(self, capsys):
+        # 10**9 n from 2**62: a fresh budget per cofactor would take days of rho
+        argv = ["sweep", "--from", str(2**62), "--to", str(2**62 + 10**9 - 1), "--rule", "n-1"]
+        with deadline(60):
+            code, out, err = run(capsys, *argv, "--odd-only", "--composite-only")
+        assert (code, out) == (3, "")
+        assert "modular multiplications; the limit is the cap per call" in err
 
     def test_refusal_bound_is_not_a_rho_budget(self):
         # two 50-bit primes: rho cannot split n within the default budget, and
@@ -1277,6 +1286,8 @@ def _argvs(draw):
     elif command == "sweep":
         lo = pick(_NUMBERS)
         hi = pick(_NUMBERS) if lo in _UNREAD or draw(st.booleans()) else str(int(lo) + pick([0, 1, 100, 5000]))
+        if draw(st.integers(0, 3)) == 0:  # 10**9 n from 2**62, where every n may need rho
+            lo, hi = str(2**62), str(2**62 + 10**9 - 1)
         argv = ["sweep", "--from", lo, "--to", hi, "--rule", pick(_RULES)]
         argv += flag("--composite-only") + flag("--odd-only")
     else:
@@ -1325,7 +1336,7 @@ class TestContractFuzzer:
         before = digits()
         try:
             with (
-                mock.patch.object(kunits.arith, "_RHO_CAP", 1 << 12),
+                mock.patch.object(kunits.arith, "_WORK_CAP", 1 << 12),
                 mock.patch.object(cli_module, "_k_units", construction),
                 contextlib.redirect_stdout(out),
                 contextlib.redirect_stderr(err),

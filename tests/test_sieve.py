@@ -233,15 +233,28 @@ class TestLambdaRange:
     def test_rho_refusal_names_the_n_sieved(self, monkeypatch, capsys):
         # the sieve takes out 3 and leaves the cofactor 536870923 * 536870951 to rho
         n = 3 * 536870923 * 536870951
-        monkeypatch.setattr(arith, "_RHO_CAP", 512)
-        named = f"cofactor 288230402995257773 of {n} after 512 rho iterations"
+        monkeypatch.setattr(arith, "_WORK_CAP", 768)
+        named = f"cofactor 288230402995257773 of {n} after 765 of 768 modular multiplications"
         for call in (lambda: list(lambda_range(n, n)), lambda: sweep(n, n, parse_rule("n-1"))):
-            with pytest.raises(CapabilityError, match=named):
+            with pytest.raises(CapabilityError, match=named) as refused:
                 call()
+            assert (refused.value.limit, refused.value.used) == (768, 765)
         code = main(["sweep", "--from", str(n), "--to", str(n), "--rule", "n-1"])
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert named in err
+
+    def test_one_budget_covers_the_whole_range(self, monkeypatch):
+        # the 76 cofactors of this window take at most 105,726 rho evaluations each and
+        # 559,576 in all: each fits in 2**18 multiplications, their total does not
+        monkeypatch.setattr(arith, "_WORK_CAP", 1 << 18)
+        with pytest.raises(CapabilityError, match="the limit is the cap per call") as refused:
+            list(lambda_range(2**62, 2**62 + 1023))
+        assert refused.value.limit == 1 << 18
+        assert 0 < refused.value.used <= refused.value.limit
+        with pytest.raises(CapabilityError) as refused:
+            sweep(2**62, 2**62 + 1023, parse_rule("n-1"))
+        assert 0 < refused.value.used <= refused.value.limit == 1 << 18
 
     def test_range_bound_is_refused_before_iteration(self):
         with pytest.raises(CapabilityError, match="range bound"):
@@ -267,6 +280,17 @@ class TestPrimeSieve:
         assert len(primes) == 1077871 and primes[-1] == 16777213
         head = primes[: 2**16].tolist()
         assert head == list(sympy.primerange(2, head[-1] + 1))
+
+    @pytest.mark.parametrize("hi, bits", [(2**32 - 1, 16), (2**32 + 5, 24)])
+    def test_the_cached_primes_are_read_only(self, hi, bits):
+        # every call shares the one array, so no caller can write to it
+        primes = _primes_below(bits)
+        with pytest.raises(ValueError, match="read-only"):
+            primes[0] = 4
+        with pytest.raises(ValueError, match="read-only"):
+            primes[1:3] += 1  # nor through a view
+        assert primes[:3].tolist() == [2, 3, 5]
+        assert sieved(hi - 300, hi) == factored(hi - 300, hi)
 
     @pytest.mark.parametrize("hi, bits", [(2**32 - 1, 16), (2**32 + 5, 24)])
     def test_windows_on_either_side_of_2_32(self, monkeypatch, hi, bits):

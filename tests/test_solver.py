@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -128,13 +128,16 @@ class TestSolveRduOne:
             f"    solve_rdu_one({2 * c * (2 * c + 1)})\n"
             "except CapabilityError as exc:\n"
             "    print(exc)\n"
+            "    print(exc.limit, exc.used)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
         )
         assert proc.returncode == 0, proc.stderr
         assert f"cofactor {c * (2 * c + 1)} " in proc.stdout
-        assert "rho iterations" in proc.stdout
+        assert "modular multiplications" in proc.stdout
+        limit, used = map(int, proc.stdout.split("\n")[-2].split())
+        assert 0 < used <= limit == 24 * isqrt(isqrt(2**64 - 1))
 
     def test_odd_k_past_the_rho_budget_needs_no_factorization(self, monkeypatch):
         # lambda(n) is even for n >= 3, so an odd k gives n_max = 2 whatever
