@@ -1,9 +1,10 @@
 """Exact integer primitives: primality, factorization, divisors.
 
 Everything here is arbitrary precision and deterministic.  Factorization
-is trial division below 2**16, then Pollard's p - 1 and Brent's rho on
-what is left, each on a fixed schedule and charged to the call's work
-budget, so the same n always takes the same path.  Primality is
+is trial division below 2**16, then, on what is left, a perfect-power test,
+Pollard's p - 1, a short run of Brent's rho, Lenstra's elliptic-curve method
+(ECM) and the rest of Brent's rho, each on a fixed schedule and charged to
+the call's work budget, so the same n always takes the same path.  Primality is
 Miller-Rabin on the first t prime bases, t chosen by the size of n: the
 smallest t with n below psi_t, the least odd composite that passes all of
 the first t (OEIS A014233).  The 13 bases 2..41 prove every verdict below
@@ -16,8 +17,10 @@ positives anywhere in the toolkit; inputs the backend cannot certify raise
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, takewhile
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -67,18 +70,29 @@ _WORK_CAP = 3 << 23
 _BLOCK = 64
 # Stage 1 bound of Pollard's p - 1; stage 2 takes the primes above it below _TRIAL_LIMIT.
 _PM1_B1 = 1 << 12
+# Modular multiplications of the Brent run at c = 1 that goes before ECM, for the small primes.
+_RHO_LEG = 3 << 11
+# ECM's schedule: (curves, B1) in turn, each curve's stage 2 taking the primes up to B2 = 100 * B1.
+_ECM_SCHEDULE = ((40, 500), (100, 2_000), (90, 11_000))
+# ECM's stage 2 giant step, 2 * 3 * 5 * 7 * 11: every prime above 11 is k * D +- j for one
+# k and one of the 240 odd j < D / 2 prime to D.
+_ECM_D = 2310
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    """Primes below 2**16 by a sieve of Eratosthenes."""
-    limit = _TRIAL_LIMIT
+def _sieve(limit: int) -> bytearray:
+    """Flags at 0..limit - 1, set exactly at the primes: a sieve of Eratosthenes."""
     sieve = bytearray([1]) * limit
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return sieve
+
+
+@lru_cache(maxsize=1)
+def _small_primes() -> tuple[int, ...]:
+    """Primes below 2**16."""
+    return tuple(i for i, flag in enumerate(_sieve(_TRIAL_LIMIT)) if flag)
 
 
 @lru_cache(maxsize=1)
@@ -87,6 +101,15 @@ def _prime_blocks() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     primes = _small_primes()
     runs = (primes[i : i + _BLOCK] for i in range(0, len(primes), _BLOCK))
     return tuple((run[0], prod(run), run) for run in runs)
+
+
+def _prime_power(p: int, b1: int) -> int:
+    """The largest power of the prime p <= b1 that is at most b1: the part of a stage 1
+    exponent that p gives, in p - 1 and in ECM alike."""
+    q = p
+    while q * p <= b1:
+        q *= p
+    return q
 
 
 class _Pm1Plan(NamedTuple):
@@ -108,10 +131,7 @@ def _pm1_plan() -> _Pm1Plan:
         powers, run = [], []
         for p in block:
             if p <= _PM1_B1:
-                q = p
-                while q * p <= _PM1_B1:
-                    q *= p
-                powers.append(q)
+                powers.append(_prime_power(p, _PM1_B1))
                 base = p
             else:
                 run.append(p - previous)
@@ -246,9 +266,11 @@ def is_prime(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
 class _Budget:
     """The work limit of one call of factorize or lambda_range, charged by every cofactor it
     splits: ``limit`` and ``used``, in modular multiplications.  A composite m <= bound has
-    a prime factor p <= sqrt(bound), which rho finds in about sqrt(p) <= bound^(1/4) steps
-    of 1.5 multiplications.  A call whose cofactors may pass the bound gets 16 times that,
-    24 * bound^(1/4), and no call more than _WORK_CAP.  Every factoring refusal is built here.
+    a prime factor p <= sqrt(bound), which rho alone finds in about sqrt(p) <= bound^(1/4)
+    steps of 1.5 multiplications; p - 1 and ECM, which go before the bulk of rho, often
+    find it in fewer.  A call whose cofactors may pass the bound gets 16 times that rho
+    figure, 24 * bound^(1/4), and no call more than _WORK_CAP.  Every factoring refusal is
+    built here.
     """
 
     def __init__(self, top: int, bound: int):
@@ -257,6 +279,15 @@ class _Budget:
         if top > bound and 24 * isqrt(isqrt(bound)) < _WORK_CAP:
             self.limit = 24 * isqrt(isqrt(bound))
             self.stop = f"the supported factorization bound is {bound}"
+
+    @contextmanager
+    def within(self, cost: int):
+        """A with block that may charge at most cost more than what is used."""
+        limit, self.limit = self.limit, min(self.limit, self.used + cost)
+        try:
+            yield
+        finally:
+            self.limit = limit
 
     def take(self, cost: int) -> bool:
         """Charge cost if what is left covers it, and say whether it did."""
@@ -349,21 +380,172 @@ def _pm1(n: int) -> int | None:
     return None
 
 
-def _split(n: int, budget: _Budget) -> int | None:
-    """A nontrivial divisor of the odd composite n, or None.
+class _EcmPlan(NamedTuple):
+    """The fixed tables of one tier of ECM's schedule, the same for every n and curve."""
 
-    Pollard's p - 1 goes first when what is left of the budget covers its fixed cost,
-    which is charged.  When it fails, the deterministic schedule of Brent runs
-    follows, until a split or until the schedule or the budget runs out.
+    scalar: int  # stage 1: the product of the prime powers <= B1
+    first: int  # stage 2 starts at the giant step first * D
+    steps: tuple[bytes, ...]  # per giant step k from first on: the baby steps j, by their index
+    # among the odd j < D / 2 prime to D, with k * D + j or k * D - j a prime in (B1, B2]
+    cost: int  # modular multiplications of one curve
+
+
+@lru_cache(maxsize=None)
+def _ecm_plan(b1: int) -> _EcmPlan:
+    """The ECM tables for B1 = b1 and B2 = 100 * b1, built on first use.
+
+    A curve's cost counts 11 multiplications per bit of each ladder's scalar (stage 1's and
+    the two that reach stage 2's first giant steps), 6 per baby and per giant step, and 3
+    per pair (k, j) tested: never fewer than the curve does.
     """
-    s = isqrt(n)
-    if s * s == n:
-        return s
+    b2, half = 100 * b1, _ECM_D // 2
+    flags = _sieve(b2 + 1)
+    index = {j: i for i, j in enumerate(j for j in range(1, half, 2) if gcd(j, _ECM_D) == 1)}
+    width = len(index)
+    marks = bytearray(width * (b2 // _ECM_D + 2))  # marks[width * k + i] for k * D +- (j of index i)
+    for p in compress(range(b1 + 1, b2 + 1), flags[b1 + 1 :]):
+        k = (p + half) // _ECM_D
+        marks[width * k + index[abs(p - k * _ECM_D)]] = 1
+    first, last = ((p + half) // _ECM_D for p in (flags.index(1, b1 + 1), flags.rindex(1)))
+    rows = (marks[width * k : width * (k + 1)] for k in range(first, last + 1))
+    steps = tuple(bytes(compress(range(width), row)) for row in rows)
+    scalar = prod(_prime_power(p, b1) for p in compress(range(b1 + 1), flags))
+    ladders = scalar.bit_length() + _ECM_D.bit_length() + first.bit_length()
+    cost = 11 * ladders + 6 * (len(range(1, half, 2)) + len(steps)) + 3 * sum(map(len, steps))
+    return _EcmPlan(scalar, first, steps, cost)
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """2P for P = (x : z) on the Montgomery curve of a24 = (A + 2) / 4: 5 multiplications."""
+    s = (x + z) ** 2 % n
+    d = (x - z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(x: int, z: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """P + Q from P = (x : z), Q = (xq : zq) and P - Q = (xd : zd): 6 multiplications."""
+    u = (x - z) * (xq + zq)
+    v = (x + z) * (xq - zq)
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(m: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
+    """m * P and (m + 1) * P for P = (x : z) and m >= 1, by Montgomery's ladder."""
+    x0, z0 = x, z
+    x1, z1 = _xdbl(x, z, a24, n)
+    for bit in bin(m)[3:]:
+        if bit == "1":
+            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
+            x1, z1 = _xdbl(x1, z1, a24, n)
+        else:
+            x1, z1 = _xadd(x1, z1, x0, z0, x, z, n)
+            x0, z0 = _xdbl(x0, z0, a24, n)
+    return x0, z0, x1, z1
+
+
+def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
+    """gcd(n, what one curve of ECM found): 1 or n when it found no divisor of n.
+
+    The curve is Suyama's of sigma, a Montgomery curve whose order is a multiple of 12,
+    in x-only coordinates (X : Z).  Stage 1 multiplies its point by plan.scalar.
+    Stage 2 (baby-step giant-step) tests the primes q in (B1, B2] at once, a pair
+    k * D +- j by one product: the x-coordinates of k * D * Q and j * Q agree mod a
+    prime p of n exactly when (k * D + j) * Q or (k * D - j) * Q is zero mod p, so
+    the product of the X_k * Z_j - X_j * Z_k has p in its gcd with n.
+    """
+    u, v = sigma * sigma - 5, 4 * sigma
+    den = 16 * u**3 * v
+    g = gcd(den, n)
+    if g > 1:
+        return g
+    a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
+    x, z, _, _ = _ladder(plan.scalar, u**3 % n, v**3 % n, a24, n)
+    g = gcd(z, n)
+    if g > 1:
+        return g
+    bx, bz = [x], [z]  # j * Q for the odd j < D / 2 prime to D
+    x2, z2 = _xdbl(x, z, a24, n)
+    xp, zp, xj, zj = x, z, *_xadd(x2, z2, x, z, x, z, n)
+    for j in range(3, _ECM_D // 2, 2):
+        if gcd(j, _ECM_D) == 1:
+            bx.append(xj)
+            bz.append(zj)
+        xp, zp, xj, zj = xj, zj, *_xadd(xj, zj, x2, z2, xp, zp, n)
+    xg, zg, _, _ = _ladder(_ECM_D, x, z, a24, n)
+    if plan.first:
+        xa, za, xb, zb = _ladder(plan.first, xg, zg, a24, n)
+    else:
+        xa, za, xb, zb = 1, 0, xg, zg  # 0 * D * Q, the point at infinity (1 : 0)
+    acc = 1
+    for step in plan.steps:
+        for i in step:
+            acc = acc * (xa * bz[i] - bx[i] * za) % n
+        # (k + 2) * D * Q by a differential addition, or by doubling D * Q after (1 : 0)
+        after = _xadd(xb, zb, xg, zg, xa, za, n) if za else _xdbl(xb, zb, a24, n)
+        xa, za, (xb, zb) = xb, zb, after
+    return gcd(acc, n)
+
+
+def _ecm(n: int, budget: _Budget) -> int | None:
+    """A nontrivial divisor of the odd composite n by Lenstra's elliptic-curve method, or None.
+
+    The curves of _ECM_SCHEDULE run in turn, at sigma = 6, 7, 8, ..., each charged
+    before it runs, until a split, the end of the schedule, or a curve the budget
+    cannot cover.
+    """
+    sigma = 6
+    for curves, b1 in _ECM_SCHEDULE:
+        plan = _ecm_plan(b1)
+        for _ in range(curves):
+            if not budget.take(plan.cost):
+                return None
+            g = _ecm_curve(n, sigma, plan)
+            if 1 < g < n:
+                return g
+            sigma += 1
+    return None
+
+
+def _iroot(m: int, k: int) -> int:
+    """The largest r with r**k <= m, for m >= 1: Newton's method from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _split(n: int, budget: _Budget) -> int | None:
+    """A nontrivial divisor of the odd composite n, whose primes are all above 2**16, or None.
+
+    A perfect power n = r**k gives r; k is a prime at most log2(n) / 16.  Then, each
+    charged to the budget before it runs: Pollard's p - 1, when what is left covers its
+    fixed cost; a Brent run at c = 1 of _RHO_LEG multiplications, for the small primes;
+    the curves of ECM; and the deterministic schedule of Brent runs from c = 2 with
+    what is left, until a split or until the schedule or the budget runs out.  When no
+    more than _RHO_LEG is left after p - 1, the Brent runs alone take it from c = 1.
+    """
+    for k in takewhile(lambda k: k <= n.bit_length() // 16, _small_primes()):
+        root = _iroot(n, k)
+        if root**k == n:
+            return root
     if budget.take(_pm1_plan().cost):
         d = _pm1(n)
         if d is not None:
             return d
-    for c in range(1, 64):
+    start = 1
+    if budget.limit - budget.used > _RHO_LEG:
+        with budget.within(_RHO_LEG):
+            g = _brent_cycle(n, 1, budget)
+        if 1 < g < n:
+            return g
+        d = _ecm(n, budget)
+        if d is not None:
+            return d
+        start = 2
+    for c in range(start, 64):
         g = _brent_cycle(n, c, budget)
         if g < n:
             return g if g > 1 else None
@@ -375,14 +557,15 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
 
     Trial division by the primes below 2**16, a block of them at a time
     (a block whose product is coprime to n is ruled out by one gcd), then
-    each composite cofactor is split by Pollard's p - 1 and, where that
-    fails, by Brent's rho, with deterministic primality certification of
-    every reported prime.  p - 1 and rho charge one work budget per call
-    (``_Budget``), set by ``bound`` when the cofactor left by trial division is
-    above it and capped whatever the bound: the one place it is chosen, as every
-    function that reads n's factorization accepts one.  A cofactor the backend
-    cannot split within it (the CapabilityError carries ``limit`` and ``used``)
-    or certify raises CapabilityError; a wrong factorization is never returned.
+    each composite cofactor is split as ``_split`` says (a perfect power by
+    its root, else Pollard's p - 1, Brent's rho and ECM), with deterministic
+    primality certification of every reported prime.  The splitting steps
+    charge one work budget per call (``_Budget``), set by ``bound`` when the
+    cofactor left by trial division is above it and capped whatever the bound:
+    the one place it is chosen, as every function that reads n's factorization
+    accepts one.  A cofactor the backend cannot split within it (the
+    CapabilityError carries ``limit`` and ``used``) or certify raises
+    CapabilityError; a wrong factorization is never returned.
     """
     if n < 1:
         raise DomainError(f"factorization requires n >= 1, got {n}")

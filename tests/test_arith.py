@@ -194,6 +194,35 @@ class TestFactorize:
         sympy = pytest.importorskip("sympy")
         assert dict(factorize(n, bound=1 << 80).factors) == sympy.factorint(n)
 
+    @given(
+        st.integers(30, 50).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
+        st.integers(30, 50).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_agrees_with_sympy_on_two_primes_of_30_to_50_bits(self, a, b):
+        # past the Brent run, what p - 1 misses of these goes to ECM's curves
+        sympy = pytest.importorskip("sympy")
+        p, q = sympy.nextprime(a), sympy.nextprime(b)
+        assert dict(factorize(p * q, bound=2**200).factors) == sympy.factorint(p * q)
+
+    @pytest.mark.parametrize(
+        "p, q", [(903222754563353827, 754168423976864867), (841230429087304537, 1133906334942643909)]
+    )
+    def test_ecm_splits_two_60_bit_primes(self, p, q):
+        # rho would need about 2**30 steps; ECM's schedule splits each within the cap in seconds
+        sympy = pytest.importorskip("sympy")
+        assert p.bit_length() == q.bit_length() == 60
+        assert dict(factorize(p * q, bound=2**200).factors) == sympy.factorint(p * q)
+
+    def test_two_90_bit_primes_are_refused_within_the_budget(self):
+        # the default bound gives n, far above it, 24 * bound^(1/4) multiplications
+        n = 773712524553362671811952653 * 928455029464035206174343241
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError) as refused:
+            factorize(n)
+        assert time.perf_counter() - start < 2
+        assert 0 < refused.value.used <= refused.value.limit == 24 * 65535
+
     def test_uncertifiable_prime_is_capability_error(self):
         with pytest.raises(CapabilityError):
             factorize(2**89 - 1)
@@ -258,6 +287,25 @@ class TestFactorize:
             else:
                 assert f.factors == ((1000003, 1), (1000033, 1), (536870923, 1), (536870951, 1))
 
+    @pytest.mark.parametrize("limit", [50_000, 100_000, 150_000])
+    def test_each_ecm_curve_is_charged_before_it_runs(self, monkeypatch, limit):
+        # two 50-bit primes that p - 1 misses: after p - 1, only the curves the budget
+        # covers run, and what is left goes to rho
+        curves = []
+        real = arith._ecm_curve
+
+        def counted(n, sigma, plan):
+            curves.append(sigma)
+            return real(n, sigma, plan)
+
+        monkeypatch.setattr(arith, "_ecm_curve", counted)
+        monkeypatch.setattr(arith, "_WORK_CAP", limit)
+        with pytest.raises(CapabilityError) as refused:
+            factorize(562949953433657 * 562950941075639, bound=2**200)
+        fit = (limit - arith._pm1_plan().cost - arith._RHO_LEG) // arith._ecm_plan(500).cost
+        assert curves == list(range(6, 6 + fit)) and fit > 0
+        assert refused.value.used <= refused.value.limit == limit
+
     def test_one_budget_covers_every_cofactor_of_a_call(self, monkeypatch):
         # the square splits for free into two copies of 1000003 * 1000033, each of which
         # p - 1 splits for its whole cost; past one cost, the second copy is left to rho
@@ -290,8 +338,8 @@ class TestFactorize:
         assert f.factors == ((1152921504606847009, 1), (3488667409721572847, 1))
 
     def test_p_minus_1_leaves_the_refused_cofactors_to_rho(self):
-        # Each has a prime above 2**16 in both p - 1 (the largest named), so the refusals that
-        # tests and the benchmark expect of them stay rho's
+        # Each has a prime above 2**16 in both p - 1 (the largest named), so p - 1 leaves the
+        # refusals that tests and the benchmark expect of them, and the answers, to the later steps
         c = 18446744073709552109  # 330441535519 | c - 1, and c | 2c = (2c + 1) - 1
         assert arith._pm1(c * (2 * c + 1)) is None
         assert arith._pm1(562949953433657 * 562950941075639) is None  # 2749745777, 3524920423
@@ -372,11 +420,11 @@ class TestPrimeExponent:
             assert dict(factorize(n).factors).get(p, 0) == e, (p, n)
 
     def test_prime_above_64_bits_is_certified(self):
-        # factorize certifies this q up to the Miller-Rabin limit; it splits a square
-        # cofactor at once, but rho cannot split q**3 within the cap
+        # factorize certifies this q up to the Miller-Rabin limit, and splits a power
+        # of it at once by its integer root
         q = 9118249094292696600751
         assert q > 2**64 and factorize(q, bound=_CERTIFIED_LIMIT).is_prime
-        for n, e in ((3 * q, 1), (5 * q**2, 2), (q + 1, 0)):
+        for n, e in ((3 * q, 1), (5 * q**2, 2), (5 * q**3, 3), (q + 1, 0)):
             assert dict(factorize(n, bound=_CERTIFIED_LIMIT).factors).get(q, 0) == e, n
 
 

@@ -152,7 +152,7 @@ class TestIsKnodel:
         assert calls == []
 
     def test_odd_exponent_past_the_rho_budget(self):
-        # two 50-bit primes: rho cannot split n within its budget, and need not
+        # two 50-bit primes: factorize cannot split n within the default budget, and need not
         n = 1125899906842597 * 1125899906842589
         with pytest.raises(CapabilityError):
             factorize(n)

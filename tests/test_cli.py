@@ -901,9 +901,17 @@ class TestRhoBudget:
         assert (code, out) == (3, "")
         assert "modular multiplications; the limit is the cap per call" in err
 
+    def test_ecm_answers_two_50_bit_primes_at_a_large_bound(self, capsys):
+        # rho alone would stop at the cap after about 8 s; ECM splits n in well under a second
+        p, q = 621334231200341, 1084074551536477
+        with deadline(5):
+            code, obj, _ = run_json(capsys, "stats", "--n", str(p * q), "--k", "2", "--bound", str(2**200))
+        assert code == 0
+        assert obj["result"]["phi"] == str((p - 1) * (q - 1))
+
     def test_refusal_bound_is_not_a_rho_budget(self):
-        # two 50-bit primes: rho cannot split n within the default budget, and
-        # is_generalized_carmichael's bound only refuses n above it
+        # two 50-bit primes: neither p - 1, rho nor ECM splits n within the default
+        # budget, and is_generalized_carmichael's bound only refuses n above it
         n = 562949953433657 * 562950941075639
         with deadline(2), pytest.raises(kunits.CapabilityError):
             kunits.is_generalized_carmichael(n, 0, bound=2**200)

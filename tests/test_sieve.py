@@ -245,8 +245,8 @@ class TestLambdaRange:
         assert named in err
 
     def test_one_budget_covers_the_whole_range(self, monkeypatch):
-        # the 76 cofactors of this window take at most 105,726 rho evaluations each and
-        # 559,576 in all: each fits in 2**18 multiplications, their total does not
+        # the 365 cofactors of this window take at most 111,271 modular multiplications each
+        # and 1,629,792 in all: each fits in 2**18, their total does not
         monkeypatch.setattr(arith, "_WORK_CAP", 1 << 18)
         with pytest.raises(CapabilityError, match="the limit is the cap per call") as refused:
             list(lambda_range(2**62, 2**62 + 1023))

@@ -141,7 +141,7 @@ class TestSolveRduOne:
 
     def test_odd_k_past_the_rho_budget_needs_no_factorization(self, monkeypatch):
         # lambda(n) is even for n >= 3, so an odd k gives n_max = 2 whatever
-        # its factors: c * (2c + 1) is the cofactor rho refuses above
+        # its factors: c * (2c + 1) is the cofactor factorize refuses above
         from importlib import import_module
 
         calls = []
@@ -315,7 +315,7 @@ class TestIsRduOne:
 
     def test_odd_exponent_past_the_rho_budget(self, monkeypatch):
         # lambda(n) is even for n >= 3, so no odd k is a multiple of it: two
-        # 50-bit primes, which rho cannot split within its budget, need no split
+        # 50-bit primes, which factorize cannot split within the default budget, need no split
         from importlib import import_module
 
         calls = []
