@@ -2,9 +2,9 @@
 
 Everything here is arbitrary precision and deterministic.  Factorization
 is trial division below 2**16, then, on what is left, a perfect-power test,
-Pollard's p - 1, a short run of Brent's rho, Lenstra's elliptic-curve method
-(ECM) and the rest of Brent's rho, each on a fixed schedule and charged to
-the call's work budget, so the same n always takes the same path.  Primality is
+Pollard's p - 1, one short run of Brent's rho and Lenstra's elliptic-curve
+method (ECM), each on a fixed schedule and charged to the call's work
+budget, so the same n always takes the same path.  Primality is
 Miller-Rabin on the first t prime bases, t chosen by the size of n: the
 smallest t with n below psi_t, the least odd composite that passes all of
 the first t (OEIS A014233).  The 13 bases 2..41 prove every verdict below
@@ -267,10 +267,10 @@ class _Budget:
     """The work limit of one call of factorize or lambda_range, charged by every cofactor it
     splits: ``limit`` and ``used``, in modular multiplications.  A composite m <= bound has
     a prime factor p <= sqrt(bound), which rho alone finds in about sqrt(p) <= bound^(1/4)
-    steps of 1.5 multiplications; p - 1 and ECM, which go before the bulk of rho, often
-    find it in fewer.  A call whose cofactors may pass the bound gets 16 times that rho
-    figure, 24 * bound^(1/4), and no call more than _WORK_CAP.  Every factoring refusal is
-    built here.
+    steps of 1.5 multiplications; p - 1 and ECM often find it in fewer.  A call whose
+    cofactors may pass the bound gets 16 times that rho figure, 24 * bound^(1/4), and no
+    call more than _WORK_CAP, so the budget, not the end of ECM's schedule, ends a call.
+    Every factoring refusal is built here.
     """
 
     def __init__(self, top: int, bound: int):
@@ -306,8 +306,8 @@ class _Budget:
         )
 
 
-def _brent_cycle(n: int, c: int, budget: _Budget) -> int:
-    """One run of Brent's cycle finder on x -> x^2 + c mod n: a gcd, or 1 when the budget runs out.
+def _brent_cycle(n: int, budget: _Budget) -> int:
+    """One run of Brent's cycle finder on x -> x^2 + 1 mod n: a gcd, or 1 when the budget runs out.
 
     A step that only advances y costs one modular multiplication, and a
     batched step two, y and the product of the x - y.  Each round's run
@@ -322,7 +322,7 @@ def _brent_cycle(n: int, c: int, budget: _Budget) -> int:
             return 1
         x = y
         for _ in range(r):
-            y = (y * y + c) % n
+            y = (y * y + 1) % n
         k = 0
         while k < r and g == 1:
             ys = y
@@ -330,7 +330,7 @@ def _brent_cycle(n: int, c: int, budget: _Budget) -> int:
             if not budget.take(2 * steps):
                 return 1
             for _ in range(steps):
-                y = (y * y + c) % n
+                y = (y * y + 1) % n
                 q = q * (x - y) % n
             g = gcd(q, n)
             k += 128
@@ -339,7 +339,7 @@ def _brent_cycle(n: int, c: int, budget: _Budget) -> int:
         g = 1
         y = ys
         while g == 1 and budget.take(1):
-            y = (y * y + c) % n
+            y = (y * y + 1) % n
             g = gcd(x - y, n)
     return g
 
@@ -522,10 +522,8 @@ def _split(n: int, budget: _Budget) -> int | None:
 
     A perfect power n = r**k gives r; k is a prime at most log2(n) / 16.  Then, each
     charged to the budget before it runs: Pollard's p - 1, when what is left covers its
-    fixed cost; a Brent run at c = 1 of _RHO_LEG multiplications, for the small primes;
-    the curves of ECM; and the deterministic schedule of Brent runs from c = 2 with
-    what is left, until a split or until the schedule or the budget runs out.  When no
-    more than _RHO_LEG is left after p - 1, the Brent runs alone take it from c = 1.
+    fixed cost; one Brent run of at most _RHO_LEG multiplications, for the small primes;
+    and the curves of ECM, until a split or a curve the budget cannot cover.
     """
     for k in takewhile(lambda k: k <= n.bit_length() // 16, _small_primes()):
         root = _iroot(n, k)
@@ -535,21 +533,11 @@ def _split(n: int, budget: _Budget) -> int | None:
         d = _pm1(n)
         if d is not None:
             return d
-    start = 1
-    if budget.limit - budget.used > _RHO_LEG:
-        with budget.within(_RHO_LEG):
-            g = _brent_cycle(n, 1, budget)
-        if 1 < g < n:
-            return g
-        d = _ecm(n, budget)
-        if d is not None:
-            return d
-        start = 2
-    for c in range(start, 64):
-        g = _brent_cycle(n, c, budget)
-        if g < n:
-            return g if g > 1 else None
-    return None
+    with budget.within(_RHO_LEG):
+        g = _brent_cycle(n, budget)
+    if 1 < g < n:
+        return g
+    return _ecm(n, budget)
 
 
 def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
@@ -558,7 +546,7 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     Trial division by the primes below 2**16, a block of them at a time
     (a block whose product is coprime to n is ruled out by one gcd), then
     each composite cofactor is split as ``_split`` says (a perfect power by
-    its root, else Pollard's p - 1, Brent's rho and ECM), with deterministic
+    its root, else Pollard's p - 1, one Brent run and ECM), with deterministic
     primality certification of every reported prime.  The splitting steps
     charge one work budget per call (``_Budget``), set by ``bound`` when the
     cofactor left by trial division is above it and capped whatever the bound:

@@ -270,7 +270,7 @@ def lambda_range(
     ``_primes_below(16)`` while L < 2**16 and from ``_primes_below(24)``
     beyond.  The cofactor left is 1 or a prime below (L + 1)**2, so for
     every n up to hi = 2**48 + 2**25; a larger one goes to ``factorize``'s
-    splitting steps (p - 1, Brent's rho, ECM), which certify its primes or raise
+    splitting steps (p - 1, one Brent run, ECM), which certify its primes or raise
     CapabilityError.  They charge one work budget per call, made from hi
     and ``bound`` as ``factorize`` makes its own, so a range has one total.
     The gathered powers and sparse primes are built once per call, in int64

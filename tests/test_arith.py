@@ -289,8 +289,8 @@ class TestFactorize:
 
     @pytest.mark.parametrize("limit", [50_000, 100_000, 150_000])
     def test_each_ecm_curve_is_charged_before_it_runs(self, monkeypatch, limit):
-        # two 50-bit primes that p - 1 misses: after p - 1, only the curves the budget
-        # covers run, and what is left goes to rho
+        # two 50-bit primes that p - 1 misses: after p - 1 and the Brent run, only the curves
+        # the budget covers run, and nothing but the Brent run is charged beside them
         curves = []
         real = arith._ecm_curve
 
@@ -305,6 +305,13 @@ class TestFactorize:
         fit = (limit - arith._pm1_plan().cost - arith._RHO_LEG) // arith._ecm_plan(500).cost
         assert curves == list(range(6, 6 + fit)) and fit > 0
         assert refused.value.used <= refused.value.limit == limit
+        spent = refused.value.used - arith._pm1_plan().cost - fit * arith._ecm_plan(500).cost
+        assert spent <= arith._RHO_LEG
+
+    def test_the_ecm_schedule_outlasts_the_cap(self):
+        # a refusal at any budget ends on the budget, never on the end of the schedule
+        schedule = sum(curves * arith._ecm_plan(b1).cost for curves, b1 in arith._ECM_SCHEDULE)
+        assert schedule > arith._WORK_CAP - arith._pm1_plan().cost - arith._RHO_LEG
 
     def test_one_budget_covers_every_cofactor_of_a_call(self, monkeypatch):
         # the square splits for free into two copies of 1000003 * 1000033, each of which
