@@ -456,6 +456,8 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     """
     u, v = sigma * sigma - 5, 4 * sigma
     den = 16 * u**3 * v
+    # A guard for pow(den, -1, n) that _split never reaches: its n has no prime below
+    # 2**16, and at sigma <= 235, the last of _ECM_SCHEDULE, every prime of den is below.
     g = gcd(den, n)
     if g > 1:
         return g

@@ -41,6 +41,7 @@ __all__ = [
 
 BRUTE_FORCE_BOUND = 10**7
 _PREDICATE_HELP = "carmichael | knodel:I | gen-carmichael:K | rdu-one:K"
+_RULE_HELP = "const:K | n | n-I | n+I | A*n+B | poly:c0,c1,..."
 
 
 def count_fermat_liars(n: Factorization | int) -> int:
@@ -59,10 +60,7 @@ def count_fermat_liars(n: Factorization | int) -> int:
 
 def korselt_failure(n: Factorization | int) -> str | None:
     """Why n >= 1 fails to be a Carmichael number, or None when it is one."""
-    m = _value(n)
-    if m < 1:
-        raise DomainError(f"korselt_failure requires n >= 1, got {m}")
-    return _korselt_reason(_CARMICHAEL.failure(n), m)
+    return _korselt_reason(_failure(_CARMICHAEL, n, "korselt_failure"), _value(n))
 
 
 def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> str | None:
@@ -88,19 +86,14 @@ def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> 
 
 def is_carmichael(n: Factorization | int) -> bool:
     """Korselt test: n odd, composite, squarefree, and p-1 | n-1 for all p | n."""
-    if _value(n) < 1:
-        raise DomainError(f"is_carmichael requires n >= 1, got {_value(n)}")
-    return _CARMICHAEL.failure(n) is None
+    return _failure(_CARMICHAEL, n, "is_carmichael") is None
 
 
 def is_knodel(n: Factorization | int, i: int) -> bool:
     """Membership of n in the i-Knodel set: composite n > i whose every unit
     satisfies a^(n-i) = 1.  The 1-Knodel numbers are the Carmichael numbers.
     Accepts an int or a Factorization."""
-    s = _knodel(i)
-    if _value(n) < 1:
-        raise DomainError(f"is_knodel requires n >= 1, got {_value(n)}")
-    return s.failure(n) is None
+    return _failure(_knodel(i), n, "is_knodel") is None
 
 
 def is_generalized_carmichael(
@@ -111,16 +104,22 @@ def is_generalized_carmichael(
     Decided by Korselt's closed form, ``_gen_carmichael(k)``; k may be
     negative; n > bound is refused."""
     m = _value(n)
-    if m < 1:
-        raise DomainError(f"is_generalized_carmichael requires n >= 1, got {m}")
-    if m > bound:
+    if m > max(bound, 0):  # an n < 1 is _failure's DomainError, whatever the bound
         raise CapabilityError(f"n = {m} exceeds the brute-force bound {bound}")
-    return _gen_carmichael(k).failure(n) is None
+    return _failure(_gen_carmichael(k), n, "is_generalized_carmichael") is None
+
+
+def _failure(
+    s: _LambdaSet, n: Factorization | int, caller: str
+) -> tuple[str, Factorization | None] | None:
+    """``s.failure(n)`` for the point verdict ``caller``, which refuses n < 1."""
+    if _value(n) < 1:
+        raise DomainError(f"{caller} requires n >= 1, got {_value(n)}")
+    return s.failure(n)
 
 
 _RULE_CONST = re.compile(r"const:([0-9]+)\Z")
-_RULE_SHIFT = re.compile(r"n(?:([+-])([0-9]+))?\Z")
-_RULE_LINEAR = re.compile(r"([0-9]+)\*n([+-][0-9]+)?\Z")
+_RULE_LINEAR = re.compile(r"(?:([0-9]+)\*)?n(?:([+-])([0-9]+))?\Z")  # shift when A is absent
 _RULE_POLY = re.compile(r"poly:(-?[0-9]+(?:,-?[0-9]+)*)\Z")
 
 
@@ -156,17 +155,14 @@ class ExponentRule:
     def text(self) -> str:
         if self.kind == "const":
             return f"const:{self.coeffs[0]}"
-        if self.kind == "shift":
-            b = self.coeffs[0]
-            return "n" if b == 0 else f"n{b:+d}"
-        if self.kind == "linear":
-            a, b = self.coeffs[1], self.coeffs[0]
-            return f"{a}*n" if b == 0 else f"{a}*n{b:+d}"
+        if self.kind in ("shift", "linear"):
+            b, a = self.coeffs
+            return ("n" if self.kind == "shift" else f"{a}*n") + (f"{b:+d}" if b else "")
         return "poly:" + ",".join(str(c) for c in self.coeffs)
 
 
 def parse_rule(text: str) -> ExponentRule:
-    """Parse an exponent rule: const:K, n, n-I, n+I, A*n+B, or poly:c0,c1,...
+    """Parse an exponent rule, one of the forms of ``_RULE_HELP``.
 
     Shift offsets obey n-I with I >= 1 and n+I with I >= 0; linear rules
     need A >= 1.  Polynomial coefficients are unrestricted integers (the
@@ -178,27 +174,19 @@ def parse_rule(text: str) -> ExponentRule:
         if k < 1:
             raise DomainError(f"constant exponent must be >= 1, got {k}")
         return ExponentRule("const", (k,))
-    if m := _RULE_SHIFT.match(text):
-        sign = m.group(1)
-        if sign is None:
-            return ExponentRule("shift", (0, 1))
-        offset = _read_int(m.group(2), "rule integer")
-        if sign == "-" and offset < 1:
-            raise DomainError("rule n-I requires I >= 1")
-        return ExponentRule("shift", (offset if sign == "+" else -offset, 1))
     if m := _RULE_LINEAR.match(text):
-        a = _read_int(m.group(1), "rule integer")
+        a_text, sign, b_text = m.groups()
+        a = _read_int(a_text or "1", "rule integer")
         if a < 1:
             raise DomainError(f"rule A*n+B requires A >= 1, got A={a}")
-        b = _read_int(m.group(2) or "0", "rule integer")
-        return ExponentRule("linear", (b, a))
+        b = _read_int(f"{sign}{b_text}" if sign else "0", "rule integer")
+        if a_text is None and sign == "-" and b == 0:
+            raise DomainError("rule n-I requires I >= 1")
+        return ExponentRule("linear" if a_text else "shift", (b, a))
     if m := _RULE_POLY.match(text):
         coeffs = tuple(_read_int(c, "rule integer") for c in m.group(1).split(","))
         return ExponentRule("poly", coeffs)
-    raise DomainError(
-        f"malformed exponent rule {text!r}; expected const:K, n, n-I, n+I, "
-        f"A*n+B, or poly:c0,c1,..."
-    )
+    raise DomainError(f"malformed exponent rule {text!r}; expected {_RULE_HELP}")
 
 
 @dataclass(frozen=True)

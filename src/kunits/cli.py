@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import SUPPORTED_BOUND, _read_int, factorize
 from .bfile import BFile, compare_bfile
-from .classify import _PREDICATE_HELP, _predicate, classify, parse_rule, sweep
+from .classify import _PREDICATE_HELP, _RULE_HELP, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
 from .solver import _solutions, solve_rdu_one
 from .unitgroup import ENUMERATION_BOUND, _k_units, k_unit_stats
@@ -459,9 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[_common()], help="scan a range for rdu_f(n)(n) = 1")
     p.add_argument("--from", dest="lo", type=_integer, required=True)
     p.add_argument("--to", dest="hi", type=_integer, required=True)
-    p.add_argument(
-        "--rule", required=True, help="exponent rule: const:K | n | n-I | n+I | A*n+B | poly:c0,c1,..."
-    )
+    p.add_argument("--rule", required=True, help=f"exponent rule: {_RULE_HELP}")
     p.add_argument("--composite-only", action="store_true")
     p.add_argument("--odd-only", action="store_true")
     p.add_argument("--csv", action="store_true", help="CSV output: n,exponent per hit")

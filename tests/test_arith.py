@@ -308,6 +308,10 @@ class TestFactorize:
         spent = refused.value.used - arith._pm1_plan().cost - fit * arith._ecm_plan(500).cost
         assert spent <= arith._RHO_LEG
 
+    def test_an_ecm_curve_whose_denominator_shares_a_prime_returns_it(self):
+        # sigma = 6 gives 16 * u^3 * v = 2^7 * 3 * 31^3, so the inverse of it mod n is never taken
+        assert arith._ecm_curve(31 * 1000003, 6, arith._ecm_plan(500)) == 31
+
     def test_the_ecm_schedule_outlasts_the_cap(self):
         # a refusal at any budget ends on the budget, never on the end of the schedule
         schedule = sum(curves * arith._ecm_plan(b1).cost for curves, b1 in arith._ECM_SCHEDULE)

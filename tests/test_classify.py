@@ -245,6 +245,9 @@ class TestExponentRules:
             ("3*n+2", 32),
             ("3*n-2", 28),
             ("1*n", 10),
+            ("1*n-0", 10),
+            ("2*n-0", 20),
+            ("007*n+3", 73),
             ("poly:0,1", 10),
             ("poly:-1,1", 9),
             ("poly:1,0,2", 201),
@@ -258,10 +261,40 @@ class TestExponentRules:
             rule = parse_rule(text)
             assert parse_rule(rule.text)(13) == rule(13)
 
-    @pytest.mark.parametrize("bad", ["const:0", "n-0", "0*n+3", "foo", "poly:", "n*2", "poly:1.5"])
+    @pytest.mark.parametrize(
+        "text, shown", [("n+0", "n"), ("1*n-0", "1*n"), ("2*n-0", "2*n"), ("007*n+3", "7*n+3")]
+    )
+    def test_text(self, text, shown):
+        assert parse_rule(text).text == shown
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "const:0",
+            "n-0",
+            "0*n+3",
+            "foo",
+            "poly:",
+            "n*2",
+            "poly:1.5",
+            "n+",
+            "*n",
+            "+n",
+            "2*n+-1",
+        ],
+    )
     def test_malformed_rules_rejected(self, bad):
         with pytest.raises(DomainError):
             parse_rule(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("n-0", "rule n-I requires I >= 1"), ("0*n+1", "rule A*n+B requires A >= 1, got A=0")],
+    )
+    def test_refusal_words(self, bad, message):
+        with pytest.raises(DomainError) as refused:
+            parse_rule(bad)
+        assert str(refused.value) == message
 
 
 class TestSweep:
@@ -409,6 +442,15 @@ class TestExactMessages:
             (lambda: classify(5, knodel_indices=(0,)), "is_knodel requires i >= 1, got 0"),
             (lambda: is_rdu_one(5, 0), "is_rdu_one requires n >= 1 and k >= 1, got n=5, k=0"),
             (lambda: is_generalized_carmichael(0, 1), "is_generalized_carmichael requires n >= 1, got 0"),
+            (lambda: korselt_failure(0), "korselt_failure requires n >= 1, got 0"),
+            (lambda: is_carmichael(-1), "is_carmichael requires n >= 1, got -1"),
+            (lambda: is_knodel(0, 1), "is_knodel requires n >= 1, got 0"),
+            # i is refused before n, and n before the bound
+            (lambda: is_knodel(0, 0), "is_knodel requires i >= 1, got 0"),
+            (
+                lambda: is_generalized_carmichael(0, 1, bound=0),
+                "is_generalized_carmichael requires n >= 1, got 0",
+            ),
         ],
     )
     def test_domain_messages(self, call, message):

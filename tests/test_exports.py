@@ -55,7 +55,7 @@ def test_classify_holds_no_numpy():
 
 
 def test_arith_holds_no_numpy():
-    # arith is pure integer code; the lazy numpy import in unitgroup depends on it
+    # arith stays pure integer code, so that a cold start without numpy can import it alone
     module = importlib.import_module("kunits.arith")
     assert not {"np", "numpy"} & set(vars(module))
 

@@ -256,6 +256,21 @@ class TestLambdaRange:
             sweep(2**62, 2**62 + 1023, parse_rule("n-1"))
         assert 0 < refused.value.used <= refused.value.limit == 1 << 18
 
+    def test_factors_that_do_not_multiply_back_are_refused(self, monkeypatch):
+        # one prime power moved to the next n: the segment's check refuses it, never a wrong lambda
+        real = unitgroup._gathered_multiples
+
+        def shifted(*args):
+            index, *rest = real(*args)
+            index = index.copy()
+            index[0] += 1
+            return (index, *rest)
+
+        monkeypatch.setattr(unitgroup, "_gathered_multiples", shifted)
+        with pytest.raises(ArithmeticError) as refused:
+            list(lambda_range(1, 20000))
+        assert str(refused.value) == "sieve factors do not multiply back on [1, 16384]"
+
     def test_range_bound_is_refused_before_iteration(self):
         with pytest.raises(CapabilityError, match="range bound"):
             lambda_range(1, RANGE_BOUND + 1)
