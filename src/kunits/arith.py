@@ -3,8 +3,9 @@
 Everything here is arbitrary precision and deterministic.  Factorization
 is trial division below 2**16, then, on what is left, a perfect-power test,
 Pollard's p - 1, one short run of Brent's rho and Lenstra's elliptic-curve
-method (ECM), each on a fixed schedule and charged to the call's work
-budget, so the same n always takes the same path.  Primality is
+method (ECM), whose curves run on a fixed schedule until the call's work
+budget ends them; every step is charged to that budget, so the same n
+always takes the same path.  Primality is
 Miller-Rabin on the first t prime bases, t chosen by the size of n: the
 smallest t with n below psi_t, the least odd composite that passes all of
 the first t (OEIS A014233).  The 13 bases 2..41 prove every verdict below
@@ -20,7 +21,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, takewhile
+from itertools import chain, compress, count, repeat, takewhile
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -72,8 +73,6 @@ _BLOCK = 64
 _PM1_B1 = 1 << 12
 # Modular multiplications of the Brent run at c = 1 that goes before ECM, for the small primes.
 _RHO_LEG = 3 << 11
-# ECM's schedule: (curves, B1) in turn, each curve's stage 2 taking the primes up to B2 = 100 * B1.
-_ECM_SCHEDULE = ((40, 500), (100, 2_000), (90, 11_000))
 # ECM's stage 2 giant step, 2 * 3 * 5 * 7 * 11: every prime above 11 is k * D +- j for one
 # k and one of the 240 odd j < D / 2 prime to D.
 _ECM_D = 2310
@@ -206,12 +205,16 @@ def _check_product(n: int, factors: tuple[tuple[int, int], ...]) -> None:
         raise DomainError(f"factors do not multiply back to {n}")
 
 
+def _nu2(k: int) -> int:
+    """The exponent of 2 in k >= 1."""
+    return (k & -k).bit_length() - 1
+
+
 def _miller_rabin(n: int) -> bool:
     """Miller-Rabin for odd n > 41 on the first t bases, for the least t with
     n < psi_t (all 13 from psi_13 on); a True is a proof only below _CERTIFIED_LIMIT."""
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
+    s = _nu2(n - 1)
+    d = (n - 1) >> s
     for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -269,8 +272,9 @@ class _Budget:
     a prime factor p <= sqrt(bound), which rho alone finds in about sqrt(p) <= bound^(1/4)
     steps of 1.5 multiplications; p - 1 and ECM often find it in fewer.  A call whose
     cofactors may pass the bound gets 16 times that rho figure, 24 * bound^(1/4), and no
-    call more than _WORK_CAP, so the budget, not the end of ECM's schedule, ends a call.
-    Every factoring refusal is built here.
+    call more than _WORK_CAP.  ECM's last B1 runs until the budget ends it: at the cap, after
+    p - 1, the Brent run and the first 140 curves, 42 curves at B1 = 11,000.  Every
+    factoring refusal is built here.
     """
 
     def __init__(self, top: int, bound: int):
@@ -456,8 +460,9 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     """
     u, v = sigma * sigma - 5, 4 * sigma
     den = 16 * u**3 * v
-    # A guard for pow(den, -1, n) that _split never reaches: its n has no prime below
-    # 2**16, and at sigma <= 235, the last of _ECM_SCHEDULE, every prime of den is below.
+    # A guard for pow(den, -1, n) that _split never reaches: its n has no prime below 2**16,
+    # and at most 182 curves fit in _WORK_CAP, so sigma <= 187 and every prime of den is
+    # below 2**16 (the largest is 34,591).
     g = gcd(den, n)
     if g > 1:
         return g
@@ -492,21 +497,19 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
 def _ecm(n: int, budget: _Budget) -> int | None:
     """A nontrivial divisor of the odd composite n by Lenstra's elliptic-curve method, or None.
 
-    The curves of _ECM_SCHEDULE run in turn, at sigma = 6, 7, 8, ..., each charged
-    before it runs, until a split, the end of the schedule, or a curve the budget
-    cannot cover.
+    The curves run at sigma = 6, 7, 8, ..., with B1 = 500 for the first 40, 2000 for the
+    next 100 and 11,000 for every one after, each stage 2 taking the primes up to
+    B2 = 100 * B1.  Each curve is charged before it runs, so the loop ends only on a split
+    or on a curve the budget cannot cover.
     """
-    sigma = 6
-    for curves, b1 in _ECM_SCHEDULE:
+    schedule = chain(repeat(500, 40), repeat(2_000, 100), repeat(11_000))
+    for sigma, b1 in zip(count(6), schedule):
         plan = _ecm_plan(b1)
-        for _ in range(curves):
-            if not budget.take(plan.cost):
-                return None
-            g = _ecm_curve(n, sigma, plan)
-            if 1 < g < n:
-                return g
-            sigma += 1
-    return None
+        if not budget.take(plan.cost):
+            return None
+        g = _ecm_curve(n, sigma, plan)
+        if 1 < g < n:
+            return g
 
 
 def _iroot(m: int, k: int) -> int:

@@ -485,15 +485,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.bound < 1:
             raise DomainError(f"--bound must be >= 1, got {args.bound}")
         return args.handler(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

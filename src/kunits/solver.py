@@ -19,6 +19,7 @@ from .arith import (
     Factorization,
     _as_factorization,
     _certified_prime,
+    _nu2,
     _smallest_divisors,
     _value,
     divisors,
@@ -41,10 +42,6 @@ SOLUTION_CAP = 10**6
 # Miller-Rabin proof to 256 bits.  Without the cap, k = 2^beta alone needs beta / 8
 # proofs of up to beta bits, a time that grows like beta^4.
 _CANDIDATE_BITS = 256
-
-
-def _nu2(k: int) -> int:
-    return (k & -k).bit_length() - 1
 
 
 @dataclass(frozen=True)

@@ -312,10 +312,32 @@ class TestFactorize:
         # sigma = 6 gives 16 * u^3 * v = 2^7 * 3 * 31^3, so the inverse of it mod n is never taken
         assert arith._ecm_curve(31 * 1000003, 6, arith._ecm_plan(500)) == 31
 
-    def test_the_ecm_schedule_outlasts_the_cap(self):
-        # a refusal at any budget ends on the budget, never on the end of the schedule
-        schedule = sum(curves * arith._ecm_plan(b1).cost for curves, b1 in arith._ECM_SCHEDULE)
-        assert schedule > arith._WORK_CAP - arith._pm1_plan().cost - arith._RHO_LEG
+    def test_the_ecm_schedule_outlasts_the_cap(self, monkeypatch):
+        # a refusal at any budget ends on the budget, as the schedule has no end: with every
+        # curve a miss, even a cap of 2**26 is left with less than one curve at B1 = 11,000
+        monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma, plan: 1)
+        monkeypatch.setattr(arith, "_WORK_CAP", 2**26)
+        with pytest.raises(CapabilityError) as refused:
+            factorize(562949953433657 * 562950941075639, bound=2**200)
+        assert refused.value.limit == 2**26
+        assert refused.value.limit - refused.value.used < arith._ecm_plan(11_000).cost
+
+    def test_no_ecm_curve_within_the_cap_reaches_its_guard(self, monkeypatch):
+        # the premise of _ecm_curve's guard: after p - 1 and a Brent run that spends anything
+        # from nothing to _RHO_LEG, the cap covers the curves up to sigma = 187, and every prime
+        # of their 16 * u^3 * v is below 2**16, where _split's n has none
+        sympy = pytest.importorskip("sympy")
+        sigmas = []
+        monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma, plan: sigmas.append(sigma) or 1)
+        for brent in (0, arith._RHO_LEG):
+            sigmas.clear()
+            budget = arith._Budget(1, 1)
+            budget.used = arith._pm1_plan().cost + brent
+            assert arith._ecm(1000003 * 1000033, budget) is None
+            assert budget.limit == arith._WORK_CAP and sigmas == list(range(6, 188))
+        for sigma in sigmas:
+            u, v = sigma * sigma - 5, 4 * sigma
+            assert max(sympy.primefactors(16 * u**3 * v)) < 1 << 16, sigma
 
     def test_one_budget_covers_every_cofactor_of_a_call(self, monkeypatch):
         # the square splits for free into two copies of 1000003 * 1000033, each of which

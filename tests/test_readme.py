@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+from kunits.classify import _PREDICATE_HELP, _RULE_HELP
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 # The block's text without its fences, which doctest would read as expected output.
 _PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
@@ -23,3 +25,10 @@ def test_readme_python_blocks_run():
         report = io.StringIO()
         failed, _ = runner.run(test, out=report.write)
         assert failed == 0, report.getvalue()
+
+
+def test_readme_quotes_the_cli_help():
+    # the rule forms and the predicates are written once, in classify; README quotes both
+    text = README.read_text(encoding="utf-8")
+    assert f"`{_RULE_HELP}`" in text
+    assert f"`{_PREDICATE_HELP}`" in text
