@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, repeat, takewhile
 from math import gcd, isqrt, prod
-from typing import NamedTuple
+from operator import index
+from typing import Any, NamedTuple
 
 from .errors import CapabilityError, DomainError
 
@@ -76,6 +77,25 @@ _RHO_LEG = 3 << 11
 # ECM's stage 2 giant step, 2 * 3 * 5 * 7 * 11: every prime above 11 is k * D +- j for one
 # k and one of the 240 odd j < D / 2 prime to D.
 _ECM_D = 2310
+_BOUND = "bound must be >= 1, got {}"  # the refusal of a bound below 1, wherever one is taken
+_ONE = object()  # _gate's default k: one value is read
+
+
+def _gate(words: str, least: int | None, n: Any, k: Any = _ONE) -> Any:
+    """n, or n and k, as Python ints: the one check of the library's integer parameters.  A
+    Factorization reads as its n, any other value by ``operator.index``; one that does not read,
+    or is below ``least`` (None: no least), raises DomainError with the values in ``words``."""
+    if type(n) is int and (least is None or n >= least):
+        if k is _ONE or type(k) is int and (least is None or k >= least):
+            return n if k is _ONE else (n, k)
+    values = (n,) if k is _ONE else (n, k)
+    try:
+        read = [v.n if isinstance(v, Factorization) else index(v) for v in values]
+    except TypeError as exc:
+        raise DomainError(f"{words.format(*map(repr, values))}: {exc}") from None
+    if least is not None and min(read) < least:
+        raise DomainError(words.format(*read))
+    return read[0] if k is _ONE else tuple(read)
 
 
 def _sieve(limit: int) -> bytearray:
@@ -156,16 +176,14 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"Factorization requires n >= 1, got {self.n}")
-        object.__setattr__(self, "factors", tuple(tuple(pe) for pe in self.factors))
-        previous = 1
+        object.__setattr__(self, "n", _gate("Factorization requires n >= 1, got {}", 1, self.n))
+        factors, previous = [], 1
         for p, e in self.factors:
-            if p <= previous:
-                raise DomainError("factor primes must be strictly increasing")
-            if e < 1:
-                raise DomainError("factor exponents must be >= 1")
-            previous = p
+            previous = _gate("factor primes must be strictly increasing", previous + 1, p)
+            factors.append((previous, _gate("factor exponents must be >= 1", 1, e)))
+        object.__setattr__(self, "factors", tuple(factors))
+        if any(e > self.n.bit_length() for _, e in factors):  # p^e >= 2^e > n: refused unbuilt
+            raise DomainError(f"factors do not multiply back to {self.n}")
         _check_product(self.n, self.factors)
         for p, _ in self.factors:
             if not _certified_prime(p, self.n):
@@ -257,9 +275,8 @@ def is_prime(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     above the certified Miller-Rabin limit psi_13, instead of answering
     probabilistically; a composite is answered False at any size.
     """
-    if n < 0:
-        raise DomainError(f"primality is defined for n >= 0, got {n}")
-    if n > bound:
+    n = _gate("primality is defined for n >= 0, got {}", 0, n)
+    if n > _gate(_BOUND, 1, bound):
         raise CapabilityError(
             f"cannot certify primality of {n}: exceeds the supported bound {bound}"
         )
@@ -560,9 +577,8 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     CapabilityError carries ``limit`` and ``used``) or certify raises
     CapabilityError; a wrong factorization is never returned.
     """
-    if n < 1:
-        raise DomainError(f"factorization requires n >= 1, got {n}")
-    original = n
+    original = n = _gate("factorization requires n >= 1, got {}", 1, n)
+    bound = _gate(_BOUND, 1, bound)
     counts: dict[int, int] = {}
     # Every prime p with p * p <= n is tried, so a cofactor left below
     # 2**32 has no prime factor below its square root.
@@ -601,13 +617,9 @@ def _cofactor_primes(n: int, original: int, budget: _Budget) -> dict[int, int]:
     return counts
 
 
-def _as_factorization(f: Factorization | int) -> Factorization:
-    return factorize(f) if isinstance(f, int) else f
-
-
-def _value(f: Factorization | int) -> int:
-    """The integer n of an int or a Factorization, without factoring it."""
-    return f.n if isinstance(f, Factorization) else f
+def _as_factorization(n: Any, m: Any) -> Factorization:
+    """n when it is a Factorization, else ``factorize(m)``: m is n as the gate read it, or n."""
+    return n if isinstance(n, Factorization) else factorize(m)
 
 
 def _read_int(text: str, noun: str) -> int | None:
@@ -643,6 +655,6 @@ def _smallest_divisors(f: Factorization, stop: int | None = None) -> list[int]:
 
 
 def divisors(f: Factorization | int) -> list[int]:
-    """All divisors of n in ascending order; accepts an int or Factorization."""
-    return _smallest_divisors(_as_factorization(f))
+    """All divisors of n in ascending order; accepts any integer or a Factorization."""
+    return _smallest_divisors(_as_factorization(f, f))
 

@@ -13,7 +13,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import _read_int
+from .arith import _gate, _read_int
 from .errors import DomainError
 
 __all__ = ["BFile", "BFileParseError", "ComparisonReport", "compare_bfile"]
@@ -100,8 +100,8 @@ def compare_bfile(bfile: BFile, members: Set[int], limit: int | None = None) -> 
     values and members above L are ignored.  An empty file compares 0
     terms and matches.  A negative limit is refused with DomainError.
     """
-    if limit is not None and limit < 0:
-        raise DomainError(f"limit must be >= 0, got {limit}")
+    if limit is not None:
+        limit = _gate("limit must be >= 0, got {}", 0, limit)
     if not bfile.entries:
         return ComparisonReport(limit or 0, 0, (), ())
     top = limit if limit is not None else max(bfile.values)

@@ -17,9 +17,9 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _read_int, _value
+from .arith import _BOUND, SUPPORTED_BOUND, Factorization, _as_factorization, _gate, _read_int
 from .errors import CapabilityError, DomainError
-from .unitgroup import carmichael_lambda, du_k_product, lambda_range, unit_group_structure
+from .unitgroup import _du, carmichael_lambda, lambda_range, unit_group_structure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,17 +50,19 @@ def count_fermat_liars(n: Factorization | int) -> int:
     For odd n no prime p | n divides n - 1, so the count is the product
     of gcd(n-1, p-1).  For prime n this is n - 1 (every unit); for
     composite n it counts the bases for which n is a Fermat probable
-    prime.  Accepts an int or a Factorization.
+    prime.  Accepts any integer or a Factorization.
     """
-    m = _value(n)
-    if m < 3 or m % 2 == 0:
-        raise DomainError(f"count_fermat_liars requires odd n >= 3, got {m}")
-    return du_k_product(m - 1, unit_group_structure(n))
+    words = "count_fermat_liars requires odd n >= 3, got {}"
+    m = _gate(words, 3, n)
+    if m % 2 == 0:
+        raise DomainError(words.format(m))
+    return _du(m - 1, unit_group_structure(_as_factorization(n, m)))
 
 
 def korselt_failure(n: Factorization | int) -> str | None:
     """Why n >= 1 fails to be a Carmichael number, or None when it is one."""
-    return _korselt_reason(_failure(_CARMICHAEL, n, "korselt_failure"), _value(n))
+    m = _gate("korselt_failure requires n >= 1, got {}", 1, n)
+    return _korselt_reason(_CARMICHAEL.failure(n, m), m)
 
 
 def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> str | None:
@@ -86,14 +88,14 @@ def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> 
 
 def is_carmichael(n: Factorization | int) -> bool:
     """Korselt test: n odd, composite, squarefree, and p-1 | n-1 for all p | n."""
-    return _failure(_CARMICHAEL, n, "is_carmichael") is None
+    return _CARMICHAEL.failure(n, _gate("is_carmichael requires n >= 1, got {}", 1, n)) is None
 
 
 def is_knodel(n: Factorization | int, i: int) -> bool:
     """Membership of n in the i-Knodel set: composite n > i whose every unit
     satisfies a^(n-i) = 1.  The 1-Knodel numbers are the Carmichael numbers.
-    Accepts an int or a Factorization."""
-    return _failure(_knodel(i), n, "is_knodel") is None
+    Accepts any integer or a Factorization; i is read before n."""
+    return _knodel(i).failure(n, _gate("is_knodel requires n >= 1, got {}", 1, n)) is None
 
 
 def is_generalized_carmichael(
@@ -103,19 +105,11 @@ def is_generalized_carmichael(
 
     Decided by Korselt's closed form, ``_gen_carmichael(k)``; k may be
     negative; n > bound is refused."""
-    m = _value(n)
-    if m > max(bound, 0):  # an n < 1 is _failure's DomainError, whatever the bound
+    m = _gate("is_generalized_carmichael requires n >= 1, got {}", 1, n)
+    s = _gen_carmichael(k)
+    if m > _gate(_BOUND, 1, bound):
         raise CapabilityError(f"n = {m} exceeds the brute-force bound {bound}")
-    return _failure(_gen_carmichael(k), n, "is_generalized_carmichael") is None
-
-
-def _failure(
-    s: _LambdaSet, n: Factorization | int, caller: str
-) -> tuple[str, Factorization | None] | None:
-    """``s.failure(n)`` for the point verdict ``caller``, which refuses n < 1."""
-    if _value(n) < 1:
-        raise DomainError(f"{caller} requires n >= 1, got {_value(n)}")
-    return s.failure(n)
+    return s.failure(n, m) is None
 
 
 _RULE_CONST = re.compile(r"const:([0-9]+)\Z")
@@ -171,14 +165,11 @@ def parse_rule(text: str) -> ExponentRule:
     text = text.strip()
     if m := _RULE_CONST.match(text):
         k = _read_int(m.group(1), "rule integer")
-        if k < 1:
-            raise DomainError(f"constant exponent must be >= 1, got {k}")
-        return ExponentRule("const", (k,))
+        return ExponentRule("const", (_gate("constant exponent must be >= 1, got {}", 1, k),))
     if m := _RULE_LINEAR.match(text):
         a_text, sign, b_text = m.groups()
         a = _read_int(a_text or "1", "rule integer")
-        if a < 1:
-            raise DomainError(f"rule A*n+B requires A >= 1, got A={a}")
+        _gate("rule A*n+B requires A >= 1, got A={}", 1, a)
         b = _read_int(f"{sign}{b_text}" if sign else "0", "rule integer")
         if a_text is None and sign == "-" and b == 0:
             raise DomainError("rule n-I requires I >= 1")
@@ -242,20 +233,18 @@ class _LambdaSet(NamedTuple):
     squarefree: bool = False
 
     def failure(
-        self, n: Factorization | int, lam: int | None = None
+        self, n: Factorization | int, m: int, lam: int | None = None
     ) -> tuple[str, Factorization | None] | None:
-        """None for a member, else the first clause n fails and the factorization
-        read for it (None if it failed before factoring).  The clauses: "least";
-        "parity", from n alone: e(n) is odd at n >= 3, where lambda(n) is even,
-        or n = 2 is not composite; "lambda" (lam, or lambda(n), does not divide
-        e(n)); "composite"; "squarefree"."""
-        m = _value(n)
+        """None for a member n, which the gate read as m, else the first clause n fails and the
+        factorization read for it (None if it failed before factoring).  The clauses: "least";
+        "parity", from m alone: e(m) is odd at m >= 3, where lambda(m) is even, or m = 2 is not
+        composite; "lambda" (lam, or lambda(m), does not divide e(m)); "composite"; "squarefree"."""
         if m < self.least:
             return "least", None
         e = self.slope * m + self.offset
         if (m >= 3 and e % 2) or (m == 2 and self.composite):
             return "parity", None
-        f = _as_factorization(n)
+        f = _as_factorization(n, m)
         if e % (carmichael_lambda(f) if lam is None else lam):
             return "lambda", f
         if self.composite and not f.is_composite:
@@ -267,20 +256,18 @@ class _LambdaSet(NamedTuple):
 
 def _knodel(i: int) -> _LambdaSet:
     """The i-Knodel set: the composite n > i with lambda(n) | n - i."""
-    if i < 1:
-        raise DomainError(f"is_knodel requires i >= 1, got {i}")
+    i = _gate("is_knodel requires i >= 1, got {}", 1, i)
     return _LambdaSet(1, -i, i + 1, True)  # composite=True; by position, as keywords build slower
 
 
 def _gen_carmichael(k: int) -> _LambdaSet:
     """Korselt's form of C_k: the squarefree n with n, n + k >= 2 and lambda(n) | n + k - 1."""
+    k = _gate("is_generalized_carmichael requires an integer k, got {}", None, k)
     return _LambdaSet(1, k - 1, max(2, 2 - k), False, True)  # squarefree=True
 
 
 def _rdu_one(k: int) -> _LambdaSet:
-    """The n with rdu_k(n) = 1, that is lambda(n) | k."""
-    if k < 1:
-        raise DomainError(f"the rdu-one predicate requires K >= 1, got {k}")
+    """The n with rdu_k(n) = 1, that is lambda(n) | k, for a k >= 1 that the gate has read."""
     return _LambdaSet(0, k, 1)
 
 
@@ -300,6 +287,8 @@ def _lambda_set(name: str) -> _LambdaSet:
     parameter = _read_int(text, "predicate parameter")
     if parameter is None:
         raise DomainError(f"predicate {name!r} needs an integer parameter")
+    if base == "rdu-one":
+        _gate("the rdu-one predicate requires K >= 1, got {}", 1, parameter)
     return families[base](parameter)
 
 
@@ -311,7 +300,7 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
     is even too.  An odd slope with an even offset, whose odd n >= 3 are
     all out, is still sieved in full."""
     s = _lambda_set(name)
-    members = {n for n in (1, 2) if n <= top and s.failure(n) is None}
+    members = {n for n in (1, 2) if n <= top and s.failure(n, n) is None}
     lo = max(s.least, 3)
     odd_offset = s.offset % 2 == 1
     if lo <= top and not (odd_offset and s.slope % 2 == 0):
@@ -350,21 +339,21 @@ def classify(
 
     Each verdict, and Korselt's reason, is ``_LambdaSet.failure`` of its set
     on the one factorization of n and the one lambda(n)."""
-    if _value(n) < 1:
-        raise DomainError(f"classify requires n >= 1, got {_value(n)}")
-    knodel = [(i, _knodel(i)) for i in knodel_indices]
-    gen_carmichael = [(k, _gen_carmichael(k)) for k in gen_carmichael_ks]
-    f = _as_factorization(n)
-    liar_count = count_fermat_liars(f) if liars and f.n % 2 and f.n >= 3 else None
+    m = _gate("classify requires n >= 1, got {}", 1, n)
+    # each i and k as its constructor read it: the set's least is i + 1, its offset k - 1
+    knodel = [(s.least - 1, s) for s in map(_knodel, knodel_indices)]
+    gen_carmichael = [(s.offset + 1, s) for s in map(_gen_carmichael, gen_carmichael_ks)]
+    f = _as_factorization(n, m)
+    liar_count = count_fermat_liars(f) if liars and m % 2 and m >= 3 else None
     lam = carmichael_lambda(f)
-    reason = _korselt_reason(_CARMICHAEL.failure(f, lam), f.n)
+    reason = _korselt_reason(_CARMICHAEL.failure(f, m, lam), m)
     return ClassificationReport(
-        n=f.n,
+        n=m,
         is_composite=f.is_composite,
         fermat_liar_count=liar_count,
         carmichael=reason is None,
-        knodel_for=tuple((i, s.failure(f, lam) is None) for i, s in knodel),
-        gen_carmichael_for=tuple((k, s.failure(f, lam) is None) for k, s in gen_carmichael),
+        knodel_for=tuple((i, s.failure(f, m, lam) is None) for i, s in knodel),
+        gen_carmichael_for=tuple((k, s.failure(f, m, lam) is None) for k, s in gen_carmichael),
         evidence=f,
         carmichael_reason=reason,
     )

@@ -23,7 +23,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .arith import SUPPORTED_BOUND, _read_int, factorize
+from .arith import SUPPORTED_BOUND, _gate, _read_int, factorize
 from .bfile import BFile, compare_bfile
 from .classify import _PREDICATE_HELP, _RULE_HELP, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
@@ -482,8 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        if args.bound < 1:
-            raise DomainError(f"--bound must be >= 1, got {args.bound}")
+        _gate("--bound must be >= 1, got {}", 1, args.bound)
         return args.handler(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

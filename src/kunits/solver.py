@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .arith import (
+    _BOUND,
     SUPPORTED_BOUND,
     Factorization,
     _as_factorization,
     _certified_prime,
+    _gate,
     _nu2,
     _smallest_divisors,
-    _value,
-    divisors,
     factorize,
 )
 from .errors import CapabilityError, DomainError
@@ -80,8 +80,8 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     psi_13 raises CapabilityError, as does an even k of more than
     _CANDIDATE_BITS bits, which would have candidates that long.
     """
-    if k < 1:
-        raise DomainError(f"solve_rdu_one requires k >= 1, got {k}")
+    k = _gate("solve_rdu_one requires k >= 1, got {}", 1, k)
+    bound = _gate(_BOUND, 1, bound)
     if k % 2:
         return RduOneSolution(
             k=k, k_parity="odd", beta=0, m=k, set_a=(), set_b=(), n_max=2, count=2
@@ -96,7 +96,7 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     fm = factorize(m, bound=bound)
     nu = dict(fm.factors)
     pairs = [(2, beta + 2)]
-    for d in divisors(fm):
+    for d in _smallest_divisors(fm):
         for l in range(1, beta + 1):
             c = (1 << l) * d + 1
             if _certified_prime(c):
@@ -132,8 +132,8 @@ def enumerate_rdu_one_solutions(
 
 def _solutions(sol: RduOneSolution, limit: int | None) -> list[int]:
     """``enumerate_rdu_one_solutions`` from a solution already solved."""
-    if limit is not None and limit < 0:
-        raise DomainError(f"limit must be >= 0, got {limit}")
+    if limit is not None:
+        limit = _gate("limit must be >= 0, got {}", 0, limit)
     if sol.count > SOLUTION_CAP and (limit is None or limit > SOLUTION_CAP):
         raise CapabilityError(
             f"rdu_{sol.k}(n) = 1 has {sol.count} solutions, above the enumeration "
@@ -146,13 +146,10 @@ def is_rdu_one(n: Factorization | int, k: int) -> bool:
     """Fast membership test for rdu_k(n) = 1, without touching the k-units:
     every unit is a k-unit exactly when lambda(n) | k.  Decided by the set
     ``classify._rdu_one(k)``, so an odd k with n >= 3 is answered False
-    without factoring, as lambda(n) is even.
-
-    Accepts an int or a Factorization.
+    without factoring, as lambda(n) is even.  Accepts any integer or a Factorization.
     """
-    if _value(n) < 1 or k < 1:
-        raise DomainError(f"is_rdu_one requires n >= 1 and k >= 1, got n={_value(n)}, k={k}")
-    return _rdu_one(k).failure(n) is None
+    m, k = _gate("is_rdu_one requires n >= 1 and k >= 1, got n={}, k={}", 1, n, k)
+    return _rdu_one(k).failure(n, m) is None
 
 
 def check_korselt_general(n: Factorization | int, k: int) -> bool:
@@ -163,14 +160,12 @@ def check_korselt_general(n: Factorization | int, k: int) -> bool:
     and so in k.  Violated preconditions raise DomainError naming the
     clause rather than silently extending the equivalence.
     """
-    m = _value(n)
-    if m < 1 or k < 1:
-        raise DomainError(f"check_korselt_general requires n >= 1 and k >= 1, got n={m}, k={k}")
+    m, k = _gate("check_korselt_general requires n >= 1 and k >= 1, got n={}, k={}", 1, n, k)
     if m % 2 == 0:
         raise DomainError(f"precondition violated: n = {m} is not odd")
-    f = _as_factorization(n)
+    f = _as_factorization(n, m)
     if not f.is_composite:
         raise DomainError(f"precondition violated: n = {m} is not composite")
     if gcd(k, m) != 1:
         raise DomainError(f"precondition violated: k = {k} is not relatively prime to n = {m}")
-    return is_rdu_one(f, k)
+    return _rdu_one(k).failure(f, m) is None

@@ -29,15 +29,16 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .arith import (
+    _BOUND,
     SUPPORTED_BOUND,
     Factorization,
     _as_factorization,
     _Budget,
     _cofactor_primes,
-    _value,
+    _gate,
     factorize,
 )
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError
 
 __all__ = [
     "ENUMERATION_BOUND",
@@ -67,9 +68,10 @@ class CyclicDecomposition:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", tuple(self.orders))
-        if any(r < 1 for r in self.orders):
-            raise DomainError("cyclic factor orders must be >= 1")
+        orders = tuple(self.orders)
+        if not all(type(r) is int and r >= 1 for r in orders):  # the gate's own test, for all
+            orders = tuple(_gate("cyclic factor orders must be >= 1", 1, r) for r in orders)
+        object.__setattr__(self, "orders", orders)
 
     @property
     def group_order(self) -> int:
@@ -107,9 +109,9 @@ def unit_group_structure(n: Factorization | int) -> CyclicDecomposition:
 
     Factors appear in ascending order of the underlying prime, with the
     2-power contributing [2, 2^(a-2)] in that order; n = 1 and n = 2 give
-    the empty (trivial) decomposition.  Accepts an int or a Factorization.
+    the empty (trivial) decomposition.  Accepts any integer or a Factorization.
     """
-    f = _as_factorization(n)
+    f = _as_factorization(n, n)
     orders: tuple[int, ...] = ()
     for p, e in f.factors:
         orders += _prime_power_orders(p, e)
@@ -118,7 +120,7 @@ def unit_group_structure(n: Factorization | int) -> CyclicDecomposition:
 
 def euler_phi(f: Factorization | int) -> int:
     """Euler's phi(n), the order of U(Z_n): the product of its cyclic factor
-    orders.  Accepts an int or a Factorization."""
+    orders.  Accepts any integer or a Factorization."""
     return unit_group_structure(f).group_order
 
 
@@ -129,8 +131,11 @@ def carmichael_lambda(n: Factorization | int) -> int:
 
 def du_k_product(k: int, decomposition: CyclicDecomposition) -> int:
     """Number of k-units in a product of cyclic groups: prod of gcd(k, r_i)."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    return _du(_gate("k must be >= 1, got {}", 1, k), decomposition)
+
+
+def _du(k: int, decomposition: CyclicDecomposition) -> int:
+    """``du_k_product`` of a k that the gate has read."""
     return prod(gcd(k, r) for r in decomposition.orders)
 
 
@@ -140,11 +145,9 @@ def k_unit_stats(n: Factorization | int, k: int) -> KUnitStats:
     du is the product of gcd(k, r_i) over the cyclic factor orders r_i,
     and phi(n) is the order of the group.
     """
-    m = _value(n)
-    if m < 1 or k < 1:
-        raise DomainError(f"k_unit_stats requires n >= 1 and k >= 1, got n={m}, k={k}")
-    group = unit_group_structure(n)
-    du = du_k_product(k, group)
+    m, k = _gate("k_unit_stats requires n >= 1 and k >= 1, got n={}, k={}", 1, n, k)
+    group = unit_group_structure(_as_factorization(n, m))
+    du = _du(k, group)
     phi = group.group_order
     return KUnitStats(n=m, k=k, du=du, pdu=Fraction(du, phi), rdu=phi // du)
 
@@ -171,16 +174,15 @@ def _k_units(n: int, k: int, bound: int) -> np.ndarray:
     h mod p^e and 1 mod n/p^e, grows the array built so far into d cosets,
     by doubling in place; one in-place sort ends it.
     """
-    if n < 1 or k < 1:
-        raise DomainError(f"enumerate_k_units requires n >= 1 and k >= 1, got n={n}, k={k}")
-    if n > bound:
+    n, k = _gate("enumerate_k_units requires n >= 1 and k >= 1, got n={}, k={}", 1, n, k)
+    if n > _gate(_BOUND, 1, bound):
         raise CapabilityError(f"n = {n} exceeds the enumeration bound {bound}")
     if (n - 1) ** 2 > _INT64_MAX:
         raise CapabilityError(
             f"n = {n} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
         )
     f = factorize(n)
-    du = du_k_product(k, unit_group_structure(f))
+    du = _du(k, unit_group_structure(f))
     try:
         units = np.empty(du, dtype=np.int64)
     except MemoryError:
@@ -282,13 +284,15 @@ def lambda_range(
     no rho (the primes below 2**24 take 55 ms once).  odd_only halves the
     cost of a range: [3, 10**6] took 39-45 ms against 78-83 ms.
 
-    Refuses with DomainError a range without 1 <= lo <= hi, and with
-    CapabilityError one of more than RANGE_BOUND = 10**9 n, both before
-    any work.  At that bound [1, 10**9] took 2.4 min of CPU (1.2 min with
+    Refuses with DomainError a range without 1 <= lo <= hi or a bound below
+    1, and with CapabilityError one of more than RANGE_BOUND = 10**9 n, all
+    before any work.  At [1, 10**9] that took 2.4 min of CPU (1.2 min with
     odd_only), and 10**9 n near 2**40 would take about 6 min.
     """
-    if lo < 1 or hi < lo:
-        raise DomainError(f"lambda_range requires 1 <= lo <= hi, got [{lo}, {hi}]")
+    words = "lambda_range requires 1 <= lo <= hi, got [{}, {}]"
+    lo, hi = _gate(words, 1, lo, hi)
+    _gate(words, lo, lo, hi)  # and hi >= lo
+    bound = _gate(_BOUND, 1, bound)
     if hi - lo + 1 > RANGE_BOUND:
         raise CapabilityError(
             f"[{lo}, {hi}] holds {hi - lo + 1} n, above the range bound {RANGE_BOUND}"

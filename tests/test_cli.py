@@ -1,4 +1,6 @@
+import concurrent.futures
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -9,7 +11,9 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -25,7 +29,20 @@ import kunits
 import kunits.cli as cli_module
 from kunits.cli import _decimal_text, _write_ints, main
 
-from oracles import brute_gen_carmichael, scan_k_units
+from oracles import (
+    brute_cyclic_product_k_units,
+    brute_divisors,
+    brute_factor_map,
+    brute_gen_carmichael,
+    brute_is_prime,
+    brute_k_units_by_order,
+    brute_korselt,
+    brute_liar_count,
+    brute_phi,
+    brute_rdu_is_one,
+    brute_unit_exponent,
+    scan_k_units,
+)
 
 
 def run(capsys, *argv):
@@ -1363,3 +1380,341 @@ class TestContractFuzzer:
             assert len(err.getvalue().encode()) < 1024, argv
         elif "--json" in argv:
             assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", argv
+
+
+# The library contract fuzzer: every callable of kunits.__all__, fed integers of 0 to 300 bits
+# of either sign, their numpy twins, bools, floats, Fractions and Factorizations.
+_SMALL = st.integers(1, 600)  # where the oracles reach
+_WIDE = st.integers(1, 300).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+# Each kind by its weight in this list: five draws in seven an int or a Factorization >= 1, so
+# that most calls of two integers get two.
+_KINDS = [_SMALL, _SMALL, _WIDE, _WIDE, _SMALL.map(kunits.factorize)]
+_KINDS += [st.integers(-3, 0) | _WIDE.map(lambda v: -v)]
+_KINDS += [st.booleans() | st.floats() | st.fractions()]
+_VALUE = st.sampled_from(_KINDS).flatmap(lambda kind: kind)
+# The bound of enumerate_k_units and the limit of the solutions, as ints at most 10**4: the
+# caller's bound is the memory an answer may take, and below it none holds more values.
+_CAPPED = st.one_of(st.integers(-3, 10**4), st.booleans(), st.floats(), st.fractions())
+# lo with a hi of a few hundred n on from it, so that a range is sieved within the deadline
+_RANGE = _VALUE.flatmap(
+    lambda lo: st.tuples(
+        st.just(lo), st.integers(-2, 300).map(lambda d: lo + d) if type(lo) is int else _VALUE
+    )
+)
+_FLAGS = {name: st.booleans() for name in ("composite_only", "odd_only", "squarefree_only")}
+_BOUND_ARG = {"bound": _VALUE}
+
+
+def _args(*args, optional=None, **kwargs):
+    """A draw of positional args and keyword args, the optional ones present or not."""
+    return st.tuples(st.tuples(*args), st.fixed_dictionaries(kwargs, optional=optional or {}))
+
+
+def _ranged(*more, optional=None):
+    return _RANGE.flatmap(lambda r: _args(st.just(r[0]), st.just(r[1]), *more, optional=optional))
+
+
+_LIBRARY_CALLS = {
+    "Factorization": _args(_VALUE, st.lists(st.tuples(_VALUE, _VALUE), max_size=3)),
+    "is_prime": _args(_VALUE, optional=_BOUND_ARG),
+    "factorize": _args(_VALUE, optional=_BOUND_ARG),
+    "divisors": _args(_VALUE),
+    "CyclicDecomposition": _args(st.lists(_VALUE, max_size=3)),
+    "unit_group_structure": _args(_VALUE),
+    "euler_phi": _args(_VALUE),
+    "carmichael_lambda": _args(_VALUE),
+    "lambda_range": _ranged(optional={**_BOUND_ARG, "odd_only": st.booleans()}),
+    "du_k_product": _args(
+        _VALUE, st.lists(st.integers(1, 40), max_size=3).map(kunits.CyclicDecomposition)
+    ),
+    "k_unit_stats": _args(_VALUE, _VALUE),
+    "enumerate_k_units": _args(_VALUE, _VALUE, bound=_CAPPED),
+    "solve_rdu_one": _args(_VALUE, optional=_BOUND_ARG),
+    "enumerate_rdu_one_solutions": _args(_VALUE, st.none() | _CAPPED, optional=_BOUND_ARG),
+    "is_rdu_one": _args(_VALUE, _VALUE),
+    "check_korselt_general": _args(_VALUE, _VALUE),
+    "count_fermat_liars": _args(_VALUE),
+    "korselt_failure": _args(_VALUE),
+    "is_carmichael": _args(_VALUE),
+    "is_knodel": _args(_VALUE, _VALUE),
+    "is_generalized_carmichael": _args(_VALUE, _VALUE, optional=_BOUND_ARG),
+    "classify": _args(
+        _VALUE,
+        liars=st.booleans(),
+        knodel_indices=st.lists(_VALUE, max_size=2).map(tuple),
+        gen_carmichael_ks=st.lists(_VALUE, max_size=2).map(tuple),
+    ),
+    "parse_rule": _args(
+        st.text(max_size=8) | _VALUE.map(lambda v: f"const:{v}") | _VALUE.map(lambda v: f"{v}*n+1")
+    ),
+    "sweep": _ranged(
+        st.sampled_from(["n-1", "n+2", "const:12", "2*n+1", "poly:-5,0,1"]).map(kunits.parse_rule),
+        optional={**_FLAGS, **_BOUND_ARG},
+    ),
+    "compare_bfile": _args(
+        st.just(kunits.BFile.parse_text("1 561\n2 1105\n3 1729\n")),
+        st.frozensets(st.integers(-3, 2000)),
+        st.none() | _VALUE,
+    ),
+}
+# The records and errors hold what they are given, and check nothing: built from values.
+_RECORD_FIELDS = {
+    "KUnitStats": 5,
+    "RduOneSolution": 8,
+    "ClassificationReport": 8,
+    "SweepResult": 2,
+    "LambdaSegment": 4,
+    "ComparisonReport": 4,
+    "BFile": 2,
+    "ExponentRule": 2,
+    "BFileParseError": 2,
+    "DomainError": 1,
+    "CapabilityError": 1,
+}
+_LIBRARY_CALLS.update({name: _args(*[_VALUE] * size) for name, size in _RECORD_FIELDS.items()})
+# Each function is drawn four times as often as each record or range: a range past 2**64 builds
+# its tables of the primes below 2**24 in about 0.1 s.
+_RANGES = ["lambda_range", "sweep"]
+_FUNCTIONS = sorted(set(_LIBRARY_CALLS) - set(_RECORD_FIELDS) - set(_RANGES))
+_NAMES = st.sampled_from(_FUNCTIONS * 4 + _RANGES + sorted(_RECORD_FIELDS))
+# The calls that take text, or hold any value: every other call refuses a float, Fraction or str.
+_NOT_INTEGERS = {"parse_rule", *_RECORD_FIELDS}
+
+
+def _twin(value):
+    """The numpy integer equal to an int that fits one, looking into tuples and lists."""
+    if type(value) is int:
+        if -(1 << 63) <= value < 1 << 64:
+            return np.int64(value) if value < 1 << 63 else np.uint64(value)
+    elif type(value) in (tuple, list):
+        return type(value)(map(_twin, value))
+    elif type(value) is dict:
+        return {key: _twin(v) for key, v in value.items()}
+    return value
+
+
+def _ints_only(value):
+    """Whether every integer in value, a result of the library, is a Python int (or a bool
+    verdict), looking into tuples, lists and the fields of its dataclasses."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return all(map(_ints_only, value))
+    if isinstance(value, Fraction):
+        return _ints_only((value.numerator, value.denominator))
+    return type(value) in (int, bool) or not isinstance(value, (int, np.integer))
+
+
+def _non_integers(value):
+    """Whether value holds a float, a Fraction or a str, looking into tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        return any(map(_non_integers, value))
+    return isinstance(value, (float, Fraction, str))
+
+
+def _library_outcome(name, args, kwargs):
+    """What kunits.<name>(*args, **kwargs) gives at a work cap of 2**12: its result, with a
+    range's segments as lists, or the type of its DomainError or CapabilityError."""
+    try:
+        with mock.patch.object(kunits.arith, "_WORK_CAP", 1 << 12), deadline(5):
+            result = getattr(kunits, name)(*args, **kwargs)
+            if name == "lambda_range":
+                result = [tuple(array.tolist() for array in segment) for segment in result]
+    except (kunits.DomainError, kunits.CapabilityError) as exc:
+        return type(exc)
+    except _Hang as exc:
+        raise _Hang(f"{exc}: {name}{args}{kwargs}") from None
+    if isinstance(result, BaseException):  # a built error, equal to another by its args
+        return type(result), result.args
+    return result
+
+
+@functools.cache
+def _composite(n):
+    return sum(brute_factor_map(n).values()) > 1
+
+
+def _agrees_with_the_oracles(name, args, kwargs, result):
+    """Whether an answer agrees with tests/oracles.py, where the oracles reach: n <= 600."""
+    n = args[0].n if args and isinstance(args[0], kunits.Factorization) else args[0] if args else None
+    if type(n) is not int or not 1 <= n <= 600 or name in _RECORD_FIELDS or name == "parse_rule":
+        return True
+    k = args[1] if len(args) > 1 and type(args[1]) is int and args[1] >= 1 else None
+    if name in ("factorize", "Factorization"):
+        return result.factors == tuple(sorted(brute_factor_map(n).items()))
+    if name == "is_prime":
+        return result == brute_is_prime(n)
+    if name == "divisors":
+        return result == brute_divisors(n)
+    if name == "unit_group_structure":
+        return (result.group_order, lcm(*result.orders)) == (brute_phi(n), _unit_exponent(n))
+    if name == "euler_phi":
+        return result == brute_phi(n)
+    if name == "carmichael_lambda":
+        return result == _unit_exponent(n)
+    if name in ("k_unit_stats", "enumerate_k_units") and k:
+        units = brute_k_units_by_order(n, (k,))[0]
+        return result.du == len(units) if name == "k_unit_stats" else result == units
+    if name in ("is_rdu_one", "check_korselt_general") and k:
+        return result == brute_rdu_is_one(n, k)
+    if name == "count_fermat_liars":
+        return result == brute_liar_count(n)
+    if name in ("korselt_failure", "is_carmichael"):
+        return (result is None if name == "korselt_failure" else result) == brute_korselt(n)
+    if name == "is_knodel" and k:
+        return result == (n > k and _composite(n) and brute_rdu_is_one(n, n - k))
+    if name == "is_generalized_carmichael" and type(args[1]) is int:
+        return result == brute_gen_carmichael(n, args[1])
+    if name == "classify":
+        knodel = [
+            (i, n > i and _composite(n) and brute_rdu_is_one(n, n - i)) for i, _ in result.knodel_for
+        ]
+        gen = [(k, brute_gen_carmichael(n, k)) for k, _ in result.gen_carmichael_for]
+        return (result.carmichael, list(result.knodel_for), list(result.gen_carmichael_for)) == (
+            brute_korselt(n), knodel, gen
+        )
+    if name == "solve_rdu_one":
+        return all((result.n_max % m == 0) == brute_rdu_is_one(m, n) for m in range(1, 61))
+    if name == "enumerate_rdu_one_solutions":
+        return result == sorted(result) and all(brute_rdu_is_one(s, n) for s in result if s <= 600)
+    if name == "lambda_range":
+        return all(lam == _unit_exponent(m) for s in result for m, lam in zip(s[0], s[1]) if m <= 200)
+    if name == "sweep":
+        rule = args[2]
+        return all(brute_rdu_is_one(h, rule(h)) for h in result.hits if h <= 600)
+    if name == "du_k_product":
+        return result == brute_cyclic_product_k_units(args[1].orders, n)
+    return True
+
+
+_unit_exponent = functools.cache(brute_unit_exponent)
+
+
+class TestLibraryContractFuzzer:
+    """Every call of the library answers, or refuses with DomainError or CapabilityError, within
+    5 s; refuses a non-integer for an integer parameter; answers in Python ints; gives an int and
+    its numpy twin the same outcome; and agrees with the oracles where they reach."""
+
+    def test_every_callable_is_drawn(self):
+        callables = {name for name in kunits.__all__ if callable(getattr(kunits, name))}
+        assert set(_LIBRARY_CALLS) == callables
+
+    @given(call=_NAMES.flatmap(lambda name: st.tuples(st.just(name), _LIBRARY_CALLS[name])))
+    @example(call=("factorize", ((2.5,), {})))
+    @example(call=("is_prime", ((2.0,), {})))
+    @example(call=("carmichael_lambda", ((561,), {})))
+    @example(call=("factorize", ((10**30 + 57,), {"bound": -1})))
+    # No shrink phase, as in the CLI fuzzer: a draw that hangs costs 5 s a run.
+    @settings(
+        max_examples=1000,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    def test_every_call_keeps_the_contract(self, call):
+        name, (args, kwargs) = call
+        outcome = _library_outcome(name, args, kwargs)
+        refused = outcome in (kunits.DomainError, kunits.CapabilityError)
+        if name not in _NOT_INTEGERS and _non_integers((args, kwargs)):
+            # refused by the gate; the limit of the solutions is read once they are solved, so
+            # there a CapabilityError of the solver may come first
+            expected = {kunits.DomainError}
+            if name == "enumerate_rdu_one_solutions":
+                expected.add(kunits.CapabilityError)
+            assert outcome in expected, (name, args, kwargs, outcome)
+        assert refused or _ints_only(outcome), (name, args, kwargs, outcome)
+        assert _library_outcome(name, _twin(args), _twin(kwargs)) == outcome, (name, args, kwargs)
+        assert refused or _agrees_with_the_oracles(name, args, kwargs, outcome), (name, args, kwargs)
+
+    # The probes of the library at its edges: numpy integers, which lambda_range hands out, at each
+    # function they broke, and non-integers and a bound below 1, which some answered.
+    ANSWERED = {
+        "factorize": lambda: kunits.factorize(np.int64(91)),
+        "factorize_big": lambda: kunits.factorize(np.uint64(2**63 + 29)),  # a prime past 2**32
+        "is_prime_big": lambda: kunits.is_prime(np.uint64(2**63 + 29)),
+        "solve_rdu_one_big": lambda: kunits.solve_rdu_one(np.uint64(2 * (2**61 - 1))),
+        "k_unit_stats": lambda: kunits.k_unit_stats(np.int64(561), np.int32(12)),
+        "carmichael_lambda": lambda: kunits.carmichael_lambda(np.int64(561)),
+        "is_carmichael": lambda: kunits.is_carmichael(np.int64(561)),
+        "korselt_failure": lambda: kunits.korselt_failure(np.int16(15)),
+        "is_rdu_one": lambda: kunits.is_rdu_one(np.int64(561), np.int64(80)),
+        "classify": lambda: kunits.classify(np.int64(561), knodel_indices=(np.int8(2),)),
+        "divisors": lambda: kunits.divisors(np.int64(720)),
+        "enumerate_k_units": lambda: kunits.enumerate_k_units(np.int64(15), np.int64(2)),
+        "by_hand": lambda: kunits.Factorization(
+            np.int64(12), ((np.int64(2), np.int64(2)), (np.uint8(3), 1))
+        ),
+        "bools": lambda: kunits.k_unit_stats(True, True),
+    }
+    REFUSED = {
+        "factorize_float": lambda: kunits.factorize(2.5),
+        "factorize_fraction": lambda: kunits.factorize(Fraction(7, 2)),
+        "factorize_str": lambda: kunits.factorize("91"),
+        "is_prime_float": lambda: kunits.is_prime(2.0),
+        "negative_bound": lambda: kunits.factorize(10**30 + 57, bound=-1),
+        "k_unit_stats_float_k": lambda: kunits.k_unit_stats(12, 2.0),
+        "solve_rdu_one_float": lambda: kunits.solve_rdu_one(24.0),
+        "is_knodel_float_i": lambda: kunits.is_knodel(561, 1.0),
+        "gen_carmichael_fraction_k": lambda: kunits.is_generalized_carmichael(561, Fraction(1)),
+        "limit_float": lambda: kunits.enumerate_rdu_one_solutions(12, 2.0),
+        "lambda_range_float": lambda: kunits.lambda_range(1, 10.0),
+        "factor_exponent_float": lambda: kunits.Factorization(12, ((2, 2.0), (3, 1))),
+    }
+
+    @pytest.mark.parametrize("call", ANSWERED.values(), ids=ANSWERED.keys())
+    def test_a_numpy_integer_is_answered_in_python_ints(self, call):
+        assert _ints_only(call())
+
+    @pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
+    def test_a_non_integer_or_a_bound_below_1_is_refused(self, call):
+        with pytest.raises(kunits.DomainError, match="bound must be >= 1|cannot be interpreted"):
+            call()
+
+    def test_results_hold_python_ints(self):
+        f = kunits.factorize(np.int64(720720))
+        assert _ints_only(f) and f == kunits.factorize(720720)
+        assert _ints_only(kunits.k_unit_stats(f, np.int64(12)))
+        assert _ints_only(kunits.solve_rdu_one(np.int64(720)))
+        assert _ints_only(kunits.divisors(f))
+        assert _ints_only(kunits.unit_group_structure(np.int64(720720)))
+        assert not _ints_only((1, np.int64(1)))  # the check itself sees a numpy integer
+
+
+# Answered calls that build the tables of first use (the primes, p - 1's and ECM's plans, the
+# sieve's primes below 2**24), for the two threads to race on.
+_SERIAL_CALLS = [
+    (kunits.factorize, (1000000007 * 998244353 * 1000003,)),
+    (kunits.factorize, (2**64 + 13,)),
+    (kunits.is_prime, (2**61 - 1,)),
+    (kunits.k_unit_stats, (720720, 12)),
+    (kunits.classify, (561,), {"liars": True, "knodel_indices": (1, 2)}),
+    (kunits.solve_rdu_one, (720720,)),
+    (kunits.enumerate_rdu_one_solutions, (252,), {"limit": 100}),
+    (kunits.enumerate_k_units, (1000000, 12)),
+    (kunits.is_rdu_one, (561, 80)),
+    (kunits.sweep, (3, 3000, kunits.parse_rule("n-1")), {"odd_only": True}),
+    (lambda lo, hi: [s.lam.tolist() for s in kunits.lambda_range(lo, hi)], (2**40, 2**40 + 500)),
+]
+
+
+def test_two_threads_give_the_serial_results():
+    # the north star's "safe to call concurrently": with every table of first use dropped, two
+    # threads run the calls at once, and each answer is the serial one
+    def run_one(call):
+        function, args, *kwargs = call
+        return function(*args, **(kwargs[0] if kwargs else {}))
+
+    def drop_tables():
+        for module in (kunits.arith, kunits.unitgroup):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    serial = [run_one(call) for call in _SERIAL_CALLS]
+    for _ in range(2):
+        drop_tables()
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run_one, call) for call in _SERIAL_CALLS * 2]
+            threaded = [future.result(timeout=60) for future in futures]
+        assert threaded == serial * 2

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import kunits
@@ -85,3 +86,27 @@ def test_bound_is_a_parameter_only_where_it_is_the_functions_own():
         if "bound" in inspect.signature(obj).parameters:
             takers.add(name)
     assert takers == BOUND_TAKERS
+
+
+# One call of each bound taker that is answered at a bound of 10, with only the bound to vary.
+BOUND_CALLS = {
+    "is_prime": lambda bound: kunits.is_prime(5, bound=bound),
+    "factorize": lambda bound: kunits.factorize(5, bound=bound),
+    "enumerate_k_units": lambda bound: kunits.enumerate_k_units(5, 2, bound=bound),
+    "is_generalized_carmichael": lambda bound: kunits.is_generalized_carmichael(5, 1, bound=bound),
+    "solve_rdu_one": lambda bound: kunits.solve_rdu_one(3, bound=bound),
+    "enumerate_rdu_one_solutions": lambda bound: kunits.enumerate_rdu_one_solutions(3, bound=bound),
+    "lambda_range": lambda bound: list(kunits.lambda_range(1, 5, bound=bound)),
+    "sweep": lambda bound: kunits.sweep(1, 5, kunits.parse_rule("n-1"), bound=bound),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_TAKERS))
+def test_a_bound_below_1_is_a_domain_error_in_every_bound_taker(name):
+    # is_generalized_carmichael(5, 1, bound=0) was a CapabilityError: n = 5 exceeds 0
+    assert sorted(BOUND_CALLS) == sorted(BOUND_TAKERS)
+    BOUND_CALLS[name](10)  # answered at a bound of 10
+    for bound in (0, -1, np.int64(0)):
+        with pytest.raises(kunits.DomainError) as excinfo:
+            BOUND_CALLS[name](bound)
+        assert str(excinfo.value) == f"bound must be >= 1, got {bound}"

@@ -623,7 +623,7 @@ def test_every_point_set_name_parses_to_the_set_its_constructor_builds():
 @functools.cache
 def _point_members(name, top=1000):
     s = _lambda_set(name)
-    return frozenset(n for n in range(1, top + 1) if s.failure(n) is None)
+    return frozenset(n for n in range(1, top + 1) if s.failure(n, n) is None)
 
 
 @pytest.mark.parametrize("top", [0, 1, 2, 3, 4, 1000])
