@@ -4,8 +4,10 @@ Everything here is arbitrary precision and deterministic.  Factorization
 is trial division below 2**16, then, on what is left, a perfect-power test,
 Pollard's p - 1, one short run of Brent's rho and Lenstra's elliptic-curve
 method (ECM), whose curves run on a fixed schedule until the call's work
-budget ends them; every step is charged to that budget, so the same n
-always takes the same path.  Primality is
+budget ends them; a curve's stage 2 walks its baby steps along two chains,
+j = 1 and j = 5 mod 6, brings them and its giant steps to Z = 1 by one
+batch inversion, and tests each pair by one multiplication.  Every step is
+charged to that budget, so the same n always takes the same path.  Primality is
 Miller-Rabin on the first t prime bases, t chosen by the size of n: the
 smallest t with n below psi_t, the least odd composite that passes all of
 the first t (OEIS A014233).  The 13 bases 2..41 prove every verdict below
@@ -21,7 +23,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, count, repeat, takewhile
+from itertools import accumulate, chain, compress, count, repeat, takewhile
 from math import gcd, isqrt, prod
 from operator import index
 from typing import Any, NamedTuple
@@ -77,6 +79,9 @@ _RHO_LEG = 3 << 11
 # ECM's stage 2 giant step, 2 * 3 * 5 * 7 * 11: every prime above 11 is k * D +- j for one
 # k and one of the 240 odd j < D / 2 prime to D.
 _ECM_D = 2310
+# The most values a list answer may hold: the divisors of n, and (re-exported by solver) the
+# solutions of rdu_k(n) = 1.
+SOLUTION_CAP = 10**6
 _BOUND = "bound must be >= 1, got {}"  # the refusal of a bound below 1, wherever one is taken
 _ONE = object()  # _gate's default k: one value is read
 
@@ -275,8 +280,9 @@ def is_prime(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
     above the certified Miller-Rabin limit psi_13, instead of answering
     probabilistically; a composite is answered False at any size.
     """
-    n = _gate("primality is defined for n >= 0, got {}", 0, n)
-    if n > _gate(_BOUND, 1, bound):
+    if not (type(n) is int and type(bound) is int and n >= 0 and bound >= 1):
+        n, bound = _gate("primality is defined for n >= 0, got {}", 0, n), _gate(_BOUND, 1, bound)
+    if n > bound:
         raise CapabilityError(
             f"cannot certify primality of {n}: exceeds the supported bound {bound}"
         )
@@ -405,6 +411,8 @@ class _EcmPlan(NamedTuple):
     """The fixed tables of one tier of ECM's schedule, the same for every n and curve."""
 
     scalar: int  # stage 1: the product of the prime powers <= B1
+    kept: bytes  # per j = 1, 5, 7, 11, ..., 1157, the j = +-1 mod 6 in the order the two baby
+    # chains give them: 1 where j < D / 2 is prime to D, the 240 baby steps stage 2 tests
     first: int  # stage 2 starts at the giant step first * D
     steps: tuple[bytes, ...]  # per giant step k from first on: the baby steps j, by their index
     # among the odd j < D / 2 prime to D, with k * D + j or k * D - j a prime in (B1, B2]
@@ -417,11 +425,17 @@ def _ecm_plan(b1: int) -> _EcmPlan:
 
     A curve's cost counts 11 multiplications per bit of each ladder's scalar (stage 1's and
     the two that reach stage 2's first giant steps), 6 per baby and per giant step, and 3
-    per pair (k, j) tested: never fewer than the curve does.
+    per pair (k, j) tested: never fewer than the curve does.  Of the 3,462 charged for the
+    577 odd j, the two baby chains take 2,326; the batch inversion takes one inverse (counted
+    as one) and 4 per Z of the 240 baby and the giant steps (3 for Montgomery's trick, 1 to
+    normalise an X); and a pair takes 1 of its 3.  That leaves 7,948, 27,585 and 135,679 at
+    the three B1.
     """
     b2, half = 100 * b1, _ECM_D // 2
     flags = _sieve(b2 + 1)
-    index = {j: i for i, j in enumerate(j for j in range(1, half, 2) if gcd(j, _ECM_D) == 1)}
+    chains = [j for m in range(1, half, 6) for j in (m, m + 4)]
+    kept = bytes(j < half and gcd(j, _ECM_D) == 1 for j in chains)
+    index = {j: i for i, j in enumerate(compress(chains, kept))}
     width = len(index)
     marks = bytearray(width * (b2 // _ECM_D + 2))  # marks[width * k + i] for k * D +- (j of index i)
     for p in compress(range(b1 + 1, b2 + 1), flags[b1 + 1 :]):
@@ -433,7 +447,7 @@ def _ecm_plan(b1: int) -> _EcmPlan:
     scalar = prod(_prime_power(p, b1) for p in compress(range(b1 + 1), flags))
     ladders = scalar.bit_length() + _ECM_D.bit_length() + first.bit_length()
     cost = 11 * ladders + 6 * (len(range(1, half, 2)) + len(steps)) + 3 * sum(map(len, steps))
-    return _EcmPlan(scalar, first, steps, cost)
+    return _EcmPlan(scalar, kept, first, steps, cost)
 
 
 def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
@@ -452,16 +466,17 @@ def _xadd(x: int, z: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[i
 
 
 def _ladder(m: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
-    """m * P and (m + 1) * P for P = (x : z) and m >= 1, by Montgomery's ladder."""
+    """m * P and (m + 1) * P for P = (x : z) and m >= 1, by Montgomery's ladder: per bit of m,
+    ``_xadd`` of the two points (their difference is P) and ``_xdbl`` of one, written out."""
     x0, z0 = x, z
     x1, z1 = _xdbl(x, z, a24, n)
     for bit in bin(m)[3:]:
-        if bit == "1":
-            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
-            x1, z1 = _xdbl(x1, z1, a24, n)
-        else:
-            x1, z1 = _xadd(x1, z1, x0, z0, x, z, n)
-            x0, z0 = _xdbl(x0, z0, a24, n)
+        s0, d0, s1, d1 = x0 + z0, x0 - z0, x1 + z1, x1 - z1
+        u, v = d1 * s0, s1 * d0
+        xs, zs = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        s, d = (s1 * s1 % n, d1 * d1 % n) if bit == "1" else (s0 * s0 % n, d0 * d0 % n)
+        xd, zd = s * d % n, (s - d) * (d + a24 * (s - d)) % n
+        x0, z0, x1, z1 = (xs, zs, xd, zd) if bit == "1" else (xd, zd, xs, zs)
     return x0, z0, x1, z1
 
 
@@ -469,11 +484,15 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     """gcd(n, what one curve of ECM found): 1 or n when it found no divisor of n.
 
     The curve is Suyama's of sigma, a Montgomery curve whose order is a multiple of 12,
-    in x-only coordinates (X : Z).  Stage 1 multiplies its point by plan.scalar.
+    in x-only coordinates (X : Z).  Stage 1 multiplies its point by plan.scalar, to Q.
     Stage 2 (baby-step giant-step) tests the primes q in (B1, B2] at once, a pair
     k * D +- j by one product: the x-coordinates of k * D * Q and j * Q agree mod a
-    prime p of n exactly when (k * D + j) * Q or (k * D - j) * Q is zero mod p, so
-    the product of the X_k * Z_j - X_j * Z_k has p in its gcd with n.
+    prime p of n exactly when (k * D + j) * Q or (k * D - j) * Q is zero mod p.  The baby
+    steps j * Q come from two chains, j = 1 and j = 5 mod 6, each stepping by 6Q; one batch
+    inversion (Montgomery's trick) brings them and the giant steps to Z = 1, so a pair costs
+    one multiplication by x_k - x_j.  A Z that shares a prime with n is itself a find, and
+    the curve returns gcd(n, the product of the Z's) at once; that product stands for the
+    k = 0 row, whose pairs test only the Z_j.
     """
     u, v = sigma * sigma - 5, 4 * sigma
     den = 16 * u**3 * v
@@ -488,26 +507,46 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     g = gcd(z, n)
     if g > 1:
         return g
-    bx, bz = [x], [z]  # j * Q for the odd j < D / 2 prime to D
     x2, z2 = _xdbl(x, z, a24, n)
-    xp, zp, xj, zj = x, z, *_xadd(x2, z2, x, z, x, z, n)
-    for j in range(3, _ECM_D // 2, 2):
-        if gcd(j, _ECM_D) == 1:
-            bx.append(xj)
-            bz.append(zj)
-        xp, zp, xj, zj = xj, zj, *_xadd(xj, zj, x2, z2, xp, zp, n)
+    x3, z3 = _xadd(x2, z2, x, z, x, z, n)
+    x5, z5 = _xadd(x3, z3, x2, z2, x, z, n)
+    x6, z6 = _xdbl(x3, z3, a24, n)
+    s6, d6 = x6 + z6, x6 - z6
+    # chain a at j = 1 mod 6 and chain b at j = 5 mod 6, each point with the one before it
+    # (-5Q and -Q, whose x are those of 5Q and Q), stepped by _xadd of 6Q written out
+    xa, za, pxa, pza, xb, zb, pxb, pzb = x, z, x5, z5, x5, z5, x, z
+    xs, zs = [xa, xb], [za, zb]
+    for _ in range(len(plan.kept) // 2 - 1):
+        u, v = (xa - za) * s6, (xa + za) * d6
+        xa, za, pxa, pza = pza * (u + v) ** 2 % n, pxa * (u - v) ** 2 % n, xa, za
+        u, v = (xb - zb) * s6, (xb + zb) * d6
+        xb, zb, pxb, pzb = pzb * (u + v) ** 2 % n, pxb * (u - v) ** 2 % n, xb, zb
+        xs += (xa, xb)
+        zs += (za, zb)
+    xs, zs = list(compress(xs, plan.kept)), list(compress(zs, plan.kept))
+    babies = len(xs)
     xg, zg, _, _ = _ladder(_ECM_D, x, z, a24, n)
-    if plan.first:
-        xa, za, xb, zb = _ladder(plan.first, xg, zg, a24, n)
-    else:
-        xa, za, xb, zb = 1, 0, xg, zg  # 0 * D * Q, the point at infinity (1 : 0)
+    start = plan.first or 1  # the k = 0 row is the product of the Z_j
+    rows = plan.steps[start - plan.first :]
+    xa, za, xb, zb = _ladder(start, xg, zg, a24, n)
+    xs += (xa, xb)
+    zs += (za, zb)
+    for _ in range(len(rows) - 2):
+        xa, za, (xb, zb) = xb, zb, _xadd(xb, zb, xg, zg, xa, za, n)
+        xs.append(xb)
+        zs.append(zb)
+    ends = list(accumulate(zs, lambda c, zi: c * zi % n, initial=1))  # ends[i]: prod(zs[:i])
+    g = gcd(ends[-1], n)
+    if g > 1:
+        return g
+    t = pow(ends[-1], -1, n)  # 1 / prod(zs[: i + 1]), from the last i down
+    for i in range(len(zs) - 1, -1, -1):
+        xs[i] = xs[i] * ends[i] % n * t % n
+        t = t * zs[i] % n
     acc = 1
-    for step in plan.steps:
+    for xk, step in zip(xs[babies:], rows):
         for i in step:
-            acc = acc * (xa * bz[i] - bx[i] * za) % n
-        # (k + 2) * D * Q by a differential addition, or by doubling D * Q after (1 : 0)
-        after = _xadd(xb, zb, xg, zg, xa, za, n) if za else _xdbl(xb, zb, a24, n)
-        xa, za, (xb, zb) = xb, zb, after
+            acc = acc * (xk - xs[i]) % n
     return gcd(acc, n)
 
 
@@ -655,6 +694,15 @@ def _smallest_divisors(f: Factorization, stop: int | None = None) -> list[int]:
 
 
 def divisors(f: Factorization | int) -> list[int]:
-    """All divisors of n in ascending order; accepts any integer or a Factorization."""
-    return _smallest_divisors(_as_factorization(f, f))
+    """All divisors of n in ascending order; accepts any integer or a Factorization.
+
+    Raises CapabilityError, before any divisor is built, when n has more than SOLUTION_CAP.
+    """
+    f = _as_factorization(f, f)
+    total = prod(e + 1 for _, e in f.factors)
+    if total > SOLUTION_CAP:
+        raise CapabilityError(
+            f"{f.n} has {total} divisors, above the enumeration cap {SOLUTION_CAP}"
+        )
+    return _smallest_divisors(f)
 

@@ -16,6 +16,7 @@ from math import gcd, prod
 
 from .arith import (
     _BOUND,
+    SOLUTION_CAP,
     SUPPORTED_BOUND,
     Factorization,
     _as_factorization,
@@ -37,7 +38,6 @@ __all__ = [
     "check_korselt_general",
 ]
 
-SOLUTION_CAP = 10**6
 # Candidates 2^l * d + 1 are at most k + 1, so an even k below 2^256 keeps each
 # Miller-Rabin proof to 256 bits.  Without the cap, k = 2^beta alone needs beta / 8
 # proofs of up to beta bits, a time that grows like beta^4.

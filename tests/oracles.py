@@ -241,3 +241,70 @@ def korselt_least_failure(primes: tuple[int, ...]) -> int | None:
     """The least of the distinct primes, whose product is n, with p - 1 not dividing n - 1."""
     n = prod(primes)
     return next((p for p in sorted(primes) if (n - 1) % (p - 1)), None)
+
+
+# The ECM curve as it stood before stage 2 was normalised: the reference that the curve of
+# kunits.arith must split whatever this one splits.  Un-normalised stage 2, baby steps by one
+# chain over every odd j < D / 2; it reads plan.scalar, plan.first and plan.steps of
+# kunits.arith._ecm_plan(B1).
+_ECM_D = 2310
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    s = (x + z) ** 2 % n
+    d = (x - z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(x: int, z: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    u = (x - z) * (xq + zq)
+    v = (x + z) * (xq - zq)
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(m: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
+    x0, z0 = x, z
+    x1, z1 = _xdbl(x, z, a24, n)
+    for bit in bin(m)[3:]:
+        if bit == "1":
+            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
+            x1, z1 = _xdbl(x1, z1, a24, n)
+        else:
+            x1, z1 = _xadd(x1, z1, x0, z0, x, z, n)
+            x0, z0 = _xdbl(x0, z0, a24, n)
+    return x0, z0, x1, z1
+
+
+def reference_ecm_curve(n: int, sigma: int, plan) -> int:
+    """gcd(n, what one curve of ECM found), stage 2 testing X_k * Z_j - X_j * Z_k per pair."""
+    u, v = sigma * sigma - 5, 4 * sigma
+    den = 16 * u**3 * v
+    g = gcd(den, n)
+    if g > 1:
+        return g
+    a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
+    x, z, _, _ = _ladder(plan.scalar, u**3 % n, v**3 % n, a24, n)
+    g = gcd(z, n)
+    if g > 1:
+        return g
+    bx, bz = [x], [z]  # j * Q for the odd j < D / 2 prime to D
+    x2, z2 = _xdbl(x, z, a24, n)
+    xp, zp, xj, zj = x, z, *_xadd(x2, z2, x, z, x, z, n)
+    for j in range(3, _ECM_D // 2, 2):
+        if gcd(j, _ECM_D) == 1:
+            bx.append(xj)
+            bz.append(zj)
+        xp, zp, xj, zj = xj, zj, *_xadd(xj, zj, x2, z2, xp, zp, n)
+    xg, zg, _, _ = _ladder(_ECM_D, x, z, a24, n)
+    if plan.first:
+        xa, za, xb, zb = _ladder(plan.first, xg, zg, a24, n)
+    else:
+        xa, za, xb, zb = 1, 0, xg, zg  # 0 * D * Q, the point at infinity (1 : 0)
+    acc = 1
+    for step in plan.steps:
+        for i in step:
+            acc = acc * (xa * bz[i] - bx[i] * za) % n
+        after = _xadd(xb, zb, xg, zg, xa, za, n) if za else _xdbl(xb, zb, a24, n)
+        xa, za, (xb, zb) = xb, zb, after
+    return gcd(acc, n)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kunits
 from kunits import (
     CapabilityError,
     DomainError,
@@ -61,6 +62,22 @@ class TestIsPrime:
         assert is_prime(2**70 + 249, bound=2**80) in (True, False)
         with pytest.raises(CapabilityError, match=f"supported bound {10**25}$"):
             is_prime(10**25 + 1, bound=10**25)  # the bound is named even past psi_13
+
+    def test_arguments_past_the_fast_path_keep_their_words(self):
+        # n is read before the bound, each by the library's one integer gate
+        words = "primality is defined for n >= 0, got "
+        not_int = "'float' object cannot be interpreted as an integer"
+        for call, message in (
+            (lambda: is_prime(-7), words + "-7"),
+            (lambda: is_prime(-7, bound=0), words + "-7"),
+            (lambda: is_prime(5, bound=0), "bound must be >= 1, got 0"),
+            (lambda: is_prime(2.0), f"{words}2.0: {not_int}"),
+            (lambda: is_prime(5, bound=2.5), f"bound must be >= 1, got 2.5: {not_int}"),
+        ):
+            with pytest.raises(DomainError) as refused:
+                call()
+            assert str(refused.value) == message
+        assert is_prime(True) is False and is_prime(7, bound=True + 6) is True
 
     def test_certified_limit_is_a_hard_gate(self):
         with pytest.raises(CapabilityError) as err:
@@ -339,6 +356,65 @@ class TestFactorize:
             u, v = sigma * sigma - 5, 4 * sigma
             assert max(sympy.primefactors(16 * u**3 * v)) < 1 << 16, sigma
 
+    @pytest.mark.parametrize("b1", [500, 2_000, 11_000])
+    def test_a_curve_is_charged_no_fewer_multiplications_than_it_does(self, b1):
+        # _ecm_curve's work, step by step: a ladder over m is one doubling (5) and 11 per
+        # further bit; 2Q and 6Q by doubling, 3Q and 5Q by addition (6), then one addition
+        # per further j of the two chains; one addition per further giant step; 4 per Z
+        # of the batch inversion and its one inverse; 1 per pair, the k = 0 row left out
+        plan = arith._ecm_plan(b1)
+        start = plan.first or 1
+        rows = plan.steps[start - plan.first :]
+
+        def ladder(m):
+            return 5 + 11 * (m.bit_length() - 1)
+
+        ladders = ladder(plan.scalar) + ladder(arith._ECM_D) + ladder(start)
+        babies = 2 * 5 + 2 * 6 + 6 * (len(plan.kept) - 2)
+        giants = 6 * (len(rows) - 2)
+        inversion = 4 * (sum(plan.kept) + len(rows)) + 1
+        pairs = sum(map(len, rows))
+        assert sum(plan.kept) == 240 and len(plan.kept) == 386
+        assert ladders + babies + giants + inversion + pairs <= plan.cost
+        # the charge itself is the one of every odd j and three multiplications a pair
+        assert (arith._ecm_plan(500).cost, arith._ecm_plan(2_000).cost) == (23_306, 77_377)
+        assert arith._ecm_plan(11_000).cost == 387_138
+
+    def test_the_curve_splits_whatever_the_reference_curve_splits(self):
+        # the curve of un-normalised stage 2 over every odd j, as it stood before, on seeded
+        # products of two primes of 20 to 40 bits: every n it splits, the normalised curve
+        # splits too, and what either returns between 1 and n divides n
+        from oracles import reference_ecm_curve
+
+        rng = random.Random(32)
+
+        def prime(bits):
+            while True:
+                p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+                if is_prime(p):
+                    return p
+
+        gained = 0
+        for b1, count in ((500, 300), (2_000, 20), (11_000, 3)):
+            plan = arith._ecm_plan(b1)
+            for _ in range(count):
+                n = prime(rng.randint(20, 40)) * prime(rng.randint(20, 40))
+                sigma = rng.randrange(6, 188)
+                before = reference_ecm_curve(n, sigma, plan)
+                after = arith._ecm_curve(n, sigma, plan)
+                assert n % before == 0 and n % after == 0, (n, sigma, b1)
+                assert after not in (1, n) or before in (1, n), (n, sigma, b1)
+                gained += after not in (1, n) and before in (1, n)
+        assert gained > 0
+
+    def test_a_curve_whose_z_product_is_zero_mod_n_is_a_miss(self):
+        # a Z of the batch inversion is zero mod both primes of n: the curve returns n,
+        # and the un-normalised curve found both primes at once too
+        from oracles import reference_ecm_curve
+
+        n, plan = 10055579657792821279, arith._ecm_plan(500)
+        assert arith._ecm_curve(n, 9, plan) == n == reference_ecm_curve(n, 9, plan)
+
     def test_one_budget_covers_every_cofactor_of_a_call(self, monkeypatch):
         # the square splits for free into two copies of 1000003 * 1000033, each of which
         # p - 1 splits for its whole cost; past one cost, the second copy is left to rho
@@ -470,6 +546,20 @@ class TestDivisors:
     @given(st.integers(min_value=1, max_value=5000))
     def test_matches_brute_force(self, n):
         assert divisors(n) == brute_divisors(n)
+
+    def test_720720_is_unchanged(self):
+        assert divisors(720720) == brute_divisors(720720)
+        assert len(divisors(720720)) == 240
+
+    def test_more_divisors_than_the_cap_are_refused_before_any_is_built(self, monkeypatch):
+        # the product of the first 20 primes has 2^20 divisors, above SOLUTION_CAP = 10^6
+        primorial = prod(_small_primes()[:20])
+        monkeypatch.setattr(arith, "_smallest_divisors", lambda *args: pytest.fail("built"))
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match=f"^{primorial} has 1048576 divisors, above"):
+            divisors(primorial)
+        assert time.perf_counter() - start < 0.1
+        assert kunits.solver.SOLUTION_CAP is arith.SOLUTION_CAP == 10**6
 
     def test_matches_brute_force_up_to_3000(self):
         for n in range(1, 3001):
