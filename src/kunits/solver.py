@@ -5,8 +5,8 @@ so the solutions are exactly the divisors of n_max, the product of the
 largest p^e with lambda(p^e) | k, and they number prod(e + 1).  For odd
 k, n_max = 2, as lambda(n) is even for n >= 3.  For even k = 2^beta * M
 (M odd) the 2-part is 2^(beta+2), and an odd prime p enters exactly when
-p - 1 = 2^l * d with 0 < l <= beta and d | M, with exponent nu_p(M) + 1:
-A holds the primes with exponent 1 (those not dividing M), B the others.
+p - 1 | k, with exponent nu_p(k) + 1: A holds the primes with exponent 1
+(those not dividing M), B the others.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .arith import (
     _gate,
     _nu2,
     _smallest_divisors,
+    divisors,
     factorize,
 )
 from .errors import CapabilityError, DomainError
@@ -38,7 +39,7 @@ __all__ = [
     "check_korselt_general",
 ]
 
-# Candidates 2^l * d + 1 are at most k + 1, so an even k below 2^256 keeps each
+# Candidates d + 1 are at most k + 1, so an even k below 2^256 keeps each
 # Miller-Rabin proof to 256 bits.  Without the cap, k = 2^beta alone needs beta / 8
 # proofs of up to beta bits, a time that grows like beta^4.
 _CANDIDATE_BITS = 256
@@ -72,39 +73,34 @@ class RduOneSolution:
 def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
     """Solve rdu_k(n) = 1 in closed form.
 
-    Candidates 2^l * d + 1 (d | M ascending, l = 1..beta, each arising
-    once) are kept when prime, with their exponent in n_max; n_max, the
-    count, A and B are all read from this one sorted list of the largest
-    p^e with lambda(p^e) | k.  A composite candidate is ruled out at any
-    size; a probable prime at or above the certified Miller-Rabin limit
-    psi_13 raises CapabilityError, as does an even k of more than
-    _CANDIDATE_BITS bits, which would have candidates that long.
+    The candidates are d + 1 for the even divisors d of k, walked ascending
+    from ``divisors``, and each candidate p that is prime enters n_max with
+    exponent nu_p(k) + 1; n_max, the count, A and B are all read from this
+    one list of the largest p^e with lambda(p^e) | k.  A composite candidate is ruled
+    out at any size.  CapabilityError refuses an even k of more than
+    _CANDIDATE_BITS bits, which would have candidates that long, a k of more
+    than SOLUTION_CAP divisors, before any is built, and the least probable
+    prime candidate at or above the certified Miller-Rabin limit psi_13.
     """
     k = _gate("solve_rdu_one requires k >= 1, got {}", 1, k)
     bound = _gate(_BOUND, 1, bound)
-    if k % 2:
-        return RduOneSolution(
-            k=k, k_parity="odd", beta=0, m=k, set_a=(), set_b=(), n_max=2, count=2
-        )
-    if k.bit_length() > _CANDIDATE_BITS:
-        raise CapabilityError(
-            f"cannot solve for a k of {k.bit_length()} bits: solve_rdu_one proves "
-            f"candidates 2^l * d + 1 of at most {_CANDIDATE_BITS} bits"
-        )
     beta = _nu2(k)
     m = k >> beta
-    fm = factorize(m, bound=bound)
-    nu = dict(fm.factors)
-    pairs = [(2, beta + 2)]
-    for d in _smallest_divisors(fm):
-        for l in range(1, beta + 1):
-            c = (1 << l) * d + 1
-            if _certified_prime(c):
-                pairs.append((c, nu.get(c, 0) + 1))
-    pairs.sort()
+    pairs = [(2, beta + 2 if beta else 1)]
+    if beta:
+        if k.bit_length() > _CANDIDATE_BITS:
+            raise CapabilityError(
+                f"cannot solve for a k of {k.bit_length()} bits: solve_rdu_one proves "
+                f"candidates d + 1 (d | k) of at most {_CANDIDATE_BITS} bits"
+            )
+        fm = factorize(m, bound=bound)
+        nu = dict(fm.factors)
+        for d in divisors(Factorization._from_sorted(k, ((2, beta), *fm.factors))):
+            if d % 2 == 0 and _certified_prime(d + 1):
+                pairs.append((d + 1, nu.get(d + 1, 0) + 1))
     return RduOneSolution(
         k=k,
-        k_parity="even",
+        k_parity="even" if beta else "odd",
         beta=beta,
         m=m,
         set_a=tuple(p for p, e in pairs[1:] if e == 1),

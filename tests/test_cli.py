@@ -283,6 +283,14 @@ class TestSolve:
         assert (code, out) == (3, "")
         assert "a k of 4001 bits" in err and "at most 256 bits" in err
 
+    def test_k_of_more_divisors_than_the_cap_exits_3_at_once(self, capsys):
+        # k is below psi_13; its 1,572,864 divisors are refused before any is built
+        k = 3284987174500756508784000
+        with deadline(5):
+            code, out, err = run(capsys, "solve", "--k", str(k))
+        assert (code, out) == (3, "")
+        assert err == f"capability error: {k} has 1572864 divisors, above the enumeration cap 1000000\n"
+
     def test_composite_candidate_past_psi13_is_answered(self, capsys):
         # 3 * 2**80 + 1, the one candidate past the limit, is composite
         code, out, _ = run(capsys, "solve", "--k", str(3 * 2**80))

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from math import isqrt, lcm, prod
@@ -26,6 +27,20 @@ from kunits import (
 )
 
 from oracles import brute_divisors, brute_rdu_is_one, scan_k_units
+from test_cli import deadline
+
+
+def _wide_ks(seed: int, count: int) -> list[int]:
+    """Seeded even k below 2^80 with 8 to 12 odd primes: thousands of divisors d of k,
+    each d + 1 a candidate of the solver's walk."""
+    rng = random.Random(seed)
+    odd = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+    ks = []
+    while len(ks) < count:
+        k = 2 ** rng.randint(1, 4) * prod(rng.sample(odd, rng.randint(8, 12)))
+        if k < 2**80:
+            ks.append(k)
+    return ks
 
 
 class TestSolveRduOne:
@@ -180,10 +195,43 @@ class TestSolveRduOne:
             assert set(sol.set_a) | {q for q, _ in sol.set_b} == odd, k
 
     def test_candidate_above_the_certified_limit_is_refused(self):
-        # 9 * 2**81 + 1 is a prime above the Miller-Rabin limit, whatever the bound
-        for bound in (kunits.SUPPORTED_BOUND, 10**30):
-            with pytest.raises(CapabilityError, match="3317044064679887385961981"):
-                solve_rdu_one(9 * 2**81, bound=bound)
+        # each named candidate is a prime above the Miller-Rabin limit, whatever the bound;
+        # the walk is ascending, so it is the least such candidate (both checked with sympy)
+        for k, least in (
+            (9 * 2**81, 9 * 2**81 + 1),
+            (2**200 * 3**3 * 5 * 7 * 11 * 13, 3323734347200987010170881),
+        ):
+            words = f"^{least} is a probable prime at or beyond the certified bound 3317044064679887385961981$"
+            for bound in (kunits.SUPPORTED_BOUND, 10**30):
+                with pytest.raises(CapabilityError, match=words):
+                    solve_rdu_one(k, bound=bound)
+
+    @pytest.mark.parametrize(
+        "k, count",
+        [
+            (prod(p for p in range(2, 72) if is_prime(p)), 2**20),
+            (prod(p for p in range(2, 128) if is_prime(p)), 2**31),
+            (3284987174500756508784000, 1_572_864),  # below psi_13
+        ],
+    )
+    def test_k_of_more_divisors_than_the_cap_is_refused_at_once(self, k, count):
+        # the walk takes its candidates from divisors(k), which refuses the list before
+        # building any of it, so no candidate is tested
+        words = f"{k} has {count} divisors, above the enumeration cap {kunits.SOLUTION_CAP}"
+        with deadline(5):
+            with pytest.raises(CapabilityError, match=words):
+                solve_rdu_one(k)
+            with pytest.raises(CapabilityError, match=words):
+                enumerate_rdu_one_solutions(k, limit=5)
+
+    def test_the_divisor_cap_bounds_the_walk(self, monkeypatch):
+        # 720720 = 2^4 * 3^2 * 5 * 7 * 11 * 13 has 240 divisors
+        expected = solve_rdu_one(720720)
+        monkeypatch.setattr(kunits.arith, "SOLUTION_CAP", 240)
+        assert solve_rdu_one(720720) == expected
+        monkeypatch.setattr(kunits.arith, "SOLUTION_CAP", 239)
+        with pytest.raises(CapabilityError, match="720720 has 240 divisors, above the enumeration cap 239"):
+            solve_rdu_one(720720)
 
     def test_k_past_the_candidate_cap_is_refused_before_factoring(self, monkeypatch):
         # 2**255 has candidates of up to 256 bits; 2**256 and 3 * 2**4000 would have longer ones
@@ -194,9 +242,10 @@ class TestSolveRduOne:
                 solve_rdu_one(k)
         assert solve_rdu_one(2**4000 + 1).count == 2  # an odd k has no candidates
 
-    @pytest.mark.parametrize("k", [3 * 2**80, 2**100])
+    @pytest.mark.parametrize("k", [3 * 2**80, 2**100, *_wide_ks(33, 3)])
     def test_composite_candidates_above_the_certified_limit_are_ruled_out(self, k):
-        # every candidate from psi_13 on is composite, so each k is answered
+        # every candidate from psi_13 on is composite, so each k is answered; the seeded
+        # k below 2^80 have no candidate that large, but thousands of divisors to walk
         sympy = pytest.importorskip("sympy")
         exponents = {
             p: max(
