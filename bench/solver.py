@@ -8,6 +8,12 @@ per call of ``solve_rdu_one(k)`` (``time.thread_time``; median and quartiles, in
 from one more call, made with ``solver._certified_prime`` wrapped in this process; the
 library is not changed for it, and the timed calls run unwrapped.
 
+The ``enumerate_us`` block times ``solve --enumerate --json``'s list for k = 720 (the k of
+perfbench's ``bulk_output``), 2^61 (whose solutions straddle 2^63) and 2^100 (n_max past
+2^126): ``solver._solutions`` of the solved k, then ``cli._write_ints`` of its values into
+a sink in memory.  Each row carries the solutions listed, and the bytes written with their
+SHA-256, from one more call.
+
 ``--against SRC`` loads a second tree's package from its ``src`` directory (say, a
 ``git archive`` of the parent commit) and runs every k on both trees, alternating which
 goes first; each row then carries the ratio of this tree's median to the other's.  Equal
@@ -17,6 +23,9 @@ counts on both sides show that the two trees do the same work.  Standard library
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import importlib
 import json
 import sys
 import time
@@ -47,6 +56,34 @@ def counted(solver, k: int) -> dict[str, int]:
     return counts
 
 
+ENUMERATED_KS = (720, 2**61, 2**100)
+
+
+class Sink:
+    """A stdout that keeps only the bytes written, or also their SHA-256."""
+
+    def __init__(self, digest: bool = False):
+        self.bytes = 0
+        self.sha256 = hashlib.sha256() if digest else None
+
+    def write(self, text: str) -> None:
+        self.bytes += len(text)
+        if self.sha256 is not None:
+            self.sha256.update(text.encode("ascii"))
+
+
+def enumerate_once(solver, cli, sol, sink: Sink) -> int:
+    """Lists sol's solutions as ``solve --enumerate --json`` writes them into sink; their count.
+
+    A tree whose ``_solutions`` gives one list writes it alone.
+    """
+    parts = solver._solutions(sol, None)
+    parts = parts if isinstance(parts, tuple) else (parts,)
+    with contextlib.redirect_stdout(sink):
+        cli._write_ints(*parts[:1], '"', ", ", *parts[1:])
+    return sum(map(len, parts))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true", help="5 calls per k, in about a second")
@@ -56,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.against:
         trees["against"] = load(args.against.resolve(), "kunits_against")
     solvers = {side: sys.modules[f"{package.__name__}.solver"] for side, package in trees.items()}
+    clis = {side: importlib.import_module(f"{package.__name__}.cli") for side, package in trees.items()}
     repeats = 5 if args.quick else 41
     report: dict = {"repeats": repeats, "quick": args.quick, "solve_us": {}}
     for k in HIGHLY_COMPOSITE_KS:
@@ -69,6 +107,24 @@ def main(argv: list[str] | None = None) -> int:
         if args.against:
             row["ratio"] = round(row["tree"]["median"] / row["against"]["median"], 4)
         report["solve_us"][str(k)] = row
+    report["enumerate_us"] = {}
+    for k in ENUMERATED_KS:
+        sols = {side: solvers[side].solve_rdu_one(k) for side in trees}
+        times = {side: [] for side in trees}
+        for i in range(repeats):
+            for side in sorted(trees, reverse=i % 2 == 1):
+                start = time.thread_time()
+                enumerate_once(solvers[side], clis[side], sols[side], Sink())
+                times[side].append((time.thread_time() - start) * 1e6)
+        row = {}
+        for side in trees:
+            sink = Sink(digest=True)
+            listed = enumerate_once(solvers[side], clis[side], sols[side], sink)
+            written = {"solutions": listed, "bytes": sink.bytes, "sha256": sink.sha256.hexdigest()}
+            row[side] = {**quartiles(times[side]), **written}
+        if args.against:
+            row["ratio"] = round(row["tree"]["median"] / row["against"]["median"], 4)
+        report["enumerate_us"][str(k)] = row
     print(json.dumps(report, indent=2))
     return 0
 

@@ -5,7 +5,11 @@ subcommand accepts --json (one canonical object, keys sorted, integers as
 decimal strings so 64-bit consumers never overflow) and --bound N >= 1,
 the factorization bound (for units, the enumeration bound); sweep also
 accepts --csv.  units and solve --enumerate write their long list as they
-go, in the same bytes as the whole object or line would be.
+go, in the same bytes as the whole object or line would be: the k-units
+from one int64 array, the solutions in the two parts of
+``solver._solutions``, an int64 array of those below 2^63 and a list of
+the Python ints at or above it (n_max // d for the divisors d <= n_max >> 63
+while n_max < 2^126).
 
 Exit codes: 0 success or match, 1 predicate mismatch (oeis-check, the
 units --oracle check), 2 usage or parse errors, 3 capability errors.
@@ -76,49 +80,53 @@ def _emit_json(
     command: str,
     inputs: dict,
     result: dict,
-    streamed: tuple[str, list[int] | np.ndarray] | None = None,
+    streamed: tuple[str, np.ndarray, Sequence[int]] | None = None,
 ) -> None:
     """Print ``json.dumps(obj, sort_keys=True)`` of the command's object.
 
     ``streamed`` names one more list of ints in ``result`` and gives its
-    values, which ``_write_ints`` writes between the list's brackets.
+    values in two parts, an int64 array and the ints after it (the
+    ``solve`` solutions at or above 2^63, read off the array while
+    n_max < 2^126), which ``_write_ints`` writes between the list's
+    brackets.
     """
     obj = {"command": command, "input": _jsonable(inputs), "result": _jsonable(result)}
     if streamed is None:
         print(json.dumps(obj, sort_keys=True))
         return
-    key, values = streamed
+    key, values, rest = streamed
     obj["result"][key] = _PLACEHOLDER
     head, tail = json.dumps(obj, sort_keys=True).split(json.dumps(_PLACEHOLDER))
     sys.stdout.write(head + "[")
-    _write_ints(values, '"', ", ")
+    _write_ints(values, '"', ", ", rest)
     sys.stdout.write("]" + tail + "\n")
 
 
-def _write_ints(values: list[int] | np.ndarray, quote: str, sep: str) -> None:
-    """Write the values in decimal, each in quotes, separated by sep, one
-    slice of ``_SLICE`` values per write.
+def _write_ints(values: np.ndarray, quote: str, sep: str, rest: Sequence[int] = ()) -> None:
+    """Write the int64 values, then the ints of ``rest``, in decimal, each
+    in quotes, separated by sep, one slice of ``_SLICE`` values per write.
 
-    An int64 array of ascending non-negative values (the ``units``
-    residues) is turned into text by ``_decimal_text`` without a str per
-    value; any other array, which only a wrong construction gives
-    (``units --oracle`` reports it), is written as a list.  A list of
-    ascending ints is joined from one str each: the ``solve`` solutions,
-    whose values go past 2^63 and, as n_max, past the int-to-str digit
-    limit.  Its last value picks the route of ``_decimal`` for all.
+    Ascending non-negative values (the ``units`` residues, or the
+    ``solve`` solutions below 2^63) are turned into text by
+    ``_decimal_text`` without a str per value; any other array, which only
+    a wrong construction gives (``units --oracle`` reports it), is written
+    as part of ``rest``.  ``rest`` (the ``solve`` solutions at or above
+    2^63: n_max // d for the int64 divisors d <= n_max >> 63 while
+    n_max < 2^126, and from ``_smallest_divisors`` past that) is
+    joined from one str per value; its last value picks the route of
+    ``_decimal`` for all, as n_max can pass the int-to-str digit limit.
     """
-    if not isinstance(values, list) and (
-        (values[:1] < 0).any() or (values[1:] < values[:-1]).any()
-    ):
-        values = values.tolist()
+    if (values[:1] < 0).any() or (values[1:] < values[:-1]).any():
+        values, rest = values[:0], [*values.tolist(), *rest]
+    text_of = _decimal(rest[-1]) if rest else str
     inner = quote + sep + quote
-    text_of = _decimal(values[-1]) if isinstance(values, list) and values else str
-    for i in range(0, len(values), _SLICE):
-        part = values[i : i + _SLICE]
-        if isinstance(part, list):
-            text = quote + inner.join(map(text_of, part)) + quote
-        else:
+    parts = [values[i : i + _SLICE] for i in range(0, len(values), _SLICE)]
+    parts += [rest[i : i + _SLICE] for i in range(0, len(rest), _SLICE)]
+    for i, part in enumerate(parts):
+        if isinstance(part, np.ndarray):
             text = _decimal_text(part, quote, sep)
+        else:
+            text = quote + inner.join(map(text_of, part)) + quote
         sys.stdout.write(sep + text if i else text)
 
 
@@ -217,7 +225,7 @@ def _cmd_units(args: argparse.Namespace) -> int:
     for mismatch in mismatches:
         print(f"oracle mismatch: {mismatch}", file=sys.stderr)
     if args.json:
-        _emit_json("units", {"n": args.n, "k": args.k}, result, ("residues", units))
+        _emit_json("units", {"n": args.n, "k": args.k}, result, ("residues", units, ()))
     else:
         _write_ints(units, "", " ")
         print()
@@ -256,7 +264,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise DomainError("--limit requires --enumerate")
     sol = solve_rdu_one(args.k, bound=args.bound)
     solutions = _solutions(sol, args.limit) if args.enumerate else None
-    truncated = solutions is not None and len(solutions) < sol.count
+    listed = sum(map(len, solutions or ()))
+    truncated = solutions is not None and listed < sol.count
     if args.json:
         result: dict[str, Any] = {
             "parity": sol.k_parity,
@@ -271,7 +280,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             _emit_json("solve", {"k": args.k}, result)
         else:
             result["truncated"] = truncated
-            _emit_json("solve", {"k": args.k}, result, ("solutions", solutions))
+            _emit_json("solve", {"k": args.k}, result, ("solutions", *solutions))
     else:
         rows = [
             ("k", sol.k),
@@ -286,10 +295,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         _emit_table(rows)
         if solutions is not None:
             sys.stdout.write("solutions  ")
-            _write_ints(solutions, "", " ")
+            low, high = solutions
+            _write_ints(low, "", " ", high)
             print()
             if truncated:
-                print(f"... truncated to {len(solutions)} of {_text(sol.count)}")
+                print(f"... truncated to {listed} of {_text(sol.count)}")
     return 0
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
+import numpy as np
+
 from .arith import (
     _BOUND,
     SOLUTION_CAP,
@@ -29,6 +31,7 @@ from .arith import (
 )
 from .errors import CapabilityError, DomainError
 from .classify import _rdu_one
+from .unitgroup import _INT64_MAX
 
 __all__ = [
     "SOLUTION_CAP",
@@ -123,11 +126,21 @@ def enumerate_rdu_one_solutions(
     count or the limit whichever is smaller, since the count grows
     exponentially in |A|.
     """
-    return _solutions(solve_rdu_one(k, bound=bound), limit)
+    low, high = _solutions(solve_rdu_one(k, bound=bound), limit)
+    return low.tolist() + high
 
 
-def _solutions(sol: RduOneSolution, limit: int | None) -> list[int]:
-    """``enumerate_rdu_one_solutions`` from a solution already solved."""
+def _solutions(sol: RduOneSolution, limit: int | None) -> tuple[np.ndarray, list[int]]:
+    """``enumerate_rdu_one_solutions`` from a solution already solved, in two
+    parts, each ascending: an int64 array of the solutions below 2^63, from
+    ``_int64_divisors``, and a list of the Python ints at or above 2^63.
+
+    While n_max < 2^126, a divisor D >= 2^63 is n_max // d for a divisor
+    d <= n_max >> 63 < 2^63, so the list is read off the array.  A larger
+    n_max has divisor pairs with both members past 2^63; when the limit
+    reaches past the array, its list comes from ``_smallest_divisors`` in
+    Python ints.  The cap is checked before either part is built.
+    """
     if limit is not None:
         limit = _gate("limit must be >= 0, got {}", 0, limit)
     if sol.count > SOLUTION_CAP and (limit is None or limit > SOLUTION_CAP):
@@ -135,7 +148,34 @@ def _solutions(sol: RduOneSolution, limit: int | None) -> list[int]:
             f"rdu_{sol.k}(n) = 1 has {sol.count} solutions, above the enumeration "
             f"cap {SOLUTION_CAP}; pass a limit of at most {SOLUTION_CAP} to truncate"
         )
-    return _smallest_divisors(sol.n_max_factorization(), limit)
+    f = sol.n_max_factorization()
+    low = _int64_divisors(f, limit)
+    room = None if limit is None else limit - len(low)
+    if room == 0:
+        return low, []
+    top = sol.n_max >> 63
+    if top > _INT64_MAX:
+        return low, _smallest_divisors(f, limit)[len(low) :]
+    cofactors = low[: np.searchsorted(low, top, side="right")][::-1][:room]
+    return low, [sol.n_max // d for d in cofactors.tolist()]
+
+
+def _int64_divisors(f: Factorization, stop: int | None) -> np.ndarray:
+    """The ``stop`` smallest divisors of f.n below 2^63 ascending (all when
+    stop is None), as ``_smallest_divisors`` builds them, in int64.
+
+    The run of d*p^j takes the d <= (2^63 - 1) // p^j, a prefix of the
+    ascending divisors so far, so nothing wraps and a p^j past 2^63 adds
+    no run.  The stable sort merges the sorted runs (Timsort).
+    """
+    out = np.ones(1, dtype=np.int64)[:stop]
+    for p, e in f.factors:
+        powers = [p**j for j in range(1, e + 1)]
+        fits = np.searchsorted(out, [_INT64_MAX // q for q in powers], side="right").tolist()
+        out = np.concatenate([out, *(out[:n] * q for n, q in zip(fits, powers) if n)])
+        out.sort(kind="stable")
+        out = out[:stop]
+    return out
 
 
 def is_rdu_one(n: Factorization | int, k: int) -> bool:

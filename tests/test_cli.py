@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 import kunits
 import kunits.cli as cli_module
+from kunits.arith import _smallest_divisors
 from kunits.cli import _decimal_text, _write_ints, main
 
 from oracles import (
@@ -992,10 +993,12 @@ def _units_reference(n, k, oracle, as_json):
     return text
 
 
-def _solve_reference(capsys, k, limit, as_json):
-    """solve --enumerate output as the whole-list construction writes it."""
+def _solve_reference(capsys, k, limit, as_json, solutions=None):
+    """solve --enumerate output as the whole-list construction writes it, from
+    one str per value of the Python-int divisors of n_max."""
     sol = kunits.solve_rdu_one(k)
-    solutions = kunits.enumerate_rdu_one_solutions(k, limit=limit)
+    if solutions is None:
+        solutions = _smallest_divisors(sol.n_max_factorization(), limit)
     truncated = len(solutions) < sol.count
     if as_json:
         result = {
@@ -1047,6 +1050,14 @@ class _Writes:
         self.parts.append(text)
 
 
+_NO_INT64 = np.array([], dtype=np.int64)
+
+
+def _as_int64_or_rest(values):
+    """The ways to hand values to _write_ints: all in the array, or all in the rest."""
+    return [(np.array(values, dtype=np.int64), ()), (_NO_INT64, values)]
+
+
 class TestWriteInts:
     VALUES = [0, 9, 10, 99, 100, 3037000499, 2**63 - 1, 5]
 
@@ -1054,13 +1065,16 @@ class TestWriteInts:
     def test_arrays_and_lists_write_the_same_text(self, capsys, quote, sep):
         for values in (self.VALUES, self.VALUES[::-1], []):
             expected = sep.join(quote + str(v) + quote for v in values)
-            for given in (values, np.array(values, dtype=np.int64)):
-                _write_ints(given, quote, sep)
-                assert capsys.readouterr().out == expected, given
+            for given, rest in _as_int64_or_rest(values):
+                _write_ints(given, quote, sep, rest)
+                assert capsys.readouterr().out == expected, (given, rest)
 
     def test_lists_take_ints_past_int64(self, capsys):
-        _write_ints([2**63, 3, 127589793288205521873600], '"', ", ")
+        _write_ints(_NO_INT64, '"', ", ", [2**63, 3, 127589793288205521873600])
         assert capsys.readouterr().out == '"9223372036854775808", "3", "127589793288205521873600"'
+        # the solve solutions: the int64 part, then the rest
+        _write_ints(np.array([1, 2**63 - 1], dtype=np.int64), '"', ", ", [2**63])
+        assert capsys.readouterr().out == '"1", "9223372036854775807", "9223372036854775808"'
 
     @pytest.mark.parametrize("quote, sep", [('"', ", "), ("", " ")])
     def test_slices_join_with_one_separator(self, monkeypatch, quote, sep):
@@ -1069,13 +1083,36 @@ class TestWriteInts:
         for size in range(len(self.VALUES) + 1):
             values = self.VALUES[:size]
             texts = [quote + str(v) + quote for v in values]
-            for given in (values, np.array(values, dtype=np.int64)):
+            for given, rest in _as_int64_or_rest(values):
                 writes = _Writes()
                 monkeypatch.setattr(cli_module, "sys", SimpleNamespace(stdout=writes))
-                _write_ints(given, quote, sep)
+                _write_ints(given, quote, sep, rest)
                 slices = [sep.join(texts[i : i + 3]) for i in range(0, size, 3)]
                 assert writes.parts == slices[:1] + [sep + s for s in slices[1:]], given
                 assert "".join(writes.parts) == sep.join(texts)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+    def test_the_rest_passes_the_int_str_digit_limit(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            _write_ints(np.array([1], dtype=np.int64), "", " ", [2**63, 10**5000 + 1])
+            out = capsys.readouterr().out
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert out == "1 9223372036854775808 1" + "0" * 4999 + "1"
+
+    @pytest.mark.parametrize("quote, sep", [('"', ", "), ("", " ")])
+    def test_the_rest_starts_a_slice_of_its_own(self, monkeypatch, quote, sep):
+        monkeypatch.setattr(cli_module, "_SLICE", 3)
+        low, high = [1, 2, 3, 4], [2**63, 2**64]
+        writes = _Writes()
+        monkeypatch.setattr(cli_module, "sys", SimpleNamespace(stdout=writes))
+        _write_ints(np.array(low, dtype=np.int64), quote, sep, high)
+        texts = [quote + str(v) + quote for v in low + high]
+        joined = [sep.join(texts[:3]), sep + texts[3], sep + sep.join(texts[4:])]
+        assert writes.parts == joined
 
 
 _TEXT_STYLES = [('"', ", "), ("", " ")]  # units --json, plain units
@@ -1183,12 +1220,46 @@ class TestStreamedOutput:
             assert (code, err) == (0, ""), argv
             assert out == _units_reference(n, k, True, as_json), argv
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 10, 252, 720])
+    @pytest.mark.parametrize(
+        "k",
+        [1, 2, 3, 10, 12, 24, 252, 720, 5040, 720720]
+        + [2**60, 2**61, 2**64 + 12, 2**92, 2**93, 2**100],
+    )
     def test_solve_matches_the_whole_list_output(self, capsys, k):
-        for limit, as_json in product((None, 0, 5), (False, True)):
-            argv = ["solve", "--k", str(k), "--enumerate"]
-            argv += ["--limit", str(limit)] * (limit is not None) + ["--json"] * as_json
-            expected = _solve_reference(capsys, k, limit, as_json)
+        # perfbench's SOLVABLE_KS, two highly composite k, both sides of 2^63, the
+        # prime 2^64 + 13 in n_max and n_max on both sides of 2^126, at every limit
+        # that moves a boundary
+        sol = kunits.solve_rdu_one(k)
+        cap = kunits.SOLUTION_CAP
+        everything = _smallest_divisors(sol.n_max_factorization(), min(sol.count, cap))
+        below = sum(d < 2**63 for d in everything)
+        limits = (None, 0, 1, 5, 7, below, sol.count - 1, sol.count, sol.count + 1, 10**6)
+        for limit in dict.fromkeys(limits):
+            argv = ["solve", "--k", str(k), "--enumerate"] + ["--limit", str(limit)] * (
+                limit is not None
+            )
+            if sol.count > cap and (limit is None or limit > cap):
+                for extra in ([], ["--json"]):
+                    assert run(capsys, *argv, *extra)[:2] == (3, ""), argv
+                continue
+            for as_json in (False, True):
+                expected = _solve_reference(capsys, k, limit, as_json, everything[:limit])
+                code, out, err = run(capsys, *argv, *["--json"] * as_json)
+                assert (code, err) == (0, ""), argv
+                assert out == expected, (argv, as_json)
+
+    @pytest.mark.parametrize("k", [720, 2**61])
+    def test_solve_writes_the_int64_part_without_python_ints(self, capsys, monkeypatch, k):
+        real = cli_module._solutions
+
+        def no_python_ints(sol, limit):
+            low, high = real(sol, limit)
+            return low.view(_NoPythonInts), high
+
+        monkeypatch.setattr(cli_module, "_solutions", no_python_ints)
+        for as_json in (False, True):
+            argv = ["solve", "--k", str(k), "--enumerate"] + ["--json"] * as_json
+            expected = _solve_reference(capsys, k, None, as_json)
             code, out, err = run(capsys, *argv)
             assert (code, err) == (0, ""), argv
             assert out == expected, argv
@@ -1256,6 +1327,21 @@ class TestStreamedOutput:
         values = obj["result"].get("residues", obj["result"].get("solutions"))
         assert obj["result"]["count"] == str(len(values))
         assert peak < limit_mb * 2**20
+
+
+    def test_solve_720_peak_memory(self):
+        # the solutions below 2^63 are held as int64, and only the 1647 above
+        # as Python ints: 5.3 MB traced, against 16.6 MB for one int and one
+        # str per solution
+        with open(os.devnull, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                code = main(["solve", "--k", "720", "--enumerate", "--json"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
 
 
 # The CLI contract fuzzer: edge numbers of every command, plain, --json and --csv.

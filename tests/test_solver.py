@@ -5,6 +5,7 @@ import sys
 from math import isqrt, lcm, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from kunits import (
     k_unit_stats,
     solve_rdu_one,
 )
+from kunits.arith import _smallest_divisors
 
 from oracles import brute_divisors, brute_rdu_is_one, scan_k_units
 from test_cli import deadline
@@ -350,6 +352,97 @@ class TestEnumerateSolutions:
     def test_negative_limit_rejected(self):
         with pytest.raises(DomainError):
             enumerate_rdu_one_solutions(2, limit=-1)
+
+
+# perfbench's SOLVABLE_KS, two highly composite k, the int64 edge (2^61's n_max
+# has the solution 2^63), a prime of n_max past 2^63 (2^64 + 13), and the route
+# switch: n_max = 2^94 (2^32 - 1) < 2^126 for 2^92, twice that for 2^93, and
+# past 2^126 for 2^100
+_ENUMERATED_KS = (
+    *(2, 12, 24, 252, 720, 5040, 720720),
+    *(2**60, 2**61, 2**64 + 12, 2**92, 2**93, 2**100),
+)
+
+
+def _two_parts(k, limit):
+    """_solutions of k in its two parts, each checked against 2^63."""
+    low, high = kunits.solver._solutions(solve_rdu_one(k), limit)
+    assert low.dtype == np.int64
+    assert all(d < 2**63 for d in low.tolist()) and all(d >= 2**63 for d in high)
+    return low.tolist() + high
+
+
+class TestTwoPartSolutions:
+    def test_matches_the_python_int_divisors_for_k_to_2000(self):
+        for k in range(1, 2001):
+            sol = solve_rdu_one(k)
+            if sol.count <= kunits.SOLUTION_CAP:
+                assert _two_parts(k, None) == _smallest_divisors(sol.n_max_factorization()), k
+
+    @pytest.mark.parametrize("k", _ENUMERATED_KS)
+    def test_every_limit_matches_the_python_int_divisors(self, k):
+        sol = solve_rdu_one(k)
+        f = sol.n_max_factorization()
+        for limit in (0, 1, 7, sol.count - 1, sol.count, sol.count + 1, 10**6):
+            if sol.count > kunits.SOLUTION_CAP and limit > kunits.SOLUTION_CAP:
+                with pytest.raises(CapabilityError):
+                    _two_parts(k, limit)
+            else:
+                assert _two_parts(k, limit) == _smallest_divisors(f, limit), (k, limit)
+
+    def test_the_int64_edge(self):
+        assert 2**63 not in _two_parts(2**60, None)
+        assert solve_rdu_one(2**61).n_max % 2**63 == 0
+        low, high = kunits.solver._solutions(solve_rdu_one(2**61), None)
+        assert low[-1] < 2**63 == high[0]
+        # a prime of n_max past 2^63 adds no run to the int64 part
+        assert 2**64 + 13 in solve_rdu_one(2**64 + 12).set_a
+        assert _two_parts(2**64 + 12, None)[-1] == solve_rdu_one(2**64 + 12).n_max
+        # n_max >= 2^126 takes the Python-int route, split at the same place
+        assert solve_rdu_one(2**92).n_max < 2**126 <= solve_rdu_one(2**93).n_max
+        for k in (2**93, 2**100):
+            low, high = kunits.solver._solutions(solve_rdu_one(k), None)
+            assert low[-1] < 2**63 <= high[0]
+
+    def test_the_int64_builder_reaches_2_63_minus_1(self):
+        # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657 is the last run's
+        # d * p for d = (2^63 - 1) // p exactly
+        for n in (2**63 - 1, 2 * (2**63 - 1)):
+            f = factorize(n)
+            below = [d for d in divisors(f) if d < 2**63]
+            assert kunits.solver._int64_divisors(f, None).tolist() == below, n
+
+    @pytest.mark.parametrize("k", [720, 2**61, 2**93, 2**100])
+    def test_a_limit_that_ends_at_the_last_int64_value(self, k):
+        sol = solve_rdu_one(k)
+        everything = _smallest_divisors(sol.n_max_factorization())
+        below = sum(d < 2**63 for d in everything)
+        assert 0 < below < sol.count
+        for limit in (below - 1, below, below + 1):
+            low, high = kunits.solver._solutions(sol, limit)
+            assert (len(low), len(high)) == (min(limit, below), limit - min(limit, below))
+            assert low.tolist() + high == everything[:limit], limit
+
+    def test_the_library_list_holds_python_ints(self):
+        for k in (720, 2**61, 2**100):
+            assert all(type(d) is int for d in enumerate_rdu_one_solutions(k)), k
+
+    def test_agrees_with_sympy_divisors(self):
+        sympy = pytest.importorskip("sympy")
+        for k in (12, 720, 2**60, 2**61, 2**100):
+            n_max = solve_rdu_one(k).n_max
+            assert enumerate_rdu_one_solutions(k) == sympy.divisors(n_max), k
+
+    def test_the_cap_refuses_before_any_divisor_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a divisor list was built")
+
+        monkeypatch.setattr(kunits.solver, "_int64_divisors", refuse)
+        monkeypatch.setattr(kunits.solver, "_smallest_divisors", refuse)
+        with pytest.raises(CapabilityError):
+            enumerate_rdu_one_solutions(720720)
+        with pytest.raises(CapabilityError):
+            enumerate_rdu_one_solutions(720720, limit=kunits.SOLUTION_CAP + 1)
 
 
 class TestIsRduOne:
