@@ -9,10 +9,11 @@ from one more call, made with ``solver._certified_prime`` wrapped in this proces
 library is not changed for it, and the timed calls run unwrapped.
 
 The ``enumerate_us`` block times ``solve --enumerate --json``'s list for k = 720 (the k of
-perfbench's ``bulk_output``), 2^61 (whose solutions straddle 2^63) and 2^100 (n_max past
-2^126): ``solver._solutions`` of the solved k, then ``cli._write_ints`` of its values into
-a sink in memory.  Each row carries the solutions listed, and the bytes written with their
-SHA-256, from one more call.
+perfbench's ``bulk_output``), 2^61 (whose solutions straddle 2^63), 2^100 (whose
+solutions past 2^63 include products of two others past it) and, truncated by
+``--limit 100000``, 720720: ``solver._solutions`` of the solved k, then
+``cli._write_ints`` of its values into a sink in memory.  Each row carries the solutions
+listed, and the bytes written with their SHA-256, from one more call.
 
 ``--against SRC`` loads a second tree's package from its ``src`` directory (say, a
 ``git archive`` of the parent commit) and runs every k on both trees, alternating which
@@ -56,7 +57,8 @@ def counted(solver, k: int) -> dict[str, int]:
     return counts
 
 
-ENUMERATED_KS = (720, 2**61, 2**100)
+# (k, limit); a row's key is k, or "k/limit" for a truncated list
+ENUMERATED = ((720, None), (2**61, None), (2**100, None), (720720, 10**5))
 
 
 class Sink:
@@ -72,12 +74,13 @@ class Sink:
             self.sha256.update(text.encode("ascii"))
 
 
-def enumerate_once(solver, cli, sol, sink: Sink) -> int:
-    """Lists sol's solutions as ``solve --enumerate --json`` writes them into sink; their count.
+def enumerate_once(solver, cli, sol, sink: Sink, limit: int | None) -> int:
+    """Lists sol's first ``limit`` solutions (all for None) as ``solve --enumerate --json``
+    writes them into sink; their count.
 
     A tree whose ``_solutions`` gives one list writes it alone.
     """
-    parts = solver._solutions(sol, None)
+    parts = solver._solutions(sol, limit)
     parts = parts if isinstance(parts, tuple) else (parts,)
     with contextlib.redirect_stdout(sink):
         cli._write_ints(*parts[:1], '"', ", ", *parts[1:])
@@ -108,23 +111,23 @@ def main(argv: list[str] | None = None) -> int:
             row["ratio"] = round(row["tree"]["median"] / row["against"]["median"], 4)
         report["solve_us"][str(k)] = row
     report["enumerate_us"] = {}
-    for k in ENUMERATED_KS:
+    for k, limit in ENUMERATED:
         sols = {side: solvers[side].solve_rdu_one(k) for side in trees}
         times = {side: [] for side in trees}
         for i in range(repeats):
             for side in sorted(trees, reverse=i % 2 == 1):
                 start = time.thread_time()
-                enumerate_once(solvers[side], clis[side], sols[side], Sink())
+                enumerate_once(solvers[side], clis[side], sols[side], Sink(), limit)
                 times[side].append((time.thread_time() - start) * 1e6)
         row = {}
         for side in trees:
             sink = Sink(digest=True)
-            listed = enumerate_once(solvers[side], clis[side], sols[side], sink)
+            listed = enumerate_once(solvers[side], clis[side], sols[side], sink, limit)
             written = {"solutions": listed, "bytes": sink.bytes, "sha256": sink.sha256.hexdigest()}
             row[side] = {**quartiles(times[side]), **written}
         if args.against:
             row["ratio"] = round(row["tree"]["median"] / row["against"]["median"], 4)
-        report["enumerate_us"][str(k)] = row
+        report["enumerate_us"][str(k) if limit is None else f"{k}/{limit}"] = row
     print(json.dumps(report, indent=2))
     return 0
 

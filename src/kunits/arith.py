@@ -671,25 +671,21 @@ def _read_int(text: str, noun: str) -> int | None:
         raise DomainError(f"{noun} of {len(digits)} digits exceeds the digit limit") from None
 
 
-def _smallest_divisors(f: Factorization, stop: int | None = None) -> list[int]:
-    """The ``stop`` smallest divisors of f.n ascending (all when stop is None).
+def _smallest_divisors(f: Factorization) -> list[int]:
+    """The divisors of f.n ascending.
 
     Prime power by prime power: the divisors so far, d ascending, give the
     ascending runs of d*p, ..., of d*p^e; ``list.sort`` merges these
-    sorted runs (Timsort), and the list is cut to ``stop``.  A divisor
-    past the cut only has larger multiples, so the cut loses none of the
-    smallest, and the list never holds more than stop * (e + 1) values.
-    The runs are appended to the one list in place, with no copy of it.
+    sorted runs (Timsort).  The runs are appended to the one list in
+    place, with no copy of it.
     """
-    out = [1][:stop]
+    out = [1]
     for p, e in f.factors:
         run = out
         for _ in range(e):
             run = [d * p for d in run]
             out += run
         out.sort()
-        if stop is not None:
-            del out[stop:]
     return out
 
 

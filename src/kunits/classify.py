@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import _BOUND, SUPPORTED_BOUND, Factorization, _as_factorization, _gate, _read_int
 from .errors import CapabilityError, DomainError
-from .unitgroup import _du, carmichael_lambda, lambda_range, unit_group_structure
+from .unitgroup import RANGE_BOUND, _du, carmichael_lambda, lambda_range, unit_group_structure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -298,8 +298,12 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
     ``failure`` decides n = 1 and 2, and the sweep [3, top], where lambda(n)
     is even: only the odd n when the offset is odd, and no n when the slope
     is even too.  An odd slope with an even offset, whose odd n >= 3 are
-    all out, is still sieved in full."""
+    all out, is still sieved in full.  A top past RANGE_BOUND is refused
+    (CapabilityError) before any sieve, as [1, top] holds more n than
+    ``lambda_range`` takes."""
     s = _lambda_set(name)
+    if top > RANGE_BOUND:
+        raise CapabilityError(f"[1, {top}] holds {top} n, above the range bound {RANGE_BOUND}")
     members = {n for n in (1, 2) if n <= top and s.failure(n, n) is None}
     lo = max(s.least, 3)
     odd_offset = s.offset % 2 == 1

@@ -8,8 +8,7 @@ accepts --csv.  units and solve --enumerate write their long list as they
 go, in the same bytes as the whole object or line would be: the k-units
 from one int64 array, the solutions in the two parts of
 ``solver._solutions``, an int64 array of those below 2^63 and a list of
-the Python ints at or above it (n_max // d for the divisors d <= n_max >> 63
-while n_max < 2^126).
+the Python ints at or above it.
 
 Exit codes: 0 success or match, 1 predicate mismatch (oeis-check, the
 units --oracle check), 2 usage or parse errors, 3 capability errors.
@@ -86,9 +85,8 @@ def _emit_json(
 
     ``streamed`` names one more list of ints in ``result`` and gives its
     values in two parts, an int64 array and the ints after it (the
-    ``solve`` solutions at or above 2^63, read off the array while
-    n_max < 2^126), which ``_write_ints`` writes between the list's
-    brackets.
+    ``solve`` solutions at or above 2^63), which ``_write_ints`` writes
+    between the list's brackets.
     """
     obj = {"command": command, "input": _jsonable(inputs), "result": _jsonable(result)}
     if streamed is None:
@@ -111,10 +109,8 @@ def _write_ints(values: np.ndarray, quote: str, sep: str, rest: Sequence[int] = 
     ``_decimal_text`` without a str per value; any other array, which only
     a wrong construction gives (``units --oracle`` reports it), is written
     as part of ``rest``.  ``rest`` (the ``solve`` solutions at or above
-    2^63: n_max // d for the int64 divisors d <= n_max >> 63 while
-    n_max < 2^126, and from ``_smallest_divisors`` past that) is
-    joined from one str per value; its last value picks the route of
-    ``_decimal`` for all, as n_max can pass the int-to-str digit limit.
+    2^63) is joined from one str per value; its last value picks the route
+    of ``_decimal`` for all, as n_max can pass the int-to-str digit limit.
     """
     if (values[:1] < 0).any() or (values[1:] < values[:-1]).any():
         values, rest = values[:0], [*values.tolist(), *rest]

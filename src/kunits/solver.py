@@ -25,7 +25,6 @@ from .arith import (
     _certified_prime,
     _gate,
     _nu2,
-    _smallest_divisors,
     divisors,
     factorize,
 )
@@ -131,15 +130,10 @@ def enumerate_rdu_one_solutions(
 
 
 def _solutions(sol: RduOneSolution, limit: int | None) -> tuple[np.ndarray, list[int]]:
-    """``enumerate_rdu_one_solutions`` from a solution already solved, in two
-    parts, each ascending: an int64 array of the solutions below 2^63, from
-    ``_int64_divisors``, and a list of the Python ints at or above 2^63.
-
-    While n_max < 2^126, a divisor D >= 2^63 is n_max // d for a divisor
-    d <= n_max >> 63 < 2^63, so the list is read off the array.  A larger
-    n_max has divisor pairs with both members past 2^63; when the limit
-    reaches past the array, its list comes from ``_smallest_divisors`` in
-    Python ints.  The cap is checked before either part is built.
+    """``enumerate_rdu_one_solutions`` from a solution already solved, in the
+    two ascending parts of ``_divisors``: an int64 array of the solutions
+    below 2^63 and a list of the Python ints at or above it.  The cap is
+    checked before either part is built.
     """
     if limit is not None:
         limit = _gate("limit must be >= 0, got {}", 0, limit)
@@ -148,34 +142,40 @@ def _solutions(sol: RduOneSolution, limit: int | None) -> tuple[np.ndarray, list
             f"rdu_{sol.k}(n) = 1 has {sol.count} solutions, above the enumeration "
             f"cap {SOLUTION_CAP}; pass a limit of at most {SOLUTION_CAP} to truncate"
         )
-    f = sol.n_max_factorization()
-    low = _int64_divisors(f, limit)
-    room = None if limit is None else limit - len(low)
-    if room == 0:
-        return low, []
-    top = sol.n_max >> 63
-    if top > _INT64_MAX:
-        return low, _smallest_divisors(f, limit)[len(low) :]
-    cofactors = low[: np.searchsorted(low, top, side="right")][::-1][:room]
-    return low, [sol.n_max // d for d in cofactors.tolist()]
+    return _divisors(sol.n_max_factorization(), limit)
 
 
-def _int64_divisors(f: Factorization, stop: int | None) -> np.ndarray:
-    """The ``stop`` smallest divisors of f.n below 2^63 ascending (all when
-    stop is None), as ``_smallest_divisors`` builds them, in int64.
+def _divisors(f: Factorization, stop: int | None) -> tuple[np.ndarray, list[int]]:
+    """The ``stop`` smallest divisors of f.n (all when stop is None) in two
+    ascending parts: an int64 array of those below 2^63 and a list of the
+    Python ints at or above it.
 
-    The run of d*p^j takes the d <= (2^63 - 1) // p^j, a prefix of the
-    ascending divisors so far, so nothing wraps and a p^j past 2^63 adds
-    no run.  The stable sort merges the sorted runs (Timsort).
+    Prime power by prime power, each q = p^j multiplies the divisors so far.
+    The products d*q that fit in int64 come from the prefix d <= (2^63 - 1) // q
+    of the array, found by one ``searchsorted`` per prime, so nothing wraps;
+    the rest of the array, and the whole list, give their products in Python
+    ints.  A stable sort (Timsort) merges the array's runs and ``sorted``
+    the list's, and both parts are cut to ``stop`` together.  Once the array
+    holds ``stop`` values, a product past its last one cannot be among the
+    smallest: the prefix is cut at that value instead, and nothing spills.
     """
-    out = np.ones(1, dtype=np.int64)[:stop]
+    low, high = np.ones(1, dtype=np.int64)[:stop], []
     for p, e in f.factors:
         powers = [p**j for j in range(1, e + 1)]
-        fits = np.searchsorted(out, [_INT64_MAX // q for q in powers], side="right").tolist()
-        out = np.concatenate([out, *(out[:n] * q for n, q in zip(fits, powers) if n)])
-        out.sort(kind="stable")
-        out = out[:stop]
-    return out
+        full = 0 < len(low) == stop
+        top = int(low[-1]) if full else _INT64_MAX
+        fits = np.searchsorted(low, [top // q for q in powers], side="right").tolist()
+        if not full:
+            start = fits[-1]  # the largest q spills the longest tail
+            tail = low[start:].tolist()
+            runs = ((*tail[n - start :], *high) for n in fits)
+            high = sorted([*high, *(d * q for q, run in zip(powers, runs) for d in run)])
+        low = np.concatenate([low, *(low[:n] * q for n, q in zip(fits, powers) if n)])
+        low.sort(kind="stable")
+        low = low[:stop]
+        if stop is not None:
+            del high[stop - len(low) :]
+    return low, high
 
 
 def is_rdu_one(n: Factorization | int, k: int) -> bool:

@@ -6,6 +6,7 @@ computed with these, never with the closed forms under test.
 """
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -44,6 +45,32 @@ def brute_phi(n: int) -> int:
 
 def brute_divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def smallest_divisors(f, stop: int | None = None) -> list[int]:
+    """The ``stop`` smallest divisors of the Factorization f ascending (all
+    when stop is None), in Python ints.
+
+    Prime power by prime power: the divisors so far, d ascending, give the
+    ascending runs of d*p, ..., of d*p^e; ``list.sort`` merges these sorted
+    runs (Timsort), and the list is cut to ``stop``.  A divisor past the cut
+    only has larger multiples, so the cut loses none of the smallest; and
+    once the list holds ``stop`` values, each run is cut at out[-1] // p, as
+    a larger product cannot be among the stop smallest either.
+    """
+    out = [1][:stop]
+    for p, e in f.factors:
+        top = out[-1] if 0 < len(out) == stop else None
+        run = out
+        for _ in range(e):
+            if top is not None:
+                run = run[: bisect_right(run, top // p)]
+            run = [d * p for d in run]
+            out += run
+        out.sort()
+        if stop is not None:
+            del out[stop:]
+    return out
 
 
 def brute_pow_mod(a: int, e: int, n: int) -> int:

@@ -26,10 +26,16 @@ from kunits.arith import (
     _prime_blocks,
     _read_int,
     _small_primes,
-    _smallest_divisors,
 )
 
-from oracles import brute_divisors, brute_factor_map, brute_is_prime, brute_phi, brute_pow_mod
+from oracles import (
+    brute_divisors,
+    brute_factor_map,
+    brute_is_prime,
+    brute_phi,
+    brute_pow_mod,
+    smallest_divisors,
+)
 
 
 class TestIsPrime:
@@ -578,8 +584,10 @@ class TestDivisors:
             for exponents in product(*(range(e + 1) for _, e in factors))
         )
         f = Factorization(prod(p**e for p, e in factors), factors)
-        assert _smallest_divisors(f, stop) == expected[:stop]
-        assert _smallest_divisors(f) == divisors(f) == expected
+        assert smallest_divisors(f, stop) == expected[:stop]
+        assert smallest_divisors(f) == arith._smallest_divisors(f) == divisors(f) == expected
+        low, high = kunits.solver._divisors(f, stop)
+        assert low.tolist() + high == expected[:stop]
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200)

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 import kunits
 import kunits.cli as cli_module
-from kunits.arith import _smallest_divisors
 from kunits.cli import _decimal_text, _write_ints, main
 
 from oracles import (
@@ -43,6 +42,7 @@ from oracles import (
     brute_rdu_is_one,
     brute_unit_exponent,
     scan_k_units,
+    smallest_divisors,
 )
 
 
@@ -840,6 +840,16 @@ class TestRangeBound:
         assert (code, out) == (3, "")
         assert err.startswith("capability error: ") and "range bound" in err
 
+    @pytest.mark.parametrize("top", [10**9 + 1, 10**9 + 2])
+    def test_oeis_check_just_past_the_range_bound_exits_3(self, capsys, tmp_path, top):
+        # [3, top] holds at most RANGE_BOUND n, but [1, top] holds more
+        path = tmp_path / "b.txt"
+        path.write_text(f"1 561\n2 {top}\n", encoding="utf-8")
+        with deadline(10):
+            code, out, err = run(capsys, "oeis-check", str(path), "--predicate", "carmichael")
+        assert (code, out) == (3, "")
+        assert err.startswith("capability error: ") and "range bound" in err
+
     def test_sweep_past_the_range_bound_exits_3(self, capsys):
         with deadline(10):
             code, out, err = run(capsys, "sweep", "--from", "1", "--to", str(10**15), "--rule", "n-1")
@@ -998,7 +1008,7 @@ def _solve_reference(capsys, k, limit, as_json, solutions=None):
     one str per value of the Python-int divisors of n_max."""
     sol = kunits.solve_rdu_one(k)
     if solutions is None:
-        solutions = _smallest_divisors(sol.n_max_factorization(), limit)
+        solutions = smallest_divisors(sol.n_max_factorization(), limit)
     truncated = len(solutions) < sol.count
     if as_json:
         result = {
@@ -1227,11 +1237,11 @@ class TestStreamedOutput:
     )
     def test_solve_matches_the_whole_list_output(self, capsys, k):
         # perfbench's SOLVABLE_KS, two highly composite k, both sides of 2^63, the
-        # prime 2^64 + 13 in n_max and n_max on both sides of 2^126, at every limit
-        # that moves a boundary
+        # prime 2^64 + 13 in n_max and solutions past 2^63 that are products of two
+        # others past it (2^93, 2^100), at every limit that moves a boundary
         sol = kunits.solve_rdu_one(k)
         cap = kunits.SOLUTION_CAP
-        everything = _smallest_divisors(sol.n_max_factorization(), min(sol.count, cap))
+        everything = smallest_divisors(sol.n_max_factorization(), min(sol.count, cap))
         below = sum(d < 2**63 for d in everything)
         limits = (None, 0, 1, 5, 7, below, sol.count - 1, sol.count, sol.count + 1, 10**6)
         for limit in dict.fromkeys(limits):

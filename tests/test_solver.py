@@ -15,6 +15,7 @@ from kunits import (
     CapabilityError,
     CyclicDecomposition,
     DomainError,
+    Factorization,
     check_korselt_general,
     divisors,
     du_k_product,
@@ -26,9 +27,7 @@ from kunits import (
     k_unit_stats,
     solve_rdu_one,
 )
-from kunits.arith import _smallest_divisors
-
-from oracles import brute_divisors, brute_rdu_is_one, scan_k_units
+from oracles import brute_divisors, brute_rdu_is_one, scan_k_units, smallest_divisors
 from test_cli import deadline
 
 
@@ -355,9 +354,8 @@ class TestEnumerateSolutions:
 
 
 # perfbench's SOLVABLE_KS, two highly composite k, the int64 edge (2^61's n_max
-# has the solution 2^63), a prime of n_max past 2^63 (2^64 + 13), and the route
-# switch: n_max = 2^94 (2^32 - 1) < 2^126 for 2^92, twice that for 2^93, and
-# past 2^126 for 2^100
+# has the solution 2^63), a prime of n_max past 2^63 (2^64 + 13), and solutions
+# past 2^63 that are products of two others past 2^63 (2^93 and 2^100)
 _ENUMERATED_KS = (
     *(2, 12, 24, 252, 720, 5040, 720720),
     *(2**60, 2**61, 2**64 + 12, 2**92, 2**93, 2**100),
@@ -377,7 +375,7 @@ class TestTwoPartSolutions:
         for k in range(1, 2001):
             sol = solve_rdu_one(k)
             if sol.count <= kunits.SOLUTION_CAP:
-                assert _two_parts(k, None) == _smallest_divisors(sol.n_max_factorization()), k
+                assert _two_parts(k, None) == smallest_divisors(sol.n_max_factorization()), k
 
     @pytest.mark.parametrize("k", _ENUMERATED_KS)
     def test_every_limit_matches_the_python_int_divisors(self, k):
@@ -388,7 +386,7 @@ class TestTwoPartSolutions:
                 with pytest.raises(CapabilityError):
                     _two_parts(k, limit)
             else:
-                assert _two_parts(k, limit) == _smallest_divisors(f, limit), (k, limit)
+                assert _two_parts(k, limit) == smallest_divisors(f, limit), (k, limit)
 
     def test_the_int64_edge(self):
         assert 2**63 not in _two_parts(2**60, None)
@@ -398,7 +396,8 @@ class TestTwoPartSolutions:
         # a prime of n_max past 2^63 adds no run to the int64 part
         assert 2**64 + 13 in solve_rdu_one(2**64 + 12).set_a
         assert _two_parts(2**64 + 12, None)[-1] == solve_rdu_one(2**64 + 12).n_max
-        # n_max >= 2^126 takes the Python-int route, split at the same place
+        # past 2^126 a solution above 2^63 can be the product of two others above it;
+        # the two parts split at the same place
         assert solve_rdu_one(2**92).n_max < 2**126 <= solve_rdu_one(2**93).n_max
         for k in (2**93, 2**100):
             low, high = kunits.solver._solutions(solve_rdu_one(k), None)
@@ -410,18 +409,39 @@ class TestTwoPartSolutions:
         for n in (2**63 - 1, 2 * (2**63 - 1)):
             f = factorize(n)
             below = [d for d in divisors(f) if d < 2**63]
-            assert kunits.solver._int64_divisors(f, None).tolist() == below, n
+            low, high = kunits.solver._divisors(f, None)
+            assert low.tolist() == below, n
+            assert high == divisors(f)[len(below) :], n
 
     @pytest.mark.parametrize("k", [720, 2**61, 2**93, 2**100])
     def test_a_limit_that_ends_at_the_last_int64_value(self, k):
         sol = solve_rdu_one(k)
-        everything = _smallest_divisors(sol.n_max_factorization())
+        everything = smallest_divisors(sol.n_max_factorization())
         below = sum(d < 2**63 for d in everything)
         assert 0 < below < sol.count
         for limit in (below - 1, below, below + 1):
             low, high = kunits.solver._solutions(sol, limit)
             assert (len(low), len(high)) == (min(limit, below), limit - min(limit, below))
             assert low.tolist() + high == everything[:limit], limit
+
+    @given(
+        st.dictionaries(
+            st.sampled_from([3, 65537, 2**31 - 1, 2**61 - 1, 2**64 + 13]),
+            st.integers(1, 3),
+            min_size=1,
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_divisors_of_lists_that_cross_2_63_and_2_126(self, powers):
+        # later primes multiply the list part, which no k above is sure to do
+        factors = tuple(sorted(powers.items()))
+        f = Factorization(prod(p**e for p, e in factors), factors)
+        everything = smallest_divisors(f)
+        for stop in range(len(everything) + 2):
+            low, high = kunits.solver._divisors(f, stop)
+            assert low.dtype == np.int64
+            assert all(d < 2**63 for d in low.tolist()) and all(d >= 2**63 for d in high)
+            assert low.tolist() + high == smallest_divisors(f, stop), stop
 
     def test_the_library_list_holds_python_ints(self):
         for k in (720, 2**61, 2**100):
@@ -437,8 +457,7 @@ class TestTwoPartSolutions:
         def refuse(*args):
             raise AssertionError("a divisor list was built")
 
-        monkeypatch.setattr(kunits.solver, "_int64_divisors", refuse)
-        monkeypatch.setattr(kunits.solver, "_smallest_divisors", refuse)
+        monkeypatch.setattr(kunits.solver, "_divisors", refuse)
         with pytest.raises(CapabilityError):
             enumerate_rdu_one_solutions(720720)
         with pytest.raises(CapabilityError):
