@@ -76,15 +76,11 @@ class Sink:
 
 def enumerate_once(solver, cli, sol, sink: Sink, limit: int | None) -> int:
     """Lists sol's first ``limit`` solutions (all for None) as ``solve --enumerate --json``
-    writes them into sink; their count.
-
-    A tree whose ``_solutions`` gives one list writes it alone.
-    """
-    parts = solver._solutions(sol, limit)
-    parts = parts if isinstance(parts, tuple) else (parts,)
+    writes them into sink; their count."""
+    low, high = solver._solutions(sol, limit)
     with contextlib.redirect_stdout(sink):
-        cli._write_ints(*parts[:1], '"', ", ", *parts[1:])
-    return sum(map(len, parts))
+        cli._write_ints(low, '"', ", ", high)
+    return len(low) + len(high)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -99,8 +99,13 @@ def _gate(words: str, least: int | None, n: Any, k: Any = _ONE) -> Any:
     except TypeError as exc:
         raise DomainError(f"{words.format(*map(repr, values))}: {exc}") from None
     if least is not None and min(read) < least:
-        raise DomainError(words.format(*read))
+        raise DomainError(words.format(*map(_shown, read)))
     return read[0] if k is _ONE else tuple(read)
+
+
+def _shown(v: int) -> int | str:
+    """v as a refusal names it: past 1024 bits by its size, short and within the digit limit."""
+    return v if v.bit_length() <= 1024 else f"a {'negative ' * (v < 0)}{v.bit_length()}-bit integer"
 
 
 def _sieve(limit: int) -> bytearray:

@@ -292,7 +292,7 @@ def _lambda_set(name: str) -> _LambdaSet:
     return families[base](parameter)
 
 
-def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozenset[int]:
+def _predicate(name: str, top: int) -> frozenset[int]:
     """The members in [1, top] of the named set, from at most one sweep after the name is checked.
 
     ``failure`` decides n = 1 and 2, and the sweep [3, top], where lambda(n)
@@ -300,7 +300,8 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
     is even too.  An odd slope with an even offset, whose odd n >= 3 are
     all out, is still sieved in full.  A top past RANGE_BOUND is refused
     (CapabilityError) before any sieve, as [1, top] holds more n than
-    ``lambda_range`` takes."""
+    ``lambda_range`` takes.  No factorization bound applies: the sieve divides
+    by every prime up to isqrt(top), leaving no composite cofactor."""
     s = _lambda_set(name)
     if top > RANGE_BOUND:
         raise CapabilityError(f"[1, {top}] holds {top} n, above the range bound {RANGE_BOUND}")
@@ -314,7 +315,7 @@ def _predicate(name: str, top: int, *, bound: int = SUPPORTED_BOUND) -> frozense
             "odd_only": odd_offset,
             "squarefree_only": s.squarefree,
         }
-        members.update(sweep(lo, top, rule, **filters, bound=bound).hits)
+        members.update(sweep(lo, top, rule, **filters).hits)
     return frozenset(members)
 
 

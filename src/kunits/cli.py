@@ -2,9 +2,10 @@
 
 Subcommands: stats, units, solve, classify, sweep, oeis-check.  Every
 subcommand accepts --json (one canonical object, keys sorted, integers as
-decimal strings so 64-bit consumers never overflow) and --bound N >= 1,
-the factorization bound (for units, the enumeration bound); sweep also
-accepts --csv.  units and solve --enumerate write their long list as they
+decimal strings so 64-bit consumers never overflow); all but oeis-check,
+which factors nothing, accept --bound N >= 1, the factorization bound
+(for units, the enumeration bound); sweep alone accepts --csv, which
+excludes --json.  units and solve --enumerate write their long list as they
 go, in the same bytes as the whole object or line would be: the k-units
 from one int64 array, the solutions in the two parts of
 ``solver._solutions``, an int64 array of those below 2^63 and a list of
@@ -36,21 +37,14 @@ from .unitgroup import ENUMERATION_BOUND, _k_units, k_unit_stats
 __all__ = ["main"]
 
 
-# The interpreter refuses str() of an int with more digits than its
-# int-to-str limit, which is never below 640 digits; an int of fewer bits
-# than this has fewer digits.
-_STR_SAFE_BITS = 640 * 3
-
-
-def _decimal(largest: int) -> Callable[[int], str]:
-    """A function that writes ints up to ``largest`` in decimal, whatever
-    the process's int-to-str digit limit, without changing that setting.
-
-    ``str`` when ``largest`` is below every limit, else the route through
-    ``decimal.Decimal``, which has none.  Picked once per list, as
-    ``str`` takes 118 ns a value here and the Decimal route 292 ns.
-    """
-    return str if largest.bit_length() < _STR_SAFE_BITS else lambda n: str(Decimal(n))
+def _digits(n: int) -> str:
+    """n in decimal, whatever the process's int-to-str digit limit, without
+    changing that setting: ``str``, or, past the limit, where ``str``
+    raises ValueError, the route through ``decimal.Decimal``, which has none."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def _jsonable(value: Any) -> Any:
@@ -109,12 +103,11 @@ def _write_ints(values: np.ndarray, quote: str, sep: str, rest: Sequence[int] = 
     ``_decimal_text`` without a str per value; any other array, which only
     a wrong construction gives (``units --oracle`` reports it), is written
     as part of ``rest``.  ``rest`` (the ``solve`` solutions at or above
-    2^63) is joined from one str per value; its last value picks the route
-    of ``_decimal`` for all, as n_max can pass the int-to-str digit limit.
+    2^63) is joined from one ``_digits`` per value, as n_max can pass the
+    int-to-str digit limit.
     """
     if (values[:1] < 0).any() or (values[1:] < values[:-1]).any():
         values, rest = values[:0], [*values.tolist(), *rest]
-    text_of = _decimal(rest[-1]) if rest else str
     inner = quote + sep + quote
     parts = [values[i : i + _SLICE] for i in range(0, len(values), _SLICE)]
     parts += [rest[i : i + _SLICE] for i in range(0, len(rest), _SLICE)]
@@ -122,7 +115,7 @@ def _write_ints(values: np.ndarray, quote: str, sep: str, rest: Sequence[int] = 
         if isinstance(part, np.ndarray):
             text = _decimal_text(part, quote, sep)
         else:
-            text = quote + inner.join(map(text_of, part)) + quote
+            text = quote + inner.join(map(_digits, part)) + quote
         sys.stdout.write(sep + text if i else text)
 
 
@@ -179,11 +172,11 @@ def _decimal_text(values: np.ndarray, quote: str, sep: str) -> str:
 
 def _text(value: Any) -> str:
     """One value of the plain output: a bool as true or false, an int in
-    full decimal by ``_decimal``, a Fraction as a/b, anything else by str."""
+    full decimal by ``_digits``, a Fraction as a/b, anything else by str."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return _decimal(value)(value)
+        return _digits(value)
     if isinstance(value, Fraction):
         return f"{_text(value.numerator)}/{_text(value.denominator)}"
     return str(value)
@@ -340,6 +333,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.csv and args.json:
+        raise DomainError("--csv cannot be combined with --json")
     rule = parse_rule(args.rule)
     filters = {"composite_only": args.composite_only, "odd_only": args.odd_only}
     result = sweep(args.lo, args.hi, rule, **filters, bound=args.bound)
@@ -365,7 +360,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     # compare_bfile takes the members up to the limit, or up to the file's
     # largest value; for an empty file it takes none.
     top = args.limit if args.limit is not None else max(bfile.values, default=0)
-    members = _predicate(args.predicate, top if bfile.entries else 0, bound=args.bound)
+    members = _predicate(args.predicate, top if bfile.entries else 0)
     report = compare_bfile(bfile, members, args.limit)
     if args.json:
         _emit_json(
@@ -405,17 +400,17 @@ def _integer(text: str) -> int:
     return value
 
 
-def _common() -> argparse.ArgumentParser:
-    """Options for one subcommand; set_defaults(bound=...) on a shared parent sets all."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one canonical JSON object")
-    common.add_argument(
-        "--bound",
-        type=_integer,
-        metavar="N",
-        help="override the command's working bound, N >= 1 (factorization or enumeration)",
-    )
-    return common
+def _subcommand(
+    sub: Any, name: str, handler: Callable[[argparse.Namespace], int], bound: int | None, help: str
+) -> argparse.ArgumentParser:
+    """The parser of one subcommand: --json, and --bound with default ``bound`` unless None."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--json", action="store_true", help="emit one canonical JSON object")
+    if bound is not None:
+        words = "override the command's working bound, N >= 1 (factorization or enumeration)"
+        p.add_argument("--bound", type=_integer, default=bound, metavar="N", help=words)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -425,12 +420,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", parents=[_common()], help="phi, du, pdu and rdu for (n, k)")
+    p = _subcommand(sub, "stats", _cmd_stats, SUPPORTED_BOUND, "phi, du, pdu and rdu for (n, k)")
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--k", type=_integer, required=True)
-    p.set_defaults(handler=_cmd_stats, bound=SUPPORTED_BOUND)
 
-    p = sub.add_parser("units", parents=[_common()], help="enumerate the k-units modulo n")
+    p = _subcommand(sub, "units", _cmd_units, ENUMERATION_BOUND, "enumerate the k-units modulo n")
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--k", type=_integer, required=True)
     p.add_argument(
@@ -439,15 +433,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check the list apart from its construction: strictly ascending residues in "
         "[0, n), each with a^k = 1 mod n, du of them by the closed form; exit 1 on mismatch",
     )
-    p.set_defaults(handler=_cmd_units, bound=ENUMERATION_BOUND)
 
-    p = sub.add_parser("solve", parents=[_common()], help="solve rdu_k(n) = 1 for a fixed k")
+    p = _subcommand(sub, "solve", _cmd_solve, SUPPORTED_BOUND, "solve rdu_k(n) = 1 for a fixed k")
     p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--enumerate", action="store_true", help="also list the solutions")
     p.add_argument("--limit", type=_integer, default=None, help="truncate the solution list")
-    p.set_defaults(handler=_cmd_solve, bound=SUPPORTED_BOUND)
 
-    p = sub.add_parser("classify", parents=[_common()], help="classifier verdicts for one n")
+    p = _subcommand(
+        sub, "classify", _cmd_classify, SUPPORTED_BOUND, "classifier verdicts for one n"
+    )
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--liars", action="store_true", help="count Fermat liars (odd n only)")
     p.add_argument(
@@ -460,24 +454,21 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="test generalized-Carmichael membership for shift K",
     )
-    p.set_defaults(handler=_cmd_classify, bound=SUPPORTED_BOUND)
 
-    p = sub.add_parser("sweep", parents=[_common()], help="scan a range for rdu_f(n)(n) = 1")
+    p = _subcommand(sub, "sweep", _cmd_sweep, SUPPORTED_BOUND, "scan a range for rdu_f(n)(n) = 1")
     p.add_argument("--from", dest="lo", type=_integer, required=True)
     p.add_argument("--to", dest="hi", type=_integer, required=True)
     p.add_argument("--rule", required=True, help=f"exponent rule: {_RULE_HELP}")
     p.add_argument("--composite-only", action="store_true")
     p.add_argument("--odd-only", action="store_true")
     p.add_argument("--csv", action="store_true", help="CSV output: n,exponent per hit")
-    p.set_defaults(handler=_cmd_sweep, bound=SUPPORTED_BOUND)
 
-    p = sub.add_parser(
-        "oeis-check", parents=[_common()], help="compare a local OEIS b-file against a predicate"
+    p = _subcommand(
+        sub, "oeis-check", _cmd_oeis_check, None, "compare a local OEIS b-file against a predicate"
     )
     p.add_argument("bfile", help="path to the b-file")
     p.add_argument("--predicate", required=True, help=_PREDICATE_HELP)
     p.add_argument("--limit", type=_integer, default=None, help="compare values up to this limit")
-    p.set_defaults(handler=_cmd_oeis_check, bound=SUPPORTED_BOUND)
     return parser
 
 
@@ -488,7 +479,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        _gate("--bound must be >= 1, got {}", 1, args.bound)
+        if "bound" in args:
+            _gate("--bound must be >= 1, got {}", 1, args.bound)
         return args.handler(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

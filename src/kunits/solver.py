@@ -95,9 +95,9 @@ def solve_rdu_one(k: int, *, bound: int = SUPPORTED_BOUND) -> RduOneSolution:
                 f"cannot solve for a k of {k.bit_length()} bits: solve_rdu_one proves "
                 f"candidates d + 1 (d | k) of at most {_CANDIDATE_BITS} bits"
             )
-        fm = factorize(m, bound=bound)
-        nu = dict(fm.factors)
-        for d in divisors(Factorization._from_sorted(k, ((2, beta), *fm.factors))):
+        f = factorize(k, bound=bound)
+        nu = dict(f.factors)
+        for d in divisors(f):
             if d % 2 == 0 and _certified_prime(d + 1):
                 pairs.append((d + 1, nu.get(d + 1, 0) + 1))
     return RduOneSolution(

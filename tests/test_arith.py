@@ -641,6 +641,29 @@ class TestReadInt:
         assert str(exc.value) == "n of 4301 digits exceeds the digit limit"
 
 
+class TestGate:
+    """The one check of the integer parameters names a refused value in full up to 1024 bits."""
+
+    @pytest.mark.parametrize(
+        "k, shown",
+        [
+            (2**1024 - 1, str(2**1024 - 1)),
+            (2**4000, "a 4001-bit integer"),
+            (10**5000, "a 16610-bit integer"),
+        ],
+        ids=["1024 bits", "4001 bits", "past the digit limit"],
+    )
+    def test_a_long_value_is_named_by_its_size(self, k, shown):
+        # 10**5000 is past the int-to-str digit limit, where formatting it raised ValueError
+        with pytest.raises(DomainError) as exc:
+            kunits.k_unit_stats(0, k)
+        assert str(exc.value) == f"k_unit_stats requires n >= 1 and k >= 1, got n=0, k={shown}"
+
+    def test_a_long_negative_value_is_named_by_its_size(self):
+        with pytest.raises(DomainError, match="got a negative 4001-bit integer$"):
+            kunits.is_prime(-(2**4000))
+
+
 def test_factor_map_oracle_agreement_sampled():
     rng = random.Random(7)
     for _ in range(500):

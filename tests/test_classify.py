@@ -582,3 +582,50 @@ class TestSolverCarmichaelAnchors:
                 assert korselt_failure(nq) == expected == classify(nq).carmichael_reason, (ps, q)
             n, p = prod(ps), ps[0]
             assert korselt_failure(n * p) == f"not squarefree: {p}^2 divides {n * p}"
+
+
+# A002997 below 10^6: Pinch's C(10^6) = 43
+CARMICHAELS_BELOW_10_6 = (
+    *(561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633, 62745),
+    *(63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545, 294409),
+    *(314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461, 530881, 552721, 656601),
+    *(658801, 670033, 748657, 825265, 838201, 852841, 997633),
+)
+
+
+class TestClosingTheorem:
+    """The paper's closing theorem as a second route to every verdict, through the solver: n is
+    i-Knodel (Carmichael for i = 1) exactly when n is composite, n > i and n | n_max(n - i),
+    and n is in C_k exactly when n is squarefree, min(n, n + k) > 1 and n | n_max(n + k - 1).
+    Composite and squarefree are read from sympy.factorint."""
+
+    I = tuple(range(1, 9))
+    K = tuple(range(-8, 9))
+
+    def check(self, n):
+        exponents = pytest.importorskip("sympy").factorint(n).values()
+        composite, squarefree = sum(exponents) > 1, max(exponents, default=1) == 1
+        knodel = [composite and n > i and solve_rdu_one(n - i).n_max % n == 0 for i in self.I]
+        gen = [
+            squarefree and min(n, n + k) > 1 and solve_rdu_one(n + k - 1).n_max % n == 0
+            for k in self.K
+        ]
+        assert [is_knodel(n, i) for i in self.I] == knodel, n
+        assert is_carmichael(n) == knodel[0], n
+        assert [is_generalized_carmichael(n, k) for k in self.K] == gen, n
+        report = classify(n, knodel_indices=self.I, gen_carmichael_ks=self.K)
+        assert report.carmichael == knodel[0], n
+        assert report.knodel_for == tuple(zip(self.I, knodel)), n
+        assert report.gen_carmichael_for == tuple(zip(self.K, gen)), n
+        return knodel, gen
+
+    @given(n=st.integers(1, 2**20 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_every_classifier_agrees_with_the_solver_below_2_20(self, n):
+        self.check(n)
+
+    def test_every_carmichael_number_below_10_6_is_found_by_the_solver(self):
+        assert len(CARMICHAELS_BELOW_10_6) == 43
+        for n in CARMICHAELS_BELOW_10_6:
+            knodel, gen = self.check(n)
+            assert knodel[0] and gen[self.K.index(0)], n

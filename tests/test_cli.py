@@ -556,6 +556,11 @@ class TestSweep:
         assert lines[1] == "1,2"
         assert "hits=" in err
 
+    def test_csv_with_json_exits_2(self, capsys):
+        # the JSON used to be written and --csv dropped without a word
+        argv = ["sweep", "--from", "1", "--to", "30", "--rule", "const:2", "--csv", "--json"]
+        assert run(capsys, *argv) == (2, "", "error: --csv cannot be combined with --json\n")
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
     @pytest.mark.parametrize(
         "rule", ["poly:0,1" + "0" * 4299, "1" + "0" * 4299 + "*n+0"], ids=["poly", "linear"]
@@ -770,9 +775,7 @@ class TestOeisCheck:
         path = tmp_path / "b014117.txt"
         path.write_text("0 1\n1 2\n2 6\n3 42\n4 1806\n", encoding="utf-8")
         argv = ["oeis-check", str(path), "--predicate", "gen-carmichael:1", "--limit", "2000"]
-        bounded = run(capsys, *argv, "--bound", "100")
-        assert bounded == run(capsys, *argv)
-        code, out, err = bounded
+        code, out, err = run(capsys, *argv)
         assert (code, err) == (1, "")
         assert [n for n in range(1, 2001) if brute_gen_carmichael(n, 1)] == [2, 6, 42, 1806]
         assert "missing    none\n" in out
@@ -873,10 +876,13 @@ class TestBoundFlag:
         bfile.write_text("1 2\n2 6\n3 42\n", encoding="utf-8")
         argv = [arg.format(bfile=bfile) for arg in self.COMMANDS[command]]
         assert run(capsys, *argv)[0] == 0
-        for bound in ("0", "-3"):
+        for bound in ("0", "-3", "7") if command == "oeis-check" else ("0", "-3"):
             code, out, err = run(capsys, *argv, "--bound", bound)
             assert (code, out) == (2, ""), bound
-            assert err == f"error: --bound must be >= 1, got {bound}\n"
+            if command == "oeis-check":  # it factors nothing, so it takes no --bound
+                assert err.endswith(f"kunits: error: unrecognized arguments: --bound {bound}\n")
+            else:
+                assert err == f"error: --bound must be >= 1, got {bound}\n"
 
     def test_each_command_keeps_its_own_default(self, capsys, monkeypatch):
         # units works up to ENUMERATION_BOUND, and every other command factors up to
@@ -1422,7 +1428,9 @@ def _argvs(draw):
     else:
         argv = ["oeis-check", "<bfiles>/" + pick([*_BFILES, "missing.txt", ""]), "--predicate"]
         argv += [pick(_PREDICATES), *flag("--limit", pick(_LIMITS))]
-    return argv + flag("--bound", pick(_BOUNDS)) + pick([[], ["--json"], ["--csv"]])
+    if command != "oeis-check":  # it factors nothing, so it takes no --bound
+        argv += flag("--bound", pick(_BOUNDS))
+    return argv + pick([[], ["--json"], ["--csv"]])
 
 
 @pytest.fixture(scope="module")

@@ -62,8 +62,8 @@ def test_arith_holds_no_numpy():
 
 
 # The functions for which bound is their own decision: a refusal limit, the rho
-# budget, the enumeration bound, or the rho budget of a number they derive (the
-# odd part of k, the sieve's cofactors).  The others read n's factorization and
+# budget, the enumeration bound, or the rho budget of a number they factor
+# themselves (k, the sieve's cofactors).  The others read n's factorization and
 # take a Factorization from a caller who wants another budget.
 BOUND_TAKERS = {
     "is_prime",

@@ -503,6 +503,15 @@ class TestSweepOnTheSieve:
         assert hits[-1] == 99861985
         assert peak < 4 * 2**20
 
+    @pytest.mark.slow
+    def test_pinch_carmichael_count_to_10_9(self):
+        # Pinch, "The Carmichael numbers up to 10^21": C(10^9) = 646, at the range bound.
+        # About a minute of CPU, holding one segment at a time.
+        hits = sweep(3, 10**9, parse_rule("n-1"), composite_only=True, odd_only=True).hits
+        assert len(hits) == 646
+        assert hits[:3] == (561, 1105, 1729)
+        assert hits[-1] == 993905641
+
     def test_pinch_carmichael_count_to_10_6(self):
         # Pinch, "The Carmichael numbers up to 10^21": C(10^6) = 43.
         hits = sweep(3, 10**6, parse_rule("n-1"), composite_only=True, odd_only=True).hits
