@@ -20,7 +20,6 @@ positives anywhere in the toolkit; inputs the backend cannot certify raise
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, repeat, takewhile
@@ -84,6 +83,7 @@ _ECM_D = 2310
 SOLUTION_CAP = 10**6
 _BOUND = "bound must be >= 1, got {}"  # the refusal of a bound below 1, wherever one is taken
 _ONE = object()  # _gate's default k: one value is read
+_SHOWN_CHARS = 320  # the longest repr a message writes: a 1024-bit int has at most 309 digits
 
 
 def _gate(words: str, least: int | None, n: Any, k: Any = _ONE) -> Any:
@@ -97,15 +97,24 @@ def _gate(words: str, least: int | None, n: Any, k: Any = _ONE) -> Any:
     try:
         read = [v.n if isinstance(v, Factorization) else index(v) for v in values]
     except TypeError as exc:
-        raise DomainError(f"{words.format(*map(repr, values))}: {exc}") from None
+        raise DomainError(f"{words.format(*map(_shown, values))}: {exc}") from None
     if least is not None and min(read) < least:
         raise DomainError(words.format(*map(_shown, read)))
     return read[0] if k is _ONE else tuple(read)
 
 
-def _shown(v: int) -> int | str:
-    """v as a refusal names it: past 1024 bits by its size, short and within the digit limit."""
-    return v if v.bit_length() <= 1024 else f"a {'negative ' * (v < 0)}{v.bit_length()}-bit integer"
+def _shown(v: Any) -> int | str:
+    """v as a message names it, short and inside the int-to-str digit limit: an int past 1024
+    bits by its size, any other value by its repr when that can be written in at most
+    _SHOWN_CHARS characters, else by its type."""
+    if isinstance(v, int):
+        bits = v.bit_length()
+        return v if bits <= 1024 else f"a {'negative ' * (v < 0)}{bits}-bit integer"
+    try:
+        text = repr(v)
+    except ValueError:  # an int inside v past the digit limit
+        text = ""
+    return text if 0 < len(text) <= _SHOWN_CHARS else f"a {type(v).__name__}"
 
 
 def _sieve(limit: int) -> bytearray:
@@ -193,11 +202,11 @@ class Factorization:
             factors.append((previous, _gate("factor exponents must be >= 1", 1, e)))
         object.__setattr__(self, "factors", tuple(factors))
         if any(e > self.n.bit_length() for _, e in factors):  # p^e >= 2^e > n: refused unbuilt
-            raise DomainError(f"factors do not multiply back to {self.n}")
+            raise DomainError(f"factors do not multiply back to {_shown(self.n)}")
         _check_product(self.n, self.factors)
         for p, _ in self.factors:
             if not _certified_prime(p, self.n):
-                raise DomainError(f"factor {p} of {self.n} is not prime")
+                raise DomainError(f"factor {_shown(p)} of {_shown(self.n)} is not prime")
 
     @classmethod
     def _from_sorted(cls, n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
@@ -230,7 +239,7 @@ class Factorization:
 
 def _check_product(n: int, factors: tuple[tuple[int, int], ...]) -> None:
     if prod(p**e for p, e in factors) != n:
-        raise DomainError(f"factors do not multiply back to {n}")
+        raise DomainError(f"factors do not multiply back to {_shown(n)}")
 
 
 def _nu2(k: int) -> int:
@@ -271,7 +280,7 @@ def _certified_prime(m: int, n: int | None = None) -> bool:
     if not _miller_rabin(m):
         return False
     if m >= _CERTIFIED_LIMIT:
-        subject = m if n is None else f"cofactor {m} of {n}"
+        subject = _shown(m) if n is None else f"cofactor {_shown(m)} of {_shown(n)}"
         raise CapabilityError(
             f"{subject} is a probable prime at or beyond the certified bound {_CERTIFIED_LIMIT}"
         )
@@ -289,7 +298,7 @@ def is_prime(n: int, *, bound: int = SUPPORTED_BOUND) -> bool:
         n, bound = _gate("primality is defined for n >= 0, got {}", 0, n), _gate(_BOUND, 1, bound)
     if n > bound:
         raise CapabilityError(
-            f"cannot certify primality of {n}: exceeds the supported bound {bound}"
+            f"cannot certify primality of {_shown(n)}: exceeds the supported bound {_shown(bound)}"
         )
     return _certified_prime(n)
 
@@ -310,16 +319,7 @@ class _Budget:
         self.used, self.limit, self.stop = 0, _WORK_CAP, "the limit is the cap per call"
         if top > bound and 24 * isqrt(isqrt(bound)) < _WORK_CAP:
             self.limit = 24 * isqrt(isqrt(bound))
-            self.stop = f"the supported factorization bound is {bound}"
-
-    @contextmanager
-    def within(self, cost: int):
-        """A with block that may charge at most cost more than what is used."""
-        limit, self.limit = self.limit, min(self.limit, self.used + cost)
-        try:
-            yield
-        finally:
-            self.limit = limit
+            self.stop = f"the supported factorization bound is {_shown(bound)}"
 
     def take(self, cost: int) -> bool:
         """Charge cost if what is left covers it, and say whether it did."""
@@ -331,26 +331,32 @@ class _Budget:
     def refusal(self, m: int, n: int) -> CapabilityError:
         """The refusal of the composite cofactor m of n, which this budget did not split."""
         return CapabilityError(
-            f"cannot split the composite cofactor {m} of {n} after {self.used} of "
+            f"cannot split the composite cofactor {_shown(m)} of {_shown(n)} after {self.used} of "
             f"{self.limit} modular multiplications; {self.stop}",
             limit=self.limit,
             used=self.used,
         )
 
 
-def _brent_cycle(n: int, budget: _Budget) -> int:
-    """One run of Brent's cycle finder on x -> x^2 + 1 mod n: a gcd, or 1 when the budget runs out.
+def _brent_cycle(n: int, budget: _Budget, cap: int) -> int:
+    """One run of Brent's cycle finder on x -> x^2 + 1 mod n, charging the budget at most cap:
+    a gcd, or 1 when the budget or the cap runs out.
 
     A step that only advances y costs one modular multiplication, and a
     batched step two, y and the product of the x - y.  Each round's run
     of r steps and each batch of up to 128 is charged before it is taken,
-    so the budget is never overrun.
+    so neither the budget nor the cap is ever overrun.
     """
+    end = min(budget.limit, budget.used + cap)
+
+    def take(cost: int) -> bool:  # budget.take, inside this run's cap
+        return budget.used + cost <= end and budget.take(cost)
+
     y, r, q = 2, 1, 1
     g = 1
     x = ys = y
     while g == 1:
-        if not budget.take(r):
+        if not take(r):
             return 1
         x = y
         for _ in range(r):
@@ -359,7 +365,7 @@ def _brent_cycle(n: int, budget: _Budget) -> int:
         while k < r and g == 1:
             ys = y
             steps = min(128, r - k)
-            if not budget.take(2 * steps):
+            if not take(2 * steps):
                 return 1
             for _ in range(steps):
                 y = (y * y + 1) % n
@@ -370,7 +376,7 @@ def _brent_cycle(n: int, budget: _Budget) -> int:
     if g == n:
         g = 1
         y = ys
-        while g == 1 and budget.take(1):
+        while g == 1 and take(1):
             y = (y * y + 1) % n
             g = gcd(x - y, n)
     return g
@@ -599,8 +605,7 @@ def _split(n: int, budget: _Budget) -> int | None:
         d = _pm1(n)
         if d is not None:
             return d
-    with budget.within(_RHO_LEG):
-        g = _brent_cycle(n, budget)
+    g = _brent_cycle(n, budget, _RHO_LEG)
     if 1 < g < n:
         return g
     return _ecm(n, budget)
@@ -617,7 +622,7 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     charge one work budget per call (``_Budget``), set by ``bound`` when the
     cofactor left by trial division is above it and capped whatever the bound:
     the one place it is chosen, as every function that reads n's factorization
-    accepts one.  A cofactor the backend cannot split within it (the
+    accepts one.  A cofactor the backend cannot split inside it (the
     CapabilityError carries ``limit`` and ``used``) or certify raises
     CapabilityError; a wrong factorization is never returned.
     """
@@ -646,7 +651,7 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
 
 
 def _cofactor_primes(n: int, original: int, budget: _Budget) -> dict[int, int]:
-    """The prime multiplicities of a cofactor n >= 2**32 left by trial division, within budget."""
+    """The prime multiplicities of a cofactor n >= 2**32 left by trial division, in budget."""
     counts: dict[int, int] = {}
     stack = [n]
     while stack:
@@ -703,7 +708,7 @@ def divisors(f: Factorization | int) -> list[int]:
     total = prod(e + 1 for _, e in f.factors)
     if total > SOLUTION_CAP:
         raise CapabilityError(
-            f"{f.n} has {total} divisors, above the enumeration cap {SOLUTION_CAP}"
+            f"{_shown(f.n)} has {_shown(total)} divisors, above the enumeration cap {SOLUTION_CAP}"
         )
     return _smallest_divisors(f)
 

@@ -7,19 +7,37 @@ polynomials).
 
 The point classifiers factor one n; ``sweep`` instead reads lambda(n) for a
 whole range from one sieve (``lambda_range``), since rdu_k(n) = 1 exactly when
-lambda(n) divides k.  Each set is a value built by its own constructor, every
-point verdict is its ``_LambdaSet.failure``, and only oeis-check names a set.
+lambda(n) divides k.  Each set is a ``_LambdaSet``, the lambda-divisibility set
+of ``unitgroup``, built by its own constructor (``_knodel`` and
+``_gen_carmichael`` here, ``unitgroup._rdu_one``); every point verdict is its
+``_LambdaSet.failure``, and only oeis-check names a set.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
-from .arith import _BOUND, SUPPORTED_BOUND, Factorization, _as_factorization, _gate, _read_int
+from .arith import (
+    _BOUND,
+    SUPPORTED_BOUND,
+    Factorization,
+    _as_factorization,
+    _gate,
+    _read_int,
+    _shown,
+)
 from .errors import CapabilityError, DomainError
-from .unitgroup import RANGE_BOUND, _du, carmichael_lambda, lambda_range, unit_group_structure
+from .unitgroup import (
+    _check_range,
+    _du,
+    _LambdaSet,
+    _rdu_one,
+    carmichael_lambda,
+    lambda_range,
+    unit_group_structure,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,7 +73,7 @@ def count_fermat_liars(n: Factorization | int) -> int:
     words = "count_fermat_liars requires odd n >= 3, got {}"
     m = _gate(words, 3, n)
     if m % 2 == 0:
-        raise DomainError(words.format(m))
+        raise DomainError(words.format(_shown(m)))
     return _du(m - 1, unit_group_structure(_as_factorization(n, m)))
 
 
@@ -70,20 +88,21 @@ def _korselt_reason(failed: tuple[str, Factorization | None] | None, n: int) -> 
     if failed is None:
         return None
     clause, f = failed
+    shown = _shown(n)
     if clause == "least":
-        return f"{n} is not composite"
+        return f"{shown} is not composite"
     if clause == "parity":
-        return f"{n} is even"
+        return f"{shown} is even"
     if clause == "composite":
-        return f"{n} is prime"
+        return f"{shown} is prime"
     # lambda(n) does not divide n - 1: a square p^2 | n puts p into lambda(n)
     # but not into n - 1; for squarefree n, lambda(n) = lcm(p - 1)
     for p, e in f.factors:
         if e > 1:
-            return f"not squarefree: {p}^{e} divides {n}"
+            return f"not squarefree: {p}^{e} divides {shown}"
     for p, _ in f.factors:
         if (n - 1) % (p - 1):
-            return f"{p} - 1 does not divide {n} - 1"
+            return f"{p} - 1 does not divide {shown} - 1"
 
 
 def is_carmichael(n: Factorization | int) -> bool:
@@ -108,7 +127,7 @@ def is_generalized_carmichael(
     m = _gate("is_generalized_carmichael requires n >= 1, got {}", 1, n)
     s = _gen_carmichael(k)
     if m > _gate(_BOUND, 1, bound):
-        raise CapabilityError(f"n = {m} exceeds the brute-force bound {bound}")
+        raise CapabilityError(f"n = {_shown(m)} exceeds the brute-force bound {_shown(bound)}")
     return s.failure(n, m) is None
 
 
@@ -223,37 +242,6 @@ def sweep(
     return SweepResult(hits=tuple(hits), skipped=tuple(skipped))
 
 
-class _LambdaSet(NamedTuple):
-    """The n >= least, only composite or squarefree ones if asked, with lambda(n) | e(n)."""
-
-    slope: int  # e(n) = slope * n + offset, which is >= 1 from least on
-    offset: int
-    least: int
-    composite: bool = False
-    squarefree: bool = False
-
-    def failure(
-        self, n: Factorization | int, m: int, lam: int | None = None
-    ) -> tuple[str, Factorization | None] | None:
-        """None for a member n, which the gate read as m, else the first clause n fails and the
-        factorization read for it (None if it failed before factoring).  The clauses: "least";
-        "parity", from m alone: e(m) is odd at m >= 3, where lambda(m) is even, or m = 2 is not
-        composite; "lambda" (lam, or lambda(m), does not divide e(m)); "composite"; "squarefree"."""
-        if m < self.least:
-            return "least", None
-        e = self.slope * m + self.offset
-        if (m >= 3 and e % 2) or (m == 2 and self.composite):
-            return "parity", None
-        f = _as_factorization(n, m)
-        if e % (carmichael_lambda(f) if lam is None else lam):
-            return "lambda", f
-        if self.composite and not f.is_composite:
-            return "composite", f
-        if self.squarefree and not f.is_squarefree:
-            return "squarefree", f
-        return None
-
-
 def _knodel(i: int) -> _LambdaSet:
     """The i-Knodel set: the composite n > i with lambda(n) | n - i."""
     i = _gate("is_knodel requires i >= 1, got {}", 1, i)
@@ -264,11 +252,6 @@ def _gen_carmichael(k: int) -> _LambdaSet:
     """Korselt's form of C_k: the squarefree n with n, n + k >= 2 and lambda(n) | n + k - 1."""
     k = _gate("is_generalized_carmichael requires an integer k, got {}", None, k)
     return _LambdaSet(1, k - 1, max(2, 2 - k), False, True)  # squarefree=True
-
-
-def _rdu_one(k: int) -> _LambdaSet:
-    """The n with rdu_k(n) = 1, that is lambda(n) | k, for a k >= 1 that the gate has read."""
-    return _LambdaSet(0, k, 1)
 
 
 _CARMICHAEL = _knodel(1)  # lambda(n) is even for n >= 3, so only odd n are 1-Knodel
@@ -287,8 +270,6 @@ def _lambda_set(name: str) -> _LambdaSet:
     parameter = _read_int(text, "predicate parameter")
     if parameter is None:
         raise DomainError(f"predicate {name!r} needs an integer parameter")
-    if base == "rdu-one":
-        _gate("the rdu-one predicate requires K >= 1, got {}", 1, parameter)
     return families[base](parameter)
 
 
@@ -303,8 +284,7 @@ def _predicate(name: str, top: int) -> frozenset[int]:
     ``lambda_range`` takes.  No factorization bound applies: the sieve divides
     by every prime up to isqrt(top), leaving no composite cofactor."""
     s = _lambda_set(name)
-    if top > RANGE_BOUND:
-        raise CapabilityError(f"[1, {top}] holds {top} n, above the range bound {RANGE_BOUND}")
+    _check_range(1, top)
     members = {n for n in (1, 2) if n <= top and s.failure(n, n) is None}
     lo = max(s.least, 3)
     odd_offset = s.offset % 2 == 1

@@ -6,7 +6,8 @@ largest p^e with lambda(p^e) | k, and they number prod(e + 1).  For odd
 k, n_max = 2, as lambda(n) is even for n >= 3.  For even k = 2^beta * M
 (M odd) the 2-part is 2^(beta+2), and an odd prime p enters exactly when
 p - 1 | k, with exponent nu_p(k) + 1: A holds the primes with exponent 1
-(those not dividing M), B the others.
+(those not dividing M), B the others.  The membership tests read the
+lambda-divisibility set ``_rdu_one(k)`` of ``unitgroup``, beside lambda.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from .arith import (
     _certified_prime,
     _gate,
     _nu2,
+    _shown,
     divisors,
     factorize,
 )
 from .errors import CapabilityError, DomainError
-from .classify import _rdu_one
-from .unitgroup import _INT64_MAX
+from .unitgroup import _INT64_MAX, _rdu_one
 
 __all__ = [
     "SOLUTION_CAP",
@@ -181,7 +182,7 @@ def _divisors(f: Factorization, stop: int | None) -> tuple[np.ndarray, list[int]
 def is_rdu_one(n: Factorization | int, k: int) -> bool:
     """Fast membership test for rdu_k(n) = 1, without touching the k-units:
     every unit is a k-unit exactly when lambda(n) | k.  Decided by the set
-    ``classify._rdu_one(k)``, so an odd k with n >= 3 is answered False
+    ``unitgroup._rdu_one(k)``, so an odd k with n >= 3 is answered False
     without factoring, as lambda(n) is even.  Accepts any integer or a Factorization.
     """
     m, k = _gate("is_rdu_one requires n >= 1 and k >= 1, got n={}, k={}", 1, n, k)
@@ -198,10 +199,12 @@ def check_korselt_general(n: Factorization | int, k: int) -> bool:
     """
     m, k = _gate("check_korselt_general requires n >= 1 and k >= 1, got n={}, k={}", 1, n, k)
     if m % 2 == 0:
-        raise DomainError(f"precondition violated: n = {m} is not odd")
+        raise DomainError(f"precondition violated: n = {_shown(m)} is not odd")
     f = _as_factorization(n, m)
     if not f.is_composite:
-        raise DomainError(f"precondition violated: n = {m} is not composite")
+        raise DomainError(f"precondition violated: n = {_shown(m)} is not composite")
     if gcd(k, m) != 1:
-        raise DomainError(f"precondition violated: k = {k} is not relatively prime to n = {m}")
+        raise DomainError(
+            f"precondition violated: k = {_shown(k)} is not relatively prime to n = {_shown(m)}"
+        )
     return _rdu_one(k).failure(f, m) is None

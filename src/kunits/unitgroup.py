@@ -9,8 +9,12 @@ phi(p^a) for odd p.
 
 The exponent of U(Z_n), the lcm of its cyclic factor orders, is
 Carmichael's lambda(n); every unit is a k-unit exactly when lambda(n)
-divides k.  ``lambda_range`` sieves lambda over a whole range, segment by
-segment, for the range tooling in ``classify``.
+divides k.  The lambda-divisibility sets, the n with lambda(n) | e(n) for
+an exponent e(n) linear in n, live here beside lambda as ``_LambdaSet``
+values: ``_rdu_one(k)`` holds the n with rdu_k(n) = 1, for ``solver``,
+and ``classify`` builds the Carmichael, Knodel and C_k sets.
+``lambda_range`` sieves lambda over a whole range, segment by segment,
+for the range tooling in ``classify``.
 
 ``enumerate_k_units`` lists U_k(n) itself, the product over the cyclic
 factors C_r of their subgroups of order gcd(k, r), built from a
@@ -36,6 +40,7 @@ from .arith import (
     _Budget,
     _cofactor_primes,
     _gate,
+    _shown,
     factorize,
 )
 from .errors import CapabilityError
@@ -129,6 +134,42 @@ def carmichael_lambda(n: Factorization | int) -> int:
     return lcm(*unit_group_structure(n).orders)
 
 
+class _LambdaSet(NamedTuple):
+    """The n >= least, only composite or squarefree ones if asked, with lambda(n) | e(n)."""
+
+    slope: int  # e(n) = slope * n + offset, which is >= 1 from least on
+    offset: int
+    least: int
+    composite: bool = False
+    squarefree: bool = False
+
+    def failure(
+        self, n: Factorization | int, m: int, lam: int | None = None
+    ) -> tuple[str, Factorization | None] | None:
+        """None for a member n, which the gate read as m, else the first clause n fails and the
+        factorization read for it (None if it failed before factoring).  The clauses: "least";
+        "parity", from m alone: e(m) is odd at m >= 3, where lambda(m) is even, or m = 2 is not
+        composite; "lambda" (lam, or lambda(m), does not divide e(m)); "composite"; "squarefree"."""
+        if m < self.least:
+            return "least", None
+        e = self.slope * m + self.offset
+        if (m >= 3 and e % 2) or (m == 2 and self.composite):
+            return "parity", None
+        f = _as_factorization(n, m)
+        if e % (carmichael_lambda(f) if lam is None else lam):
+            return "lambda", f
+        if self.composite and not f.is_composite:
+            return "composite", f
+        if self.squarefree and not f.is_squarefree:
+            return "squarefree", f
+        return None
+
+
+def _rdu_one(k: int) -> _LambdaSet:
+    """The n with rdu_k(n) = 1, that is lambda(n) | k: every unit modulo n is a k-unit."""
+    return _LambdaSet(0, _gate("the rdu-one predicate requires K >= 1, got {}", 1, k), 1)
+
+
 def du_k_product(k: int, decomposition: CyclicDecomposition) -> int:
     """Number of k-units in a product of cyclic groups: prod of gcd(k, r_i)."""
     return _du(_gate("k must be >= 1, got {}", 1, k), decomposition)
@@ -176,10 +217,10 @@ def _k_units(n: int, k: int, bound: int) -> np.ndarray:
     """
     n, k = _gate("enumerate_k_units requires n >= 1 and k >= 1, got n={}, k={}", 1, n, k)
     if n > _gate(_BOUND, 1, bound):
-        raise CapabilityError(f"n = {n} exceeds the enumeration bound {bound}")
+        raise CapabilityError(f"n = {_shown(n)} exceeds the enumeration bound {_shown(bound)}")
     if (n - 1) ** 2 > _INT64_MAX:
         raise CapabilityError(
-            f"n = {n} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
+            f"n = {_shown(n)} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
         )
     f = factorize(n)
     du = _du(k, unit_group_structure(f))
@@ -293,10 +334,7 @@ def lambda_range(
     lo, hi = _gate(words, 1, lo, hi)
     _gate(words, lo, lo, hi)  # and hi >= lo
     bound = _gate(_BOUND, 1, bound)
-    if hi - lo + 1 > RANGE_BOUND:
-        raise CapabilityError(
-            f"[{lo}, {hi}] holds {hi - lo + 1} n, above the range bound {RANGE_BOUND}"
-        )
+    _check_range(lo, hi)
     # the primes below 2**16 serve a range up to 2**32, and those below 2**24 any other
     bits = 16 if hi < 1 << 32 else 24
     limit = min(isqrt(hi), 1 << bits)
@@ -326,6 +364,15 @@ def lambda_range(
         _lambda_segment(range(a, min(a + width, hi + 1), step), strided, tables, limit, budget)
         for a in range(lo | 1 if odd_only else lo, hi + 1, width)
     )
+
+
+def _check_range(lo: int, hi: int) -> None:
+    """Refuse with CapabilityError a range [lo, hi] of more than RANGE_BOUND n."""
+    if hi - lo + 1 > RANGE_BOUND:
+        raise CapabilityError(
+            f"[{_shown(lo)}, {_shown(hi)}] holds {_shown(hi - lo + 1)} n, "
+            f"above the range bound {RANGE_BOUND}"
+        )
 
 
 def _first_multiple(a: int, q, step: int):
@@ -441,7 +488,7 @@ def _lambda_segment(
     squarefree[index[prime_multiples:]] = False
     rem = n // taken
     if not np.array_equal(taken * rem, n):
-        raise ArithmeticError(f"sieve factors do not multiply back on [{a}, {largest}]")
+        raise ArithmeticError(f"sieve factors do not multiply back on [{_shown(a)}, {_shown(largest)}]")
     lam = np.maximum(rem - 1, 1)
     # The cofactor is 1, a prime, or (from (limit + 1)**2 on) a number to factor.
     for i in np.flatnonzero(rem > limit * (limit + 2)):

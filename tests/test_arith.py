@@ -1,6 +1,7 @@
 import random
 import time
 from unittest import mock
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -662,6 +663,24 @@ class TestGate:
     def test_a_long_negative_value_is_named_by_its_size(self):
         with pytest.raises(DomainError, match="got a negative 4001-bit integer$"):
             kunits.is_prime(-(2**4000))
+
+    @pytest.mark.parametrize(
+        "n, shown",
+        [
+            (Fraction(1, 3), "Fraction(1, 3)"),
+            (Fraction(2**4000, 3), "a Fraction"),
+            (Fraction(10**5000, 3), "a Fraction"),
+        ],
+        ids=["short", "long", "past the digit limit"],
+    )
+    def test_a_non_integer_is_named_by_its_repr_or_its_type(self, n, shown):
+        # a repr longer than that of a 1024-bit int, or one that cannot be written, gives the type
+        with pytest.raises(DomainError) as exc:
+            factorize(n)
+        assert str(exc.value) == (
+            f"factorization requires n >= 1, got {shown}: "
+            "'Fraction' object cannot be interpreted as an integer"
+        )
 
 
 def test_factor_map_oracle_agreement_sampled():

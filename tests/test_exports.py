@@ -1,5 +1,6 @@
 import importlib
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ def test_arith_holds_no_numpy():
     assert not {"np", "numpy"} & set(vars(module))
 
 
+def test_solver_holds_nothing_of_classify():
+    # the rdu = 1 set lives beside lambda in unitgroup: arith -> unitgroup -> {classify, solver}
+    classify = importlib.import_module("kunits.classify")
+    held = [
+        name
+        for name, v in vars(importlib.import_module("kunits.solver")).items()
+        if v is classify or getattr(v, "__module__", None) == classify.__name__
+    ]
+    assert held == []
+
+
 # The functions for which bound is their own decision: a refusal limit, the rho
 # budget, the enumeration bound, or the rho budget of a number they factor
 # themselves (k, the sieve's cofactors).  The others read n's factorization and
@@ -110,3 +122,42 @@ def test_a_bound_below_1_is_a_domain_error_in_every_bound_taker(name):
         with pytest.raises(kunits.DomainError) as excinfo:
             BOUND_CALLS[name](bound)
         assert str(excinfo.value) == f"bound must be >= 1, got {bound}"
+
+
+# One call of each entry point that wrote a caller's 5001-digit number into a message in full,
+# past the interpreter's int-to-str digit limit (4300 digits by default, 640 at the least), and
+# what it gives now: None for an answer, else the error it raises.
+HUGE = 10**5000
+HUGE_CALLS = {
+    "is_prime": (lambda: kunits.is_prime(HUGE), kunits.CapabilityError),
+    "Factorization": (lambda: kunits.Factorization(HUGE, ((2, 1),)), kunits.DomainError),
+    "divisors": (
+        lambda: kunits.divisors(kunits.factorize(2**20000 * 3**100)),
+        kunits.CapabilityError,
+    ),
+    "enumerate_k_units": (lambda: kunits.enumerate_k_units(HUGE, 2), kunits.CapabilityError),
+    "lambda_range": (lambda: kunits.lambda_range(1, HUGE), kunits.CapabilityError),
+    "sweep": (lambda: kunits.sweep(1, HUGE, kunits.parse_rule("n-1")), kunits.CapabilityError),
+    "count_fermat_liars": (lambda: kunits.count_fermat_liars(HUGE), kunits.DomainError),
+    "korselt_failure": (lambda: kunits.korselt_failure(HUGE), None),
+    "classify": (lambda: kunits.classify(HUGE).carmichael_reason, None),
+    "is_generalized_carmichael": (
+        lambda: kunits.is_generalized_carmichael(HUGE, 0),
+        kunits.CapabilityError,
+    ),
+    "check_korselt_general": (lambda: kunits.check_korselt_general(HUGE, 3), kunits.DomainError),
+    "factorize": (lambda: kunits.factorize(Fraction(HUGE, 3)), kunits.DomainError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_CALLS))
+def test_a_number_past_the_digit_limit_is_answered_or_refused_in_a_short_message(name):
+    # a message names a value past 1024 bits by its size; CI runs this at the least digit limit
+    call, error = HUGE_CALLS[name]
+    if error is None:
+        answer = call()
+        assert len(answer) < 1024 and answer.startswith("a 16610-bit integer ")
+        return
+    with pytest.raises(error) as refused:
+        call()
+    assert len(str(refused.value)) < 1024
