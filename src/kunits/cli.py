@@ -7,7 +7,7 @@ which factors nothing, accept --bound N >= 1, the factorization bound
 (for units, the enumeration bound); sweep alone accepts --csv, which
 excludes --json.  units and solve --enumerate write their long list as they
 go, in the same bytes as the whole object or line would be: the k-units
-from one int64 array, the solutions in the two parts of
+from one uint32 array, the solutions in the two parts of
 ``solver._solutions``, an int64 array of those below 2^63 and a list of
 the Python ints at or above it.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, Sequence
@@ -37,14 +37,51 @@ from .unitgroup import ENUMERATION_BOUND, _k_units, k_unit_stats
 __all__ = ["main"]
 
 
+# Widths, in bits, that _split_digits converts by Decimal(m) itself.
+_SPLIT_BITS = 128
+
+
 def _digits(n: int) -> str:
     """n in decimal, whatever the process's int-to-str digit limit, without
     changing that setting: ``str``, or, past the limit, where ``str``
-    raises ValueError, the route through ``decimal.Decimal``, which has none."""
+    raises ValueError, ``_split_digits``."""
     try:
         return str(n)
     except ValueError:
-        return str(Decimal(n))
+        return _split_digits(n)
+
+
+def _split_digits(n: int) -> str:
+    """n in decimal by binary splitting through ``decimal``, which has no
+    int-to-str digit limit: the scheme of CPython 3.12's
+    ``_pylong.int_to_decimal_string``.
+
+    A value m below 2^w is hi * 2^h + lo with h = w // 2, each half
+    converted the same way, so the cost follows libmpdec's multiplication
+    rather than the quadratic ``Decimal(n)``.  Every step is exact:
+    ``MAX_PREC`` digits, and ``Inexact`` trapped.  Kept apart from
+    ``_digits``, whose every call would otherwise make the closures' cells.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:
+        """2^w, each w computed once."""
+        if w not in powers:
+            half = w >> 1
+            powers[w] = Decimal(2) ** w if w <= _SPLIT_BITS else power(half) * power(w - half)
+        return powers[w]
+
+    def split(m: int, w: int) -> Decimal:
+        """m < 2^w as a Decimal."""
+        if w <= _SPLIT_BITS:
+            return Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return split(m - (hi << half), half) + split(hi, w - half) * power(half)
+
+    m = abs(n)
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])):
+        return ("-" if n < 0 else "") + str(split(m, m.bit_length()))
 
 
 def _jsonable(value: Any) -> Any:
@@ -95,11 +132,12 @@ def _emit_json(
 
 
 def _write_ints(values: np.ndarray, quote: str, sep: str, rest: Sequence[int] = ()) -> None:
-    """Write the int64 values, then the ints of ``rest``, in decimal, each
-    in quotes, separated by sep, one slice of ``_SLICE`` values per write.
+    """Write the values of the array, then the ints of ``rest``, in
+    decimal, each in quotes, separated by sep, one slice of ``_SLICE``
+    values per write.
 
-    Ascending non-negative values (the ``units`` residues, or the
-    ``solve`` solutions below 2^63) are turned into text by
+    Ascending non-negative values (the uint32 ``units`` residues, or the
+    int64 ``solve`` solutions below 2^63) are turned into text by
     ``_decimal_text`` without a str per value; any other array, which only
     a wrong construction gives (``units --oracle`` reports it), is written
     as part of ``rest``.  ``rest`` (the ``solve`` solutions at or above
@@ -135,39 +173,60 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 
 def _decimal_text(values: np.ndarray, quote: str, sep: str) -> str:
     """``sep.join(quote + str(v) + quote for v in values)`` for the
-    ascending non-negative int64 values that ``_write_ints`` passes, built
-    in numpy without a Python str per value.
+    ascending non-negative integer values that ``_write_ints`` passes
+    (uint32 or int64), built in numpy without a Python str per value.
 
     Each value becomes the row sep, quote, digits, quote.  The values with
-    the same digit count form one run, bounded by where each power of ten
-    falls among the ascending values (18 searches, not one per value), and
-    filled as a (rows, width) uint8 block of the output: the fixed columns
-    from one template row, the digits four at a time from
-    ``divmod(·, 10000)`` and the quads of ``_digit_tables``.  The leading
-    sep is cut off.
+    the same digit count d form one run, bounded by where each power of ten
+    falls among the ascending values (a search per power the dtype holds,
+    not one per value).  Its digits are cut into four-digit groups, in
+    uint32 for d <= 9, else in the array's own dtype, and the
+    ``_digit_tables`` quad of each group is stored straight into its place
+    in every row, through a uint32 view of the output bytes that strides by
+    the row width; then the fixed sep and quote columns are written.
+
+    A leading group of fewer than four digits starts before its row's
+    digits, in the row's fixed columns and, in plain output, in the row
+    before, whose last group and fixed columns are written after it: the
+    runs go from the last, and each writes its leading group first.  The
+    output starts with room for the first such group, and a run whose rows
+    are narrower than a quad, where one store would cover a whole row
+    before, writes its digits bytewise instead.  The leading sep is cut off.
     """
     powers_of_ten, quad_text = _digit_tables()
     head, tail = (sep + quote).encode("ascii"), quote.encode("ascii")
-    cuts = [0, *np.searchsorted(values, powers_of_ten).tolist(), len(values)]
-    runs = [
-        (a, b, len(head) + d + len(tail))
-        for d, (a, b) in enumerate(zip(cuts, cuts[1:]), 1)
-        if a < b
-    ]
-    out = np.empty(sum((b - a) * width for a, b, width in runs), dtype=np.uint8)
-    at = 0
-    for a, b, width in runs:
-        d = width - len(head) - len(tail)
-        rows = out[at : at + (b - a) * width].reshape(b - a, width)
-        at += rows.size
-        rows[:] = np.frombuffer(head + b"0" * d + tail, dtype=np.uint8)
-        quads = np.empty((b - a, -(-d // 4)), dtype=np.uint32)
-        rest = values[a:b]
-        for j in reversed(range(quads.shape[1])):
-            rest, low = np.divmod(rest, 10000)
-            quads[:, j] = quad_text[low]
-        rows[:, len(head) : len(head) + d] = quads.view(np.uint8)[:, -d:]
-    return out[len(sep) :].tobytes().decode("ascii")
+    held = powers_of_ten[powers_of_ten <= np.iinfo(values.dtype).max].astype(values.dtype)
+    cuts = [0, *np.searchsorted(values, held).tolist(), len(values)]
+    room = 3  # before the first row, whose leading group may start 3 bytes before its digits
+    runs, at = [], room
+    for d, (a, b) in enumerate(zip(cuts, cuts[1:]), 1):
+        if a < b:
+            runs.append((values[a:b], d, at))
+            at += (b - a) * (len(head) + d + len(tail))
+    out = np.empty(at, dtype=np.uint8)
+    for run, d, at in reversed(runs):
+        width = len(head) + d + len(tail)
+        end = at + len(run) * width
+        if d <= 9:
+            run = run.astype(np.uint32, copy=False)
+        if width < 4:
+            rows = out[at:end].reshape(len(run), width)
+            quads = quad_text.take(run, mode="clip").view(np.uint8).reshape(-1, 4)
+            rows[:, len(head) : len(head) + d] = quads[:, 4 - d :]
+        else:
+            groups = -(-d // 4)
+            scale = 10 ** (4 * (groups - 1))
+            for j in reversed(range(groups)):
+                low = run // scale if j else run
+                start = at + len(head) + d - 4 * (j + 1)
+                quads = np.ndarray(len(run), np.uint32, out, start, (width,))
+                quads[...] = quad_text.take(low, mode="clip")
+                if j:
+                    run = run - low * scale
+                    scale //= 10000
+        for c, byte in [*enumerate(head), *enumerate(tail, len(head) + d)]:
+            out[at + c : end : width] = byte
+    return str(out[room + len(sep) :], "ascii")
 
 
 def _text(value: Any) -> str:
@@ -226,7 +285,8 @@ def _cmd_units(args: argparse.Namespace) -> int:
 def _not_k_unit(units: np.ndarray, n: int, k: int) -> str | None:
     """The first residue out of order, out of [0, n) or with a^k != 1 mod n,
     worded, or None.  a^k is taken by square-and-multiply in int64, one
-    slice at a time; x - x // n * n is x mod n, as numpy divides by a scalar
+    slice at a time, widened first, as the square of a uint32 residue wraps
+    in uint32; x - x // n * n is x mod n, as numpy divides by a scalar
     without a hardware division, and its ``%`` took 4 times as long."""
     stalls = units[1:] <= units[:-1]
     if stalls.any():
@@ -234,7 +294,7 @@ def _not_k_unit(units: np.ndarray, n: int, k: int) -> str | None:
     if len(units) and not 0 <= units[0] <= units[-1] < n:
         return f"the residues leave [0, {n})"
     for i in range(0, len(units), _SLICE):
-        chunk = units[i : i + _SLICE]
+        chunk = units[i : i + _SLICE].astype(np.int64)
         acc = chunk.copy()
         for bit in bin(k)[3:]:
             acc *= acc

@@ -1069,9 +1069,18 @@ class _Writes:
 _NO_INT64 = np.array([], dtype=np.int64)
 
 
+def _arrays(values):
+    """values as an int64 array and, where they all fit, as a uint32 one (the units residues)."""
+    arrays = [np.array(values, dtype=np.int64)]
+    if all(0 <= v < 2**32 for v in values):
+        arrays.append(np.array(values, dtype=np.uint32))
+    return arrays
+
+
 def _as_int64_or_rest(values):
-    """The ways to hand values to _write_ints: all in the array, or all in the rest."""
-    return [(np.array(values, dtype=np.int64), ()), (_NO_INT64, values)]
+    """The ways to hand values to _write_ints: all in an array, int64 or, where
+    they fit, uint32, or all in the rest."""
+    return [*((array, ()) for array in _arrays(values)), (_NO_INT64, values)]
 
 
 class TestWriteInts:
@@ -1153,9 +1162,11 @@ def _joined(values, quote, sep):
 class TestDecimalText:
     @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
     def test_powers_of_ten_and_the_int64_edges(self, quote, sep):
-        for values in (_DECIMAL_EDGES, *([v] for v in _DECIMAL_EDGES)):
-            got = _decimal_text(np.array(values, dtype=np.int64), quote, sep)
-            assert got == _joined(values, quote, sep), values
+        below_2_32 = [v for v in _DECIMAL_EDGES if v < 2**32]
+        for values in (_DECIMAL_EDGES, below_2_32, *([v] for v in _DECIMAL_EDGES)):
+            for array in _arrays(values):
+                got = _decimal_text(array, quote, sep)
+                assert got == _joined(values, quote, sep), (values, array.dtype)
 
     @pytest.mark.parametrize("quote, sep", _TEXT_STYLES)
     def test_strided_values_and_unsorted_ones_take_the_list_route(self, capsys, quote, sep):
@@ -1191,8 +1202,39 @@ class TestDecimalText:
     def test_matches_str_join(self, values, style):
         quote, sep = style
         values.sort()
-        got = _decimal_text(np.array(values, dtype=np.int64), quote, sep)
-        assert got == _joined(values, quote, sep)
+        for array in _arrays(values):
+            assert _decimal_text(array, quote, sep) == _joined(values, quote, sep), array.dtype
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+class TestDigitsPastTheLimit:
+    """_digits past the int-to-str digit limit, where it splits through decimal,
+    against str with the limit lifted."""
+
+    @staticmethod
+    def _check(n):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = cli_module._digits(n)
+            assert sys.get_int_max_str_digits() == 640
+            sys.set_int_max_str_digits(0)
+            assert got == str(n)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @given(st.integers(1, 2 * 10**5), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_str(self, bits, rng, negative):
+        n = rng.getrandbits(bits)
+        self._check(-n if negative else n)
+
+    def test_powers_of_ten_and_two(self):
+        for n in (10**5000 - 1, 10**5000, 2**20000, -(10**5000 + 1)):
+            self._check(n)
+
+    def test_a_million_bits(self):
+        self._check(random.Random(38).getrandbits(10**6) | 1 << (10**6 - 1))
 
 
 class TestStreamedOutput:

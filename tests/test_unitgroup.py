@@ -262,6 +262,13 @@ class TestEnumerateKUnits:
             enumerate_k_units(4 * 10**9 + 7, 2, bound=5 * 10**9)
         with pytest.raises(CapabilityError, match="int64"):
             enumerate_k_units(3037000501, 1, bound=10**10)
+        # below the edge it answers: the products of 2 * 7^2 * 31 * 999671's
+        # residues reach (n - 1)^2, near 2^63
+        n, k = 3037000498, 720
+        units = enumerate_k_units(n, k, bound=n)
+        assert len(set(units)) == len(units) == k_unit_stats(n, k).du == 1800
+        assert units == sorted(units) and units[-1] == n - 1
+        assert all(pow(a, k, n) == 1 for a in units)
 
     def test_memory_is_bounded_by_the_count(self):
         # numpy reports its buffers to tracemalloc; a scan of the residues in
@@ -277,9 +284,9 @@ class TestEnumerateKUnits:
         assert peak < 2**20
 
     @pytest.mark.parametrize("n, k", [(1, 7), (24, 2), (561, 80), (1001, 720), (9999990, 720)])
-    def test_k_units_is_one_int64_array_of_its_own(self, n, k):
+    def test_k_units_is_one_uint32_array_of_its_own(self, n, k):
         units = unitgroup._k_units(n, k, 10**7)
-        assert units.dtype == np.int64 and units.base is None
+        assert units.dtype == np.uint32 and units.base is None
         assert units.flags.c_contiguous
         if n < 10**4:
             assert units.tolist() == brute_k_units(n, k)
