@@ -284,27 +284,39 @@ def _cmd_units(args: argparse.Namespace) -> int:
 
 def _not_k_unit(units: np.ndarray, n: int, k: int) -> str | None:
     """The first residue out of order, out of [0, n) or with a^k != 1 mod n,
-    worded, or None.  a^k is taken by square-and-multiply in int64, one
-    slice at a time, widened first, as the square of a uint32 residue wraps
-    in uint32; x - x // n * n is x mod n, as numpy divides by a scalar
-    without a hardware division, and its ``%`` took 4 times as long."""
+    worded, or None.  a^k is taken by square-and-multiply in uint64, one
+    slice at a time, widened first into a reused buffer, as the square of a
+    uint32 residue wraps in uint32; every residue is in [0, n) by then, and
+    ``_k_units`` refuses (n - 1)^2 > 2^63 - 1, so no product wraps.
+    x - x // n * n is x mod n, as numpy divides by a scalar without a
+    hardware division, and its ``%`` took 4 times as long; the unsigned
+    division, into a second reused buffer, is faster than the signed one."""
     stalls = units[1:] <= units[:-1]
     if stalls.any():
         return f"the residues do not strictly ascend at {units[stalls.argmax() + 1]}"
     if len(units) and not 0 <= units[0] <= units[-1] < n:
         return f"the residues leave [0, {n})"
+    wide, power, quotient = (np.empty(min(len(units), _SLICE), dtype=np.uint64) for _ in range(3))
+
+    def reduce(x: np.ndarray, q: np.ndarray) -> None:  # x mod n, in place
+        np.floor_divide(x, n, out=q)
+        q *= n
+        x -= q
+
     for i in range(0, len(units), _SLICE):
-        chunk = units[i : i + _SLICE].astype(np.int64)
-        acc = chunk.copy()
+        chunk = units[i : i + _SLICE]
+        a, acc, q = wide[: len(chunk)], power[: len(chunk)], quotient[: len(chunk)]
+        a[:] = chunk  # casts int64 too, which a uint64 *= refuses as not same_kind
+        acc[:] = a
         for bit in bin(k)[3:]:
             acc *= acc
-            acc -= acc // n * n
+            reduce(acc, q)
             if bit == "1":
-                acc *= chunk
-                acc -= acc // n * n
+                acc *= a
+                reduce(acc, q)
         if (wrong := acc != 1 % n).any():
-            a, power = chunk[wrong][0], acc[wrong][0]
-            return f"residue {a} is not a k-unit: {a}^{k} = {power} mod {n}"
+            residue, value = chunk[wrong][0], acc[wrong][0]
+            return f"residue {residue} is not a k-unit: {residue}^{k} = {value} mod {n}"
     return None
 
 
