@@ -4,9 +4,9 @@
 
 Prints one JSON object.  Each row gives the thread CPU (``time.thread_time``) of a call,
 as the median and quartiles of the block's 41 calls (5 with ``--quick``; one per n in
-``curve_ms`` and ``factorize``), beside the counts of one more call made before them,
-with a private name of the library wrapped in this process and restored after it.  The
-library is not changed for it.  The blocks:
+``curve_ms`` and ``factorize``; 11 for the sweep to 10^7), beside the counts of one
+more call made before them, with a private name of the library wrapped in this process
+and restored after it.  The library is not changed for it.  The blocks:
 
 - ``curve_ms``: ``arith._ecm_curve`` at B1 = 500, 2000 and 11,000, one curve per seeded
   product of two 60-bit primes at sigma = 6, 7, ..., and how many split their n.  Primes
@@ -26,10 +26,11 @@ library is not changed for it.  The blocks:
   and nbytes, ``cli._not_k_unit`` with its verdict (None when every residue passes), and
   ``cli._write_ints`` in the ``--json`` and the plain style, with bytes and SHA-256;
 - ``range_ms``: ``range_scan``'s Carmichael sweep (``classify.sweep``, rule n - 1,
-  ``odd_only`` and ``composite_only``) over [3, 10^6], and over 2^18 odd n from 2^32, 2^40
-  and 2^48, which hold no hit but sieve by the primes below 2^24 (built once, in the
-  counting call); ``--quick`` takes [3, 10^5] and 2^14 odd n.  Each row has its hits and
-  the multiplications charged.
+  ``odd_only`` and ``composite_only``) over [3, 10^6], over [3, 10^7] (the north star's
+  sweep, 105 hits), and over 2^18 odd n from 2^32, 2^40 and 2^48, which hold no hit;
+  ``--quick`` takes [3, 10^5] and 2^14 odd n, and no sweep to 10^7.  Each row has its
+  hits, the multiplications charged, and ``table``, the length of the prime table the
+  sieve read (``unitgroup._primes_below``, built once per size, in the counting call).
 
 ``--against SRC`` loads a second tree's package from its ``src`` directory (say, a
 ``git archive`` of the parent commit) and runs every case on both trees, alternating which
@@ -251,19 +252,23 @@ def sweeps(trees: dict, repeats: int, quick: bool) -> dict:
     """The ``range_ms`` block."""
     span = 1 << (15 if quick else 19)  # 2^14 or 2^18 odd n
     top = 10**5 if quick else 10**6
-    windows = {f"3-{top}": (3, top), **{f"2^{b}+{span}": (1 << b, (1 << b) + span - 1) for b in (32, 40, 48)}}
+    windows = {f"3-{top}": (3, top, repeats)}
+    if not quick:  # one sweep to 10^7 takes about 0.5 s, so it is timed 11 times
+        windows["3-10000000"] = (3, 10**7, 11)
+    windows |= {f"2^{b}+{span}": (1 << b, (1 << b) + span - 1, repeats) for b in (32, 40, 48)}
     rules = {side: tree.classify.parse_rule("n-1") for side, tree in trees.items()}
     range_ms = {}
-    for key, (lo, hi) in windows.items():
+    for key, (lo, hi, calls) in windows.items():
 
         def sweep(side, i=0):
             return trees[side].classify.sweep(lo, hi, rules[side], odd_only=True, composite_only=True)
 
         def work(side):
-            result, done = counted(lambda: sweep(side), charged(trees[side].arith))
-            return {"hits": len(result.hits), "charged": done["charged"]}
+            table = trees[side].unitgroup, "_primes_below", lambda primes, bits: {"table": len(primes)}
+            result, done = counted(lambda: sweep(side), charged(trees[side].arith), table)
+            return {"hits": len(result.hits), "charged": done["charged"], "table": done["table"]}
 
-        range_ms[key] = row(trees, repeats, sweep, work, 1e3)
+        range_ms[key] = row(trees, calls, sweep, work, 1e3)
     return {"range_ms": range_ms}
 
 

@@ -279,10 +279,11 @@ _STRIDE_LIMIT = isqrt(_SEGMENT)
 
 @cache
 def _primes_below(bits: int) -> np.ndarray:
-    """Every prime below 2**bits, ascending, as one read-only int64 array shared
-    for the life of the process (below 2**24, 1,077,871 primes in 8.6 MB): a
-    sieve of Eratosthenes over the odd numbers, where index i stands for
-    2i + 1 and the 1 at index 0 becomes the even prime 2."""
+    """Every prime below 2**bits (bits >= 2), ascending, in a read-only int64
+    array cached per bits for the life of the process (below 2**24, 1,077,871
+    primes in 8.6 MB, sieved in 33-55 ms): a sieve of Eratosthenes over the
+    odd numbers, where index i stands for 2i + 1 and the 1 at index 0 becomes
+    the even prime 2."""
     odd = np.ones(1 << (bits - 1), dtype=bool)
     for p in range(3, isqrt(1 << bits) + 1, 2):
         if odd[p // 2]:
@@ -321,9 +322,9 @@ def lambda_range(
 
     Each segment holds up to 2**14 consecutive n, or with odd_only up to
     2**14 consecutive odd n (the even n are not sieved at all).  It takes
-    out every prime up to L = min(isqrt(hi), 2**24), read from
-    ``_primes_below(16)`` while L < 2**16 and from ``_primes_below(24)``
-    beyond.  The cofactor left is 1 or a prime below (L + 1)**2, so for
+    out every prime up to L = min(isqrt(hi), 2**24), all in the table
+    ``_primes_below(b)`` of the least b >= 2 with 2**b >= L, as 2**b is not
+    prime.  The cofactor left is 1 or a prime below (L + 1)**2, so for
     every n up to hi = 2**48 + 2**25; a larger one goes to ``factorize``'s
     splitting steps (p - 1, one Brent run, ECM), which certify its primes or raise
     CapabilityError.  They charge one work budget per call, made from hi
@@ -334,8 +335,8 @@ def lambda_range(
     CPU time per n on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): about
     0.08-0.09 us to 10**6 and near 10**7, 0.11-0.14 us for the 2**20 n
     below 10**8, and 0.34-0.36 us in a window of 2**14 n at 2**40, with
-    no rho (the primes below 2**24 take 55 ms once).  odd_only halves the
-    cost of a range: [3, 10**6] took 39-45 ms against 78-83 ms.
+    no rho (its table, the primes below 2**20, takes 3 ms once).
+    odd_only halves the cost of a range: [3, 10**6] took 39-45 ms against 78-83 ms.
 
     Refuses with DomainError a range without 1 <= lo <= hi or a bound below
     1, and with CapabilityError one of more than RANGE_BOUND = 10**9 n, all
@@ -347,10 +348,8 @@ def lambda_range(
     _gate(words, lo, lo, hi)  # and hi >= lo
     bound = _gate(_BOUND, 1, bound)
     _check_range(lo, hi)
-    # the primes below 2**16 serve a range up to 2**32, and those below 2**24 any other
-    bits = 16 if hi < 1 << 32 else 24
-    limit = min(isqrt(hi), 1 << bits)
-    primes = _primes_below(bits)
+    limit = min(isqrt(hi), 1 << 24)
+    primes = _primes_below(max(2, (limit - 1).bit_length()))
     primes = primes[: np.searchsorted(primes, limit, side="right")]
     split = np.searchsorted(primes, _STRIDE_LIMIT, side="right")
     # (q, p, lambda(q)) for each power q = p^e <= hi of a dense prime p; 2 divides no odd n

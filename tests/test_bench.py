@@ -1,10 +1,10 @@
 """bench/layers.py at --quick, with this tree against itself.
 
 The harness reads private names of the library (``_write_ints``, ``_k_units``,
-``_not_k_unit``, ``_solutions``, ``_ecm_curve``, ``_Budget.take`` and
-``_certified_prime``), so a rename breaks it here rather than in a later
-measurement.  It runs in a subprocess, as loading the package a second time in
-this process would replace modules that other tests hold.
+``_not_k_unit``, ``_solutions``, ``_ecm_curve``, ``_Budget.take``,
+``_certified_prime`` and ``_primes_below``), so a rename breaks it here rather
+than in a later measurement.  It runs in a subprocess, as loading the package a
+second time in this process would replace modules that other tests hold.
 """
 
 import json
@@ -42,3 +42,4 @@ def test_layers_quick_against_this_tree():
     layers = {name: row["tree"] for name, row in report["layers_ms"].items()}
     assert layers["k_units"]["count"] == 1866240 and layers["oracle"]["verdict"] is None
     assert report["range_ms"]["3-100000"]["tree"]["hits"] == 16  # the Carmichael numbers below 1e5
+    assert report["range_ms"]["3-100000"]["tree"]["table"] == 97  # the primes below 2^9 >= isqrt(1e5)

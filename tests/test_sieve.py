@@ -5,7 +5,7 @@ import importlib
 import random
 import time
 import tracemalloc
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -283,7 +283,7 @@ class TestLambdaRange:
 
 
 class TestPrimeSieve:
-    """lambda_range reads its primes from one cached sieve, below 2**16 or below 2**24."""
+    """lambda_range reads its primes from one cached sieve, below the least power of 2 at or past L."""
 
     def test_primes_below_2_16_match_the_trial_division_primes(self):
         # two independent sieves
@@ -296,7 +296,7 @@ class TestPrimeSieve:
         head = primes[: 2**16].tolist()
         assert head == list(sympy.primerange(2, head[-1] + 1))
 
-    @pytest.mark.parametrize("hi, bits", [(2**32 - 1, 16), (2**32 + 5, 24)])
+    @pytest.mark.parametrize("hi, bits", [(2**32 - 1, 16), (2**32 + 5, 24), (2**20 - 1, 10)])
     def test_the_cached_primes_are_read_only(self, hi, bits):
         # every call shares the one array, so no caller can write to it
         primes = _primes_below(bits)
@@ -307,8 +307,15 @@ class TestPrimeSieve:
         assert primes[:3].tolist() == [2, 3, 5]
         assert sieved(hi - 300, hi) == factored(hi - 300, hi)
 
-    @pytest.mark.parametrize("hi, bits", [(2**32 - 1, 16), (2**32 + 5, 24)])
-    def test_windows_on_either_side_of_2_32(self, monkeypatch, hi, bits):
+    # hi = 2**48 + 2**25 has L = 2**24, the cap, and reads the table below 2**24, not 2**25
+    TABLES = [(2**32 - 1, 16), (2**32 + 5, 16), (2**40 + 5, 20), (2**48 + 2**25, 24)]
+    TABLES += [(1, 2), (3, 2), (4, 2), (8, 2), (9, 2), (25, 3)]
+
+    @pytest.mark.parametrize("hi, bits", TABLES)
+    def test_one_table_of_the_least_size_that_holds_the_primes_up_to_L(self, monkeypatch, hi, bits):
+        # L = min(isqrt(hi), 2**24); 2**b >= L is never prime, so the table below it holds them all
+        limit = min(isqrt(hi), 2**24)
+        assert bits == max(2, (limit - 1).bit_length())
         asked = []
 
         def recorded(b):
@@ -316,7 +323,7 @@ class TestPrimeSieve:
             return _primes_below(b)
 
         monkeypatch.setattr(unitgroup, "_primes_below", recorded)
-        lo = hi - 300
+        lo = max(1, hi - 300)
         expected = factored(lo, hi)
         assert sieved(lo, hi) == expected
         assert sieved(lo, hi, odd_only=True) == odd_rows(expected)
