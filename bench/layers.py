@@ -9,11 +9,12 @@ more call made before them, with a private name of the library wrapped in this p
 and restored after it.  The library is not changed for it.  The blocks:
 
 - ``curve_ms``: ``arith._ecm_curve`` at B1 = 500, 2000 and 11,000, one curve per seeded
-  product of two 60-bit primes at sigma = 6, 7, ..., and how many split their n.  Primes
-  that large are seldom found, so nearly every curve runs both of its stages in full;
+  product of two 60-bit primes at sigma = 6, 7, ..., how many split their n and the SHA-256
+  of the gcds the curves return.  Primes that large are seldom found, so nearly every curve
+  runs both of its stages in full;
 - ``factorize``: the total CPU in seconds over 300 seeded products of two 32-bit primes
-  (30 with ``--quick``), the ECM curves run and the multiplications charged
-  (``arith._Budget.take``);
+  (30 with ``--quick``), the ECM curves run, the multiplications charged
+  (``arith._Budget.take``) and the SHA-256 of the factorizations;
 - ``solve_us``: ``solve_rdu_one(k)`` for each of perfbench's ``HIGHLY_COMPOSITE_KS``, with
   the candidates tested and the primes kept (``solver._certified_prime``);
 - ``enumerate_us``: ``solve --enumerate --json``'s list, ``solver._solutions`` then
@@ -152,6 +153,12 @@ def written(cli, sink: Sink | None, *args) -> dict:
     return {"bytes": sink.bytes, "sha256": sink.sha256 and sink.sha256.hexdigest()}
 
 
+def digest(values) -> str:
+    """The SHA-256 of the values' decimal text, one per line, so that two trees' answers compare
+    in one field."""
+    return hashlib.sha256("\n".join(map(str, values)).encode("ascii")).hexdigest()
+
+
 def semiprimes(is_prime, count: int, rng: random.Random, bits: int) -> list[int]:
     """``count`` products of two random primes of ``bits`` bits."""
 
@@ -178,15 +185,17 @@ def ecm(trees: dict, quick: bool) -> dict:
             return trees[side].arith._ecm_curve(cases[i], 6 + i, plans[side])
 
         def splits(side):
-            return {"splits": sum(1 < curve(side, i) < n for i, n in enumerate(cases))}
+            found = [curve(side, i) for i in range(len(cases))]
+            return {"splits": sum(1 < g < n for g, n in zip(found, cases)), "sha256": digest(found)}
 
         curve_ms[str(b1)] = row(trees, count, curve, splits, 1e3)
 
     def work(side):
         arith = trees[side].arith
         curves = arith, "_ecm_curve", lambda g, *args: {"curves": 1}
-        _, done = counted(lambda: [arith.factorize(n) for n in factored], curves, charged(arith))
-        return {"curves": done["curves"], "charged": done["charged"]}
+        found, done = counted(lambda: [arith.factorize(n) for n in factored], curves, charged(arith))
+        answers = digest(f.factors for f in found)
+        return {"curves": done["curves"], "charged": done["charged"], "sha256": answers}
 
     factor = lambda side, i: trees[side].arith.factorize(factored[i])  # noqa: E731
     total = lambda times: {"cpu_s": round(sum(times), 4)}  # noqa: E731

@@ -4,9 +4,9 @@ Everything here is arbitrary precision and deterministic.  Factorization
 is trial division below 2**16, then, on what is left, a perfect-power test,
 Pollard's p - 1, one short run of Brent's rho and Lenstra's elliptic-curve
 method (ECM), whose curves run on a fixed schedule until the call's work
-budget ends them; a curve's stage 2 walks its baby steps along two chains,
-j = 1 and j = 5 mod 6, brings them and its giant steps to Z = 1 by one
-batch inversion, and tests each pair by one multiplication.  Every step is
+budget ends them; one ladder forms each multiple of a point, one routine
+steps the two chains of baby steps, j = 1 and 5 mod 6, and the giant steps,
+one batch inversion brings them to Z = 1, and a pair costs one product.  Every step is
 charged to that budget, so the same n always takes the same path.  Primality is
 Miller-Rabin on the first t prime bases, t chosen by the size of n: the
 smallest t with n below psi_t, the least odd composite that passes all of
@@ -422,8 +422,8 @@ class _EcmPlan(NamedTuple):
     """The fixed tables of one tier of ECM's schedule, the same for every n and curve."""
 
     scalar: int  # stage 1: the product of the prime powers <= B1
-    kept: bytes  # per j = 1, 5, 7, 11, ..., 1157, the j = +-1 mod 6 in the order the two baby
-    # chains give them: 1 where j < D / 2 is prime to D, the 240 baby steps stage 2 tests
+    kept: bytes  # per j = 1, 5, 7, 11, ..., 1157, the j = +-1 mod 6 ascending, the two baby
+    # chains' points interleaved: 1 where j < D / 2 is prime to D, the 240 baby steps stage 2 tests
     first: int  # stage 2 starts at the giant step first * D
     steps: tuple[bytes, ...]  # per giant step k from first on: the baby steps j, by their index
     # among the odd j < D / 2 prime to D, with k * D + j or k * D - j a prime in (B1, B2]
@@ -437,10 +437,10 @@ def _ecm_plan(b1: int) -> _EcmPlan:
     A curve's cost counts 11 multiplications per bit of each ladder's scalar (stage 1's and
     the two that reach stage 2's first giant steps), 6 per baby and per giant step, and 3
     per pair (k, j) tested: never fewer than the curve does.  Of the 3,462 charged for the
-    577 odd j, the two baby chains take 2,326; the batch inversion takes one inverse (counted
-    as one) and 4 per Z of the 240 baby and the giant steps (3 for Montgomery's trick, 1 to
-    normalise an X); and a pair takes 1 of its 3.  That leaves 7,948, 27,585 and 135,679 at
-    the three B1.
+    577 odd j, the two baby chains take 2,331, with the ladder to 5Q and 6Q; the batch
+    inversion takes one inverse (counted as one) and 4 per Z of the 240 baby and the giant
+    steps (3 for Montgomery's trick, 1 to normalise an X); and a pair takes 1 of its 3.  That
+    leaves 7,943, 27,580 and 135,674 at the three B1.
     """
     b2, half = 100 * b1, _ECM_D // 2
     flags = _sieve(b2 + 1)
@@ -461,26 +461,12 @@ def _ecm_plan(b1: int) -> _EcmPlan:
     return _EcmPlan(scalar, kept, first, steps, cost)
 
 
-def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
-    """2P for P = (x : z) on the Montgomery curve of a24 = (A + 2) / 4: 5 multiplications."""
-    s = (x + z) ** 2 % n
-    d = (x - z) ** 2 % n
-    t = s - d
-    return s * d % n, t * (d + a24 * t) % n
-
-
-def _xadd(x: int, z: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
-    """P + Q from P = (x : z), Q = (xq : zq) and P - Q = (xd : zd): 6 multiplications."""
-    u = (x - z) * (xq + zq)
-    v = (x + z) * (xq - zq)
-    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
-
-
 def _ladder(m: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
-    """m * P and (m + 1) * P for P = (x : z) and m >= 1, by Montgomery's ladder: per bit of m,
-    ``_xadd`` of the two points (their difference is P) and ``_xdbl`` of one, written out."""
-    x0, z0 = x, z
-    x1, z1 = _xdbl(x, z, a24, n)
+    """m * P and (m + 1) * P for P = (x : z), m >= 1, on the curve of a24 = (A + 2) / 4, by
+    Montgomery's ladder: 2P, then per further bit of m the differential addition of the two
+    points (their difference is P), 6 multiplications, and the doubling of one, 5."""
+    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+    x0, z0, x1, z1 = x, z, s * d % n, (s - d) * (d + a24 * (s - d)) % n
     for bit in bin(m)[3:]:
         s0, d0, s1, d1 = x0 + z0, x0 - z0, x1 + z1, x1 - z1
         u, v = d1 * s0, s1 * d0
@@ -491,6 +477,22 @@ def _ladder(m: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, in
     return x0, z0, x1, z1
 
 
+def _progression(
+    prev: tuple[int, int], point: tuple[int, int], step: tuple[int, int], count: int, n: int
+) -> tuple[list[int], list[int]]:
+    """The X's and the Z's of point + i * step for i < count, from prev = point - step: each
+    after the first by the differential addition of step to the one before, 6 multiplications."""
+    (xp, zp), (x, z), (xq, zq) = prev, point, step
+    sq, dq = xq + zq, xq - zq
+    xs, zs = [x], [z]
+    for _ in range(count - 1):
+        u, v = (x - z) * sq, (x + z) * dq
+        x, z, xp, zp = zp * (u + v) ** 2 % n, xp * (u - v) ** 2 % n, x, z
+        xs.append(x)
+        zs.append(z)
+    return xs, zs
+
+
 def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     """gcd(n, what one curve of ECM found): 1 or n when it found no divisor of n.
 
@@ -498,9 +500,9 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     in x-only coordinates (X : Z).  Stage 1 multiplies its point by plan.scalar, to Q.
     Stage 2 (baby-step giant-step) tests the primes q in (B1, B2] at once, a pair
     k * D +- j by one product: the x-coordinates of k * D * Q and j * Q agree mod a
-    prime p of n exactly when (k * D + j) * Q or (k * D - j) * Q is zero mod p.  The baby
-    steps j * Q come from two chains, j = 1 and j = 5 mod 6, each stepping by 6Q; one batch
-    inversion (Montgomery's trick) brings them and the giant steps to Z = 1, so a pair costs
+    prime p of n exactly when (k * D + j) * Q or (k * D - j) * Q is zero mod p.  ``_ladder``
+    gives 5Q, 6Q, D * Q and two giant steps, ``_progression`` the baby chains j = +-1 mod 6 by
+    6Q and the giant steps by D * Q; one batch inversion brings all to Z = 1, so a pair costs
     one multiplication by x_k - x_j.  A Z that shares a prime with n is itself a find, and
     the curve returns gcd(n, the product of the Z's) at once; that product stands for the
     k = 0 row, whose pairs test only the Z_j.
@@ -518,34 +520,20 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     g = gcd(z, n)
     if g > 1:
         return g
-    x2, z2 = _xdbl(x, z, a24, n)
-    x3, z3 = _xadd(x2, z2, x, z, x, z, n)
-    x5, z5 = _xadd(x3, z3, x2, z2, x, z, n)
-    x6, z6 = _xdbl(x3, z3, a24, n)
-    s6, d6 = x6 + z6, x6 - z6
-    # chain a at j = 1 mod 6 and chain b at j = 5 mod 6, each point with the one before it
-    # (-5Q and -Q, whose x are those of 5Q and Q), stepped by _xadd of 6Q written out
-    xa, za, pxa, pza, xb, zb, pxb, pzb = x, z, x5, z5, x5, z5, x, z
-    xs, zs = [xa, xb], [za, zb]
-    for _ in range(len(plan.kept) // 2 - 1):
-        u, v = (xa - za) * s6, (xa + za) * d6
-        xa, za, pxa, pza = pza * (u + v) ** 2 % n, pxa * (u - v) ** 2 % n, xa, za
-        u, v = (xb - zb) * s6, (xb + zb) * d6
-        xb, zb, pxb, pzb = pzb * (u + v) ** 2 % n, pxb * (u - v) ** 2 % n, xb, zb
-        xs += (xa, xb)
-        zs += (za, zb)
-    xs, zs = list(compress(xs, plan.kept)), list(compress(zs, plan.kept))
+    x5, z5, x6, z6 = _ladder(5, x, z, a24, n)
+    # chain a at j = 1 mod 6 from Q after -5Q and chain b at j = 5 mod 6 from 5Q after -Q
+    # (the x of -P is that of P), both stepped by 6Q, interleaved in ascending j
+    a = _progression((x5, z5), (x, z), (x6, z6), len(plan.kept) // 2, n)
+    b = _progression((x, z), (x5, z5), (x6, z6), len(plan.kept) // 2, n)
+    xs, zs = (list(compress(chain.from_iterable(zip(*ab)), plan.kept)) for ab in zip(a, b))
     babies = len(xs)
     xg, zg, _, _ = _ladder(_ECM_D, x, z, a24, n)
     start = plan.first or 1  # the k = 0 row is the product of the Z_j
     rows = plan.steps[start - plan.first :]
     xa, za, xb, zb = _ladder(start, xg, zg, a24, n)
-    xs += (xa, xb)
-    zs += (za, zb)
-    for _ in range(len(rows) - 2):
-        xa, za, (xb, zb) = xb, zb, _xadd(xb, zb, xg, zg, xa, za, n)
-        xs.append(xb)
-        zs.append(zb)
+    xks, zks = _progression((xa, za), (xb, zb), (xg, zg), len(rows) - 1, n)
+    xs += [xa, *xks]
+    zs += [za, *zks]
     ends = list(accumulate(zs, lambda c, zi: c * zi % n, initial=1))  # ends[i]: prod(zs[:i])
     g = gcd(ends[-1], n)
     if g > 1:

@@ -23,16 +23,17 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .arith import SUPPORTED_BOUND, _gate, _read_int, factorize
+from .arith import SUPPORTED_BOUND, Factorization, _as_factorization, _gate, _read_int, factorize
 from .bfile import BFile, compare_bfile
 from .classify import _PREDICATE_HELP, _RULE_HELP, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
 from .solver import _solutions, solve_rdu_one
-from .unitgroup import ENUMERATION_BOUND, _k_units, k_unit_stats
+from .unitgroup import ENUMERATION_BOUND, _k_units, carmichael_lambda, k_unit_stats
 
 __all__ = ["main"]
 
@@ -164,11 +165,13 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     as one native uint32, at i.
 
     The digits of i are its index in a 10x10x10x10 array.  Built on first
-    use, so that only ``units`` pays for them.
+    use, so that only ``units`` pays for them; shared, so read-only.
     """
     digits = np.moveaxis(np.indices((10, 10, 10, 10), dtype=np.uint8), 0, -1) + ord("0")
     quads = np.ascontiguousarray(digits).reshape(10000, 4).view(np.uint32).ravel()
-    return 10 ** np.arange(1, 19, dtype=np.int64), quads
+    powers = 10 ** np.arange(1, 19, dtype=np.int64)
+    powers.flags.writeable = quads.flags.writeable = False
+    return powers, quads
 
 
 def _decimal_text(values: np.ndarray, quote: str, sep: str) -> str:
@@ -264,10 +267,11 @@ def _cmd_units(args: argparse.Namespace) -> int:
     result: dict[str, Any] = {"count": count}
     mismatches: list[str] = []
     if args.oracle:
-        expected = k_unit_stats(args.n, args.k).du
+        f = factorize(args.n)
+        expected = k_unit_stats(f, args.k).du
         if expected != count:
             mismatches.append(f"closed form expects {expected} k-units, enumeration found {count}")
-        if (failure := _not_k_unit(units, args.n, args.k)) is not None:
+        if (failure := _not_k_unit(units, f, args.k)) is not None:
             mismatches.append(failure)
         result["oracle"] = {"expected_count": expected, "matched": not mismatches}
     for mismatch in mismatches:
@@ -282,15 +286,19 @@ def _cmd_units(args: argparse.Namespace) -> int:
     return 1 if mismatches else 0
 
 
-def _not_k_unit(units: np.ndarray, n: int, k: int) -> str | None:
+def _not_k_unit(units: np.ndarray, n: Factorization | int, k: int) -> str | None:
     """The first residue out of order, out of [0, n) or with a^k != 1 mod n,
-    worded, or None.  a^k is taken by square-and-multiply in uint64, one
+    worded, or None.  a^k = 1 exactly when a^g = 1, g = gcd(k, lambda(n)), as a
+    is then a unit whose order divides lambda(n): so the work grows with n, not
+    with k.  a^g is taken by square-and-multiply in uint64, one
     slice at a time, widened first into a reused buffer, as the square of a
     uint32 residue wraps in uint32; every residue is in [0, n) by then, and
     ``_k_units`` refuses (n - 1)^2 > 2^63 - 1, so no product wraps.
     x - x // n * n is x mod n, as numpy divides by a scalar without a
     hardware division, and its ``%`` took 4 times as long; the unsigned
     division, into a second reused buffer, is faster than the signed one."""
+    f = _as_factorization(n, n)
+    n, g = f.n, gcd(k, carmichael_lambda(f))
     stalls = units[1:] <= units[:-1]
     if stalls.any():
         return f"the residues do not strictly ascend at {units[stalls.argmax() + 1]}"
@@ -308,15 +316,15 @@ def _not_k_unit(units: np.ndarray, n: int, k: int) -> str | None:
         a, acc, q = wide[: len(chunk)], power[: len(chunk)], quotient[: len(chunk)]
         a[:] = chunk  # casts int64 too, which a uint64 *= refuses as not same_kind
         acc[:] = a
-        for bit in bin(k)[3:]:
+        for bit in bin(g)[3:]:
             acc *= acc
             reduce(acc, q)
             if bit == "1":
                 acc *= a
                 reduce(acc, q)
         if (wrong := acc != 1 % n).any():
-            residue, value = chunk[wrong][0], acc[wrong][0]
-            return f"residue {residue} is not a k-unit: {residue}^{k} = {value} mod {n}"
+            first = int(chunk[wrong][0])
+            return f"residue {first} is not a k-unit: {first}^{k} = {pow(first, k, n)} mod {n}"
     return None
 
 
@@ -503,7 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle",
         action="store_true",
         help="check the list apart from its construction: strictly ascending residues in "
-        "[0, n), each with a^k = 1 mod n, du of them by the closed form; exit 1 on mismatch",
+        "[0, n), each with a^k = 1 mod n (as a^gcd(k, lambda(n)) = 1), du of them by the "
+        "closed form; exit 1 on mismatch",
     )
 
     p = _subcommand(sub, "solve", _cmd_solve, SUPPORTED_BOUND, "solve rdu_k(n) = 1 for a fixed k")

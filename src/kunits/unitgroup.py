@@ -298,8 +298,10 @@ def _primes_below(bits: int) -> np.ndarray:
 
 @cache
 def _lcm_table(r: int) -> np.ndarray:
-    """r // gcd(x, r) at x in [0, r), so that lcm(v, r) = v * table[v % r]."""
-    return r // np.gcd(np.arange(r), r)
+    """r // gcd(x, r) at x in [0, r), read-only, so that lcm(v, r) = v * table[v % r]."""
+    table = r // np.gcd(np.arange(r), r)
+    table.flags.writeable = False
+    return table
 
 
 class LambdaSegment(NamedTuple):

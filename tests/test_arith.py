@@ -366,9 +366,9 @@ class TestFactorize:
     @pytest.mark.parametrize("b1", [500, 2_000, 11_000])
     def test_a_curve_is_charged_no_fewer_multiplications_than_it_does(self, b1):
         # _ecm_curve's work, step by step: a ladder over m is one doubling (5) and 11 per
-        # further bit; 2Q and 6Q by doubling, 3Q and 5Q by addition (6), then one addition
-        # per further j of the two chains; one addition per further giant step; 4 per Z
-        # of the batch inversion and its one inverse; 1 per pair, the k = 0 row left out
+        # further bit; 5Q and 6Q by the ladder over 5, then one addition per further j of the
+        # two chains; one addition per further giant step; 4 per Z of the batch inversion
+        # and its one inverse; 1 per pair, the k = 0 row left out
         plan = arith._ecm_plan(b1)
         start = plan.first or 1
         rows = plan.steps[start - plan.first :]
@@ -377,7 +377,7 @@ class TestFactorize:
             return 5 + 11 * (m.bit_length() - 1)
 
         ladders = ladder(plan.scalar) + ladder(arith._ECM_D) + ladder(start)
-        babies = 2 * 5 + 2 * 6 + 6 * (len(plan.kept) - 2)
+        babies = ladder(5) + 6 * (len(plan.kept) - 2)
         giants = 6 * (len(rows) - 2)
         inversion = 4 * (sum(plan.kept) + len(rows)) + 1
         pairs = sum(map(len, rows))
@@ -386,6 +386,35 @@ class TestFactorize:
         # the charge itself is the one of every odd j and three multiplications a pair
         assert (arith._ecm_plan(500).cost, arith._ecm_plan(2_000).cost) == (23_306, 77_377)
         assert arith._ecm_plan(11_000).cost == 387_138
+
+    def test_the_ladder_over_5_is_the_walk_to_5q_and_6q(self):
+        # 2Q by doubling, 3Q = 2Q + Q, 5Q = 3Q + 2Q and 6Q by doubling 3Q, through the
+        # reference formulas, bit for bit on seeded curves and points
+        from oracles import _xadd, _xdbl
+
+        rng = random.Random(41)
+        for _ in range(50):
+            n = rng.getrandbits(rng.randint(40, 128)) | 1
+            x, z, a24 = (rng.randrange(n) for _ in range(3))
+            x2, z2 = _xdbl(x, z, a24, n)
+            x3, z3 = _xadd(x2, z2, x, z, x, z, n)
+            x5, z5 = _xadd(x3, z3, x2, z2, x, z, n)
+            assert arith._ladder(5, x, z, a24, n) == (x5, z5, *_xdbl(x3, z3, a24, n))
+
+    def test_a_progression_is_repeated_differential_addition(self):
+        # point + i * step from prev = point - step, each by the reference addition of step
+        # to the point before, whose difference is the one before that
+        from oracles import _xadd
+
+        rng = random.Random(42)
+        for count in (1, 2, 3, 40):
+            n = rng.getrandbits(rng.randint(40, 128)) | 1
+            prev, point, step = ((rng.randrange(n), rng.randrange(n)) for _ in range(3))
+            points = [prev, point]
+            while len(points) < count + 1:
+                points.append(_xadd(*points[-1], *step, *points[-2], n))
+            xs, zs = arith._progression(prev, point, step, count, n)
+            assert list(zip(xs, zs)) == points[1:]
 
     def test_the_curve_splits_whatever_the_reference_curve_splits(self):
         # the curve of un-normalised stage 2 over every odd j, as it stood before, on seeded

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -200,6 +201,19 @@ class TestUnits:
         assert code == 1
         power = pow(a, k, n)
         assert err == f"oracle mismatch: residue {a} is not a k-unit: {a}^{k} = {power} mod {n}\n"
+
+    def test_the_oracle_works_by_n_not_by_the_bits_of_k(self, capsys):
+        # a residue is raised to gcd(k, lambda(n)): lambda(9999990) = 180, so k = 720 * 10^600,
+        # of 2003 bits, is checked by the squarings of k = 180 and gives its result
+        results = []
+        for k in (180, 720 * 10**600):
+            start = time.process_time()
+            argv = ["units", "--n", "9999990", "--k", str(k), "--json", "--oracle"]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "") and time.process_time() - start < 2
+            results.append(out.split('"result": ', 1)[1])
+        assert results[0] == results[1]
+        assert results[0].startswith('{"count": "1866240", "oracle": {"expected_count": "1866240"')
 
     def test_unallocatable_units_are_refused(self, capsys, monkeypatch):
         # a raised bound lets du outgrow memory; the allocation is faked,

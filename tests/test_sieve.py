@@ -307,6 +307,20 @@ class TestPrimeSieve:
         assert primes[:3].tolist() == [2, 3, 5]
         assert sieved(hi - 300, hi) == factored(hi - 300, hi)
 
+    def test_the_other_cached_tables_are_read_only(self):
+        # the lcm tables of the strided folds and the digit tables of the decimal writer are
+        # shared by every call as well
+        import kunits.cli as cli_module
+
+        tables = [unitgroup._lcm_table(r) for r in (2, 12, 180)] + [*cli_module._digit_tables()]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                table[1:3] += 1  # nor through a view
+        assert unitgroup._lcm_table(12).tolist() == [1, 12, 6, 4, 3, 12, 2, 12, 3, 4, 6, 12]
+        assert sieved(3, 10**4) == factored(3, 10**4)
+
     # hi = 2**48 + 2**25 has L = 2**24, the cap, and reads the table below 2**24, not 2**25
     TABLES = [(2**32 - 1, 16), (2**32 + 5, 16), (2**40 + 5, 20), (2**48 + 2**25, 24)]
     TABLES += [(1, 2), (3, 2), (4, 2), (8, 2), (9, 2), (25, 3)]
