@@ -14,7 +14,13 @@ and restored after it.  The library is not changed for it.  The blocks:
   runs both of its stages in full;
 - ``factorize``: the total CPU in seconds over 300 seeded products of two 32-bit primes
   (30 with ``--quick``), the ECM curves run, the multiplications charged
-  (``arith._Budget.take``) and the SHA-256 of the factorizations;
+  (``arith._Budget.take``), the SHA-256 of the factorizations and, per splitting step
+  (``pm1``, ``rho`` and ``ecm``: ``arith._pm1``, ``_brent_cycle`` and ``_ecm``), its calls,
+  the splits it returned and the multiplications it charged;
+- ``split_ms``: ``factorize(9288178146094422083)``, whose three primes of 19 to 24 bits
+  p - 1 splits, and ``lambda_range`` over the 4096 n from 2^50, 2^56 and 2^62 (11 calls
+  each), whose cofactors have two primes above the sieve's 2^24, with the same counts per
+  step and the SHA-256 of the answers.  ``--quick`` skips the block;
 - ``solve_us``: ``solve_rdu_one(k)`` for each of perfbench's ``HIGHLY_COMPOSITE_KS``, with
   the candidates tested and the primes kept (``solver._certified_prime``);
 - ``enumerate_us``: ``solve --enumerate --json``'s list, ``solver._solutions`` then
@@ -64,6 +70,7 @@ SEED = 32
 # (k, limit); a row's key is k, or "k/limit" for a truncated list
 ENUMERATED = ((720, None), (2**61, None), (2**100, None), (720720, 10**5))
 N, K = 9999990, 720
+NAMED = 9288178146094422083  # 354643 * 1741291 * 15040691
 STYLES = {"write_json": ('"', ", "), "write_plain": ("", " ")}
 
 
@@ -128,7 +135,33 @@ def counted(call, *wraps) -> tuple:
 
 def charged(arith) -> tuple:
     """The wrap of counted that counts the multiplications charged to arith's work budget."""
-    return arith._Budget, "take", lambda taken, budget, cost: {"charged": cost if taken else 0}
+    return arith._Budget, "take", lambda taken, budget, cost, *_: {"charged": cost if taken else 0}
+
+
+def steps(arith) -> tuple:
+    """The wraps of counted that count the budget's charges, each splitting step's calls and
+    splits, and each ECM curve with its charge."""
+    return (
+        charged(arith),
+        (arith, "_pm1", lambda d, n: {"pm1 calls": 1, "pm1 splits": d is not None}),
+        (arith, "_brent_cycle", lambda g, n, *_: {"rho calls": 1, "rho splits": 1 < g < n}),
+        (arith, "_ecm", lambda d, n, *_: {"ecm calls": 1, "ecm splits": d is not None}),
+        (arith, "_ecm_curve", lambda g, n, sigma, plan: {"curves": 1, "ecm charged": plan.cost}),
+    )
+
+
+def by_step(arith, done) -> dict:
+    """The counts of steps as a row's: the total charged, the curves, and per step its calls,
+    splits and charge.  p - 1 charges its fixed cost per call and the Brent run what p - 1
+    and the curves leave of the total, as a perfect power splits for free."""
+    pm1 = done["pm1 calls"] * arith._pm1_plan().cost
+    spent = {"pm1": pm1, "rho": done["charged"] - pm1 - done["ecm charged"], "ecm": done["ecm charged"]}
+    return {
+        "curves": done["curves"],
+        "charged": done["charged"],
+        **{step: {"calls": done[f"{step} calls"], "splits": done[f"{step} splits"], "charged": charge}
+           for step, charge in spent.items()},
+    }
 
 
 class Sink:
@@ -192,10 +225,8 @@ def ecm(trees: dict, quick: bool) -> dict:
 
     def work(side):
         arith = trees[side].arith
-        curves = arith, "_ecm_curve", lambda g, *args: {"curves": 1}
-        found, done = counted(lambda: [arith.factorize(n) for n in factored], curves, charged(arith))
-        answers = digest(f.factors for f in found)
-        return {"curves": done["curves"], "charged": done["charged"], "sha256": answers}
+        found, done = counted(lambda: [arith.factorize(n) for n in factored], *steps(arith))
+        return {**by_step(arith, done), "sha256": digest(f.factors for f in found)}
 
     factor = lambda side, i: trees[side].arith.factorize(factored[i])  # noqa: E731
     total = lambda times: {"cpu_s": round(sum(times), 4)}  # noqa: E731
@@ -203,6 +234,26 @@ def ecm(trees: dict, quick: bool) -> dict:
         "curve_ms": curve_ms,
         "factorize": {"n": len(factored), **row(trees, len(factored), factor, work, 1, total)},
     }
+
+
+def splitting(trees: dict, repeats: int) -> dict:
+    """The ``split_ms`` block."""
+    cases = {f"factorize {NAMED}": (repeats, lambda tree: [tree.arith.factorize(NAMED).factors])}
+    for b in (50, 56, 62):
+        window = lambda tree, lo=1 << b: [s.lam.tolist() for s in tree.unitgroup.lambda_range(lo, lo + 4095)]  # noqa: E731
+        cases[f"lambda_range 2^{b}+4096"] = (11, window)
+    split_ms = {}
+    for key, (calls, case) in cases.items():
+
+        def run(side, i=0):
+            return case(trees[side])
+
+        def work(side):
+            found, done = counted(lambda: run(side), *steps(trees[side].arith))
+            return {**by_step(trees[side].arith, done), "sha256": digest(found)}
+
+        split_ms[key] = row(trees, calls, run, work, 1e3)
+    return {"split_ms": split_ms}
 
 
 def solver(trees: dict, repeats: int) -> dict:
@@ -291,7 +342,10 @@ def main(argv: list[str] | None = None) -> int:
         trees["against"] = load(args.against.resolve(), "kunits_against")
     repeats = 5 if args.quick else 41
     report = {"seed": SEED, "repeats": repeats, "quick": args.quick}
-    report |= ecm(trees, args.quick) | solver(trees, repeats) | units(trees, repeats)
+    report |= ecm(trees, args.quick)
+    if not args.quick:
+        report |= splitting(trees, repeats)
+    report |= solver(trees, repeats) | units(trees, repeats)
     report |= sweeps(trees, repeats, args.quick)
     print(json.dumps(report, indent=2))
     return 0

@@ -2,12 +2,14 @@
 
 Everything here is arbitrary precision and deterministic.  Factorization
 is trial division below 2**16, then, on what is left, a perfect-power test,
-Pollard's p - 1, one short run of Brent's rho and Lenstra's elliptic-curve
-method (ECM), whose curves run on a fixed schedule until the call's work
-budget ends them; one ladder forms each multiple of a point, one routine
-steps the two chains of baby steps, j = 1 and 5 mod 6, and the giant steps,
-one batch inversion brings them to Z = 1, and a pair costs one product.  Every step is
-charged to that budget, so the same n always takes the same path.  Primality is
+Pollard's p - 1, one run of Brent's rho and Lenstra's elliptic-curve method
+(ECM), whose curves run on a fixed schedule until the call's work budget ends
+them: below 2**58 a short run goes first, from it on the curves go first and
+the run after them gets the rest of the budget.  One ladder forms each
+multiple of a point, one routine steps the two chains of baby steps, j = 1
+and 5 mod 6, and the giant steps, one batch inversion brings them to Z = 1,
+and a pair costs one product.  Every step is charged to that budget, so the
+same n always takes the same path.  Primality is
 Miller-Rabin on the first t prime bases, t chosen by the size of n: the
 smallest t with n below psi_t, the least odd composite that passes all of
 the first t (OEIS A014233).  The 13 bases 2..41 prove every verdict below
@@ -73,8 +75,16 @@ _WORK_CAP = 3 << 23
 _BLOCK = 64
 # Stage 1 bound of Pollard's p - 1; stage 2 takes the primes above it below _TRIAL_LIMIT.
 _PM1_B1 = 1 << 12
-# Modular multiplications of the Brent run at c = 1 that goes before ECM, for the small primes.
+# Modular multiplications of the Brent run at c = 1 that goes before ECM on a cofactor below
+# _RHO_FIRST, for the small primes.
 _RHO_LEG = 3 << 11
+# What that run charges when it finds nothing: its rounds r = 1, 2, ..., 1024 at 3 * r each, as
+# the round of 2048 does not fit.  ECM before the Brent run keeps this much for it.
+_RHO_KEPT = 3 * ((1 << 11) - 1)
+# The least cofactor on which ECM goes before the Brent run.  Below it the least prime is at
+# most 2**29, and the run splits often enough to pay for its misses; from it on the run's
+# splits cost more than ECM's (bench/layers.py counts both).
+_RHO_FIRST = 1 << 58
 # ECM's stage 2 giant step, 2 * 3 * 5 * 7 * 11: every prime above 11 is k * D +- j for one
 # k and one of the 240 odd j < D / 2 prime to D.
 _ECM_D = 2310
@@ -310,8 +320,9 @@ class _Budget:
     steps of 1.5 multiplications; p - 1 and ECM often find it in fewer.  A call whose
     cofactors may pass the bound gets 16 times that rho figure, 24 * bound^(1/4), and no
     call more than _WORK_CAP.  ECM's last B1 runs until the budget ends it: at the cap, after
-    p - 1, the Brent run and the first 140 curves, 42 curves at B1 = 11,000.  Every
-    factoring refusal is built here.
+    p - 1 and the first 140 curves, 42 curves at B1 = 11,000, whether a Brent run of
+    _RHO_LEG went before them or _RHO_KEPT is left for one after them.  Every factoring
+    refusal is built here.
     """
 
     def __init__(self, top: int, bound: int):
@@ -321,9 +332,9 @@ class _Budget:
             self.limit = 24 * isqrt(isqrt(bound))
             self.stop = f"the supported factorization bound is {_shown(bound)}"
 
-    def take(self, cost: int) -> bool:
-        """Charge cost if what is left covers it, and say whether it did."""
-        if self.used + cost > self.limit:
+    def take(self, cost: int, keep: int = 0) -> bool:
+        """Charge cost if what is left covers it and keep more, and say whether it did."""
+        if self.used + cost + keep > self.limit:
             return False
         self.used += cost
         return True
@@ -549,18 +560,18 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     return gcd(acc, n)
 
 
-def _ecm(n: int, budget: _Budget) -> int | None:
+def _ecm(n: int, budget: _Budget, keep: int) -> int | None:
     """A nontrivial divisor of the odd composite n by Lenstra's elliptic-curve method, or None.
 
     The curves run at sigma = 6, 7, 8, ..., with B1 = 500 for the first 40, 2000 for the
     next 100 and 11,000 for every one after, each stage 2 taking the primes up to
     B2 = 100 * B1.  Each curve is charged before it runs, so the loop ends only on a split
-    or on a curve the budget cannot cover.
+    or on a curve the budget cannot cover with keep multiplications left over.
     """
     schedule = chain(repeat(500, 40), repeat(2_000, 100), repeat(11_000))
     for sigma, b1 in zip(count(6), schedule):
         plan = _ecm_plan(b1)
-        if not budget.take(plan.cost):
+        if not budget.take(plan.cost, keep):
             return None
         g = _ecm_curve(n, sigma, plan)
         if 1 < g < n:
@@ -581,9 +592,19 @@ def _split(n: int, budget: _Budget) -> int | None:
     """A nontrivial divisor of the odd composite n, whose primes are all above 2**16, or None.
 
     A perfect power n = r**k gives r; k is a prime at most log2(n) / 16.  Then, each
-    charged to the budget before it runs: Pollard's p - 1, when what is left covers its
-    fixed cost; one Brent run of at most _RHO_LEG multiplications, for the small primes;
-    and the curves of ECM, until a split or a curve the budget cannot cover.
+    charged to the budget before it runs, Pollard's p - 1, when what is left covers its
+    fixed cost, and one Brent run and the curves of ECM, in the order that costs fewer
+    multiplications per split:
+
+    - below _RHO_FIRST, where the least prime is at most 2**29, a Brent run of at most
+      _RHO_LEG for the small primes, then the curves until a split or a curve the
+      budget cannot cover;
+    - from it on, the curves until a split or a curve the budget cannot cover with
+      _RHO_KEPT left over, what that run charges when it finds nothing, then a Brent run
+      with all that is left.  So the curves are those that would follow a run that found
+      nothing, and this run is never shorter;
+    - at any size, when what is left covers no curve beside _RHO_KEPT, a Brent run with
+      all of it.
     """
     for k in takewhile(lambda k: k <= n.bit_length() // 16, _small_primes()):
         root = _iroot(n, k)
@@ -593,10 +614,14 @@ def _split(n: int, budget: _Budget) -> int | None:
         d = _pm1(n)
         if d is not None:
             return d
-    g = _brent_cycle(n, budget, _RHO_LEG)
-    if 1 < g < n:
-        return g
-    return _ecm(n, budget)
+    if n < _RHO_FIRST and budget.used + _RHO_KEPT + _ecm_plan(500).cost <= budget.limit:
+        g = _brent_cycle(n, budget, _RHO_LEG)
+        return g if 1 < g < n else _ecm(n, budget, 0)
+    d = _ecm(n, budget, _RHO_KEPT)
+    if d is None:
+        g = _brent_cycle(n, budget, budget.limit)
+        d = g if 1 < g < n else None
+    return d
 
 
 def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
@@ -605,7 +630,9 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     Trial division by the primes below 2**16, a block of them at a time
     (a block whose product is coprime to n is ruled out by one gcd), then
     each composite cofactor is split as ``_split`` says (a perfect power by
-    its root, else Pollard's p - 1, one Brent run and ECM), with deterministic
+    its root, else Pollard's p - 1, then one Brent run and ECM: below 2**58 a
+    short run before the curves, from it on the curves before a run that gets
+    the rest of the budget), with deterministic
     primality certification of every reported prime.  The splitting steps
     charge one work budget per call (``_Budget``), set by ``bound`` when the
     cofactor left by trial division is above it and capped whatever the bound:

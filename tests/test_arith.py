@@ -3,7 +3,7 @@ import time
 from unittest import mock
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -313,8 +313,9 @@ class TestFactorize:
 
     @pytest.mark.parametrize("limit", [50_000, 100_000, 150_000])
     def test_each_ecm_curve_is_charged_before_it_runs(self, monkeypatch, limit):
-        # two 50-bit primes that p - 1 misses: after p - 1 and the Brent run, only the curves
-        # the budget covers run, and nothing but the Brent run is charged beside them
+        # two 50-bit primes that p - 1 misses: after p - 1, only the curves the budget covers
+        # with _RHO_KEPT left over run, and the Brent run after them is charged all the rest
+        n = 562949953433657 * 562950941075639
         curves = []
         real = arith._ecm_curve
 
@@ -325,12 +326,41 @@ class TestFactorize:
         monkeypatch.setattr(arith, "_ecm_curve", counted)
         monkeypatch.setattr(arith, "_WORK_CAP", limit)
         with pytest.raises(CapabilityError) as refused:
-            factorize(562949953433657 * 562950941075639, bound=2**200)
-        fit = (limit - arith._pm1_plan().cost - arith._RHO_LEG) // arith._ecm_plan(500).cost
+            factorize(n, bound=2**200)
+        fit = (limit - arith._pm1_plan().cost - arith._RHO_KEPT) // arith._ecm_plan(500).cost
         assert curves == list(range(6, 6 + fit)) and fit > 0
         assert refused.value.used <= refused.value.limit == limit
-        spent = refused.value.used - arith._pm1_plan().cost - fit * arith._ecm_plan(500).cost
-        assert spent <= arith._RHO_LEG
+        rest = limit - arith._pm1_plan().cost - fit * arith._ecm_plan(500).cost
+        alone = arith._Budget(1, 1)
+        alone.limit = rest
+        assert arith._brent_cycle(n, alone, rest) == 1
+        spent = refused.value.used - (limit - rest)
+        assert spent == alone.used > arith._RHO_KEPT
+
+    def test_a_budget_that_covers_no_curve_goes_to_the_brent_run_at_once(self, monkeypatch):
+        # at bound 2**40 the limit is 24 * 2**10 = 24,576, and after p - 1 the 12,670 left cover
+        # no curve beside _RHO_KEPT: on either side of _RHO_FIRST the Brent run goes first, and
+        # it may charge all of that, past the leg of _RHO_LEG that went before ECM
+        runs = []
+        real = arith._brent_cycle
+
+        def run(m, budget, cap):
+            runs.append((budget.limit - budget.used, cap))
+            return real(m, budget, cap)
+
+        def refuse(*args):
+            raise AssertionError("an ECM curve ran")
+
+        monkeypatch.setattr(arith, "_brent_cycle", run)
+        monkeypatch.setattr(arith, "_ecm_curve", refuse)
+        rest = 24 * 2**10 - arith._pm1_plan().cost
+        # below _RHO_FIRST: two 25-bit primes that the leg misses and the rest splits
+        assert factorize(16777291 * 16777331, bound=2**40).factors == ((16777291, 1), (16777331, 1))
+        # past it: two 50-bit primes, refused once the run cannot cover its next round
+        with pytest.raises(CapabilityError) as refused:
+            factorize(562949953433657 * 562950941075639, bound=2**40)
+        assert [left for left, _ in runs] == [rest, rest] and all(cap >= rest for _, cap in runs)
+        assert refused.value.used - arith._pm1_plan().cost > arith._RHO_LEG
 
     def test_an_ecm_curve_whose_denominator_shares_a_prime_returns_it(self):
         # sigma = 6 gives 16 * u^3 * v = 2^7 * 3 * 31^3, so the inverse of it mod n is never taken
@@ -347,17 +377,18 @@ class TestFactorize:
         assert refused.value.limit - refused.value.used < arith._ecm_plan(11_000).cost
 
     def test_no_ecm_curve_within_the_cap_reaches_its_guard(self, monkeypatch):
-        # the premise of _ecm_curve's guard: after p - 1 and a Brent run that spends anything
-        # from nothing to _RHO_LEG, the cap covers the curves up to sigma = 187, and every prime
-        # of their 16 * u^3 * v is below 2**16, where _split's n has none
+        # the premise of _ecm_curve's guard: after p - 1, whether a Brent run that spends
+        # anything from nothing to _RHO_LEG goes first or the curves keep _RHO_KEPT for one
+        # after them, the cap covers the curves up to sigma = 187, and every prime of their
+        # 16 * u^3 * v is below 2**16, where _split's n has none
         sympy = pytest.importorskip("sympy")
         sigmas = []
         monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma, plan: sigmas.append(sigma) or 1)
-        for brent in (0, arith._RHO_LEG):
+        for brent, keep in ((0, 0), (arith._RHO_LEG, 0), (0, arith._RHO_KEPT)):
             sigmas.clear()
             budget = arith._Budget(1, 1)
             budget.used = arith._pm1_plan().cost + brent
-            assert arith._ecm(1000003 * 1000033, budget) is None
+            assert arith._ecm(1000003 * 1000033, budget, keep) is None
             assert budget.limit == arith._WORK_CAP and sigmas == list(range(6, 188))
         for sigma in sigmas:
             u, v = sigma * sigma - 5, 4 * sigma
@@ -529,6 +560,60 @@ class TestFactorize:
         assert factorize(561).is_composite
         assert factorize(561).is_squarefree
         assert not factorize(45).is_squarefree
+
+
+# The (n, log2 bound) pairs of _split_grid() that factorize refused while its order was fixed:
+# p - 1, a Brent run of at most _RHO_LEG, then ECM's curves.  The present order keeps every
+# answer that one gave.
+REFUSED_BY_THE_FIXED_ORDER = {
+    (81975229900390999, 32), (13255259156705999, 32), (12929601557923, 32),
+    (115648711074677197, 32), (8300959220031683, 32), (2859862144616891, 32),
+    (887399220463813, 32), (13263571974348937, 32), (808655077014403163, 32),
+    (628503170523915157, 32), (3914709913524941, 32), (292875566732367527, 32),
+    (1949935522344289, 32), (719032781656911509, 32), (16741227213853543, 32),
+    (55136796759431579, 32), (9913011308815271, 32), (12125583483097871, 32),
+    (337206989008892273, 32), (22513422555501739, 34), (3746074275877015879, 34),
+    (248357454946474801, 34), (89073279220829, 34), (402553012948087, 34), (100140526133441, 34),
+    (385785778364348077, 34), (170421996612390517, 34), (17541134819019689, 34),
+    (157201918657123759, 34), (89162390738056591, 34), (488677556611200779, 34),
+    (50737801903157, 34), (98773052995902191, 34), (19385437397568097, 34), (2315152552540357, 34),
+    (171774090960173719, 36), (484050613907117, 36), (38963682826222159, 36),
+    (1335646230159819673, 36), (38540892304801, 36), (57795074267512823, 36), (82028774296589, 36),
+    (2852076188620979, 38), (100797535891191719, 38), (8380890763875031169, 38),
+    (452087462433160739, 38), (128213595641151763, 38), (113665942056746341, 40),
+    (8869836782057219, 40), (60877553400005609, 40), (227785850683713787, 40),
+    (98013832524618763, 40), (283527096148084351, 42), (1141165061590217, 42),
+    (194646239035480151, 44), (601074459782590681, 44), (2284620908628721163, 44),
+}
+
+
+def _split_grid() -> list[tuple[int, int]]:
+    """Seeded (n, log2 bound) pairs, 50 at each bound 2**32, 2**34, ..., 2**44: n is the
+    product of two random primes of 17 to 32 bits."""
+    rng = random.Random(1350)
+
+    def prime() -> int:
+        bits = rng.randint(17, 32)
+        while True:
+            p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            if is_prime(p):
+                return p
+
+    return [(prime() * prime(), b) for b in range(32, 46, 2) for _ in range(50)]
+
+
+def test_the_splitting_order_loses_no_answer():
+    # the budget above the bound, 24 * bound^(1/4), covers at most one ECM curve here, so it
+    # is where the order of the Brent run and the curves decides what is answered
+    refused = set()
+    for n, b in _split_grid():
+        try:
+            factorize(n, bound=2**b)
+        except CapabilityError as exc:
+            assert exc.used <= exc.limit == 24 * isqrt(isqrt(2**b)) < n
+            refused.add((n, b))
+    assert refused <= REFUSED_BY_THE_FIXED_ORDER
+    assert len(refused) > 40  # the grid reaches the budgets that refuse
 
 
 class TestEulerPhi:

@@ -174,21 +174,28 @@ class TestLambdaRange:
 
     def test_cofactor_that_p_minus_1_misses_takes_rho(self, monkeypatch):
         # 16777290 = 2 * 3 * 5 * 559243 and 16777330 = 2 * 5 * 1677733: each p - 1 has a
-        # prime above 2**16, so p - 1 leaves this cofactor to Brent's rho
+        # prime above 2**16, so p - 1 leaves this cofactor to Brent's rho, which goes before
+        # ECM below _RHO_FIRST; its leg misses both 25-bit primes, and the first curve splits
         n = SEMIPRIME_ABOVE_2_48_RHO
+        assert n < arith._RHO_FIRST
         expected = factored(n - 100, n + 100)
-        calls = []
-        real = arith._brent_cycle
+        steps = []
+        brent, curve = arith._brent_cycle, arith._ecm_curve
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def run(m, budget, cap):
+            steps.append(("rho", m, cap, brent(m, budget, cap)))
+            return steps[-1][-1]
 
-        monkeypatch.setattr(arith, "_brent_cycle", counted)
+        def ran(m, sigma, plan):
+            steps.append(("ecm", m, sigma, curve(m, sigma, plan)))
+            return steps[-1][-1]
+
+        monkeypatch.setattr(arith, "_brent_cycle", run)
+        monkeypatch.setattr(arith, "_ecm_curve", ran)
         rows = sieved(n - 100, n + 100)
         assert rows == expected
         assert (n, lcm(16777290, 16777330), True, True) in rows
-        assert calls
+        assert steps == [("rho", n, arith._RHO_LEG, 1), ("ecm", n, 6, 16777291)]
 
     @pytest.mark.parametrize(
         "n, lam, squarefree",
