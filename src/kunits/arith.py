@@ -4,7 +4,7 @@ Everything here is arbitrary precision and deterministic.  Factorization
 is trial division below 2**16, then, on what is left, a perfect-power test,
 Pollard's p - 1, one run of Brent's rho and Lenstra's elliptic-curve method
 (ECM), whose curves run on a fixed schedule until the call's work budget ends
-them: below 2**58 a short run goes first, from it on the curves go first and
+them: below 2**62 a short run goes first, from it on the curves go first and
 the run after them gets the rest of the budget.  One ladder forms each
 multiple of a point, one routine steps the two chains of baby steps, j = 1
 and 5 mod 6, and the giant steps, one batch inversion brings them to Z = 1,
@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress, count, repeat, takewhile
 from math import gcd, isqrt, prod
 from operator import index
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .errors import CapabilityError, DomainError
 
@@ -76,15 +76,15 @@ _BLOCK = 64
 # Stage 1 bound of Pollard's p - 1; stage 2 takes the primes above it below _TRIAL_LIMIT.
 _PM1_B1 = 1 << 12
 # Modular multiplications of the Brent run at c = 1 that goes before ECM on a cofactor below
-# _RHO_FIRST, for the small primes.
+# _RHO_FIRST, for the small primes.  It is 3 * 2**11: rounds r = 1, 2, ..., 1024 charge 3 * r
+# each, 3 * (2**11 - 1) in all, and the round of 2048 does not fit.
 _RHO_LEG = 3 << 11
-# What that run charges when it finds nothing: its rounds r = 1, 2, ..., 1024 at 3 * r each, as
-# the round of 2048 does not fit.  ECM before the Brent run keeps this much for it.
-_RHO_KEPT = 3 * ((1 << 11) - 1)
-# The least cofactor on which ECM goes before the Brent run.  Below it the least prime is at
-# most 2**29, and the run splits often enough to pay for its misses; from it on the run's
-# splits cost more than ECM's (bench/layers.py counts both).
-_RHO_FIRST = 1 << 58
+# What that run charges when it finds nothing; ECM before the Brent run keeps this much for it.
+_RHO_KEPT = _RHO_LEG - 3
+# The least cofactor on which ECM goes before the Brent run.  Of the thresholds 2**54 to 2**64,
+# this one charges the cofactors of point_queries' random n the fewest multiplications, and its
+# products of two 32-bit primes are all past it (bench/layers.py counts each step's charge).
+_RHO_FIRST = 1 << 62
 # ECM's stage 2 giant step, 2 * 3 * 5 * 7 * 11: every prime above 11 is k * D +- j for one
 # k and one of the 240 odd j < D / 2 prime to D.
 _ECM_D = 2310
@@ -321,8 +321,9 @@ class _Budget:
     cofactors may pass the bound gets 16 times that rho figure, 24 * bound^(1/4), and no
     call more than _WORK_CAP.  ECM's last B1 runs until the budget ends it: at the cap, after
     p - 1 and the first 140 curves, 42 curves at B1 = 11,000, whether a Brent run of
-    _RHO_LEG went before them or _RHO_KEPT is left for one after them.  Every factoring
-    refusal is built here.
+    _RHO_LEG went before them or _RHO_KEPT is left for one after them.  Every cofactor of
+    the call charges the same budget, so what one split spends the next cannot.  Every
+    factoring refusal is built here.
     """
 
     def __init__(self, top: int, bound: int):
@@ -560,6 +561,11 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     return gcd(acc, n)
 
 
+def _ecm_b1s() -> Iterator[int]:
+    """ECM's B1 per curve from sigma = 6 on: 500 for 40 curves, 2000 for 100, then 11,000."""
+    return chain(repeat(500, 40), repeat(2_000, 100), repeat(11_000))
+
+
 def _ecm(n: int, budget: _Budget, keep: int) -> int | None:
     """A nontrivial divisor of the odd composite n by Lenstra's elliptic-curve method, or None.
 
@@ -568,8 +574,7 @@ def _ecm(n: int, budget: _Budget, keep: int) -> int | None:
     B2 = 100 * B1.  Each curve is charged before it runs, so the loop ends only on a split
     or on a curve the budget cannot cover with keep multiplications left over.
     """
-    schedule = chain(repeat(500, 40), repeat(2_000, 100), repeat(11_000))
-    for sigma, b1 in zip(count(6), schedule):
+    for sigma, b1 in zip(count(6), _ecm_b1s()):
         plan = _ecm_plan(b1)
         if not budget.take(plan.cost, keep):
             return None
@@ -596,15 +601,21 @@ def _split(n: int, budget: _Budget) -> int | None:
     fixed cost, and one Brent run and the curves of ECM, in the order that costs fewer
     multiplications per split:
 
-    - below _RHO_FIRST, where the least prime is at most 2**29, a Brent run of at most
-      _RHO_LEG for the small primes, then the curves until a split or a curve the
+    - below _RHO_FIRST, where a cofactor of two primes has one below 2**31, a Brent run of
+      at most _RHO_LEG for the small primes, then the curves until a split or a curve the
       budget cannot cover;
     - from it on, the curves until a split or a curve the budget cannot cover with
       _RHO_KEPT left over, what that run charges when it finds nothing, then a Brent run
-      with all that is left.  So the curves are those that would follow a run that found
-      nothing, and this run is never shorter;
+      with all that is left;
     - at any size, when what is left covers no curve beside _RHO_KEPT, a Brent run with
       all of it.
+
+    So on a fresh budget this call splits every n that the fixed order (p - 1, the leg, then
+    the curves) split: its curves are those that follow a leg that found nothing, and its run
+    is never shorter than the leg, save a leg that backtracks to a split in its last 3
+    multiplications.  A budget shared by several splits promises no such thing: a split that
+    costs a curve here where the leg took a few hundred multiplications leaves less for the
+    next cofactor.
     """
     for k in takewhile(lambda k: k <= n.bit_length() // 16, _small_primes()):
         root = _iroot(n, k)
@@ -614,7 +625,8 @@ def _split(n: int, budget: _Budget) -> int | None:
         d = _pm1(n)
         if d is not None:
             return d
-    if n < _RHO_FIRST and budget.used + _RHO_KEPT + _ecm_plan(500).cost <= budget.limit:
+    curve = _ecm_plan(next(_ecm_b1s())).cost
+    if n < _RHO_FIRST and budget.used + _RHO_KEPT + curve <= budget.limit:
         g = _brent_cycle(n, budget, _RHO_LEG)
         return g if 1 < g < n else _ecm(n, budget, 0)
     d = _ecm(n, budget, _RHO_KEPT)
@@ -630,7 +642,7 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     Trial division by the primes below 2**16, a block of them at a time
     (a block whose product is coprime to n is ruled out by one gcd), then
     each composite cofactor is split as ``_split`` says (a perfect power by
-    its root, else Pollard's p - 1, then one Brent run and ECM: below 2**58 a
+    its root, else Pollard's p - 1, then one Brent run and ECM: below 2**62 a
     short run before the curves, from it on the curves before a run that gets
     the rest of the budget), with deterministic
     primality certification of every reported prime.  The splitting steps

@@ -18,6 +18,7 @@ from kunits import (
     euler_phi,
     factorize,
     is_prime,
+    lambda_range,
 )
 from kunits import arith
 from kunits.arith import (
@@ -563,8 +564,8 @@ class TestFactorize:
 
 
 # The (n, log2 bound) pairs of _split_grid() that factorize refused while its order was fixed:
-# p - 1, a Brent run of at most _RHO_LEG, then ECM's curves.  The present order keeps every
-# answer that one gave.
+# p - 1, a Brent run of at most _RHO_LEG, then ECM's curves.  Each n there is split once, on a
+# fresh budget, and the present order keeps every answer that one gave.
 REFUSED_BY_THE_FIXED_ORDER = {
     (81975229900390999, 32), (13255259156705999, 32), (12929601557923, 32),
     (115648711074677197, 32), (8300959220031683, 32), (2859862144616891, 32),
@@ -584,29 +585,39 @@ REFUSED_BY_THE_FIXED_ORDER = {
     (8869836782057219, 40), (60877553400005609, 40), (227785850683713787, 40),
     (98013832524618763, 40), (283527096148084351, 42), (1141165061590217, 42),
     (194646239035480151, 44), (601074459782590681, 44), (2284620908628721163, 44),
+    (23290693991759940311, 44), (6799678163170606531, 44), (47480247267945229457, 44),
+    (3596292042229172879, 44), (30651246399735829079, 46), (14510465913860814503, 46),
+    (3378448712181046849, 46), (25545366744481144321, 46), (44934009020952867187, 46),
+    (19942178479511503987, 46),
 }
 
 
+def _prime(rng: random.Random, bits: int) -> int:
+    """A random prime of the given bit length."""
+    while True:
+        p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if is_prime(p):
+            return p
+
+
 def _split_grid() -> list[tuple[int, int]]:
-    """Seeded (n, log2 bound) pairs, 50 at each bound 2**32, 2**34, ..., 2**44: n is the
-    product of two random primes of 17 to 32 bits."""
+    """Seeded (n, log2 bound) pairs: 50 at each bound 2**32, 2**34, ..., 2**44 with n the
+    product of two random primes of 17 to 32 bits, then 25 at each bound 2**44, 2**46, ...,
+    2**50 with two of 31 to 33 bits, most of them past _RHO_FIRST, where the curves go first."""
     rng = random.Random(1350)
-
-    def prime() -> int:
-        bits = rng.randint(17, 32)
-        while True:
-            p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
-            if is_prime(p):
-                return p
-
-    return [(prime() * prime(), b) for b in range(32, 46, 2) for _ in range(50)]
+    small = [(_prime(rng, rng.randint(17, 32)) * _prime(rng, rng.randint(17, 32)), b)
+             for b in range(32, 46, 2) for _ in range(50)]
+    large = [(_prime(rng, rng.randint(31, 33)) * _prime(rng, rng.randint(31, 33)), b)
+             for b in range(44, 52, 2) for _ in range(25)]
+    return small + large
 
 
 def test_the_splitting_order_loses_no_answer():
-    # the budget above the bound, 24 * bound^(1/4), covers at most one ECM curve here, so it
-    # is where the order of the Brent run and the curves decides what is answered
+    # the budget above the bound, 24 * bound^(1/4), covers at most a few ECM curves here, so
+    # it is where the order of the Brent run and the curves decides what is answered
     refused = set()
-    for n, b in _split_grid():
+    grid = _split_grid()
+    for n, b in grid:
         try:
             factorize(n, bound=2**b)
         except CapabilityError as exc:
@@ -614,6 +625,59 @@ def test_the_splitting_order_loses_no_answer():
             refused.add((n, b))
     assert refused <= REFUSED_BY_THE_FIXED_ORDER
     assert len(refused) > 40  # the grid reaches the budgets that refuse
+    assert sum(n >= arith._RHO_FIRST for n, _ in grid) > 60
+
+
+# The cases of _shared_grid() that the fixed order refused: (n, log2 bound) of factorize and
+# (lo, log2 bound) of lambda_range.  Their splits share one budget, so a split that costs a
+# curve where the fixed order's leg took a few hundred multiplications leaves less for the
+# next cofactor: the present order refuses LOST_BY_THE_PRESENT_ORDER, which the fixed one
+# answered, and answers GAINED_BY_THE_PRESENT_ORDER, which it refused.
+SHARED_REFUSED_BY_THE_FIXED_ORDER = {
+    (39826576684883015413, 40), (204589944168109369, 40), (42097837993877009117, 40),
+    (20562213674695985443, 40), (3560069797140792847, 40), (632508421299563687, 40),
+    (149246975361242441, 40), (3384655975864538563, 46), (11573885315301395975, 48),
+    (7184989858501596930, 48), (18112457852307125700, 48), (7025842159913066585, 48),
+    (9742047624008898550, 52),
+}
+# A window [lo, lo + 63] that a seeded search from 2**62 to 2**64 found the present order to lose.
+LOST_WINDOW = 12065498891762095740, 52
+LOST_BY_THE_PRESENT_ORDER = {LOST_WINDOW}
+GAINED_BY_THE_PRESENT_ORDER: set[tuple[int, int]] = set()
+
+
+def _shared_grid() -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Seeded cases whose splits share one budget: (n, log2 bound), 30 at each bound 2**40,
+    2**42, ..., 2**50, n the product of three random primes of 17 to 21 bits, 17 to 23 and the
+    rest of 59 to 66 bits in all; and (lo, log2 bound), 8 windows [lo, lo + 63] of
+    lambda_range from 2**62 to 2**64 at each bound 2**48 and 2**52, then LOST_WINDOW."""
+    rng = random.Random(4242)
+    three = []
+    for b in range(40, 52, 2):
+        for _ in range(30):
+            x, y = rng.randint(17, 21), rng.randint(17, 23)
+            z = rng.randint(59 - x - y, 66 - x - y)
+            three.append((_prime(rng, x) * _prime(rng, y) * _prime(rng, z), b))
+    windows = [(rng.randrange(1 << 62, 1 << 64), b) for b in (48, 52) for _ in range(8)]
+    return three, windows + [LOST_WINDOW]
+
+
+def test_a_shared_budget_may_lose_or_gain_an_answer():
+    three, windows = _shared_grid()
+    refused = set()
+    for n, b in three:
+        try:
+            factorize(n, bound=2**b)
+        except CapabilityError:
+            refused.add((n, b))
+    for lo, b in windows:
+        try:
+            for _ in lambda_range(lo, lo + 63, bound=2**b):
+                pass
+        except CapabilityError:
+            refused.add((lo, b))
+    assert refused - SHARED_REFUSED_BY_THE_FIXED_ORDER == LOST_BY_THE_PRESENT_ORDER
+    assert SHARED_REFUSED_BY_THE_FIXED_ORDER - refused == GAINED_BY_THE_PRESENT_ORDER
 
 
 class TestEulerPhi:
