@@ -81,9 +81,10 @@ _PM1_B1 = 1 << 12
 _RHO_LEG = 3 << 11
 # What that run charges when it finds nothing; ECM before the Brent run keeps this much for it.
 _RHO_KEPT = _RHO_LEG - 3
-# The least cofactor on which ECM goes before the Brent run.  Of the thresholds 2**54 to 2**64,
-# this one charges the cofactors of point_queries' random n the fewest multiplications, and its
-# products of two 32-bit primes are all past it (bench/layers.py counts each step's charge).
+# The least cofactor on which ECM goes before the Brent run.  Of the thresholds measured from 0
+# (ECM first on every cofactor) to 2**64, this one charges the cofactors of point_queries'
+# random n the fewest multiplications, 10% fewer than 0, and its products of two 32-bit primes
+# are all past it (bench/layers.py counts each step's charge).
 _RHO_FIRST = 1 << 62
 # ECM's stage 2 giant step, 2 * 3 * 5 * 7 * 11: every prime above 11 is k * D +- j for one
 # k and one of the 240 odd j < D / 2 prime to D.
