@@ -2,15 +2,14 @@
 
 Everything here is arbitrary precision and deterministic.  Factorization
 is trial division below 2**16, then, on what is left, a perfect-power test,
-Pollard's p - 1, one run of Brent's rho and Lenstra's elliptic-curve method
-(ECM), whose curves run on a fixed schedule until the call's work budget ends
-them: below 2**62 a short run goes first, from it on the curves go first and
-the run after them gets the rest of the budget.  One ladder forms each
-multiple of a point, one routine steps the two chains of baby steps, j = 1
-and 5 mod 6, and the giant steps, one batch inversion brings them to Z = 1,
-and a pair costs one product.  Every step is charged to that budget, so the
-same n always takes the same path.  Primality is
-Miller-Rabin on the first t prime bases, t chosen by the size of n: the
+Pollard's p - 1, Lenstra's elliptic-curve method (ECM), whose curves run on a
+fixed schedule until the call's work budget ends them, and one run of Brent's
+rho with the rest of the budget.  One ladder forms each multiple of a point,
+one routine steps the two chains of baby steps, j = 1 and 5 mod 6, and the
+giant steps, one batch inversion brings them to Z = 1, and a pair costs one
+product.  Every step is charged to that budget, so the same n always takes
+the same path.  Primality is Miller-Rabin on the first t prime bases, t
+chosen by the size of n: the
 smallest t with n below psi_t, the least odd composite that passes all of
 the first t (OEIS A014233).  The 13 bases 2..41 prove every verdict below
 psi_13 = 3317044064679887385961981, about 3.3e24 (Sorenson & Webster), and
@@ -27,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress, count, repeat, takewhile
 from math import gcd, isqrt, prod
 from operator import index
-from typing import Any, Iterator, NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import CapabilityError, DomainError
 
@@ -75,17 +74,11 @@ _WORK_CAP = 3 << 23
 _BLOCK = 64
 # Stage 1 bound of Pollard's p - 1; stage 2 takes the primes above it below _TRIAL_LIMIT.
 _PM1_B1 = 1 << 12
-# Modular multiplications of the Brent run at c = 1 that goes before ECM on a cofactor below
-# _RHO_FIRST, for the small primes.  It is 3 * 2**11: rounds r = 1, 2, ..., 1024 charge 3 * r
-# each, 3 * (2**11 - 1) in all, and the round of 2048 does not fit.
-_RHO_LEG = 3 << 11
-# What that run charges when it finds nothing; ECM before the Brent run keeps this much for it.
-_RHO_KEPT = _RHO_LEG - 3
-# The least cofactor on which ECM goes before the Brent run.  Of the thresholds measured from 0
-# (ECM first on every cofactor) to 2**64, this one charges the cofactors of point_queries'
-# random n the fewest multiplications, 10% fewer than 0, and its products of two 32-bit primes
-# are all past it (bench/layers.py counts each step's charge).
-_RHO_FIRST = 1 << 62
+# Modular multiplications that ECM's curves leave for the Brent run after them: its rounds
+# r = 1, 2, ..., 1024 at c = 1 charge 3 * r each, so the run always reaches the end of the round
+# of 1024 and is never shorter than a run of 3 * 2**11 before the curves, whose round of 2048
+# would not fit.
+_RHO_KEPT = 3 * (2**11 - 1)
 # ECM's stage 2 giant step, 2 * 3 * 5 * 7 * 11: every prime above 11 is k * D +- j for one
 # k and one of the 240 odd j < D / 2 prime to D.
 _ECM_D = 2310
@@ -321,10 +314,9 @@ class _Budget:
     steps of 1.5 multiplications; p - 1 and ECM often find it in fewer.  A call whose
     cofactors may pass the bound gets 16 times that rho figure, 24 * bound^(1/4), and no
     call more than _WORK_CAP.  ECM's last B1 runs until the budget ends it: at the cap, after
-    p - 1 and the first 140 curves, 42 curves at B1 = 11,000, whether a Brent run of
-    _RHO_LEG went before them or _RHO_KEPT is left for one after them.  Every cofactor of
-    the call charges the same budget, so what one split spends the next cannot.  Every
-    factoring refusal is built here.
+    p - 1 and the first 140 curves, 42 curves at B1 = 11,000, with _RHO_KEPT left for the
+    Brent run after them.  Every cofactor of the call charges the same budget, so what one
+    split spends the next cannot.  Every factoring refusal is built here.
     """
 
     def __init__(self, top: int, bound: int):
@@ -351,25 +343,20 @@ class _Budget:
         )
 
 
-def _brent_cycle(n: int, budget: _Budget, cap: int) -> int:
-    """One run of Brent's cycle finder on x -> x^2 + 1 mod n, charging the budget at most cap:
-    a gcd, or 1 when the budget or the cap runs out.
+def _brent_cycle(n: int, budget: _Budget) -> int:
+    """One run of Brent's cycle finder on x -> x^2 + 1 mod n with all that is left of the
+    budget: a gcd, or 1 when the budget runs out.
 
     A step that only advances y costs one modular multiplication, and a
     batched step two, y and the product of the x - y.  Each round's run
     of r steps and each batch of up to 128 is charged before it is taken,
-    so neither the budget nor the cap is ever overrun.
+    so the budget is never overrun.
     """
-    end = min(budget.limit, budget.used + cap)
-
-    def take(cost: int) -> bool:  # budget.take, inside this run's cap
-        return budget.used + cost <= end and budget.take(cost)
-
     y, r, q = 2, 1, 1
     g = 1
     x = ys = y
     while g == 1:
-        if not take(r):
+        if not budget.take(r):
             return 1
         x = y
         for _ in range(r):
@@ -378,7 +365,7 @@ def _brent_cycle(n: int, budget: _Budget, cap: int) -> int:
         while k < r and g == 1:
             ys = y
             steps = min(128, r - k)
-            if not take(2 * steps):
+            if not budget.take(2 * steps):
                 return 1
             for _ in range(steps):
                 y = (y * y + 1) % n
@@ -389,7 +376,7 @@ def _brent_cycle(n: int, budget: _Budget, cap: int) -> int:
     if g == n:
         g = 1
         y = ys
-        while g == 1 and take(1):
+        while g == 1 and budget.take(1):
             y = (y * y + 1) % n
             g = gcd(x - y, n)
     return g
@@ -562,22 +549,18 @@ def _ecm_curve(n: int, sigma: int, plan: _EcmPlan) -> int:
     return gcd(acc, n)
 
 
-def _ecm_b1s() -> Iterator[int]:
-    """ECM's B1 per curve from sigma = 6 on: 500 for 40 curves, 2000 for 100, then 11,000."""
-    return chain(repeat(500, 40), repeat(2_000, 100), repeat(11_000))
-
-
-def _ecm(n: int, budget: _Budget, keep: int) -> int | None:
+def _ecm(n: int, budget: _Budget) -> int | None:
     """A nontrivial divisor of the odd composite n by Lenstra's elliptic-curve method, or None.
 
     The curves run at sigma = 6, 7, 8, ..., with B1 = 500 for the first 40, 2000 for the
     next 100 and 11,000 for every one after, each stage 2 taking the primes up to
     B2 = 100 * B1.  Each curve is charged before it runs, so the loop ends only on a split
-    or on a curve the budget cannot cover with keep multiplications left over.
+    or on a curve the budget cannot cover with _RHO_KEPT left over for the Brent run.
     """
-    for sigma, b1 in zip(count(6), _ecm_b1s()):
+    schedule = chain(repeat(500, 40), repeat(2_000, 100), repeat(11_000))
+    for sigma, b1 in zip(count(6), schedule):
         plan = _ecm_plan(b1)
-        if not budget.take(plan.cost, keep):
+        if not budget.take(plan.cost, _RHO_KEPT):
             return None
         g = _ecm_curve(n, sigma, plan)
         if 1 < g < n:
@@ -598,25 +581,17 @@ def _split(n: int, budget: _Budget) -> int | None:
     """A nontrivial divisor of the odd composite n, whose primes are all above 2**16, or None.
 
     A perfect power n = r**k gives r; k is a prime at most log2(n) / 16.  Then, each
-    charged to the budget before it runs, Pollard's p - 1, when what is left covers its
-    fixed cost, and one Brent run and the curves of ECM, in the order that costs fewer
-    multiplications per split:
+    charged to the budget before it runs: Pollard's p - 1, when what is left covers its
+    fixed cost; ECM's curves, until one splits or the budget cannot cover the next with
+    _RHO_KEPT left over, which may be before the first; and one Brent run with all that is
+    left.
 
-    - below _RHO_FIRST, where a cofactor of two primes has one below 2**31, a Brent run of
-      at most _RHO_LEG for the small primes, then the curves until a split or a curve the
-      budget cannot cover;
-    - from it on, the curves until a split or a curve the budget cannot cover with
-      _RHO_KEPT left over, what that run charges when it finds nothing, then a Brent run
-      with all that is left;
-    - at any size, when what is left covers no curve beside _RHO_KEPT, a Brent run with
-      all of it.
-
-    So on a fresh budget this call splits every n that the fixed order (p - 1, the leg, then
-    the curves) split: its curves are those that follow a leg that found nothing, and its run
-    is never shorter than the leg, save a leg that backtracks to a split in its last 3
-    multiplications.  A budget shared by several splits promises no such thing: a split that
-    costs a curve here where the leg took a few hundred multiplications leaves less for the
-    next cofactor.
+    So on a fresh budget this call splits every n that the order p - 1, a Brent leg of
+    3 * 2**11, then the curves split: its curves are those that follow a leg that found
+    nothing, and its run is never shorter than the leg, save a leg that backtracks to a split
+    in its last 3 multiplications.  A budget shared by several splits promises no such thing:
+    a split that costs a curve here where the leg took a few hundred multiplications leaves
+    less for the next cofactor, and the other way round.
     """
     for k in takewhile(lambda k: k <= n.bit_length() // 16, _small_primes()):
         root = _iroot(n, k)
@@ -626,13 +601,9 @@ def _split(n: int, budget: _Budget) -> int | None:
         d = _pm1(n)
         if d is not None:
             return d
-    curve = _ecm_plan(next(_ecm_b1s())).cost
-    if n < _RHO_FIRST and budget.used + _RHO_KEPT + curve <= budget.limit:
-        g = _brent_cycle(n, budget, _RHO_LEG)
-        return g if 1 < g < n else _ecm(n, budget, 0)
-    d = _ecm(n, budget, _RHO_KEPT)
+    d = _ecm(n, budget)
     if d is None:
-        g = _brent_cycle(n, budget, budget.limit)
+        g = _brent_cycle(n, budget)
         d = g if 1 < g < n else None
     return d
 
@@ -643,9 +614,8 @@ def factorize(n: int, *, bound: int = SUPPORTED_BOUND) -> Factorization:
     Trial division by the primes below 2**16, a block of them at a time
     (a block whose product is coprime to n is ruled out by one gcd), then
     each composite cofactor is split as ``_split`` says (a perfect power by
-    its root, else Pollard's p - 1, then one Brent run and ECM: below 2**62 a
-    short run before the curves, from it on the curves before a run that gets
-    the rest of the budget), with deterministic
+    its root, else Pollard's p - 1, then ECM's curves, then one Brent run
+    with the rest of the budget), with deterministic
     primality certification of every reported prime.  The splitting steps
     charge one work budget per call (``_Budget``), set by ``bound`` when the
     cofactor left by trial division is above it and capped whatever the bound:

@@ -334,20 +334,19 @@ class TestFactorize:
         rest = limit - arith._pm1_plan().cost - fit * arith._ecm_plan(500).cost
         alone = arith._Budget(1, 1)
         alone.limit = rest
-        assert arith._brent_cycle(n, alone, rest) == 1
+        assert arith._brent_cycle(n, alone) == 1
         spent = refused.value.used - (limit - rest)
         assert spent == alone.used > arith._RHO_KEPT
 
     def test_a_budget_that_covers_no_curve_goes_to_the_brent_run_at_once(self, monkeypatch):
         # at bound 2**40 the limit is 24 * 2**10 = 24,576, and after p - 1 the 12,670 left cover
-        # no curve beside _RHO_KEPT: on either side of _RHO_FIRST the Brent run goes first, and
-        # it may charge all of that, past the leg of _RHO_LEG that went before ECM
+        # no curve beside _RHO_KEPT: the Brent run goes at once, and it may charge all of that
         runs = []
         real = arith._brent_cycle
 
-        def run(m, budget, cap):
-            runs.append((budget.limit - budget.used, cap))
-            return real(m, budget, cap)
+        def run(m, budget):
+            runs.append(budget.limit - budget.used)
+            return real(m, budget)
 
         def refuse(*args):
             raise AssertionError("an ECM curve ran")
@@ -355,13 +354,13 @@ class TestFactorize:
         monkeypatch.setattr(arith, "_brent_cycle", run)
         monkeypatch.setattr(arith, "_ecm_curve", refuse)
         rest = 24 * 2**10 - arith._pm1_plan().cost
-        # below _RHO_FIRST: two 25-bit primes that the leg misses and the rest splits
+        # two 25-bit primes that a run of _RHO_KEPT misses and the rest splits
         assert factorize(16777291 * 16777331, bound=2**40).factors == ((16777291, 1), (16777331, 1))
-        # past it: two 50-bit primes, refused once the run cannot cover its next round
+        # two 50-bit primes, refused once the run cannot cover its next round
         with pytest.raises(CapabilityError) as refused:
             factorize(562949953433657 * 562950941075639, bound=2**40)
-        assert [left for left, _ in runs] == [rest, rest] and all(cap >= rest for _, cap in runs)
-        assert refused.value.used - arith._pm1_plan().cost > arith._RHO_LEG
+        assert runs == [rest, rest]
+        assert refused.value.used - arith._pm1_plan().cost > arith._RHO_KEPT
 
     def test_an_ecm_curve_whose_denominator_shares_a_prime_returns_it(self):
         # sigma = 6 gives 16 * u^3 * v = 2^7 * 3 * 31^3, so the inverse of it mod n is never taken
@@ -378,19 +377,16 @@ class TestFactorize:
         assert refused.value.limit - refused.value.used < arith._ecm_plan(11_000).cost
 
     def test_no_ecm_curve_within_the_cap_reaches_its_guard(self, monkeypatch):
-        # the premise of _ecm_curve's guard: after p - 1, whether a Brent run that spends
-        # anything from nothing to _RHO_LEG goes first or the curves keep _RHO_KEPT for one
+        # the premise of _ecm_curve's guard: after p - 1, with _RHO_KEPT kept for the Brent run
         # after them, the cap covers the curves up to sigma = 187, and every prime of their
         # 16 * u^3 * v is below 2**16, where _split's n has none
         sympy = pytest.importorskip("sympy")
         sigmas = []
         monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma, plan: sigmas.append(sigma) or 1)
-        for brent, keep in ((0, 0), (arith._RHO_LEG, 0), (0, arith._RHO_KEPT)):
-            sigmas.clear()
-            budget = arith._Budget(1, 1)
-            budget.used = arith._pm1_plan().cost + brent
-            assert arith._ecm(1000003 * 1000033, budget, keep) is None
-            assert budget.limit == arith._WORK_CAP and sigmas == list(range(6, 188))
+        budget = arith._Budget(1, 1)
+        budget.used = arith._pm1_plan().cost
+        assert arith._ecm(1000003 * 1000033, budget) is None
+        assert budget.limit == arith._WORK_CAP and sigmas == list(range(6, 188))
         for sigma in sigmas:
             u, v = sigma * sigma - 5, 4 * sigma
             assert max(sympy.primefactors(16 * u**3 * v)) < 1 << 16, sigma
@@ -564,7 +560,7 @@ class TestFactorize:
 
 
 # The (n, log2 bound) pairs of _split_grid() that factorize refused while its order was fixed:
-# p - 1, a Brent run of at most _RHO_LEG, then ECM's curves.  Each n there is split once, on a
+# p - 1, a Brent run of at most 3 * 2**11, then ECM's curves.  Each n there is split once, on a
 # fresh budget, and the present order keeps every answer that one gave.
 REFUSED_BY_THE_FIXED_ORDER = {
     (81975229900390999, 32), (13255259156705999, 32), (12929601557923, 32),
@@ -603,7 +599,7 @@ def _prime(rng: random.Random, bits: int) -> int:
 def _split_grid() -> list[tuple[int, int]]:
     """Seeded (n, log2 bound) pairs: 50 at each bound 2**32, 2**34, ..., 2**44 with n the
     product of two random primes of 17 to 32 bits, then 25 at each bound 2**44, 2**46, ...,
-    2**50 with two of 31 to 33 bits, most of them past _RHO_FIRST, where the curves go first."""
+    2**50 with two of 31 to 33 bits, most of them past 2**62."""
     rng = random.Random(1350)
     small = [(_prime(rng, rng.randint(17, 32)) * _prime(rng, rng.randint(17, 32)), b)
              for b in range(32, 46, 2) for _ in range(50)]
@@ -625,7 +621,7 @@ def test_the_splitting_order_loses_no_answer():
             refused.add((n, b))
     assert refused <= REFUSED_BY_THE_FIXED_ORDER
     assert len(refused) > 40  # the grid reaches the budgets that refuse
-    assert sum(n >= arith._RHO_FIRST for n, _ in grid) > 60
+    assert sum(n >= 2**62 for n, _ in grid) > 60
 
 
 # The cases of _shared_grid() that the fixed order refused: (n, log2 bound) of factorize and
@@ -638,19 +634,26 @@ SHARED_REFUSED_BY_THE_FIXED_ORDER = {
     (20562213674695985443, 40), (3560069797140792847, 40), (632508421299563687, 40),
     (149246975361242441, 40), (3384655975864538563, 46), (11573885315301395975, 48),
     (7184989858501596930, 48), (18112457852307125700, 48), (7025842159913066585, 48),
-    (9742047624008898550, 52),
+    (9742047624008898550, 52), (3341301970490180013, 44), (4209147194827645745, 44),
+    (2609843638024588195, 44), (617445647868242579, 48), (4068247801664332358, 48),
 }
-# A window [lo, lo + 63] that a seeded search from 2**62 to 2**64 found the present order to lose.
+# A window [lo, lo + 63] that a seeded search from 2**62 to 2**64 found refused by the order
+# that put the Brent leg first below 2**62 and the curves first from it on.
 LOST_WINDOW = 12065498891762095740, 52
-LOST_BY_THE_PRESENT_ORDER = {LOST_WINDOW}
-GAINED_BY_THE_PRESENT_ORDER: set[tuple[int, int]] = set()
+# An n of three primes and a window that a seeded search below 2**62 found the present order to
+# lose: its first curve (23,306) splits, or fails, where the leg split for under 1,600.
+LOST_THREE = 959500470131439077, 44
+LOST_BELOW_2_62 = 1937704033149727923, 44
+LOST_BY_THE_PRESENT_ORDER = {LOST_THREE, LOST_BELOW_2_62}
+GAINED_BY_THE_PRESENT_ORDER = {(3384655975864538563, 46)}
 
 
 def _shared_grid() -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Seeded cases whose splits share one budget: (n, log2 bound), 30 at each bound 2**40,
     2**42, ..., 2**50, n the product of three random primes of 17 to 21 bits, 17 to 23 and the
-    rest of 59 to 66 bits in all; and (lo, log2 bound), 8 windows [lo, lo + 63] of
-    lambda_range from 2**62 to 2**64 at each bound 2**48 and 2**52, then LOST_WINDOW."""
+    rest of 59 to 66 bits in all, then LOST_THREE; and (lo, log2 bound), 8 windows [lo, lo + 63]
+    of lambda_range from 2**62 to 2**64 at each bound 2**48 and 2**52, 8 from 2**50 to 2**62
+    at each bound 2**44 and 2**48, then LOST_WINDOW and LOST_BELOW_2_62."""
     rng = random.Random(4242)
     three = []
     for b in range(40, 52, 2):
@@ -659,7 +662,8 @@ def _shared_grid() -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
             z = rng.randint(59 - x - y, 66 - x - y)
             three.append((_prime(rng, x) * _prime(rng, y) * _prime(rng, z), b))
     windows = [(rng.randrange(1 << 62, 1 << 64), b) for b in (48, 52) for _ in range(8)]
-    return three, windows + [LOST_WINDOW]
+    windows += [(rng.randrange(1 << 50, 1 << 62), b) for b in (44, 48) for _ in range(8)]
+    return three + [LOST_THREE], windows + [LOST_WINDOW, LOST_BELOW_2_62]
 
 
 def test_a_shared_budget_may_lose_or_gain_an_answer():

@@ -43,7 +43,7 @@ SEMIPRIME_ABOVE_2_32 = 65537 * 65539
 # just above 2**48, is a cofactor the sieve leaves to factorize's splitting path.
 SEMIPRIME_ABOVE_2_48 = 16777259 * 16777289
 # The two least primes above 2**24 whose p - 1 has a prime factor above 2**16
-SEMIPRIME_ABOVE_2_48_RHO = 16777291 * 16777331
+SEMIPRIME_ABOVE_2_48_PAST_PM1 = 16777291 * 16777331
 # Divisors whose least multiple above 2**63 puts sparse prime powers in an object segment
 DIVISORS_ABOVE_2_63 = [131**2 * 263, 131**3 * 137, 127**2 * 131 * 137]
 
@@ -172,18 +172,17 @@ class TestLambdaRange:
         assert (n, lcm(16777258, 16777288), True, True) in rows
         assert calls
 
-    def test_cofactor_that_p_minus_1_misses_takes_rho(self, monkeypatch):
+    def test_cofactor_that_p_minus_1_misses_takes_the_first_ecm_curve(self, monkeypatch):
         # 16777290 = 2 * 3 * 5 * 559243 and 16777330 = 2 * 5 * 1677733: each p - 1 has a
-        # prime above 2**16, so p - 1 leaves this cofactor to Brent's rho, which goes before
-        # ECM below _RHO_FIRST; its leg misses both 25-bit primes, and the first curve splits
-        n = SEMIPRIME_ABOVE_2_48_RHO
-        assert n < arith._RHO_FIRST
+        # prime above 2**16, so p - 1 leaves this cofactor to ECM, whose first curve splits it
+        # before the Brent run is reached
+        n = SEMIPRIME_ABOVE_2_48_PAST_PM1
         expected = factored(n - 100, n + 100)
         steps = []
         brent, curve = arith._brent_cycle, arith._ecm_curve
 
-        def run(m, budget, cap):
-            steps.append(("rho", m, cap, brent(m, budget, cap)))
+        def run(m, budget):
+            steps.append(("rho", m, brent(m, budget)))
             return steps[-1][-1]
 
         def ran(m, sigma, plan):
@@ -195,7 +194,7 @@ class TestLambdaRange:
         rows = sieved(n - 100, n + 100)
         assert rows == expected
         assert (n, lcm(16777290, 16777330), True, True) in rows
-        assert steps == [("rho", n, arith._RHO_LEG, 1), ("ecm", n, 6, 16777291)]
+        assert steps == [("ecm", n, 6, 16777291)]
 
     @pytest.mark.parametrize(
         "n, lam, squarefree",

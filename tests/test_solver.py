@@ -155,8 +155,8 @@ class TestSolveRduOne:
         limit, used = map(int, proc.stdout.split("\n")[-2].split())
         assert 0 < used <= limit == 24 * isqrt(isqrt(2**64 - 1))
         # pinned: any change to how _split charges its steps moves the time of this refusal,
-        # which perfbench's point_queries tail and its deadline test rest on.  The cofactor is
-        # past _RHO_FIRST, so the curves go first and the Brent run after them takes the rest
+        # which perfbench's point_queries tail and its deadline test rest on.  The curves go
+        # first and the Brent run after them takes the rest
         assert used == 1_572_631
 
     def test_odd_k_past_the_rho_budget_needs_no_factorization(self, monkeypatch):
