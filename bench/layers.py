@@ -31,7 +31,10 @@ and restored after it.  The library is not changed for it.  The blocks:
 - ``layers_ms``: ``units --n 9999990 --k 720 --json --oracle``, the heaviest command of
   ``bulk_output``, layer by layer: ``unitgroup._k_units`` with its array's dtype, length
   and nbytes, ``cli._not_k_unit`` with its verdict (None when every residue passes), and
-  ``cli._write_ints`` in the ``--json`` and the plain style, with bytes and SHA-256;
+  ``cli._write_ints`` in the ``--json`` and the plain style, with bytes and SHA-256.  The
+  oracle's tables decide 9999990 = 20790 * 481 alone; the row ``oracle 6881385`` times the
+  other half of the check, at 6881385 = 3 * 5 * 7 * 65537 and k = 49152 (786,432
+  residues), a table for 105 and each residue raised mod 65537;
 - ``range_ms``: ``range_scan``'s Carmichael sweep (``classify.sweep``, rule n - 1,
   ``odd_only`` and ``composite_only``) over [3, 10^6], over [3, 10^7] (the north star's
   sweep, 105 hits), and over 2^18 odd n from 2^32, 2^40 and 2^48, which hold no hit;
@@ -70,6 +73,7 @@ SEED = 32
 # (k, limit); a row's key is k, or "k/limit" for a truncated list
 ENUMERATED = ((720, None), (2**61, None), (2**100, None), (720720, 10**5))
 N, K = 9999990, 720
+ORACLED = {"oracle": (N, K), "oracle 6881385": (6881385, 49152)}
 NAMED = 9288178146094422083  # 354643 * 1741291 * 15040691
 STYLES = {"write_json": ('"', ", "), "write_plain": ("", " ")}
 
@@ -288,17 +292,18 @@ def units(trees: dict, repeats: int) -> dict:
     """The ``layers_ms`` block."""
     arrays = {side: tree.unitgroup._k_units(N, K, N) for side, tree in trees.items()}
 
-    def oracle(side, i=0):
-        return trees[side].cli._not_k_unit(arrays[side], N, K)
-
     def shape(side):
         return {"dtype": str(arrays[side].dtype), "count": len(arrays[side]), "nbytes": arrays[side].nbytes}
 
     construct = lambda side, i: trees[side].unitgroup._k_units(N, K, N)  # noqa: E731
-    layers_ms = {
-        "k_units": row(trees, repeats, construct, shape, 1e3),
-        "oracle": row(trees, repeats, oracle, lambda side: {"verdict": oracle(side)}, 1e3),
-    }
+    layers_ms = {"k_units": row(trees, repeats, construct, shape, 1e3)}
+    for name, (n, k) in ORACLED.items():
+        listed = {side: tree.unitgroup._k_units(n, k, n) for side, tree in trees.items()}
+
+        def oracle(side, i=0, n=n, k=k, listed=listed):
+            return trees[side].cli._not_k_unit(listed[side], n, k)
+
+        layers_ms[name] = row(trees, repeats, oracle, lambda side: {"verdict": oracle(side)}, 1e3)
     for name, style in STYLES.items():
 
         def write(side, sink=None):

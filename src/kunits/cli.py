@@ -105,6 +105,8 @@ def _jsonable(value: Any) -> Any:
 _PLACEHOLDER = "\0"
 # Values per write of a streamed list that is already in memory.
 _SLICE = 1 << 14
+# The largest modulus that the units --oracle check reads from a table: 2^16 bools stay in L2.
+_TABLE = 1 << 16
 
 
 def _emit_json(
@@ -288,44 +290,90 @@ def _cmd_units(args: argparse.Namespace) -> int:
 
 def _not_k_unit(units: np.ndarray, n: Factorization | int, k: int) -> str | None:
     """The first residue out of order, out of [0, n) or with a^k != 1 mod n,
-    worded, or None.  a^k = 1 exactly when a^g = 1, g = gcd(k, lambda(n)), as a
-    is then a unit whose order divides lambda(n): so the work grows with n, not
-    with k.  a^g is taken by square-and-multiply in uint64, one
-    slice at a time, widened first into a reused buffer, as the square of a
-    uint32 residue wraps in uint32; every residue is in [0, n) by then, and
-    ``_k_units`` refuses (n - 1)^2 > 2^63 - 1, so no product wraps.
-    x - x // n * n is x mod n, as numpy divides by a scalar without a
-    hardware division, and its ``%`` took 4 times as long; the unsigned
-    division, into a second reused buffer, is faster than the signed one."""
+    worded, or None.
+
+    By the CRT, a^k = 1 mod n exactly when a^k = 1 mod m for each m of a
+    coprime split of n, and that depends on a mod m alone.  n's prime powers
+    are grouped, ascending, into moduli m of at most ``_TABLE`` and at most
+    as many as the residues, so that a table never costs more than the
+    residues it serves; those above that cap multiply into one ``rest``.
+    Each m gets a bool table of x^g = 1 mod m over x < m, g = gcd(k,
+    lambda(m)), built by ``_power`` from the x themselves, apart from the
+    construction: a^k = 1 exactly when a^g = 1, as a is then a unit whose
+    order divides lambda(m), so the work grows with n, not with k.  One
+    slice at a time, a residue is looked up in each table by its a mod m,
+    taken in the residues' own dtype (uint32 from ``_k_units``, which
+    ``take`` reads faster than a copy in intp), and raised mod ``rest`` by
+    ``_power`` in uint64; every residue is in [0, n) by then, and
+    ``_k_units`` refuses (n - 1)^2 > 2^63 - 1, so no product wraps."""
     f = _as_factorization(n, n)
-    n, g = f.n, gcd(k, carmichael_lambda(f))
     stalls = units[1:] <= units[:-1]
     if stalls.any():
         return f"the residues do not strictly ascend at {units[stalls.argmax() + 1]}"
-    if len(units) and not 0 <= units[0] <= units[-1] < n:
-        return f"the residues leave [0, {n})"
-    wide, power, quotient = (np.empty(min(len(units), _SLICE), dtype=np.uint64) for _ in range(3))
+    if len(units) and not 0 <= units[0] <= units[-1] < f.n:
+        return f"the residues leave [0, {f.n})"
+    cap, moduli, rest = min(_TABLE, len(units)), [], 1
+    for p, e in f.factors:
+        q = p**e
+        if q > cap:
+            rest *= q
+        elif moduli and moduli[-1] * q <= cap:
+            moduli[-1] *= q
+        else:
+            moduli.append(q)
 
-    def reduce(x: np.ndarray, q: np.ndarray) -> None:  # x mod n, in place
-        np.floor_divide(x, n, out=q)
-        q *= n
-        x -= q
+    def exponent(m: int) -> int:  # gcd(k, lambda(m)), m a product of prime powers of f
+        factors = tuple((p, e) for p, e in f.factors if m % p == 0)
+        return gcd(k, carmichael_lambda(Factorization(m, factors)))
 
+    tables = []
+    for m in moduli:
+        x, table = np.arange(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
+        _power(table, x, exponent(m), m, np.empty_like(x))
+        tables.append((m, table == 1))
+    g = exponent(rest)
+    size = min(len(units), _SLICE)
+    index, passed = np.empty(size, units.dtype), np.empty(size, bool)
+    wide, power, quotient = (np.empty(size, np.uint64) for _ in range(3))
     for i in range(0, len(units), _SLICE):
         chunk = units[i : i + _SLICE]
-        a, acc, q = wide[: len(chunk)], power[: len(chunk)], quotient[: len(chunk)]
-        a[:] = chunk  # casts int64 too, which a uint64 *= refuses as not same_kind
-        acc[:] = a
-        for bit in bin(g)[3:]:
-            acc *= acc
-            reduce(acc, q)
-            if bit == "1":
-                acc *= a
-                reduce(acc, q)
-        if (wrong := acc != 1 % n).any():
-            first = int(chunk[wrong][0])
-            return f"residue {first} is not a k-unit: {first}^{k} = {pow(first, k, n)} mod {n}"
+        ok, r = passed[: len(chunk)], index[: len(chunk)]
+        ok[:] = True
+        for m, table in tables:
+            _mod(chunk, m, r, r)
+            ok &= table.take(r)
+        if rest > 1:
+            a, acc, q = wide[: len(chunk)], power[: len(chunk)], quotient[: len(chunk)]
+            a[:] = chunk  # casts int64 too, which a uint64 *= refuses as not same_kind
+            _mod(a, rest, q, a)
+            _power(acc, a, g, rest, q)
+            ok &= acc == 1
+        if not ok.all():
+            first = int(chunk[ok.argmin()])
+            return f"residue {first} is not a k-unit: {first}^{k} = {pow(first, k, f.n)} mod {f.n}"
     return None
+
+
+def _mod(x: np.ndarray, m: int, q: np.ndarray, out: np.ndarray) -> None:
+    """out = x mod m, with q a buffer of x's length, which may be out.
+    x - x // m * m is x mod m, as numpy divides by a scalar without a
+    hardware division, and its ``%`` took 4 times as long."""
+    np.floor_divide(x, m, out=q)
+    q *= m
+    np.subtract(x, q, out=out)
+
+
+def _power(acc: np.ndarray, a: np.ndarray, g: int, m: int, q: np.ndarray) -> None:
+    """acc = a^g mod m for g >= 1, by square-and-multiply in uint64, the
+    unsigned division being faster than the signed one; a is in [0, m), so
+    that no product passes (m - 1)^2, and q is a buffer of their length."""
+    acc[:] = a
+    for bit in bin(g)[3:]:
+        acc *= acc
+        _mod(acc, m, q, acc)
+        if bit == "1":
+            acc *= a
+            _mod(acc, m, q, acc)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -133,6 +133,23 @@ def scan_k_units(n: int, k: int, chunk: int = 1 << 16) -> list[int]:
     return out
 
 
+def scan_not_k_unit(units: list[int], n: int, k: int) -> str | None:
+    """The verdict of ``units --oracle`` on a list of residues, by a plain
+    scan in order: the first residue not above the one before it; then
+    whether any leaves [0, n); then the first residue a with
+    pow(a, k, n) != 1 mod n.  Each is worded as the CLI words it; None when
+    every check passes."""
+    for before, a in zip(units, units[1:]):
+        if a <= before:
+            return f"the residues do not strictly ascend at {a}"
+    if any(not 0 <= a < n for a in units):
+        return f"the residues leave [0, {n})"
+    for a in units:
+        if (power := pow(a, k, n)) != 1 % n:
+            return f"residue {a} is not a k-unit: {a}^{k} = {power} mod {n}"
+    return None
+
+
 def brute_rdu_is_one(n: int, k: int) -> bool:
     """Every unit is a k-unit (early-exit residue scan)."""
     if n == 1:

@@ -14,7 +14,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -43,6 +43,7 @@ from oracles import (
     brute_rdu_is_one,
     brute_unit_exponent,
     scan_k_units,
+    scan_not_k_unit,
     smallest_divisors,
 )
 
@@ -122,6 +123,30 @@ class TestStats:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+def _corruptions(units, n, k, rng):
+    """Copies of the true k-units with one residue replaced, at a seeded
+    position past the first slice (anywhere, in a list of one slice), by a
+    value between its neighbours, from the first 64 there but itself: past
+    the first slice, by a non-unit and by a unit that is not a k-unit, where
+    the gap holds one; in a list of one slice, by each value in turn.  Then
+    by a value that breaks the order.  The position stays near the first
+    slice, as the scan that words the expected message raises every residue
+    before it to k."""
+    first = cli_module._SLICE if len(units) > cli_module._SLICE else 0
+    at = rng.randrange(first, min(len(units), first + 1024))
+    low = int(units[at - 1]) + 1 if at else 0
+    high = int(units[at + 1]) if at + 1 < len(units) else n
+    values = [v for v in range(low, min(high, low + 64)) if v != units[at]]
+    if first:
+        non_units = [v for v in values if gcd(v, n) > 1]
+        strangers = [v for v in values if gcd(v, n) == 1 and pow(v, k, n) != 1 % n]
+        values = [rng.choice(kind) for kind in (non_units, strangers) if kind]
+    for value in [*values, int(units[at - 1]) if at else n]:
+        wrong = units.copy()
+        wrong[at] = value
+        yield wrong
 
 
 class TestUnits:
@@ -214,6 +239,35 @@ class TestUnits:
             results.append(out.split('"result": ', 1)[1])
         assert results[0] == results[1]
         assert results[0].startswith('{"count": "1866240", "oracle": {"expected_count": "1866240"')
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [
+            # no prime power, and one list of [0]
+            *[(1, k) for k in (1, 2)],
+            # every prime power at most 2^16 and at most du: tables only
+            (24, 2),
+            *[(720720, k) for k in (12, 60)],
+            *[(9699690, k) for k in (2, 60)],
+            *[(9999990, k) for k in (36, 720, 720 * 10**600)],
+            # tables, and a prime above 2^16 raised mod itself: 2 * 100003 and 3 * 5 * 7 * 65537
+            *[(200006, k) for k in (33334, 100002)],
+            *[(6881385, k) for k in (24576, 49152)],
+            # 7 * 11 * 17 at du = 15: tables for 7 and 11, and 17 raised to gcd(15, 16) = 1
+            (1309, 15),
+            # n raised mod itself alone: a prime, and at du = 1 every n
+            *[(9999991, k) for k in (2, 90090)],
+            *[(2, k) for k in (1, 3)],
+            (24, 5),
+        ],
+        ids=lambda value: "720e600" if value == 720 * 10**600 else None,
+    )
+    def test_the_oracle_words_the_first_wrong_residue_as_a_scan_does(self, n, k):
+        units = cli_module._k_units(n, k, n)
+        assert cli_module._not_k_unit(units, n, k) is None
+        for wrong in _corruptions(units, n, k, random.Random(f"{n} {k}")):
+            expected = scan_not_k_unit(wrong.tolist(), n, k)
+            assert expected is not None and cli_module._not_k_unit(wrong, n, k) == expected
 
     def test_unallocatable_units_are_refused(self, capsys, monkeypatch):
         # a raised bound lets du outgrow memory; the allocation is faked,
