@@ -4,10 +4,14 @@
 
 Prints one JSON object.  Each row gives the thread CPU (``time.thread_time``) of a call,
 as the median and quartiles of the block's 41 calls (5 with ``--quick``; one per n in
-``curve_ms`` and ``factorize``; 11 for the sweep to 10^7), beside the counts of one
-more call made before them, with a private name of the library wrapped in this process
-and restored after it.  The library is not changed for it.  The blocks:
+``curve_ms`` and ``factorize``; 11 for 2^1279 - 1 and the sweep to 10^7), beside the
+counts of one more call made before them, with a private name of the library wrapped in
+this process and restored after it.  The library is not changed for it.  The blocks:
 
+- ``prime_us``: ``arith.is_prime`` with its verdict, on the 64-bit prime 2^64 - 59 and the
+  64-bit composite 4294967291 * 4294967279, and at ``bound=2**80`` on the prime 2^80 - 65 and
+  the composite (2^40 - 87) * (2^40 - 167); at full size also on 2^1279 - 1 at its own bound,
+  a probable prime past psi_13, whose verdict is "refused" (a CapabilityError);
 - ``curve_ms``: ``arith._ecm_curve`` at B1 = 500, 2000 and 11,000, one curve per seeded
   product of two 60-bit primes at sigma = 6, 7, ..., how many split their n and the SHA-256
   of the gcds the curves return.  Primes that large are seldom found, so nearly every curve
@@ -75,6 +79,14 @@ ENUMERATED = ((720, None), (2**61, None), (2**100, None), (720720, 10**5))
 N, K = 9999990, 720
 ORACLED = {"oracle": (N, K), "oracle 6881385": (6881385, 49152)}
 NAMED = 9288178146094422083  # 354643 * 1741291 * 15040691
+# (n, bound) of each is_prime row; 2^64 - 1 is the default bound
+PRIMALITY = {
+    "2^64-59": (2**64 - 59, 2**64 - 1),
+    "4294967291*4294967279": (4294967291 * 4294967279, 2**64 - 1),
+    "2^80-65": (2**80 - 65, 2**80),
+    "(2^40-87)*(2^40-167)": ((2**40 - 87) * (2**40 - 167), 2**80),
+}
+MERSENNE = "2^1279-1", (2**1279 - 1, 2**1279 - 1)  # about 0.1 s a call
 STYLES = {"write_json": ('"', ", "), "write_plain": ("", " ")}
 
 
@@ -206,6 +218,25 @@ def semiprimes(is_prime, count: int, rng: random.Random, bits: int) -> list[int]
                 return p
 
     return [prime() * prime() for _ in range(count)]
+
+
+def primality(trees: dict, repeats: int, quick: bool) -> dict:
+    """The ``prime_us`` block."""
+    cases = {key: (repeats, case) for key, case in PRIMALITY.items()}
+    if not quick:
+        cases[MERSENNE[0]] = (11, MERSENNE[1])
+    prime_us = {}
+    for key, (calls, (n, bound)) in cases.items():
+
+        def verdict(side, i=0, n=n, bound=bound):
+            arith = trees[side].arith
+            try:
+                return arith.is_prime(n, bound=bound)
+            except arith.CapabilityError:
+                return "refused"
+
+        prime_us[key] = row(trees, calls, verdict, lambda side: {"verdict": verdict(side)}, 1e6)
+    return {"prime_us": prime_us}
 
 
 def ecm(trees: dict, quick: bool) -> dict:
@@ -347,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         trees["against"] = load(args.against.resolve(), "kunits_against")
     repeats = 5 if args.quick else 41
     report = {"seed": SEED, "repeats": repeats, "quick": args.quick}
-    report |= ecm(trees, args.quick)
+    report |= primality(trees, repeats, args.quick) | ecm(trees, args.quick)
     if not args.quick:
         report |= splitting(trees, repeats)
     report |= solver(trees, repeats) | units(trees, repeats)

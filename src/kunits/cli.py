@@ -33,7 +33,7 @@ from .bfile import BFile, compare_bfile
 from .classify import _PREDICATE_HELP, _RULE_HELP, _predicate, classify, parse_rule, sweep
 from .errors import CapabilityError, DomainError
 from .solver import _solutions, solve_rdu_one
-from .unitgroup import ENUMERATION_BOUND, _k_units, carmichael_lambda, k_unit_stats
+from .unitgroup import ENUMERATION_BOUND, _k_units, _mod, carmichael_lambda, k_unit_stats
 
 __all__ = ["main"]
 
@@ -105,7 +105,8 @@ def _jsonable(value: Any) -> Any:
 _PLACEHOLDER = "\0"
 # Values per write of a streamed list that is already in memory.
 _SLICE = 1 << 14
-# The largest modulus that the units --oracle check reads from a table: 2^16 bools stay in L2.
+# The largest modulus that the units --oracle check reads from a table: 2^16 bools stay in L2,
+# and (m - 1)^2 < 2^32 for each m up to it, so a table is powered in uint32.
 _TABLE = 1 << 16
 
 
@@ -298,14 +299,14 @@ def _not_k_unit(units: np.ndarray, n: Factorization | int, k: int) -> str | None
     as many as the residues, so that a table never costs more than the
     residues it serves; those above that cap multiply into one ``rest``.
     Each m gets a bool table of x^g = 1 mod m over x < m, g = gcd(k,
-    lambda(m)), built by ``_power`` from the x themselves, apart from the
-    construction: a^k = 1 exactly when a^g = 1, as a is then a unit whose
-    order divides lambda(m), so the work grows with n, not with k.  One
-    slice at a time, a residue is looked up in each table by its a mod m,
-    taken in the residues' own dtype (uint32 from ``_k_units``, which
-    ``take`` reads faster than a copy in intp), and raised mod ``rest`` by
-    ``_power`` in uint64; every residue is in [0, n) by then, and
-    ``_k_units`` refuses (n - 1)^2 > 2^63 - 1, so no product wraps."""
+    lambda(m)), built in uint32 by ``_power`` from the x themselves, apart
+    from the construction: a^k = 1 exactly when a^g = 1, as a is then a
+    unit whose order divides lambda(m), so the work grows with n, not with
+    k.  One slice at a time, a residue is looked up in each table by its
+    a mod m, taken in the residues' own dtype (uint32 from ``_k_units``,
+    which ``take`` reads faster than a copy in intp), and raised mod
+    ``rest`` by ``_power`` in uint64; every residue is in [0, n) by then,
+    and ``_k_units`` refuses n > 2^32, so no product wraps."""
     f = _as_factorization(n, n)
     stalls = units[1:] <= units[:-1]
     if stalls.any():
@@ -328,7 +329,7 @@ def _not_k_unit(units: np.ndarray, n: Factorization | int, k: int) -> str | None
 
     tables = []
     for m in moduli:
-        x, table = np.arange(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
+        x, table = np.arange(m, dtype=np.uint32), np.empty(m, dtype=np.uint32)
         _power(table, x, exponent(m), m, np.empty_like(x))
         tables.append((m, table == 1))
     g = exponent(rest)
@@ -354,19 +355,11 @@ def _not_k_unit(units: np.ndarray, n: Factorization | int, k: int) -> str | None
     return None
 
 
-def _mod(x: np.ndarray, m: int, q: np.ndarray, out: np.ndarray) -> None:
-    """out = x mod m, with q a buffer of x's length, which may be out.
-    x - x // m * m is x mod m, as numpy divides by a scalar without a
-    hardware division, and its ``%`` took 4 times as long."""
-    np.floor_divide(x, m, out=q)
-    q *= m
-    np.subtract(x, q, out=out)
-
-
 def _power(acc: np.ndarray, a: np.ndarray, g: int, m: int, q: np.ndarray) -> None:
-    """acc = a^g mod m for g >= 1, by square-and-multiply in uint64, the
-    unsigned division being faster than the signed one; a is in [0, m), so
-    that no product passes (m - 1)^2, and q is a buffer of their length."""
+    """acc = a^g mod m for g >= 1, by square-and-multiply in the unsigned
+    dtype of a, the unsigned division being faster than the signed one; a
+    is in [0, m), so that no product passes (m - 1)^2, and q is a buffer of
+    their length and dtype."""
     acc[:] = a
     for bit in bin(g)[3:]:
         acc *= acc

@@ -64,7 +64,7 @@ ENUMERATION_BOUND = 10**7
 # lambda_range refuses a range of more n; its docstring gives the cost at the bound.
 RANGE_BOUND = 10**9
 _INT64_MAX = (1 << 63) - 1
-# Products per int64 pass of the k-unit construction.
+# Products per uint64 pass of the k-unit construction.
 _SLICE = 1 << 14
 
 
@@ -216,26 +216,22 @@ def _k_units(n: int, k: int, bound: int) -> np.ndarray:
     d = gcd(k, r), generated by h = g^(r/d).  Each h, lifted by the CRT to
     h mod p^e and 1 mod n/p^e, grows the array built so far into d cosets,
     by doubling in place; one in-place sort ends it.  The refusal of
-    (n - 1)^2 > 2^63 - 1 keeps n below 2^32, so each residue fits uint32 and
-    each product of two fits int64, where it is formed and reduced, one
-    ``_SLICE`` at a time; x - x // n * n is x mod n, as numpy divides by a
-    scalar without a hardware division, and ``%`` made the construction a
-    third slower.
+    n > 2^32 keeps each residue in uint32, so each product of two, at most
+    (2^32 - 1)^2, fits uint64, where it is formed and reduced by ``_mod``,
+    one ``_SLICE`` at a time.
     """
     n, k = _gate("enumerate_k_units requires n >= 1 and k >= 1, got n={}, k={}", 1, n, k)
     if n > _gate(_BOUND, 1, bound):
         raise CapabilityError(f"n = {_shown(n)} exceeds the enumeration bound {_shown(bound)}")
-    if (n - 1) ** 2 > _INT64_MAX:
-        raise CapabilityError(
-            f"n = {_shown(n)} is too large for the int64 residue scan: (n - 1)^2 > 2^63 - 1"
-        )
+    if n > 1 << 32:
+        raise CapabilityError(f"n = {_shown(n)} exceeds 2^32: its residues would not fit uint32")
     f = factorize(n)
     du = _du(k, unit_group_structure(f))
     try:
         units = np.empty(du, dtype=np.uint32)
     except MemoryError:
         raise CapabilityError(f"the {du} k-units modulo {n} do not fit in memory") from None
-    wide = np.empty(min(du, _SLICE), dtype=np.int64)
+    wide, quotient = (np.empty(min(du, _SLICE), dtype=np.uint64) for _ in range(2))
     units[0] = 1 % n
     size = 1
     for p, e in f.factors:
@@ -249,13 +245,22 @@ def _k_units(n: int, k: int, bound: int) -> np.ndarray:
                 step = min(size, grown - size)
                 factor = pow(h, size // coset, n)
                 for i in range(0, step, _SLICE):
-                    products = wide[: min(_SLICE, step - i)]
-                    np.multiply(units[i : i + len(products)], factor, out=products, dtype=np.int64)
-                    products -= products // n * n
-                    units[size + i : size + i + len(products)] = products
+                    j = min(_SLICE, step - i)
+                    np.multiply(units[i : i + j], factor, out=wide[:j], dtype=np.uint64)
+                    _mod(wide[:j], n, quotient[:j], units[size + i : size + i + j])
                 size += step
     units.sort()
     return units
+
+
+def _mod(x: np.ndarray, m: int, q: np.ndarray, out: np.ndarray) -> None:
+    """out = x mod m for x >= 0, with q a buffer of x's length and dtype,
+    which may be out; out may be of a narrower dtype that holds m - 1.
+    x - x // m * m is x mod m, as numpy divides by a scalar without a
+    hardware division, and its ``%`` took 4 times as long."""
+    np.floor_divide(x, m, out=q)
+    q *= m
+    np.subtract(x, q, out=out)
 
 
 def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list[int]:
@@ -263,10 +268,8 @@ def enumerate_k_units(n: int, k: int, *, bound: int = ENUMERATION_BOUND) -> list
     factors of U(Z_n) of their subgroups of order gcd(k, r).
 
     n = 1 returns [0], the single trivial unit of Z_1.  Refuses with
-    CapabilityError n > bound; n with (n - 1)^2 > 2**63 - 1 (n > 3037000500),
-    as a product of two residues must fit int64; and du values that cannot
-    be allocated, 4 bytes a k-unit, as the residues, below 2^32, are built
-    in uint32.
+    CapabilityError n > bound; n > 2**32, as the residues are built in
+    uint32; and du values that cannot be allocated, 4 bytes a k-unit.
     """
     return _k_units(n, k, bound).tolist()
 

@@ -51,7 +51,7 @@ def _quick_report() -> dict:
 
 def test_layers_quick_against_this_tree():
     report = _quick_report()
-    blocks = ["curve_ms", "factorize", "solve_us", "enumerate_us", "layers_ms", "range_ms"]
+    blocks = ["prime_us", "curve_ms", "factorize", "solve_us", "enumerate_us", "layers_ms", "range_ms"]
     assert [key for key in report if key in blocks] == blocks
     rows = [report["factorize"]]
     rows += [row for block in blocks if block != "factorize" for row in report[block].values()]

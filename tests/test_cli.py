@@ -253,6 +253,9 @@ class TestUnits:
             # tables, and a prime above 2^16 raised mod itself: 2 * 100003 and 3 * 5 * 7 * 65537
             *[(200006, k) for k in (33334, 100002)],
             *[(6881385, k) for k in (24576, 49152)],
+            # 3 * 5 * 17 * 257 * 65537 = 2^32 - 1, products past 2^63: tables for 255 and 257,
+            # and 65537 raised mod itself
+            (4294967295, 16),
             # 7 * 11 * 17 at du = 15: tables for 7 and 11, and 17 raised to gcd(15, 16) = 1
             (1309, 15),
             # n raised mod itself alone: a prime, and at du = 1 every n
@@ -1409,7 +1412,7 @@ class TestStreamedOutput:
         "argv, code",
         [
             (["units", "--n", "10000001", "--k", "2"], 3),
-            (["units", "--n", "4000000000", "--k", "2", "--bound", "5000000000"], 3),
+            (["units", "--n", "4294967297", "--k", "2", "--bound", "5000000000"], 3),
             (["units", "--n", "10000001", "--k", "2", "--json", "--oracle"], 3),
             (["solve", "--k", "30030", "--enumerate"], 3),
             (["solve", "--k", "30030", "--enumerate", "--json"], 3),

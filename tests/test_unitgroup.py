@@ -255,18 +255,24 @@ class TestEnumerateKUnits:
             if k < 3:
                 assert units == brute_k_units(n, k)
 
-    def test_int64_overflow_is_refused(self):
-        # (n - 1)^2 wraps in int64 past n = 3037000500; the construction
-        # refuses before it allocates anything
-        with pytest.raises(CapabilityError, match="int64"):
-            enumerate_k_units(4 * 10**9 + 7, 2, bound=5 * 10**9)
-        with pytest.raises(CapabilityError, match="int64"):
-            enumerate_k_units(3037000501, 1, bound=10**10)
-        # below the edge it answers: the products of 2 * 7^2 * 31 * 999671's
-        # residues reach (n - 1)^2, near 2^63
+    def test_a_residue_past_uint32_is_refused(self):
+        # the residues are stored in uint32, so n > 2^32 is refused before
+        # anything is allocated
+        with pytest.raises(CapabilityError, match="uint32"):
+            enumerate_k_units(2**32 + 1, 2, bound=5 * 10**9)
+        # the old int64 edge and 2^32 itself are answered
+        assert enumerate_k_units(3037000501, 1, bound=10**10) == [1]
+        assert enumerate_k_units(2**32, 2, bound=2**32) == [1, 2**31 - 1, 2**31 + 1, 2**32 - 1]
+        # the products of 2 * 7^2 * 31 * 999671's residues reach (n - 1)^2, near 2^63
         n, k = 3037000498, 720
         units = enumerate_k_units(n, k, bound=n)
         assert len(set(units)) == len(units) == k_unit_stats(n, k).du == 1800
+        assert units == sorted(units) and units[-1] == n - 1
+        assert all(pow(a, k, n) == 1 for a in units)
+        # 3 * 5 * 17 * 257 * 65537 = 2^32 - 1: products up to (n - 1)^2, past 2^63
+        n, k = 2**32 - 1, 16
+        units = enumerate_k_units(n, k, bound=n)
+        assert len(set(units)) == len(units) == k_unit_stats(n, k).du == 32768
         assert units == sorted(units) and units[-1] == n - 1
         assert all(pow(a, k, n) == 1 for a in units)
 
@@ -308,8 +314,8 @@ class TestEnumerateKUnits:
         assert all(pow(a, k, n) == 1 for a in units)
 
     def test_powers_of_two(self):
-        # U(Z_{2^e}) = <-1> x <5>: every e up to 2^31 < 3037000500
-        for e in range(1, 32):
+        # U(Z_{2^e}) = <-1> x <5>: every 2^e up to 2^32, the largest n answered
+        for e in range(1, 33):
             n = 1 << e
             for k in (1, 2, 4, 12, 720, 1 << 10):
                 units = enumerate_k_units(n, k, bound=n)
